@@ -25,7 +25,7 @@ from .constructions import (
     quotient_module,
     regular_module,
 )
-from .errors import ConstructionError
+from .errors import ConstructionError, InvariantError
 from .expansions import (
     ExpansionFunction,
     induced_localization,
@@ -198,6 +198,7 @@ def build_catalog(config: CatalogConfig = CatalogConfig()) -> Catalog:
         rings = rings[: config.max_entries]
 
     labels = [R.label for R in rings]
-    assert len(set(labels)) == len(labels), "catalog provenance strings must be unique"
+    if len(set(labels)) != len(labels):
+        raise InvariantError("catalog provenance strings must be unique")
     entries = tuple(CatalogEntry(R, R.label, _expansions_for(R)) for R in rings)
     return Catalog(entries, tuple(notices))

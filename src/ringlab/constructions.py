@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from .errors import ConstructionError, RingMismatchError, TableError
+from .errors import ConstructionError, InvariantError, RingMismatchError, TableError
 from .ideals import Ideal, generator_list, is_ideal_mask
 from .rings import Element, FiniteRing, RingHom
 
@@ -55,7 +55,8 @@ class ProductOf:
             m1 |= 1 << a
             m2 |= 1 << b
             i ^= low
-        assert self.pair_mask(m1, m2) == mask, "mask is not a product ideal"
+        if self.pair_mask(m1, m2) != mask:
+            raise InvariantError(f"mask {mask:#x} is not a product ideal")
         return m1, m2
 
 
@@ -544,7 +545,8 @@ def localize(R: FiniteRing, S: MultiplicativeSet) -> Localization:
             if mul[s][r] == zero:
                 kmask |= 1 << r
                 break
-    assert is_ideal_mask(R, kmask), "S-torsion failed the ideal scan"
+    if not is_ideal_mask(R, kmask):
+        raise InvariantError(f"S-torsion of {R.label} failed the ideal scan")
     K = Ideal(R, kmask)
     rep, reps = _coset_partition(R, kmask)
     index = {r: k for k, r in enumerate(reps)}

@@ -27,6 +27,10 @@ class ConstructionError(RinglabError):
     """Invalid input to a ring or module construction."""
 
 
+class InvariantError(RinglabError):
+    """An internal invariant failed: a bug in ringlab, not bad input."""
+
+
 class ParseError(RinglabError):
     """A spec string failed to parse. Carries the offending position."""
 

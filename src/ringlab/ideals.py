@@ -1,8 +1,11 @@
 """Ideals of a finite ring as bitmask subsets, plus the full ideal lattice.
 
 An ideal is identified by its ring and a bitmask over element indices.
-The lattice of all ideals is enumerated once per ring and kept in a
-canonical order: by cardinality, then by bitset value. Witnesses reported
+In a commutative ring with 1 the principal ideal (x) is the image of row x
+of the multiplication table, so the principal ideals are read off the
+table once per ring (``principal_masks``) and every other ideal is a sum
+of them. The lattice of all ideals is enumerated once per ring and kept in
+a canonical order: by cardinality, then by bitset value. Witnesses reported
 by the predicates are lexicographically minimal in element-index order.
 """
 
@@ -10,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Union
 
-from .errors import ProperIdealError, RingMismatchError
+from .errors import InvariantError, ProperIdealError, RingMismatchError
 from .rings import Element, FiniteRing
 
 
@@ -109,9 +112,25 @@ class Ideal:
 # construction and enumeration
 
 
+def principal_masks(R: FiniteRing) -> tuple[int, ...]:
+    """For each element x, the mask of the principal ideal (x).
+
+    The image {x*r : r in R} of row x of the multiplication table already is
+    (x): it holds x = x*1, and x*r + x*s = x*(r+s) and s*(x*r) = x*(s*r)
+    keep it closed. Computed once per ring and cached as one tuple.
+    """
+    pm = R.cache.get("principal_masks")
+    if pm is None:
+        pm = tuple(sum(1 << v for v in set(row)) for row in R.mul_table)
+        R.cache["principal_masks"] = pm
+    return pm
+
+
 def span(R: FiniteRing, generators: Iterable[Union[int, Element]]) -> Ideal:
-    """The smallest ideal containing the given elements."""
-    gens = []
+    """The smallest ideal containing the given elements: the sum of their
+    principal ideals."""
+    pm = principal_masks(R)
+    mask = 1 << R.zero
     for g in generators:
         if isinstance(g, Element):
             if g.ring is not R:
@@ -119,43 +138,30 @@ def span(R: FiniteRing, generators: Iterable[Union[int, Element]]) -> Ideal:
             g = g.index
         if not (0 <= g < R.order):
             raise ValueError(f"generator {g} out of range for {R.label}")
-        gens.append(g)
-    n = R.order
-    add, mul = R.add_table, R.mul_table
-    mask = 1 << R.zero
-    members = [R.zero]
-    stack = gens
-    while stack:
-        e = stack.pop()
-        if (mask >> e) & 1:
-            continue
-        mask |= 1 << e
-        row = mul[e]
-        for r in range(n):
-            v = row[r]
-            if not (mask >> v) & 1:
-                stack.append(v)
-        arow = add[e]
-        for m in members:
-            v = arow[m]
-            if not (mask >> v) & 1:
-                stack.append(v)
-        members.append(e)
+        mask = _sum_masks(R, mask, pm[g])
     return Ideal(R, mask)
 
 
 def _sum_masks(R: FiniteRing, m1: int, m2: int) -> int:
+    """The mask of I + J for ideal masks m1 and m2.
+
+    I + J is a union of cosets b + I with b in J; an element of J that the
+    union already holds adds no new coset, so each coset is built once.
+    """
     if m1 == m2 or not (m2 & ~m1):
         return m1
     if not (m1 & ~m2):
         return m2
     add = R.add_table
     left = [a for a in range(R.order) if (m1 >> a) & 1]
-    out = 0
-    for b in range(R.order):
-        if (m2 >> b) & 1:
-            for a in left:
-                out |= 1 << add[a][b]
+    out = m1
+    rest = m2 & ~m1
+    while rest:
+        low = rest & -rest
+        row = add[low.bit_length() - 1]
+        for a in left:
+            out |= 1 << row[a]
+        rest &= ~out
     return out
 
 
@@ -180,19 +186,13 @@ def is_ideal_mask(R: FiniteRing, mask: int) -> bool:
 def all_ideals(R: FiniteRing) -> tuple[Ideal, ...]:
     """Every ideal of R, in canonical order (cardinality, then bitset value).
 
-    Principal ideals are spanned directly and the rest are produced by
-    closing under pairwise sums, which reaches every ideal because each one
-    is a finite sum of principal ideals.
+    Principal ideals are the row images of ``principal_masks`` and the rest
+    are produced by closing under pairwise sums, which reaches every ideal
+    because each one is a finite sum of principal ideals.
     """
-    principal: dict[int, int] = {}
-    for x in range(R.order):
-        m = span(R, (x,)).mask
-        if m not in principal:
-            principal[m] = x
-    R.cache.setdefault("principal_gen", dict(principal))
-    masks = set(principal)
-    queue = list(principal)
-    pr = list(principal)
+    pr = list(_principal_table(R))
+    masks = set(pr)
+    queue = list(pr)
     while queue:
         m = queue.pop()
         for p in pr:
@@ -204,20 +204,20 @@ def all_ideals(R: FiniteRing) -> tuple[Ideal, ...]:
     return tuple(Ideal(R, m) for m in ordered)
 
 
-def principal_generator(I: Ideal) -> Optional[int]:
-    """The smallest x with (x) = I, or None when I is not principal."""
-    R = I.ring
+def _principal_table(R: FiniteRing) -> dict[int, int]:
+    """Each principal ideal's mask, mapped to its smallest generator."""
     table = R.cache.get("principal_gen")
     if table is None:
-        R.ideals()
-        table = R.cache.get("principal_gen")
-        if table is None:
-            table = {}
-            for x in range(R.order):
-                m = span(R, (x,)).mask
-                table.setdefault(m, x)
-            R.cache["principal_gen"] = table
-    return table.get(I.mask)
+        table = {}
+        for x, m in enumerate(principal_masks(R)):
+            table.setdefault(m, x)
+        R.cache["principal_gen"] = table
+    return table
+
+
+def principal_generator(I: Ideal) -> Optional[int]:
+    """The smallest x with (x) = I, or None when I is not principal."""
+    return _principal_table(I.ring).get(I.mask)
 
 
 def is_principal(I: Ideal) -> bool:
@@ -235,13 +235,14 @@ def generator_list(I: Ideal) -> tuple[int, ...]:
     if g is not None:
         return (g,)
     R = I.ring
+    pm = principal_masks(R)
     gens: list[int] = []
     current = 1 << R.zero
     for x in I.members_sorted:
         if (current >> x) & 1:
             continue
         gens.append(x)
-        current = span(R, gens).mask
+        current = _sum_masks(R, current, pm[x])
         if current == I.mask:
             break
     return tuple(gens) if gens else (R.zero,)
@@ -327,7 +328,8 @@ def radical(I: Ideal) -> Ideal:
                 mask |= 1 << x
                 break
             p = mul[p][x]
-    assert is_ideal_mask(R, mask), "radical failed the ideal scan"
+    if not is_ideal_mask(R, mask):
+        raise InvariantError(f"radical of {I!r} failed the ideal scan")
     cache[I.mask] = mask
     return Ideal(R, mask)
 
@@ -425,5 +427,5 @@ def is_prime_element(R: FiniteRing, x: Union[int, Element]) -> bool:
         x = x.index
     if x == R.zero:
         return False
-    P = span(R, (x,))
+    P = Ideal(R, principal_masks(R)[x])
     return P.is_proper and is_prime(P)

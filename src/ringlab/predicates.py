@@ -4,7 +4,9 @@ Every predicate takes a proper ideal (and, where relevant, an expansion)
 and reports a boolean together with a lexicographically minimal witness on
 failure. The one-absorbing checks come in two forms: an optimized kernel
 driven by colon bitmasks, and a naive definitional triple loop kept as an
-oracle. Both are exercised against each other by the test suite.
+oracle. The two-absorbing kernels scan nonunit pairs only, and an
+all-element pair scan is kept as their oracle. Each kernel is exercised
+against its oracle by the test suite.
 
 Results are memoized per ring, keyed by ideal mask and expansion table, so
 repeated sweeps stay cheap.
@@ -242,6 +244,12 @@ def is_one_absorbing_primary(I: Ideal) -> bool:
 
 # ----------------------------------------------------------------------
 # two-absorbing predicates (all element triples)
+#
+# The kernels below scan only nonunit pairs (a, b). If a is a unit, then
+# a*b*c in I gives b*c in I, which lies in delta(I); a unit b is the same
+# case. So a pair with a unit has an empty ``bad`` mask, and skipping it
+# leaves the first witness in (a, b) order unchanged. The c side needs no
+# cut: when a*b is outside I, no unit c puts a*b*c in I.
 
 
 def two_absorbing_check(
@@ -255,10 +263,11 @@ def two_absorbing_check(
         im = I.mask
         cm = R.colon_masks(im)
         mul = R.mul_table
-        for a in range(R.order):
+        nus = R.nonunit_list
+        for a in nus:
             row = mul[a]
             nota = ~cm[a]
-            for b in range(R.order):
+            for b in nus:
                 ab = row[b]
                 if (im >> ab) & 1:
                     continue
@@ -287,10 +296,11 @@ def two_absorbing_delta_primary_check(
         cm = R.colon_masks(im)
         cd = R.colon_masks(dm)
         mul = R.mul_table
-        for a in range(R.order):
+        nus = R.nonunit_list
+        for a in nus:
             row = mul[a]
             nota = ~cd[a]
-            for b in range(R.order):
+            for b in nus:
                 ab = row[b]
                 if (im >> ab) & 1:
                     continue
@@ -304,6 +314,29 @@ def two_absorbing_delta_primary_check(
 
 def is_two_absorbing_delta_primary(I: Ideal, delta: ExpansionFunction) -> bool:
     return two_absorbing_delta_primary_check(I, delta)[0]
+
+
+def two_absorbing_delta_primary_scan(
+    I: Ideal, delta: ExpansionFunction
+) -> tuple[bool, Optional[tuple[int, int, int]]]:
+    """Pair scan over all elements a, b, the oracle for the nonunit kernels."""
+    _require_proper(I, "two_absorbing_delta_primary_scan")
+    R = I.ring
+    im, dm = I.mask, delta(I).mask
+    cm = R.colon_masks(im)
+    cd = R.colon_masks(dm)
+    mul = R.mul_table
+    for a in range(R.order):
+        row = mul[a]
+        nota = ~cd[a]
+        for b in range(R.order):
+            ab = row[b]
+            if (im >> ab) & 1:
+                continue
+            bad = cm[ab] & nota & ~cd[b]
+            if bad:
+                return False, (a, b, _lsb(bad))
+    return True, None
 
 
 # ----------------------------------------------------------------------

@@ -24,9 +24,9 @@ def _normalize_table(table: Sequence[Sequence[int]], n: int, what: str) -> Table
     for i, row in enumerate(rows):
         if len(row) != n:
             raise TableError(f"{what} table row {i} has length {len(row)}, expected {n}")
-        for v in row:
+        for j, v in enumerate(row):
             if not (0 <= v < n):
-                raise TableError(f"{what} table entry [{i}][{row.index(v)}] = {v} out of range")
+                raise TableError(f"{what} table entry [{i}][{j}] = {v} out of range")
     return rows
 
 
@@ -473,12 +473,17 @@ class RingHom:
     def image_ideal(self, I):
         """The image of an ideal, spanned in the codomain.
 
-        For a surjective homomorphism the raw image already is an ideal and
-        the span changes nothing.
+        For a surjective homomorphism the raw image already is an ideal, so
+        it is returned without spanning.
         """
         if I.ring is not self.domain:
             raise RingMismatchError("ideal does not live in the homomorphism domain")
-        return self.codomain.span({self.mapping[a] for a in I.members})
+        image = {self.mapping[a] for a in I.members_sorted}
+        if self.is_surjective():
+            from .ideals import Ideal
+
+            return Ideal(self.codomain, sum(1 << v for v in image))
+        return self.codomain.span(image)
 
     def preimage_ideal(self, J):
         from .ideals import Ideal

@@ -24,7 +24,7 @@ from .constructions import (
     make_product,
     make_quotient,
 )
-from .errors import UnknownTheoremError
+from .errors import InvariantError, UnknownTheoremError
 from .expansions import (
     ExpansionFunction,
     from_rule,
@@ -887,4 +887,5 @@ def search_witness(query, catalog: Catalog) -> list[Witness]:
     return out
 
 
-assert set(THEOREM_IDS) == set(_SWEEPS) | set(_STANDALONE), "statement registry out of sync"
+if set(THEOREM_IDS) != set(_SWEEPS) | set(_STANDALONE):
+    raise InvariantError("statement registry out of sync")

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ringlab
 from ringlab.constructions import (
     MultiplicativeSet,
     localize,
@@ -77,6 +83,35 @@ def test_image_preimage_galois(z12):
         if span(z12, [6]) <= I:
             down = proj.image_ideal(I)
             assert proj.preimage_ideal(down).mask == I.mask
+
+
+def test_surjective_image_is_not_spanned(z12):
+    """The raw image under a quotient map already is an ideal."""
+    Q = make_quotient(z12, span(z12, [4]))
+    proj = quotient_projection(Q)
+    for I in all_ideals(z12):
+        image = {proj(a) for a in I.members}
+        assert proj.image_ideal(I).members == frozenset(image)
+        assert proj.image_ideal(I) == span(Q, image)
+
+
+def test_invariant_checks_survive_optimize_flag():
+    """python -O strips asserts; the invariant checks are real errors."""
+    code = (
+        "from ringlab.constructions import make_product\n"
+        "from ringlab.errors import InvariantError\n"
+        "from ringlab.rings import make_zn\n"
+        "P = make_product(make_zn(2), make_zn(2))\n"
+        "try:\n"
+        "    P.construction.decompose_mask(0b1001)\n"
+        "except InvariantError:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(ringlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "raised"
 
 
 def test_module_axioms_and_colon(z4):

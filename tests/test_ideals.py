@@ -27,11 +27,79 @@ from ringlab.ideals import (
     scale,
     span,
 )
+from ringlab.catalog import CatalogConfig, build_catalog
+from ringlab.constructions import ProductOf, QuotientOf, TrivialExtensionOf
+from ringlab.ideals import Ideal, principal_masks
 from ringlab.rings import make_galois_field, make_zn
 
 
 def members(I):
     return sorted(I.members)
+
+
+def closure_span(R, gens):
+    """Definitional oracle for span: close the generators under ring
+    multiples and sums, one element at a time."""
+    n = R.order
+    add, mul = R.add_table, R.mul_table
+    mask = 1 << R.zero
+    members = [R.zero]
+    stack = list(gens)
+    while stack:
+        e = stack.pop()
+        if (mask >> e) & 1:
+            continue
+        mask |= 1 << e
+        row = mul[e]
+        for r in range(n):
+            v = row[r]
+            if not (mask >> v) & 1:
+                stack.append(v)
+        arow = add[e]
+        for m in members:
+            v = arow[m]
+            if not (mask >> v) & 1:
+                stack.append(v)
+        members.append(e)
+    return mask
+
+
+def _generator_sets(n, max_size):
+    yield ()
+    for a in range(n):
+        yield (a,)
+        if max_size >= 2:
+            for b in range(a + 1, n):
+                yield (a, b)
+
+
+def test_span_matches_closure_oracle_on_zn():
+    for n in range(2, 37):
+        R = make_zn(n)
+        for gens in _generator_sets(n, 2):
+            assert span(R, gens).mask == closure_span(R, gens), (n, gens)
+
+
+def test_span_matches_closure_oracle_on_constructed_rings():
+    """Products, quotients and trivial extensions of the default catalog:
+    every single generator, and every pair on rings up to order 24."""
+    kinds = (ProductOf, QuotientOf, TrivialExtensionOf)
+    rings = [e.ring for e in build_catalog(CatalogConfig())
+             if isinstance(e.ring.construction, kinds)]
+    assert {type(R.construction) for R in rings} == set(kinds)
+    for R in rings:
+        for gens in _generator_sets(R.order, 2 if R.order <= 24 else 1):
+            assert span(R, gens).mask == closure_span(R, gens), (R.label, gens)
+        for I in R.ideals():
+            assert span(R, generator_list(I)) == I
+
+
+def test_principal_masks_are_row_images(z12):
+    pm = principal_masks(z12)
+    assert isinstance(pm, tuple) and principal_masks(z12) is pm
+    assert pm[4] == sum(1 << v for v in (0, 4, 8))
+    for x in range(12):
+        assert Ideal(z12, pm[x]).members == frozenset(z12.mul_table[x])
 
 
 def test_span_in_z12(z12):

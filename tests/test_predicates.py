@@ -33,7 +33,10 @@ from ringlab.predicates import (
     one_absorbing_delta_primary_check,
     one_absorbing_delta_primary_scan,
     two_absorbing_check,
+    two_absorbing_delta_primary_check,
+    two_absorbing_delta_primary_scan,
 )
+from ringlab.catalog import CatalogConfig, build_catalog
 from ringlab.rings import make_zn
 
 
@@ -127,6 +130,24 @@ def test_scan_agrees_with_optimized_on_catalog(catalog12):
                 slow = one_absorbing_delta_primary_scan(I, d)
                 assert fast[0] == slow[0], (entry.provenance, d.label, I.label)
                 assert fast[1] == slow[1]
+
+
+def test_two_absorbing_kernels_match_scan_on_default_catalog():
+    """Both nonunit-pair kernels against the all-element pair scan, values
+    and witnesses, on every (I, delta) of the default catalog."""
+    pairs = 0
+    for entry in build_catalog(CatalogConfig()):
+        R = entry.ring
+        ident = identity_expansion(R)
+        for I in R.proper_ideals():
+            assert two_absorbing_check(I) == two_absorbing_delta_primary_scan(I, ident), (
+                entry.provenance, I.label)
+            for d in entry.expansions:
+                fast = two_absorbing_delta_primary_check(I, d)
+                assert fast == two_absorbing_delta_primary_scan(I, d), (
+                    entry.provenance, d.label, I.label)
+                pairs += 1
+    assert pairs == 6588
 
 
 def test_idealwise_scan_agrees(catalog8):

@@ -119,6 +119,13 @@ def test_validation_rejects_broken_tables():
         FiniteRing(add, bad_mul, label="bad")
 
 
+def test_out_of_range_entry_reports_its_column():
+    add = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    mul = [[0, 0, 0], [0, 1, 2], [0, 7, 7]]
+    with pytest.raises(TableError, match=r"multiplication table entry \[2\]\[1\] = 7 out of range"):
+        FiniteRing(add, mul, label="bad")
+
+
 def test_validation_rejects_missing_identity():
     add = [[0, 1], [1, 0]]
     mul = [[0, 0], [0, 0]]  # no multiplicative identity
