@@ -3,7 +3,7 @@
 An ideal is identified by its ring and a bitmask over element indices.
 In a commutative ring with 1 the principal ideal (x) is the image of row x
 of the multiplication table, so the principal ideals are read off the
-table once per ring (``principal_masks``) and every other ideal is a sum
+table once per ring (``_principal_masks``) and every other ideal is a sum
 of them. The lattice of all ideals is enumerated once per ring and kept in
 a canonical order: by cardinality, then by bitset value. Witnesses reported
 by the predicates are lexicographically minimal in element-index order.
@@ -112,7 +112,7 @@ class Ideal:
 # construction and enumeration
 
 
-def principal_masks(R: FiniteRing) -> tuple[int, ...]:
+def _principal_masks(R: FiniteRing) -> tuple[int, ...]:
     """For each element x, the mask of the principal ideal (x).
 
     The image {x*r : r in R} of row x of the multiplication table already is
@@ -129,7 +129,7 @@ def principal_masks(R: FiniteRing) -> tuple[int, ...]:
 def span(R: FiniteRing, generators: Iterable[Union[int, Element]]) -> Ideal:
     """The smallest ideal containing the given elements: the sum of their
     principal ideals."""
-    pm = principal_masks(R)
+    pm = _principal_masks(R)
     mask = 1 << R.zero
     for g in generators:
         if isinstance(g, Element):
@@ -186,7 +186,7 @@ def is_ideal_mask(R: FiniteRing, mask: int) -> bool:
 def all_ideals(R: FiniteRing) -> tuple[Ideal, ...]:
     """Every ideal of R, in canonical order (cardinality, then bitset value).
 
-    Principal ideals are the row images of ``principal_masks`` and the rest
+    Principal ideals are the row images of ``_principal_masks`` and the rest
     are produced by closing under pairwise sums, which reaches every ideal
     because each one is a finite sum of principal ideals.
     """
@@ -209,7 +209,7 @@ def _principal_table(R: FiniteRing) -> dict[int, int]:
     table = R.cache.get("principal_gen")
     if table is None:
         table = {}
-        for x, m in enumerate(principal_masks(R)):
+        for x, m in enumerate(_principal_masks(R)):
             table.setdefault(m, x)
         R.cache["principal_gen"] = table
     return table
@@ -235,7 +235,7 @@ def generator_list(I: Ideal) -> tuple[int, ...]:
     if g is not None:
         return (g,)
     R = I.ring
-    pm = principal_masks(R)
+    pm = _principal_masks(R)
     gens: list[int] = []
     current = 1 << R.zero
     for x in I.members_sorted:
@@ -427,5 +427,5 @@ def is_prime_element(R: FiniteRing, x: Union[int, Element]) -> bool:
         x = x.index
     if x == R.zero:
         return False
-    P = Ideal(R, principal_masks(R)[x])
+    P = Ideal(R, _principal_masks(R)[x])
     return P.is_proper and is_prime(P)

@@ -473,17 +473,12 @@ class RingHom:
     def image_ideal(self, I):
         """The image of an ideal, spanned in the codomain.
 
-        For a surjective homomorphism the raw image already is an ideal, so
-        it is returned without spanning.
+        For a surjective homomorphism the raw image already is an ideal and
+        the span changes nothing.
         """
         if I.ring is not self.domain:
             raise RingMismatchError("ideal does not live in the homomorphism domain")
-        image = {self.mapping[a] for a in I.members_sorted}
-        if self.is_surjective():
-            from .ideals import Ideal
-
-            return Ideal(self.codomain, sum(1 << v for v in image))
-        return self.codomain.span(image)
+        return self.codomain.span({self.mapping[a] for a in I.members})
 
     def preimage_ideal(self, J):
         from .ideals import Ideal

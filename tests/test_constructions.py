@@ -85,16 +85,6 @@ def test_image_preimage_galois(z12):
             assert proj.preimage_ideal(down).mask == I.mask
 
 
-def test_surjective_image_is_not_spanned(z12):
-    """The raw image under a quotient map already is an ideal."""
-    Q = make_quotient(z12, span(z12, [4]))
-    proj = quotient_projection(Q)
-    for I in all_ideals(z12):
-        image = {proj(a) for a in I.members}
-        assert proj.image_ideal(I).members == frozenset(image)
-        assert proj.image_ideal(I) == span(Q, image)
-
-
 def test_invariant_checks_survive_optimize_flag():
     """python -O strips asserts; the invariant checks are real errors."""
     code = (

@@ -29,7 +29,7 @@ from ringlab.ideals import (
 )
 from ringlab.catalog import CatalogConfig, build_catalog
 from ringlab.constructions import ProductOf, QuotientOf, TrivialExtensionOf
-from ringlab.ideals import Ideal, principal_masks
+from ringlab.ideals import Ideal, _principal_masks
 from ringlab.rings import make_galois_field, make_zn
 
 
@@ -95,8 +95,8 @@ def test_span_matches_closure_oracle_on_constructed_rings():
 
 
 def test_principal_masks_are_row_images(z12):
-    pm = principal_masks(z12)
-    assert isinstance(pm, tuple) and principal_masks(z12) is pm
+    pm = _principal_masks(z12)
+    assert isinstance(pm, tuple) and _principal_masks(z12) is pm
     assert pm[4] == sum(1 << v for v in (0, 4, 8))
     for x in range(12):
         assert Ideal(z12, pm[x]).members == frozenset(z12.mul_table[x])
