@@ -36,7 +36,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--theorem", required=True, help="statement id or 'all'")
     p_check.add_argument("--max-order", type=int, default=None, help="base ring order budget")
     p_check.add_argument("--json", action="store_true", help="one JSON report per line")
-    p_check.add_argument("--jobs", type=int, default=None, help="parallel sweep workers")
+    p_check.add_argument("--jobs", type=int, default=None,
+                         help="accepted for compatibility; has no effect")
     p_check.add_argument("--out", help="write output to this file instead of stdout")
 
     p_search = sub.add_parser("search", help="find catalog instances matching a predicate query")
@@ -152,14 +153,13 @@ def _run_check(args: argparse.Namespace) -> int:
         known = ", ".join(THEOREM_IDS)
         raise RinglabError(f"unknown theorem id {args.theorem!r}; known ids: all, {known}")
     ids = THEOREM_IDS if args.theorem == "all" else (args.theorem,)
-    jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
     cat = build_catalog(CatalogConfig(max_order=_default_max_order(args.max_order)))
     lines: list[str] = []
     total_failures = 0
     total_checked = 0
     total_hyp = 0
     for tid in ids:
-        report = verify(tid, cat, jobs=jobs)
+        report = verify(tid, cat)
         total_failures += len(report.conclusion_failures)
         total_checked += report.instances_checked
         total_hyp += report.hypothesis_satisfied

@@ -354,25 +354,40 @@ def scale(x: Union[int, Element], I: Ideal) -> Ideal:
 # classical predicates, each with a lexicographically minimal witness
 
 
+def _lsb(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
 def _require_proper(I: Ideal, what: str) -> None:
     if not I.is_proper:
         raise ProperIdealError(f"{what} needs a proper ideal")
 
 
-def prime_check(I: Ideal) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Definitional scan: a*b in I forces a in I or b in I."""
-    _require_proper(I, "is_prime")
-    R = I.ring
-    im = I.mask
-    mul = R.mul_table
+def _pair_kernel(
+    R: FiniteRing, im: int, dm: int, skip: int
+) -> tuple[bool, Optional[tuple[int, int]]]:
+    """a*b in the ideal mask im forces a in skip or b in dm.
+
+    With skip = im this is the pair-primary kernel, with skip = dm the
+    pair-semiprimary one. Row a of the colon table holds every b with a*b
+    in I, so the first a outside skip whose row leaves dm gives the minimal
+    witness.
+    """
+    cm = R.colon_masks(im)
+    notdm = ~dm
     for a in range(R.order):
-        if (im >> a) & 1:
+        if (skip >> a) & 1:
             continue
-        row = mul[a]
-        for b in range(R.order):
-            if (im >> row[b]) & 1 and not (im >> b) & 1:
-                return False, (a, b)
+        bad = cm[a] & notdm
+        if bad:
+            return False, (a, _lsb(bad))
     return True, None
+
+
+def prime_check(I: Ideal) -> tuple[bool, Optional[tuple[int, int]]]:
+    """a*b in I forces a in I or b in I: the pair-primary kernel at I itself."""
+    _require_proper(I, "is_prime")
+    return _pair_kernel(I.ring, I.mask, I.mask, I.mask)
 
 
 def is_prime(I: Ideal) -> bool:
@@ -395,20 +410,10 @@ def is_maximal(I: Ideal) -> bool:
 
 
 def primary_check(I: Ideal) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Definitional scan: a*b in I forces a in I or b in the radical."""
+    """a*b in I forces a in I or b in the radical: the pair-primary kernel
+    at rad(I)."""
     _require_proper(I, "is_primary")
-    R = I.ring
-    im = I.mask
-    rm = radical(I).mask
-    mul = R.mul_table
-    for a in range(R.order):
-        if (im >> a) & 1:
-            continue
-        row = mul[a]
-        for b in range(R.order):
-            if (im >> row[b]) & 1 and not (rm >> b) & 1:
-                return False, (a, b)
-    return True, None
+    return _pair_kernel(I.ring, I.mask, radical(I).mask, I.mask)
 
 
 def is_primary(I: Ideal) -> bool:

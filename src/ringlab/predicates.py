@@ -2,14 +2,16 @@
 
 Every predicate takes a proper ideal (and, where relevant, an expansion)
 and reports a boolean together with a lexicographically minimal witness on
-failure. The one-absorbing checks come in two forms: an optimized kernel
-driven by colon bitmasks, and a naive definitional triple loop kept as an
-oracle. The two-absorbing kernels scan nonunit pairs only, and an
-all-element pair scan is kept as their oracle. Each kernel is exercised
-against its oracle by the test suite.
+failure. Four private kernels, each a function of the masks ``(im, dm)``
+of I and of the ideal the conclusion may land in, do all the scanning:
+pair-primary and pair-semiprimary (``ideals._pair_kernel``), 1-absorbing
+and 2-absorbing. A delta check runs its kernel at dm = delta(I); the
+delta-free checks run the same kernel at dm = I (prime, 1-absorbing prime,
+2-absorbing) or dm = rad(I) (primary, 1-absorbing primary). The
+definitional ``*_scan`` functions are kept as oracles for the test suite.
 
-Results are memoized per ring, keyed by ideal mask and expansion table, so
-repeated sweeps stay cheap.
+Results are memoized per ring, keyed by check name and the mask pair
+(I, dm), so expansions that agree at I share one entry.
 """
 
 from __future__ import annotations
@@ -17,15 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ProperIdealError
+from .errors import InvariantError
 from .expansions import ExpansionFunction
 from .ideals import (
     Ideal,
+    _lsb,
+    _pair_kernel,
+    _require_proper,
     ideal_colon,
     ideal_product,
-    is_maximal,
-    is_prime,
-    is_primary,
     maximal_check,
     primary_check,
     prime_check,
@@ -33,19 +35,14 @@ from .ideals import (
 )
 from .rings import FiniteRing
 
-
-def _lsb(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
-def _require_proper(I: Ideal, what: str) -> None:
-    if not I.is_proper:
-        raise ProperIdealError(f"{what} needs a proper ideal")
+PairResult = tuple[bool, Optional[tuple[int, int]]]
+TripleResult = tuple[bool, Optional[tuple[int, int, int]]]
+IdealTripleResult = tuple[bool, Optional[tuple[Ideal, Ideal, Ideal]]]
 
 
-def _memo(I: Ideal, delta: Optional[ExpansionFunction], name: str, compute):
+def _memo(I: Ideal, dm: int, name: str, compute):
     cache = I.ring.cache.setdefault("predicates", {})
-    key = (name, I.mask, None if delta is None else delta.table)
+    key = (name, I.mask, dm)
     got = cache.get(key)
     if got is None:
         got = compute()
@@ -54,53 +51,87 @@ def _memo(I: Ideal, delta: Optional[ExpansionFunction], name: str, compute):
 
 
 # ----------------------------------------------------------------------
+# kernels over the mask pair (im, dm)
+
+
+def _one_absorbing(R: FiniteRing, im: int, dm: int) -> TripleResult:
+    """a*b*c in I forces a*b in I or c in dm, over nonunit triples.
+
+    The fast path scans each distinct nonunit pair product d outside I once
+    and asks whether some nonunit c outside dm lands d*c back in I, which
+    is a colon-mask lookup. The pair scan only runs to recover the minimal
+    witness after a failure.
+    """
+    cm = R.colon_masks(im)
+    notdm = R.nonunits_mask & ~dm
+    d = R.nonunit_product_mask & ~im
+    while d:
+        low = d & -d
+        if cm[low.bit_length() - 1] & notdm:
+            break
+        d ^= low
+    else:
+        return True, None
+    mul = R.mul_table
+    nus = R.nonunit_list
+    for a in nus:
+        row = mul[a]
+        for b in nus:
+            ab = row[b]
+            if (im >> ab) & 1:
+                continue
+            bad = cm[ab] & notdm
+            if bad:
+                return False, (a, b, _lsb(bad))
+    raise InvariantError("fast path and witness scan disagree")
+
+
+# The 2-absorbing kernel scans only nonunit pairs (a, b). If a is a unit,
+# then a*b*c in I gives b*c in I, which lies in dm; a unit b is the same
+# case. So a pair with a unit has an empty ``bad`` mask, and skipping it
+# leaves the first witness in (a, b) order unchanged. The c side needs no
+# cut: when a*b is outside I, no unit c puts a*b*c in I.
+
+
+def _two_absorbing(R: FiniteRing, im: int, dm: int) -> TripleResult:
+    """a*b*c in I forces a*b in I or a*c in dm or b*c in dm."""
+    cm = R.colon_masks(im)
+    cd = R.colon_masks(dm)
+    mul = R.mul_table
+    nus = R.nonunit_list
+    for a in nus:
+        row = mul[a]
+        nota = ~cd[a]
+        for b in nus:
+            ab = row[b]
+            if (im >> ab) & 1:
+                continue
+            bad = cm[ab] & nota & ~cd[b]
+            if bad:
+                return False, (a, b, _lsb(bad))
+    return True, None
+
+
+# ----------------------------------------------------------------------
 # expansion-primary pairs (two-element conclusions)
 
 
-def delta_primary_check(
-    I: Ideal, delta: ExpansionFunction
-) -> tuple[bool, Optional[tuple[int, int]]]:
+def delta_primary_check(I: Ideal, delta: ExpansionFunction) -> PairResult:
     """a*b in I forces a in I or b in delta(I), over all ring elements."""
     _require_proper(I, "is_delta_primary")
-
-    def compute():
-        R = I.ring
-        im, dm = I.mask, delta(I).mask
-        cm = R.colon_masks(im)
-        for a in range(R.order):
-            if (im >> a) & 1:
-                continue
-            bad = cm[a] & ~dm
-            if bad:
-                return False, (a, _lsb(bad))
-        return True, None
-
-    return _memo(I, delta, "delta_primary", compute)
+    dm = delta(I).mask
+    return _memo(I, dm, "delta_primary", lambda: _pair_kernel(I.ring, I.mask, dm, I.mask))
 
 
 def is_delta_primary(I: Ideal, delta: ExpansionFunction) -> bool:
     return delta_primary_check(I, delta)[0]
 
 
-def delta_semiprimary_check(
-    I: Ideal, delta: ExpansionFunction
-) -> tuple[bool, Optional[tuple[int, int]]]:
+def delta_semiprimary_check(I: Ideal, delta: ExpansionFunction) -> PairResult:
     """a*b in I forces a in delta(I) or b in delta(I)."""
     _require_proper(I, "is_delta_semiprimary")
-
-    def compute():
-        R = I.ring
-        im, dm = I.mask, delta(I).mask
-        cm = R.colon_masks(im)
-        for a in range(R.order):
-            if (dm >> a) & 1:
-                continue
-            bad = cm[a] & ~dm
-            if bad:
-                return False, (a, _lsb(bad))
-        return True, None
-
-    return _memo(I, delta, "delta_semiprimary", compute)
+    dm = delta(I).mask
+    return _memo(I, dm, "delta_semiprimary", lambda: _pair_kernel(I.ring, I.mask, dm, dm))
 
 
 def is_delta_semiprimary(I: Ideal, delta: ExpansionFunction) -> bool:
@@ -111,58 +142,20 @@ def is_delta_semiprimary(I: Ideal, delta: ExpansionFunction) -> bool:
 # one-absorbing predicates (nonunit triples)
 
 
-def one_absorbing_delta_primary_check(
-    I: Ideal, delta: ExpansionFunction
-) -> tuple[bool, Optional[tuple[int, int, int]]]:
-    """a*b*c in I forces a*b in I or c in delta(I), over nonunit triples.
-
-    The fast path scans each distinct nonunit pair product d outside I once
-    and asks whether some nonunit c outside delta(I) lands d*c back in I,
-    which is a colon-mask lookup. The definitional pair scan only runs to
-    recover the minimal witness after a failure.
-    """
+def one_absorbing_delta_primary_check(I: Ideal, delta: ExpansionFunction) -> TripleResult:
+    """a*b*c in I forces a*b in I or c in delta(I), over nonunit triples."""
     _require_proper(I, "is_one_absorbing_delta_primary")
-
-    def compute():
-        R = I.ring
-        im, dm = I.mask, delta(I).mask
-        numask = R.nonunits_mask
-        cm = R.colon_masks(im)
-        notdm = numask & ~dm
-        d = R.nonunit_product_mask & ~im
-        hit = False
-        while d:
-            low = d & -d
-            if cm[low.bit_length() - 1] & notdm:
-                hit = True
-                break
-            d ^= low
-        if not hit:
-            return True, None
-        mul = R.mul_table
-        nus = R.nonunit_list
-        for a in nus:
-            row = mul[a]
-            for b in nus:
-                ab = row[b]
-                if (im >> ab) & 1:
-                    continue
-                bad = cm[ab] & notdm
-                if bad:
-                    return False, (a, b, _lsb(bad))
-        raise AssertionError("fast path and witness scan disagree")
-
-    return _memo(I, delta, "one_absorbing_delta_primary", compute)
+    dm = delta(I).mask
+    return _memo(I, dm, "one_absorbing_delta_primary",
+                 lambda: _one_absorbing(I.ring, I.mask, dm))
 
 
 def is_one_absorbing_delta_primary(I: Ideal, delta: ExpansionFunction) -> bool:
     return one_absorbing_delta_primary_check(I, delta)[0]
 
 
-def one_absorbing_delta_primary_scan(
-    I: Ideal, delta: ExpansionFunction
-) -> tuple[bool, Optional[tuple[int, int, int]]]:
-    """Naive definitional triple loop, the oracle for the optimized kernel."""
+def one_absorbing_delta_primary_scan(I: Ideal, delta: ExpansionFunction) -> TripleResult:
+    """Naive definitional triple loop, the oracle for the 1-absorbing kernel."""
     _require_proper(I, "one_absorbing_delta_primary_scan")
     R = I.ring
     im, dm = I.mask, delta(I).mask
@@ -181,61 +174,23 @@ def one_absorbing_delta_primary_scan(
     return True, None
 
 
-def one_absorbing_prime_check(
-    I: Ideal,
-) -> tuple[bool, Optional[tuple[int, int, int]]]:
-    """a*b*c in I forces a*b in I or c in I, by direct definitional scan."""
+def one_absorbing_prime_check(I: Ideal) -> TripleResult:
+    """a*b*c in I forces a*b in I or c in I: the 1-absorbing kernel at I."""
     _require_proper(I, "is_one_absorbing_prime")
-
-    def compute():
-        R = I.ring
-        im = I.mask
-        mul = R.mul_table
-        nus = R.nonunit_list
-        for a in nus:
-            row_a = mul[a]
-            for b in nus:
-                ab = row_a[b]
-                if (im >> ab) & 1:
-                    continue
-                row_ab = mul[ab]
-                for c in nus:
-                    if (im >> row_ab[c]) & 1 and not (im >> c) & 1:
-                        return False, (a, b, c)
-        return True, None
-
-    return _memo(I, None, "one_absorbing_prime", compute)
+    im = I.mask
+    return _memo(I, im, "one_absorbing_prime", lambda: _one_absorbing(I.ring, im, im))
 
 
 def is_one_absorbing_prime(I: Ideal) -> bool:
     return one_absorbing_prime_check(I)[0]
 
 
-def one_absorbing_primary_check(
-    I: Ideal,
-) -> tuple[bool, Optional[tuple[int, int, int]]]:
-    """a*b*c in I forces a*b in I or c in the radical of I."""
+def one_absorbing_primary_check(I: Ideal) -> TripleResult:
+    """a*b*c in I forces a*b in I or c in the radical of I: the 1-absorbing
+    kernel at rad(I)."""
     _require_proper(I, "is_one_absorbing_primary")
-
-    def compute():
-        R = I.ring
-        im = I.mask
-        rm = radical(I).mask
-        mul = R.mul_table
-        nus = R.nonunit_list
-        for a in nus:
-            row_a = mul[a]
-            for b in nus:
-                ab = row_a[b]
-                if (im >> ab) & 1:
-                    continue
-                row_ab = mul[ab]
-                for c in nus:
-                    if (im >> row_ab[c]) & 1 and not (rm >> c) & 1:
-                        return False, (a, b, c)
-        return True, None
-
-    return _memo(I, None, "one_absorbing_primary", compute)
+    rm = radical(I).mask
+    return _memo(I, rm, "one_absorbing_primary", lambda: _one_absorbing(I.ring, I.mask, rm))
 
 
 def is_one_absorbing_primary(I: Ideal) -> bool:
@@ -244,82 +199,35 @@ def is_one_absorbing_primary(I: Ideal) -> bool:
 
 # ----------------------------------------------------------------------
 # two-absorbing predicates (all element triples)
-#
-# The kernels below scan only nonunit pairs (a, b). If a is a unit, then
-# a*b*c in I gives b*c in I, which lies in delta(I); a unit b is the same
-# case. So a pair with a unit has an empty ``bad`` mask, and skipping it
-# leaves the first witness in (a, b) order unchanged. The c side needs no
-# cut: when a*b is outside I, no unit c puts a*b*c in I.
 
 
-def two_absorbing_check(
-    I: Ideal,
-) -> tuple[bool, Optional[tuple[int, int, int]]]:
-    """a*b*c in I forces a*b in I or a*c in I or b*c in I."""
+def two_absorbing_check(I: Ideal) -> TripleResult:
+    """a*b*c in I forces a*b in I or a*c in I or b*c in I: the 2-absorbing
+    kernel at I."""
     _require_proper(I, "is_two_absorbing")
-
-    def compute():
-        R = I.ring
-        im = I.mask
-        cm = R.colon_masks(im)
-        mul = R.mul_table
-        nus = R.nonunit_list
-        for a in nus:
-            row = mul[a]
-            nota = ~cm[a]
-            for b in nus:
-                ab = row[b]
-                if (im >> ab) & 1:
-                    continue
-                bad = cm[ab] & nota & ~cm[b]
-                if bad:
-                    return False, (a, b, _lsb(bad))
-        return True, None
-
-    return _memo(I, None, "two_absorbing", compute)
+    im = I.mask
+    return _memo(I, im, "two_absorbing", lambda: _two_absorbing(I.ring, im, im))
 
 
 def is_two_absorbing(I: Ideal) -> bool:
     return two_absorbing_check(I)[0]
 
 
-def two_absorbing_delta_primary_check(
-    I: Ideal, delta: ExpansionFunction
-) -> tuple[bool, Optional[tuple[int, int, int]]]:
+def two_absorbing_delta_primary_check(I: Ideal, delta: ExpansionFunction) -> TripleResult:
     """a*b*c in I forces a*b in I or a*c in delta(I) or b*c in delta(I),
     over all element triples."""
     _require_proper(I, "is_two_absorbing_delta_primary")
-
-    def compute():
-        R = I.ring
-        im, dm = I.mask, delta(I).mask
-        cm = R.colon_masks(im)
-        cd = R.colon_masks(dm)
-        mul = R.mul_table
-        nus = R.nonunit_list
-        for a in nus:
-            row = mul[a]
-            nota = ~cd[a]
-            for b in nus:
-                ab = row[b]
-                if (im >> ab) & 1:
-                    continue
-                bad = cm[ab] & nota & ~cd[b]
-                if bad:
-                    return False, (a, b, _lsb(bad))
-        return True, None
-
-    return _memo(I, delta, "two_absorbing_delta_primary", compute)
+    dm = delta(I).mask
+    return _memo(I, dm, "two_absorbing_delta_primary",
+                 lambda: _two_absorbing(I.ring, I.mask, dm))
 
 
 def is_two_absorbing_delta_primary(I: Ideal, delta: ExpansionFunction) -> bool:
     return two_absorbing_delta_primary_check(I, delta)[0]
 
 
-def two_absorbing_delta_primary_scan(
-    I: Ideal, delta: ExpansionFunction
-) -> tuple[bool, Optional[tuple[int, int, int]]]:
-    """Pair scan over all elements a, b, the oracle for the nonunit kernels."""
+def two_absorbing_delta_primary_scan(I: Ideal, delta: ExpansionFunction) -> TripleResult:
+    """Pair scan over all elements a, b, the oracle for the 2-absorbing kernel."""
     _require_proper(I, "two_absorbing_delta_primary_scan")
     R = I.ring
     im, dm = I.mask, delta(I).mask
@@ -343,9 +251,7 @@ def two_absorbing_delta_primary_scan(
 # ideal-wise form of the one-absorbing condition
 
 
-def idealwise_one_absorbing_check(
-    I: Ideal, delta: ExpansionFunction
-) -> tuple[bool, Optional[tuple[Ideal, Ideal, Ideal]]]:
+def idealwise_one_absorbing_check(I: Ideal, delta: ExpansionFunction) -> IdealTripleResult:
     """Products of proper ideals in place of element triples.
 
     For proper I1, I2, I3: I1*I2*I3 inside I forces I1*I2 inside I or I3
@@ -354,10 +260,10 @@ def idealwise_one_absorbing_check(
     is then proper, so only the colon itself needs testing.
     """
     _require_proper(I, "idealwise_one_absorbing_check")
+    dm = delta(I).mask
 
     def compute():
         R = I.ring
-        dm = delta(I).mask
         proper = R.proper_ideals()
         for I1 in proper:
             for I2 in proper:
@@ -369,12 +275,10 @@ def idealwise_one_absorbing_check(
                     return False, (I1, I2, K)
         return True, None
 
-    return _memo(I, delta, "idealwise_one_absorbing", compute)
+    return _memo(I, dm, "idealwise_one_absorbing", compute)
 
 
-def idealwise_one_absorbing_scan(
-    I: Ideal, delta: ExpansionFunction
-) -> tuple[bool, Optional[tuple[Ideal, Ideal, Ideal]]]:
+def idealwise_one_absorbing_scan(I: Ideal, delta: ExpansionFunction) -> IdealTripleResult:
     """Naive triple loop over proper ideals, the oracle for the colon form."""
     _require_proper(I, "idealwise_one_absorbing_scan")
     R = I.ring
@@ -404,18 +308,23 @@ def _cached_product(R: FiniteRing, I: Ideal, J: Ideal) -> int:
 # ----------------------------------------------------------------------
 # named registry and the classification matrix
 
-PREDICATES = {
-    "prime": lambda I, d: is_prime(I),
-    "maximal": lambda I, d: is_maximal(I),
-    "primary": lambda I, d: is_primary(I),
-    "2abs": lambda I, d: is_two_absorbing(I),
-    "1abs-prime": lambda I, d: is_one_absorbing_prime(I),
-    "1abs-primary": lambda I, d: is_one_absorbing_primary(I),
-    "delta-primary": lambda I, d: is_delta_primary(I, d),
-    "delta-semiprimary": lambda I, d: is_delta_semiprimary(I, d),
-    "1abs-delta-primary": lambda I, d: is_one_absorbing_delta_primary(I, d),
-    "2abs-delta-primary": lambda I, d: is_two_absorbing_delta_primary(I, d),
+# Every check by name, in column order. The entries look the checks up by
+# their module-global names at call time, so a wrapper installed on this
+# module (a profiler or tracer) sees every call.
+_CHECKS = {
+    "prime": lambda I, d: prime_check(I),
+    "maximal": lambda I, d: maximal_check(I),
+    "primary": lambda I, d: primary_check(I),
+    "2abs": lambda I, d: two_absorbing_check(I),
+    "1abs-prime": lambda I, d: one_absorbing_prime_check(I),
+    "1abs-primary": lambda I, d: one_absorbing_primary_check(I),
+    "delta-primary": lambda I, d: delta_primary_check(I, d),
+    "delta-semiprimary": lambda I, d: delta_semiprimary_check(I, d),
+    "1abs-delta-primary": lambda I, d: one_absorbing_delta_primary_check(I, d),
+    "2abs-delta-primary": lambda I, d: two_absorbing_delta_primary_check(I, d),
 }
+
+PREDICATES = {name: (lambda I, d, check=check: check(I, d)[0]) for name, check in _CHECKS.items()}
 
 DELTA_FREE = frozenset({"prime", "maximal", "primary", "2abs", "1abs-prime", "1abs-primary"})
 
@@ -450,20 +359,8 @@ def classify(R: FiniteRing, delta: ExpansionFunction) -> list[ClassifyRow]:
     for I in R.proper_ideals():
         values: dict[str, bool] = {}
         witnesses: dict[str, object] = {}
-
-        checks = [
-            ("prime", prime_check(I)),
-            ("maximal", maximal_check(I)),
-            ("primary", primary_check(I)),
-            ("2abs", two_absorbing_check(I)),
-            ("1abs-prime", one_absorbing_prime_check(I)),
-            ("1abs-primary", one_absorbing_primary_check(I)),
-            ("delta-primary", delta_primary_check(I, delta)),
-            ("delta-semiprimary", delta_semiprimary_check(I, delta)),
-            ("1abs-delta-primary", one_absorbing_delta_primary_check(I, delta)),
-            ("2abs-delta-primary", two_absorbing_delta_primary_check(I, delta)),
-        ]
-        for name, (ok, wit) in checks:
+        for name, check in _CHECKS.items():
+            ok, wit = check(I, delta)
             values[name] = ok
             if not ok and wit is not None:
                 witnesses[name] = wit

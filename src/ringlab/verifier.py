@@ -10,7 +10,6 @@ count is the expected outcome for every statement.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Optional
@@ -796,7 +795,11 @@ def _t_triv_cor(entry: CatalogEntry, part: _Part) -> None:
 
 
 def verify(theorem_id: str, catalog: Catalog, jobs: Optional[int] = None) -> TheoremReport:
-    """Run one statement check over the catalog and report the outcome."""
+    """Run one statement check over the catalog and report the outcome.
+
+    The sweep runs in the calling thread. ``jobs`` is accepted for
+    compatibility and has no effect.
+    """
     if theorem_id not in THEOREM_IDS:
         raise UnknownTheoremError(f"unknown theorem id {theorem_id!r}")
     start = perf_counter()
@@ -807,17 +810,11 @@ def verify(theorem_id: str, catalog: Catalog, jobs: Optional[int] = None) -> The
         parts = [part]
     else:
         fn = _SWEEPS[theorem_id]
-
-        def run_entry(entry: CatalogEntry) -> _Part:
-            p = _Part(entry.provenance)
-            fn(entry, p)
-            return p
-
-        if jobs and jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                parts = list(pool.map(run_entry, catalog.entries))
-        else:
-            parts = [run_entry(entry) for entry in catalog.entries]
+        parts = []
+        for entry in catalog.entries:
+            part = _Part(entry.provenance)
+            fn(entry, part)
+            parts.append(part)
         parts.sort(key=lambda p: p.provenance)
 
     checked = sum(p.checked for p in parts)
@@ -855,9 +852,10 @@ def verify_all(
     theorem_ids: Optional[tuple[str, ...]] = None,
     jobs: Optional[int] = None,
 ) -> list[TheoremReport]:
-    """Run the whole suite (or a selection) in declaration order."""
+    """Run the whole suite (or a selection) in declaration order. ``jobs``
+    has no effect, as in ``verify``."""
     ids = THEOREM_IDS if theorem_ids is None else theorem_ids
-    return [verify(tid, catalog, jobs=jobs) for tid in ids]
+    return [verify(tid, catalog) for tid in ids]
 
 
 def search_witness(query, catalog: Catalog) -> list[Witness]:

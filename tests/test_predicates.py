@@ -14,7 +14,7 @@ from ringlab.expansions import (
     radical_expansion,
     standard_expansions,
 )
-from ringlab.ideals import span
+from ringlab.ideals import primary_check, prime_check, radical, span
 from ringlab.predicates import (
     PREDICATE_NAMES,
     classify,
@@ -32,12 +32,31 @@ from ringlab.predicates import (
     is_two_absorbing_delta_primary,
     one_absorbing_delta_primary_check,
     one_absorbing_delta_primary_scan,
+    one_absorbing_primary_check,
+    one_absorbing_prime_check,
     two_absorbing_check,
     two_absorbing_delta_primary_check,
     two_absorbing_delta_primary_scan,
 )
 from ringlab.catalog import CatalogConfig, build_catalog
 from ringlab.rings import make_zn
+
+
+def definitional_pair_scan(I, dm, skip):
+    """a*b in I forces a in skip or b in dm, by a plain double loop over all
+    elements: the oracle for the pair kernel behind the prime, primary,
+    delta-primary and delta-semiprimary checks."""
+    R = I.ring
+    im = I.mask
+    mul = R.mul_table
+    for a in range(R.order):
+        if (skip >> a) & 1:
+            continue
+        row = mul[a]
+        for b in range(R.order):
+            if (im >> row[b]) & 1 and not (dm >> b) & 1:
+                return False, (a, b)
+    return True, None
 
 
 def test_delta_primary_z12():
@@ -148,6 +167,56 @@ def test_two_absorbing_kernels_match_scan_on_default_catalog():
                     entry.provenance, d.label, I.label)
                 pairs += 1
     assert pairs == 6588
+
+
+def test_pair_checks_match_definitional_scan_on_default_catalog():
+    """prime, primary, delta-primary and delta-semiprimary against the plain
+    double loop, values and witnesses, on every proper ideal and every
+    (I, delta) of the default catalog."""
+    ideals = pairs = 0
+    for entry in build_catalog(CatalogConfig()):
+        for I in entry.ring.proper_ideals():
+            im, rm = I.mask, radical(I).mask
+            assert prime_check(I) == definitional_pair_scan(I, im, im), I
+            assert primary_check(I) == definitional_pair_scan(I, rm, im), I
+            ideals += 1
+            for d in entry.expansions:
+                dm = d(I).mask
+                assert delta_primary_check(I, d) == definitional_pair_scan(I, dm, im), (
+                    d.label, I)
+                assert delta_semiprimary_check(I, d) == definitional_pair_scan(I, dm, dm), (
+                    d.label, I)
+                pairs += 1
+    assert (ideals, pairs) == (805, 6588)
+
+
+def test_one_absorbing_specializations_match_scan_on_default_catalog():
+    """1-absorbing prime and primary against the triple-loop oracle at
+    delta = id and delta = rad, values and witnesses, on every proper ideal
+    of the default catalog."""
+    ideals = 0
+    for entry in build_catalog(CatalogConfig()):
+        R = entry.ring
+        d_id, d_rad = identity_expansion(R), radical_expansion(R)
+        for I in R.proper_ideals():
+            assert one_absorbing_prime_check(I) == one_absorbing_delta_primary_scan(I, d_id), I
+            assert one_absorbing_primary_check(I) == one_absorbing_delta_primary_scan(
+                I, d_rad), I
+            ideals += 1
+    assert ideals == 805
+
+
+def test_memo_is_shared_by_expansions_that_agree_at_the_ideal():
+    R = make_zn(8)
+    d1, d2 = identity_expansion(R), radical_expansion(R)
+    I = span(R, [2])
+    assert d1 != d2 and d1(I) == d2(I)
+    memo = R.cache.setdefault("predicates", {})
+    before = len(memo)
+    first = one_absorbing_delta_primary_check(I, d1)
+    assert len(memo) == before + 1
+    assert one_absorbing_delta_primary_check(I, d2) == first
+    assert len(memo) == before + 1
 
 
 def test_idealwise_scan_agrees(catalog8):

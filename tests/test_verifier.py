@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -81,6 +82,19 @@ def test_jobs_independence(catalog8):
         serial = strip_elapsed(verify(tid, catalog8, jobs=1))
         threaded = strip_elapsed(verify(tid, catalog8, jobs=4))
         assert serial == threaded
+
+
+def test_sweep_runs_in_the_calling_thread(catalog8, monkeypatch):
+    seen = set()
+    sweep = verifier._SWEEPS["T-CHAIN"]
+
+    def spy(entry, part):
+        seen.add(threading.get_ident())
+        sweep(entry, part)
+
+    monkeypatch.setitem(verifier._SWEEPS, "T-CHAIN", spy)
+    verify("T-CHAIN", catalog8, jobs=4)
+    assert seen == {threading.get_ident()}
 
 
 def test_mutation_is_caught(catalog8, monkeypatch):
