@@ -97,7 +97,7 @@ def _run_classify(args: argparse.Namespace) -> int:
             "delta": d.label,
             "rows": [
                 {
-                    "ideal": [R.element_name(i) for i in row.ideal.members],
+                    "ideal": [R.element_name(i) for i in row.ideal.members_sorted],
                     "label": row.ideal.label,
                     "predicates": dict(row.values),
                     "witnesses": {

@@ -117,11 +117,18 @@ def _coset_partition(R: FiniteRing, imask: int) -> tuple[list[int], list[int]]:
 
 
 def make_quotient(R: FiniteRing, I: Ideal) -> FiniteRing:
-    """The quotient ring R/I, elements indexed by sorted coset leaders."""
+    """The quotient ring R/I, elements indexed by sorted coset leaders.
+
+    Built once per ideal of R: a repeated call returns the same ring.
+    """
     if I.ring is not R:
         raise RingMismatchError("ideal belongs to a different ring")
     if not I.is_proper:
         raise ConstructionError("cannot quotient by the unit ideal, the zero ring is excluded")
+    quotients = R.cache.setdefault("quotients", {})
+    Q = quotients.get(I.mask)
+    if Q is not None:
+        return Q
     rep, reps = _coset_partition(R, I.mask)
     index = {r: k for k, r in enumerate(reps)}
     m = len(reps)
@@ -133,6 +140,7 @@ def make_quotient(R: FiniteRing, I: Ideal) -> FiniteRing:
     Q = FiniteRing(add, mul, label, element_names=names)
     proj = RingHom(R, Q, tuple(index[rep[a]] for a in range(R.order)))
     Q.construction = QuotientOf(R, I.mask, proj)
+    quotients[I.mask] = Q
     return Q
 
 
@@ -561,5 +569,5 @@ def localize(R: FiniteRing, S: MultiplicativeSet) -> Localization:
     L.construction = LocalizationOf(R, tuple(smembers), tuple(S.generators), proj, kmask)
     for s in smembers:
         if not L.is_unit(proj(s)):
-            raise AssertionError("localized image of the multiplicative set is not a unit")
+            raise InvariantError("localized image of the multiplicative set is not a unit")
     return Localization(L, proj, K, S)

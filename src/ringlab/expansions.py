@@ -45,12 +45,12 @@ class ExpansionFunction:
                         raise ExpansionAxiomError(
                             f"not monotone at pair ({lattice[p].label}, {lattice[q].label})"
                         )
+        self._image = {I.mask: lattice[q] for I, q in zip(lattice, self.table)}
 
     def __call__(self, I: Ideal) -> Ideal:
         if I.ring is not self.ring:
             raise RingMismatchError("ideal belongs to a different ring")
-        lattice = self.ring.ideals()
-        return lattice[self.table[self.ring.lattice_position(I.mask)]]
+        return self._image[I.mask]
 
     @property
     def key(self) -> tuple:
@@ -143,6 +143,23 @@ def preserves_jacobson(delta: ExpansionFunction) -> bool:
     return delta(jac).mask == jac.mask
 
 
+def _scaling_table(R: FiniteRing) -> tuple[tuple[int, ...], ...]:
+    """Row x holds the lattice position of x*I for each lattice position of I.
+
+    x*I is an ideal of a commutative ring, so it has a lattice position.
+    Built once per ring with ``scale`` and cached.
+    """
+    table = R.cache.get("scaling")
+    if table is None:
+        lattice = R.ideals()
+        table = tuple(
+            tuple(R.lattice_position(scale(x, I).mask) for I in lattice)
+            for x in range(R.order)
+        )
+        R.cache["scaling"] = table
+    return table
+
+
 def scaling_check(
     delta: ExpansionFunction,
 ) -> tuple[bool, Optional[tuple[int, Ideal]]]:
@@ -150,17 +167,19 @@ def scaling_check(
 
     Pairs whose scaled ideal collapses to the zero ideal are vacuous for
     the characterization results and are skipped. The witness is the first
-    failing pair, x ascending and I in canonical lattice order.
+    failing pair, x ascending and I in canonical lattice order. Both sides
+    are compared as lattice positions read from the ring's scaling table.
     """
     R = delta.ring
-    zero_mask = 1 << R.zero
-    for x in range(R.order):
-        for I in R.proper_ideals():
-            xI = scale(x, I)
-            if xI.mask == zero_mask:
-                continue
-            if delta(xI).mask != scale(x, delta(I)).mask:
-                return False, (x, I)
+    lattice = R.ideals()
+    zero = R.lattice_position(1 << R.zero)
+    table = delta.table
+    proper = range(len(lattice) - 1)
+    for x, row in enumerate(_scaling_table(R)):
+        for p in proper:
+            xp = row[p]
+            if xp != zero and table[xp] != row[table[p]]:
+                return False, (x, lattice[p])
     return True, None
 
 
@@ -233,6 +252,21 @@ def is_delta_gamma_hom(
 # transfer along constructions
 
 
+def _induced(
+    target: FiniteRing, key: tuple, build: Callable[[], ExpansionFunction]
+) -> ExpansionFunction:
+    """Build an induced expansion once per target ring and source key.
+
+    Expansions compare by table alone, so the key holds each source's label
+    next to its table: equal tables with different labels stay apart.
+    """
+    memo = target.cache.setdefault("induced", {})
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = build()
+    return got
+
+
 def induced_product(
     P: FiniteRing, d1: ExpansionFunction, d2: ExpansionFunction
 ) -> ExpansionFunction:
@@ -251,7 +285,8 @@ def induced_product(
         D2 = d2(Ideal(info.right, m2))
         return Ideal(P, info.pair_mask(D1.mask, D2.mask))
 
-    return from_rule(P, rule, f"prod({d1.label},{d2.label})")
+    key = (d1.label, d1.table, d2.label, d2.table)
+    return _induced(P, key, lambda: from_rule(P, rule, f"prod({d1.label},{d2.label})"))
 
 
 def induced_quotient(Q: FiniteRing, delta: ExpansionFunction) -> ExpansionFunction:
@@ -269,7 +304,8 @@ def induced_quotient(Q: FiniteRing, delta: ExpansionFunction) -> ExpansionFuncti
     def rule(Jbar: Ideal) -> Ideal:
         return f.image_ideal(delta(f.preimage_ideal(Jbar)))
 
-    return from_rule(Q, rule, f"bar({delta.label},({gens}))")
+    return _induced(Q, (delta.label, delta.table),
+                    lambda: from_rule(Q, rule, f"bar({delta.label},({gens}))"))
 
 
 def induced_localization(L: FiniteRing, delta: ExpansionFunction) -> ExpansionFunction:
@@ -287,7 +323,8 @@ def induced_localization(L: FiniteRing, delta: ExpansionFunction) -> ExpansionFu
     def rule(J: Ideal) -> Ideal:
         return f.image_ideal(delta(f.preimage_ideal(J)))
 
-    return from_rule(L, rule, f"loc({delta.label},{gens})")
+    return _induced(L, (delta.label, delta.table),
+                    lambda: from_rule(L, rule, f"loc({delta.label},{gens})"))
 
 
 def induced_trivial_extension(T: FiniteRing, delta: ExpansionFunction) -> ExpansionFunction:
@@ -309,7 +346,8 @@ def induced_trivial_extension(T: FiniteRing, delta: ExpansionFunction) -> Expans
         D = delta(Ideal(info.base, imask))
         return Ideal(T, info.pair_mask(D.mask, (1 << info.module.order) - 1))
 
-    return from_rule(T, rule, f"triv({delta.label})")
+    return _induced(T, (delta.label, delta.table),
+                    lambda: from_rule(T, rule, f"triv({delta.label})"))
 
 
 def localization_compatibility(L: FiniteRing, delta: ExpansionFunction) -> bool:

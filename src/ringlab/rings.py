@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import ConstructionError, RingMismatchError, TableError
+from .errors import ConstructionError, InvariantError, RingMismatchError, TableError
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -244,7 +244,16 @@ class FiniteRing:
         return val
 
     def proper_ideals(self):
-        return tuple(I for I in self.ideals() if I.num_elements < self.order)
+        """Every ideal but the unit ideal, in canonical order.
+
+        The unit ideal is the only ideal of cardinality n, so it is the last
+        one in canonical order.
+        """
+        val = self.cache.get("proper")
+        if val is None:
+            val = self.ideals()[:-1]
+            self.cache["proper"] = val
+        return val
 
     def lattice_position(self, mask: int) -> int:
         pos = self.cache.get("lattice_pos")
@@ -372,14 +381,14 @@ def _first_asym(table: Table) -> tuple[int, int]:
         for b, v in enumerate(row):
             if table[b][a] != v:
                 return a, b
-    raise AssertionError("no asymmetry found")
+    raise InvariantError("no asymmetry found")
 
 
 def _first_diff(x: bytes, y: bytes) -> int:
     for i, (u, v) in enumerate(zip(x, y)):
         if u != v:
             return i
-    raise AssertionError("byte strings do not differ")
+    raise InvariantError("byte strings do not differ")
 
 
 @dataclass(frozen=True)
@@ -654,7 +663,7 @@ def irreducible_poly(p: int, k: int) -> tuple[int, ...]:
         cs.append(1)
         if _poly_is_irreducible(p, tuple(cs)):
             return tuple(cs)
-    raise AssertionError("no irreducible polynomial found")
+    raise InvariantError("no irreducible polynomial found")
 
 
 def make_galois_field(p: int, k: int) -> FiniteRing:

@@ -173,7 +173,7 @@ class _Part:
             return
         R = ring if ring is not None else I.ring
         names = _names(R, elements) if elements is not None else None
-        ideal_names = _names(I.ring, I.members) if I is not None else ()
+        ideal_names = _names(I.ring, I.members_sorted) if I is not None else ()
         self.failures.append(Witness(self.provenance, ideal_names, delta_label, names, detail))
 
 
@@ -876,12 +876,12 @@ def search_witness(query, catalog: Catalog) -> list[Witness]:
                 for I in R.proper_ideals():
                     if query.evaluate(I, d):
                         out.append(
-                            Witness(entry.provenance, _names(R, I.members), d.label, None, "")
+                            Witness(entry.provenance, _names(R, I.members_sorted), d.label, None, "")
                         )
         else:
             for I in R.proper_ideals():
                 if query.evaluate(I, None):
-                    out.append(Witness(entry.provenance, _names(R, I.members), "-", None, ""))
+                    out.append(Witness(entry.provenance, _names(R, I.members_sorted), "-", None, ""))
     return out
 
 

@@ -7,7 +7,10 @@ import json
 import pytest
 
 import ringlab.cli as cli
+import ringlab.verifier as verifier
 from ringlab.cli import main
+from ringlab.ideals import span
+from ringlab.specparse import parse_ring
 from ringlab.verifier import THEOREM_IDS, TheoremReport, Witness
 
 
@@ -143,6 +146,26 @@ def test_check_jobs_does_not_change_output(capsys):
     assert [strip(l) for l in out1.strip().splitlines()] == [
         strip(l) for l in out4.strip().splitlines()
     ]
+
+
+def test_members_print_in_index_order(capsys):
+    """The ideal ((2,2)) of Z4xZ4 lists (0,2) before (2,0) in every output."""
+    expected = ["(0,0)", "(0,2)", "(2,0)", "(2,2)"]
+    _, out, _ = run(capsys, "classify", "--ring", "Z4xZ4", "--delta", "id", "--json")
+    rows = {row["label"]: row for row in json.loads(out)["rows"]}
+    assert rows["((2,2))"]["ideal"] == expected
+
+    query = "2abs & !prime"
+    _, out, _ = run(capsys, "search", "--property", query, "--max-order", "4", "--json")
+    hits = [w["ideal"] for w in json.loads(out)["witnesses"] if w["ring"] == "Z4xZ4"]
+    assert expected in hits
+    _, out, _ = run(capsys, "search", "--property", query, "--max-order", "4")
+    assert "Z4xZ4  {" + ",".join(expected) + "}  -" in out.splitlines()
+
+    R = parse_ring("Z4xZ4")
+    part = verifier._Part("Z4xZ4")
+    part.fail(span(R, [R.element_names.index("(2,2)")]), "id")
+    assert list(part.failures[0].ideal) == expected
 
 
 def test_search_json(capsys):

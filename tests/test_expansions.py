@@ -4,7 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from ringlab.constructions import localize, make_product, make_quotient, make_trivial_extension, regular_module
+import ringlab.expansions as expansions
+from ringlab.constructions import (
+    MultiplicativeSet,
+    QuotientOf,
+    localize,
+    make_product,
+    make_quotient,
+    make_trivial_extension,
+    regular_module,
+)
 from ringlab.errors import ExpansionAxiomError, RingMismatchError
 from ringlab.expansions import (
     ExpansionFunction,
@@ -29,8 +38,9 @@ from ringlab.expansions import (
     scaling_check,
     standard_expansions,
 )
-from ringlab.ideals import Ideal, span
+from ringlab.ideals import Ideal, scale, span
 from ringlab.rings import make_zn
+from ringlab.verifier import verify
 
 
 def test_identity_and_radical(z12):
@@ -232,3 +242,125 @@ def test_expansion_table_validation():
     n = len(z4.ideals())
     with pytest.raises(ExpansionAxiomError):
         ExpansionFunction(z4, [0] * (n + 1), "wrong-size")
+
+
+# ----------------------------------------------------------------------
+# lookups against their definitional oracles
+
+
+def scaling_scan(delta):
+    """The definitional scaling check: scale every (x, I) pair and compare masks.
+
+    Same skip of pairs whose x*I is zero and same witness order (x
+    ascending, then I in canonical order) as ``scaling_check``.
+    """
+    R = delta.ring
+    zero_mask = 1 << R.zero
+    for x in range(R.order):
+        for I in R.proper_ideals():
+            xI = scale(x, I)
+            if xI.mask == zero_mask:
+                continue
+            if delta(xI).mask != scale(x, delta(I)).mask:
+                return False, (x, I)
+    return True, None
+
+
+def _catalog_expansions(catalog):
+    return [d for entry in catalog for d in entry.expansions]
+
+
+def test_expansion_lookup_matches_table(catalog16):
+    expansions = _catalog_expansions(catalog16)
+    assert len(expansions) == 995
+    for d in expansions:
+        R = d.ring
+        lattice = R.ideals()
+        for I in lattice:
+            assert d(I) is lattice[d.table[R.lattice_position(I.mask)]]
+    foreign = catalog16.entries[1].ring.zero_ideal()
+    with pytest.raises(RingMismatchError):
+        expansions[0](foreign)
+
+
+def test_scaling_check_matches_scan(catalog16):
+    expansions = _catalog_expansions(catalog16)
+    failing = 0
+    for d in expansions:
+        ok, wit = scaling_check(d)
+        ok0, wit0 = scaling_scan(d)
+        assert ok == ok0, (d, d.ring)
+        if ok:
+            assert wit is None and wit0 is None
+        else:
+            failing += 1
+            assert wit[0] == wit0[0] and wit[1] == wit0[1], (d, d.ring)
+    assert 0 < failing < len(expansions)
+
+
+def test_proper_ideals_drop_only_the_unit_ideal(catalog16):
+    for entry in catalog16:
+        R = entry.ring
+        proper = R.proper_ideals()
+        assert proper is R.proper_ideals()
+        assert proper == tuple(I for I in R.ideals() if I.is_proper)
+
+
+def test_transfer_sweeps_build_no_expansions(catalog8, monkeypatch):
+    """The transfer sweeps reuse the induced expansions the catalog built.
+
+    Building the catalog induces every expansion that T-HOM, T-LOC, T-PROD,
+    T-TRIV and T-TRIV-COR ask for. T-QUOT also induces along quotients by
+    the zero ideal, which the catalog leaves out, so only its first run
+    builds.
+    """
+    built = []
+    original = expansions.from_rule
+
+    def counting(R, rule, label):
+        built.append((R.label, label))
+        return original(R, rule, label)
+
+    monkeypatch.setattr(expansions, "from_rule", counting)
+    verify("T-QUOT", catalog8)
+    built.clear()
+    for tid in ("T-HOM", "T-QUOT", "T-LOC", "T-PROD", "T-TRIV", "T-TRIV-COR"):
+        verify(tid, catalog8)
+    assert built == []
+
+
+def test_induced_expansions_are_built_once_per_label(z4):
+    z9 = make_zn(9)
+    P = make_product(z4, z9)
+    Q = make_quotient(z4, span(z4, [2]))
+    T = make_trivial_extension(z4, regular_module(z4))
+    L = localize(z4, MultiplicativeSet.from_generators(z4, [1])).ring
+    d = identity_expansion(z4)
+    twin = ExpansionFunction(z4, d.table, "twin")
+    assert twin == d
+    e9 = identity_expansion(z9)
+    cases = [
+        (lambda src: induced_product(P, src, e9), "prod({},id)"),
+        (lambda src: induced_quotient(Q, src), "bar({},(2))"),
+        (lambda src: induced_localization(L, src), "loc({},1)"),
+        (lambda src: induced_trivial_extension(T, src), "triv({})"),
+    ]
+    for induce, label in cases:
+        first = induce(d)
+        assert induce(d) is first
+        other = induce(twin)
+        assert other is not first
+        assert other == first
+        assert first.label == label.format("id")
+        assert other.label == label.format("twin")
+        assert induce(twin) is other
+
+
+def test_quotients_are_built_once(z12, catalog16):
+    I = span(z12, [4])
+    assert make_quotient(z12, I) is make_quotient(z12, Ideal(z12, I.mask))
+    quotients = [e.ring for e in catalog16 if isinstance(e.ring.construction, QuotientOf)]
+    assert quotients
+    for Q in quotients:
+        parent = Q.construction.parent
+        assert make_quotient(parent, Ideal(parent, Q.construction.ideal_mask)) is Q

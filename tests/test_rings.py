@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringlab.errors import TableError
+import ringlab
+from ringlab.errors import InvariantError, TableError
 from ringlab.rings import (
     FiniteRing,
+    _first_asym,
+    _first_diff,
     format_poly,
     irreducible_poly,
     make_galois_field,
@@ -187,3 +191,22 @@ def test_zn_table_identities(n, data):
     assert R.add(a, b) == (a + b) % n
     assert R.mul(a, b) == (a * b) % n
     assert R.mul(a, R.add(b, c)) == R.add(R.mul(a, b), R.mul(a, c))
+
+
+def test_no_bare_assertion_errors_in_src():
+    """Invariants raise InvariantError, a RinglabError, never a bare AssertionError."""
+    src = Path(ringlab.__file__).parent
+    offenders = [
+        f"{path.name}:{lineno}"
+        for path in sorted(src.glob("*.py"))
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "raise AssertionError" in line
+    ]
+    assert offenders == []
+
+
+def test_table_diff_helpers_raise_invariant_errors():
+    with pytest.raises(InvariantError):
+        _first_asym(((0, 1), (1, 0)))
+    with pytest.raises(InvariantError):
+        _first_diff(b"ab", b"ab")

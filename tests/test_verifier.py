@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +83,24 @@ def test_jobs_independence(catalog8):
         serial = strip_elapsed(verify(tid, catalog8, jobs=1))
         threaded = strip_elapsed(verify(tid, catalog8, jobs=4))
         assert serial == threaded
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "check-default.json"
+
+
+def test_statement_results_match_the_golden(catalog16):
+    """Instance counts, hypothesis counts, failures and notes of every
+    statement on the default catalog, against the recorded golden."""
+    *golden, summary = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    reports = []
+    for r in verify_all(catalog16):
+        d = strip_elapsed(r)
+        for failure in d["conclusion_failures"]:
+            failure["ideal"] = sorted(failure["ideal"])
+        reports.append(d)
+    assert reports == golden
+    assert sum(d["instances_checked"] for d in reports) == summary["summary"]["instances_checked"]
+    assert sum(d["hypothesis_satisfied"] for d in reports) == summary["summary"]["hypothesis_satisfied"]
 
 
 def test_sweep_runs_in_the_calling_thread(catalog8, monkeypatch):
