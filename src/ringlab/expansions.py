@@ -15,12 +15,16 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from .errors import ExpansionAxiomError, RingMismatchError
-from .ideals import Ideal, generator_list, radical, scale
+from .ideals import Ideal, _principal_masks, _sum_masks, generator_list, radical
 from .rings import FiniteRing, RingHom
 
 
 class ExpansionFunction:
     """A validated expansion of ideals, as a table over the lattice."""
+
+    # Check name -> verdict vector, made by ``predicates._verdicts`` on first
+    # use: most expansions built for the catalog never get one.
+    verdicts: Optional[dict] = None
 
     def __init__(self, ring: FiniteRing, table: Sequence[int], label: str):
         self.ring = ring
@@ -146,17 +150,24 @@ def preserves_jacobson(delta: ExpansionFunction) -> bool:
 def _scaling_table(R: FiniteRing) -> tuple[tuple[int, ...], ...]:
     """Row x holds the lattice position of x*I for each lattice position of I.
 
-    x*I is an ideal of a commutative ring, so it has a lattice position.
-    Built once per ring with ``scale`` and cached.
+    x*I is an ideal of a commutative ring, so it has a lattice position. It
+    is the sum of the principal ideals (x*g) over the generators g of I, so
+    each entry is a sum of ``_principal_masks`` entries. Cached per ring.
     """
     table = R.cache.get("scaling")
     if table is None:
-        lattice = R.ideals()
-        table = tuple(
-            tuple(R.lattice_position(scale(x, I).mask) for I in lattice)
-            for x in range(R.order)
+        pm = _principal_masks(R)
+        gens = [generator_list(I) for I in R.ideals()]
+
+        def scaled(row: tuple[int, ...], gs: tuple[int, ...]) -> int:
+            mask = 1 << R.zero
+            for g in gs:
+                mask = _sum_masks(R, mask, pm[row[g]])
+            return R.lattice_position(mask)
+
+        table = R.cache["scaling"] = tuple(
+            tuple(scaled(row, gs) for gs in gens) for row in R.mul_table
         )
-        R.cache["scaling"] = table
     return table
 
 

@@ -11,7 +11,8 @@ delta-free checks run the same kernel at dm = I (prime, 1-absorbing prime,
 definitional ``*_scan`` functions are kept as oracles for the test suite.
 
 Results are memoized per ring, keyed by check name and the mask pair
-(I, dm), so expansions that agree at I share one entry.
+(I, dm), so expansions that agree at I share one entry. ``_verdicts`` keeps
+one check's values over all proper ideals as a tuple for the sweeps.
 """
 
 from __future__ import annotations
@@ -329,6 +330,28 @@ PREDICATES = {name: (lambda I, d, check=check: check(I, d)[0]) for name, check i
 DELTA_FREE = frozenset({"prime", "maximal", "primary", "2abs", "1abs-prime", "1abs-primary"})
 
 PREDICATE_NAMES = tuple(PREDICATES)
+
+
+def _verdicts(
+    name: str, R: FiniteRing, delta: Optional[ExpansionFunction] = None
+) -> tuple[bool, ...]:
+    """The value of check ``name`` at each proper ideal of R, in lattice order.
+
+    Computed once through ``_CHECKS`` and kept on the expansion, or on R for
+    the delta-free checks, so a sweep indexes a tuple instead of calling the
+    check per instance.
+    """
+    if name in DELTA_FREE:
+        store = R.cache.setdefault("verdicts", {})
+    elif delta.verdicts is None:
+        store = delta.verdicts = {}
+    else:
+        store = delta.verdicts
+    got = store.get(name)
+    if got is None:
+        check = _CHECKS[name]
+        got = store[name] = tuple(check(I, delta)[0] for I in R.proper_ideals())
+    return got
 
 
 def evaluate_predicate(name: str, I: Ideal, delta: Optional[ExpansionFunction]) -> bool:

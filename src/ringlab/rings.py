@@ -325,16 +325,20 @@ class FiniteRing:
         return val
 
     def is_arithmetical(self) -> bool:
-        """Whether the localization at every maximal ideal is chained."""
+        """Whether the localization at every maximal ideal M is chained. R_M is
+        R/K_M with K_M = {x : s*x = 0 for some s outside M} (see ``localize``),
+        so it is chained exactly when the ideals of R containing K_M are."""
         val = self.cache.get("arithmetical")
         if val is None:
-            from .constructions import MultiplicativeSet, localize
-
+            ann = self.colon_masks(1 << self.zero)
             val = True
             for M in self.maximal_ideals():
-                comp = frozenset(range(self.order)) - M.members
-                loc = localize(self, MultiplicativeSet(self, comp))
-                if not loc.ring.is_chained():
+                k = 0
+                for s in range(self.order):
+                    if not (M.mask >> s) & 1:
+                        k |= ann[s]
+                above = [I.mask for I in self.ideals() if not k & ~I.mask]
+                if any(a & ~b for a, b in zip(above, above[1:])):
                     val = False
                     break
             self.cache["arithmetical"] = val

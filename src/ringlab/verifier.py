@@ -42,7 +42,6 @@ from .expansions import (
 )
 from .ideals import (
     Ideal,
-    colon,
     ideal_intersection,
     ideal_product,
     is_prime_element,
@@ -53,11 +52,11 @@ from .ideals import (
     span,
 )
 from .predicates import (
+    _verdicts,
     idealwise_one_absorbing_check,
     is_delta_primary,
     is_delta_semiprimary,
     is_one_absorbing_delta_primary,
-    is_one_absorbing_prime,
     is_two_absorbing_delta_primary,
     one_absorbing_delta_primary_check,
 )
@@ -160,6 +159,11 @@ class _Part:
             self.hits += 1
         return hypothesis
 
+    def instances(self, checked: int, hits: int) -> None:
+        """Count a block of instances, ``hits`` of them with the hypothesis."""
+        self.checked += checked
+        self.hits += hits
+
     def fail(
         self,
         I: Optional[Ideal],
@@ -188,13 +192,26 @@ def _rad_or_unit(I: Ideal) -> Ideal:
     return radical(I)
 
 
+# Sweeps read one verdict per proper ideal, by lattice position, from the
+# vectors of ``predicates._verdicts``. A conclusion asked only where the
+# hypothesis holds (2-absorbing, semiprimary) stays a check call, so its
+# kernel never runs on the other ideals. A failure reruns its check for the
+# witness.
+
+
+def _one_abs(d: ExpansionFunction) -> tuple[bool, ...]:
+    return _verdicts("1abs-delta-primary", d.ring, d)
+
+
+def _primary(d: ExpansionFunction) -> tuple[bool, ...]:
+    return _verdicts("delta-primary", d.ring, d)
+
+
 def _every_proper_one_absorbing(
     R: FiniteRing, d: ExpansionFunction, principal_only: bool = False
 ) -> tuple[bool, Optional[Ideal]]:
-    for I in R.proper_ideals():
-        if principal_only and not is_principal(I):
-            continue
-        if not is_one_absorbing_delta_primary(I, d):
+    for I, ok in zip(R.proper_ideals(), _one_abs(d)):
+        if not ok and (is_principal(I) or not principal_only):
             return False, I
     return True, None
 
@@ -246,34 +263,34 @@ def _t_def_eq(entry: CatalogEntry, part: _Part) -> None:
 def _t_chain(entry: CatalogEntry, part: _Part) -> None:
     """1-absorbing prime or delta-primary ideals stay 1-absorbing delta-primary."""
     R = entry.ring
+    prime = _verdicts("1abs-prime", R)
     for d in entry.expansions:
-        for I in R.proper_ideals():
-            from_prime = is_one_absorbing_prime(I)
-            from_primary = is_delta_primary(I, d)
-            if part.instance(from_prime or from_primary):
-                ok, wit = one_absorbing_delta_primary_check(I, d)
-                if not ok:
-                    source = "1abs-prime" if from_prime else "delta-primary"
-                    part.fail(I, d.label, wit, f"{source} ideal lost the 1-absorbing form")
+        primary, one_abs = _primary(d), _one_abs(d)
+        for p, I in enumerate(R.proper_ideals()):
+            if part.instance(prime[p] or primary[p]) and not one_abs[p]:
+                _, wit = one_absorbing_delta_primary_check(I, d)
+                source = "1abs-prime" if prime[p] else "delta-primary"
+                part.fail(I, d.label, wit, f"{source} ideal lost the 1-absorbing form")
 
 
 @_sweep("T-MONO")
 def _t_mono(entry: CatalogEntry, part: _Part) -> None:
     """Enlarging the expansion at I preserves the 1-absorbing form."""
     R = entry.ring
-    lattice = R.ideals()
+    masks = [I.mask for I in R.ideals()]
+    proper = R.proper_ideals()
     for d in entry.expansions:
+        one_abs = [p for p, ok in enumerate(_one_abs(d)) if ok]
         for g in entry.expansions:
             if d is g:
                 continue
-            for pos, I in enumerate(lattice):
-                if not I.is_proper:
-                    continue
-                wider = lattice[d.table[pos]].mask & ~lattice[g.table[pos]].mask == 0
-                if part.instance(wider and is_one_absorbing_delta_primary(I, d)):
-                    ok, wit = one_absorbing_delta_primary_check(I, g)
-                    if not ok:
-                        part.fail(I, f"{d.label} -> {g.label}", wit)
+            hits = [p for p in one_abs if masks[d.table[p]] & ~masks[g.table[p]] == 0]
+            part.instances(len(proper), len(hits))
+            g_abs = _one_abs(g)
+            for p in hits:
+                if not g_abs[p]:
+                    _, wit = one_absorbing_delta_primary_check(proper[p], g)
+                    part.fail(proper[p], f"{d.label} -> {g.label}", wit)
 
 
 @_sweep("T-2ABS")
@@ -281,10 +298,9 @@ def _t_2abs(entry: CatalogEntry, part: _Part) -> None:
     """1-absorbing delta-primary implies 2-absorbing delta-primary."""
     R = entry.ring
     for d in entry.expansions:
-        for I in R.proper_ideals():
-            if part.instance(is_one_absorbing_delta_primary(I, d)):
-                if not is_two_absorbing_delta_primary(I, d):
-                    part.fail(I, d.label, None, "not 2-absorbing delta-primary")
+        for I, one_abs in zip(R.proper_ideals(), _one_abs(d)):
+            if part.instance(one_abs) and not is_two_absorbing_delta_primary(I, d):
+                part.fail(I, d.label, None, "not 2-absorbing delta-primary")
 
 
 @_sweep("T-SEMI")
@@ -292,12 +308,11 @@ def _t_semi(entry: CatalogEntry, part: _Part) -> None:
     """With delta(I) radical, 1-absorbing delta-primary implies delta-semiprimary."""
     R = entry.ring
     for d in entry.expansions:
-        for I in R.proper_ideals():
+        for I, one_abs in zip(R.proper_ideals(), _one_abs(d)):
             dI = d(I)
             rad_hyp = (not dI.is_proper) or is_radical_ideal(dI)
-            if part.instance(rad_hyp and is_one_absorbing_delta_primary(I, d)):
-                if not is_delta_semiprimary(I, d):
-                    part.fail(I, d.label, None, "not delta-semiprimary")
+            if part.instance(rad_hyp and one_abs) and not is_delta_semiprimary(I, d):
+                part.fail(I, d.label, None, "not delta-semiprimary")
 
 
 @_sweep("T-LOCAL")
@@ -306,11 +321,8 @@ def _t_local(entry: CatalogEntry, part: _Part) -> None:
     R = entry.ring
     local = R.is_local()
     for d in entry.expansions:
-        found = None
-        for I in R.proper_ideals():
-            if is_one_absorbing_delta_primary(I, d) and not is_delta_primary(I, d):
-                found = I
-                break
+        pairs = zip(R.proper_ideals(), _one_abs(d), _primary(d))
+        found = next((I for I, one_abs, primary in pairs if one_abs and not primary), None)
         if part.instance(found is not None) and not local:
             part.fail(found, d.label, None, "ring is not local")
 
@@ -353,15 +365,27 @@ _FINALIZERS["T-XM"] = _finalize_xm
 def _t_colon(entry: CatalogEntry, part: _Part) -> None:
     """Colon by a nonunit outside a 1-absorbing delta-primary ideal is delta-primary."""
     R = entry.ring
-    nonunits = [x for x in range(R.order) if not R.is_unit(x)]
+    nonunits = R.nonunit_list
+    colons = _colon_positions(R)
     for d in entry.expansions:
-        for I in R.proper_ideals():
-            one_abs = is_one_absorbing_delta_primary(I, d)
-            for a in nonunits:
-                if part.instance(one_abs and a not in I):
-                    K = colon(I, a)
-                    if not is_delta_primary(K, d):
-                        part.fail(I, d.label, (a,), f"(I:{R.element_name(a)}) not delta-primary")
+        one_abs, primary = _one_abs(d), _primary(d)
+        for p, I in enumerate(R.proper_ideals()):
+            row = colons[p] if one_abs[p] else ()
+            part.instances(len(nonunits), len(row) - row.count(-1))
+            for a, k in zip(nonunits, row):
+                if k >= 0 and not primary[k]:
+                    part.fail(I, d.label, (a,), f"(I:{R.element_name(a)}) not delta-primary")
+
+
+def _colon_positions(R: FiniteRing) -> tuple[tuple[int, ...], ...]:
+    """Row p: for each nonunit a, the lattice position of (I : a) for the
+    proper ideal I at position p, or -1 where a lies in I. Not cached:
+    T-COLON reads it once per ring, so keeping it would only hold memory."""
+    pos, nonunits = R.lattice_position, R.nonunit_list
+    return tuple(
+        tuple(-1 if (I.mask >> a) & 1 else pos(R.colon_masks(I.mask)[a]) for a in nonunits)
+        for I in R.proper_ideals()
+    )
 
 
 @_sweep("T-M2")
@@ -374,10 +398,8 @@ def _t_m2(entry: CatalogEntry, part: _Part) -> None:
         M = R.maximal_ideals()[0]
         m2_mask = ideal_product(M, M).mask
     for d in entry.expansions:
-        for I in R.proper_ideals():
-            if part.instance(is_one_absorbing_delta_primary(I, d)):
-                if is_delta_semiprimary(I, d):
-                    continue
+        for I, one_abs in zip(R.proper_ideals(), _one_abs(d)):
+            if part.instance(one_abs) and not is_delta_semiprimary(I, d):
                 if local and (m2_mask & ~I.mask) == 0:
                     continue
                 part.fail(I, d.label, None, "neither delta-semiprimary nor M^2 inside I")
@@ -387,11 +409,18 @@ def _t_m2(entry: CatalogEntry, part: _Part) -> None:
 # chained, arithmetical, principal maximal
 
 
-def _equiv_one_abs_primary(part: _Part, I: Ideal, d: ExpansionFunction, context: str) -> None:
-    one_abs = is_one_absorbing_delta_primary(I, d)
-    primary = is_delta_primary(I, d)
-    if one_abs != primary:
-        part.fail(I, d.label, None, f"{context}: 1abs={one_abs} delta-primary={primary}")
+def _equiv_off(part: _Part, entry: CatalogEntry, m2_mask: int, context: str) -> None:
+    """Away from the ideal at m2_mask, 1-absorbing equals delta-primary."""
+    for d in entry.expansions:
+        one_abs, primary = _one_abs(d), _primary(d)
+        for p, I in enumerate(entry.ring.proper_ideals()):
+            if part.instance(I.mask != m2_mask) and one_abs[p] != primary[p]:
+                _fail_equiv(part, I, d, one_abs[p], primary[p], context)
+
+
+def _fail_equiv(part: _Part, I: Ideal, d: ExpansionFunction, one_abs: bool, primary: bool,
+                context: str) -> None:
+    part.fail(I, d.label, None, f"{context}: 1abs={one_abs} delta-primary={primary}")
 
 
 @_sweep("T-CHAINED")
@@ -401,11 +430,7 @@ def _t_chained(entry: CatalogEntry, part: _Part) -> None:
     if not R.is_chained():
         return
     M = R.maximal_ideals()[0]
-    m2_mask = ideal_product(M, M).mask
-    for d in entry.expansions:
-        for I in R.proper_ideals():
-            if part.instance(I.mask != m2_mask):
-                _equiv_one_abs_primary(part, I, d, "chained")
+    _equiv_off(part, entry, ideal_product(M, M).mask, "chained")
 
 
 @_sweep("T-ARITH")
@@ -415,11 +440,7 @@ def _t_arith(entry: CatalogEntry, part: _Part) -> None:
     if not R.is_arithmetical():
         return
     M = R.jacobson_radical()
-    m2_mask = ideal_product(M, M).mask
-    for d in entry.expansions:
-        for I in R.proper_ideals():
-            if part.instance(I.mask != m2_mask):
-                _equiv_one_abs_primary(part, I, d, "arithmetical")
+    _equiv_off(part, entry, ideal_product(M, M).mask, "arithmetical")
 
 
 @_sweep("T-PMAX")
@@ -433,15 +454,14 @@ def _t_pmax(entry: CatalogEntry, part: _Part) -> None:
         return
     m2_mask = ideal_product(M, M).mask
     for d in entry.expansions:
-        for I in R.proper_ideals():
+        one_abs, primary = _one_abs(d), _primary(d)
+        for p, I in enumerate(R.proper_ideals()):
             part.instance(True)
-            one_abs = is_one_absorbing_delta_primary(I, d)
-            alt = is_delta_primary(I, d) or (m2_mask & ~I.mask) == 0
-            if one_abs != alt:
-                part.fail(I, d.label, None, f"1abs={one_abs} primary-or-M^2={alt}")
-                continue
-            if radical(I).mask & ~d(I).mask == 0:
-                _equiv_one_abs_primary(part, I, d, "sqrt(I) inside delta(I)")
+            alt = primary[p] or (m2_mask & ~I.mask) == 0
+            if one_abs[p] != alt:
+                part.fail(I, d.label, None, f"1abs={one_abs[p]} primary-or-M^2={alt}")
+            elif radical(I).mask & ~d(I).mask == 0 and one_abs[p] != primary[p]:
+                _fail_equiv(part, I, d, one_abs[p], primary[p], "sqrt(I) inside delta(I)")
 
 
 # ----------------------------------------------------------------------
@@ -453,26 +473,26 @@ def _t_sqrt(entry: CatalogEntry, part: _Part) -> None:
     """If sqrt(delta(I)) = delta(sqrt(I)), the radical of a 1abs ideal is delta-primary."""
     R = entry.ring
     for d in entry.expansions:
-        for I in R.proper_ideals():
-            swap = _rad_or_unit(d(I)).mask == d(radical(I)).mask
-            if part.instance(swap and is_one_absorbing_delta_primary(I, d)):
-                if not is_delta_primary(radical(I), d):
-                    part.fail(I, d.label, None, "sqrt(I) not delta-primary")
+        one_abs, primary = _one_abs(d), _primary(d)
+        for p, I in enumerate(R.proper_ideals()):
+            rad = radical(I)
+            swap = _rad_or_unit(d(I)).mask == d(rad).mask
+            if part.instance(swap and one_abs[p]) and not primary[R.lattice_position(rad.mask)]:
+                part.fail(I, d.label, None, "sqrt(I) not delta-primary")
 
 
 @_sweep("T-IDEM")
 def _t_idem(entry: CatalogEntry, part: _Part) -> None:
     """At idempotent values, 1-absorbing delta-primary equals 1-absorbing prime."""
     R = entry.ring
+    lattice = R.ideals()
+    prime = _verdicts("1abs-prime", R)
     for d in entry.expansions:
-        for I in R.proper_ideals():
-            dI = d(I)
-            hyp = dI.is_proper and d(dI).mask == dI.mask
-            if part.instance(hyp):
-                one_abs = is_one_absorbing_delta_primary(dI, d)
-                prime_form = is_one_absorbing_prime(dI)
-                if one_abs != prime_form:
-                    part.fail(dI, d.label, None, f"1abs={one_abs} 1abs-prime={prime_form}")
+        one_abs = _one_abs(d)
+        for p in range(len(lattice) - 1):
+            q = d.table[p]
+            if part.instance(lattice[q].is_proper and d.table[q] == q) and one_abs[q] != prime[q]:
+                part.fail(lattice[q], d.label, None, f"1abs={one_abs[q]} 1abs-prime={prime[q]}")
 
 
 @_sweep("T-INTER")
@@ -480,20 +500,18 @@ def _t_inter(entry: CatalogEntry, part: _Part) -> None:
     """Intersections of 1abs ideals sharing their delta value stay 1abs."""
     R = entry.ring
     proper = R.proper_ideals()
+    n = len(proper)
     for d in entry.expansions:
-        preserving = _intersection_preserving(d)
-        for i, I in enumerate(proper):
-            for J in proper[i + 1 :]:
-                hyp = (
-                    preserving
-                    and d(I).mask == d(J).mask
-                    and is_one_absorbing_delta_primary(I, d)
-                    and is_one_absorbing_delta_primary(J, d)
-                )
-                if part.instance(hyp):
-                    K = ideal_intersection(I, J)
-                    if not is_one_absorbing_delta_primary(K, d):
-                        part.fail(K, d.label, None, f"intersection of {I.label} and {J.label}")
+        one_abs = _one_abs(d)
+        ones = [p for p in range(n) if one_abs[p]] if _intersection_preserving(d) else []
+        hits = [(p, q) for i, p in enumerate(ones) for q in ones[i + 1 :]
+                if d.table[p] == d.table[q]]
+        part.instances(n * (n - 1) // 2, len(hits))
+        for p, q in hits:
+            I, J = proper[p], proper[q]
+            if not one_abs[R.lattice_position(I.mask & J.mask)]:
+                K = ideal_intersection(I, J)
+                part.fail(K, d.label, None, f"intersection of {I.label} and {J.label}")
 
 
 def _intersection_preserving(d: ExpansionFunction) -> bool:

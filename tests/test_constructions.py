@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import ringlab
+from ringlab.catalog import CatalogConfig, build_catalog
 from ringlab.constructions import (
     MultiplicativeSet,
     localize,
@@ -228,3 +229,19 @@ def test_cross_ring_module_rejected(z4, z12):
     E = regular_module(z4)
     with pytest.raises(RingMismatchError):
         make_trivial_extension(z12, E)
+
+
+def test_arithmetical_matches_the_localizations_on_default_catalog():
+    """``is_arithmetical`` reads R/K_M off the ideals containing K_M; the
+    oracle localizes at every maximal ideal and asks whether the
+    localization is chained."""
+    seen = []
+    for entry in build_catalog(CatalogConfig()):
+        R = entry.ring
+        want = all(
+            localize(R, MultiplicativeSet(R, frozenset(range(R.order)) - M.members)).ring.is_chained()
+            for M in R.maximal_ideals()
+        )
+        assert R.is_arithmetical() == want, entry.provenance
+        seen.append(want)
+    assert len(seen) == 190 and any(seen) and not all(seen)

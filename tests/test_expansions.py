@@ -298,6 +298,18 @@ def test_scaling_check_matches_scan(catalog16):
     assert 0 < failing < len(expansions)
 
 
+def test_scaling_table_matches_scale(catalog16):
+    """The table sums principal masks over generators; ``scale`` multiplies
+    every member. They agree at every x and every lattice ideal."""
+    for entry in catalog16:
+        R = entry.ring
+        want = tuple(
+            tuple(R.lattice_position(scale(x, I).mask) for I in R.ideals())
+            for x in range(R.order)
+        )
+        assert expansions._scaling_table(R) == want, entry.provenance
+
+
 def test_proper_ideals_drop_only_the_unit_ideal(catalog16):
     for entry in catalog16:
         R = entry.ring

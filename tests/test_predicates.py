@@ -16,7 +16,10 @@ from ringlab.expansions import (
 )
 from ringlab.ideals import primary_check, prime_check, radical, span
 from ringlab.predicates import (
+    _CHECKS,
+    DELTA_FREE,
     PREDICATE_NAMES,
+    _verdicts,
     classify,
     delta_primary_check,
     delta_semiprimary_check,
@@ -39,7 +42,7 @@ from ringlab.predicates import (
     two_absorbing_delta_primary_scan,
 )
 from ringlab.catalog import CatalogConfig, build_catalog
-from ringlab.rings import make_zn
+from ringlab.rings import FiniteRing, make_zn
 
 
 def definitional_pair_scan(I, dm, skip):
@@ -204,6 +207,61 @@ def test_one_absorbing_specializations_match_scan_on_default_catalog():
                 I, d_rad), I
             ideals += 1
     assert ideals == 805
+
+
+def test_verdict_vectors_match_the_checks_on_default_catalog():
+    """For every (ring, expansion) of the default catalog and every check,
+    the verdict vector holds the check's value at each proper ideal in
+    lattice order. Delta-free vectors live on the ring, the rest on the
+    expansion they were built for."""
+    pairs = 0
+    for entry in build_catalog(CatalogConfig()):
+        R = entry.ring
+        proper = R.proper_ideals()
+        for d in entry.expansions:
+            for name, check in _CHECKS.items():
+                got = _verdicts(name, R, d)
+                assert got == tuple(check(I, d)[0] for I in proper), (
+                    entry.provenance, d.label, name)
+                store = R.cache["verdicts"] if name in DELTA_FREE else d.verdicts
+                assert store[name] is got
+            pairs += len(proper)
+    assert pairs == 6588
+
+
+def _relabelled(R, sigma):
+    """R with element a renamed sigma[a]: the same ring, other indices."""
+    n = R.order
+    add = [[0] * n for _ in range(n)]
+    mul = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            add[sigma[a]][sigma[b]] = sigma[R.add_table[a][b]]
+            mul[sigma[a]][sigma[b]] = sigma[R.mul_table[a][b]]
+    return FiniteRing(add, mul, R.label)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_verdicts_survive_relabelling(data):
+    """Renaming the elements of a catalog ring of order at most 16 keeps its
+    lattice size, and every verdict vector under id, rad and full agrees
+    once each ideal is carried to its image."""
+    small = [e.ring for e in build_catalog(CatalogConfig()) if e.ring.order <= 16]
+    R = data.draw(st.sampled_from(small))
+    sigma = data.draw(st.permutations(range(R.order)))
+    S = _relabelled(R, sigma)
+    assert len(S.ideals()) == len(R.ideals())
+    image = [
+        S.lattice_position(sum(1 << sigma[a] for a in I.members_sorted))
+        for I in R.proper_ideals()
+    ]
+    for family in (identity_expansion, radical_expansion, constant_ring):
+        d, e = family(R), family(S)
+        for name in _CHECKS:
+            theirs = _verdicts(name, S, e)
+            assert _verdicts(name, R, d) == tuple(theirs[q] for q in image), (
+                R.label, family.__name__, name)
 
 
 def test_memo_is_shared_by_expansions_that_agree_at_the_ideal():

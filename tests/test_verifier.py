@@ -11,6 +11,7 @@ import pytest
 import ringlab.verifier as verifier
 from ringlab.catalog import CatalogConfig, build_catalog
 from ringlab.errors import UnknownTheoremError
+from ringlab.ideals import colon
 from ringlab.verifier import (
     THEOREM_IDS,
     TheoremReport,
@@ -101,6 +102,23 @@ def test_statement_results_match_the_golden(catalog16):
     assert reports == golden
     assert sum(d["instances_checked"] for d in reports) == summary["summary"]["instances_checked"]
     assert sum(d["hypothesis_satisfied"] for d in reports) == summary["summary"]["hypothesis_satisfied"]
+
+
+def test_colon_positions_match_colon_on_default_catalog():
+    """Row p of ``_colon_positions`` holds, per nonunit a, the lattice
+    position of (I : a) for the proper ideal I at p, and -1 where a is in I."""
+    rows = 0
+    for entry in build_catalog(CatalogConfig()):
+        R = entry.ring
+        table = verifier._colon_positions(R)
+        assert len(table) == len(R.proper_ideals())
+        for I, row in zip(R.proper_ideals(), table):
+            want = tuple(
+                -1 if a in I else R.lattice_position(colon(I, a).mask) for a in R.nonunit_list
+            )
+            assert row == want, (entry.provenance, I.label)
+            rows += 1
+    assert rows == 805
 
 
 def test_sweep_runs_in_the_calling_thread(catalog8, monkeypatch):
