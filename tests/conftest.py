@@ -14,6 +14,12 @@ def catalog16():
 
 
 @pytest.fixture(scope="session")
+def catalog_enlarged():
+    """The enlarged tier: products up to order 64, trivial extensions up to 128."""
+    return build_catalog(CatalogConfig(product_order_limit=64, trivial_extension_limit=128))
+
+
+@pytest.fixture(scope="session")
 def catalog12():
     return build_catalog(CatalogConfig(max_order=12))
 

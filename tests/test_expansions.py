@@ -6,8 +6,11 @@ import pytest
 
 import ringlab.expansions as expansions
 from ringlab.constructions import (
+    LocalizationOf,
     MultiplicativeSet,
+    ProductOf,
     QuotientOf,
+    TrivialExtensionOf,
     localize,
     make_product,
     make_quotient,
@@ -376,3 +379,66 @@ def test_quotients_are_built_once(z12, catalog16):
     for Q in quotients:
         parent = Q.construction.parent
         assert make_quotient(parent, Ideal(parent, Q.construction.ideal_mask)) is Q
+
+
+# ----------------------------------------------------------------------
+# induced expansions against the rules they were first defined by
+
+
+def product_rule(P, d1, d2):
+    """I = I1 x I2 goes to d1(I1) x d2(I2)."""
+    info = P.construction
+
+    def rule(I):
+        m1, m2 = info.decompose_mask(I.mask)
+        D1 = d1(Ideal(info.left, m1))
+        D2 = d2(Ideal(info.right, m2))
+        return Ideal(P, info.pair_mask(D1.mask, D2.mask))
+
+    return rule
+
+
+def projection_rule(f, delta):
+    """J goes to f(delta(f^-1(J))), for a quotient or localization map f."""
+    return lambda J: f.image_ideal(delta(f.preimage_ideal(J)))
+
+
+def trivial_extension_rule(T, delta):
+    """J goes to delta(I) x E, I the base part of J's pair envelope."""
+    info = T.construction
+
+    def rule(J):
+        imask, _ = info.pair_envelope(J.mask)
+        D = delta(Ideal(info.base, imask))
+        return Ideal(T, info.pair_mask(D.mask, (1 << info.module.order) - 1))
+
+    return rule
+
+
+def _induced_with_rules(R):
+    """Every induced expansion the catalog makes on R, with its oracle rule."""
+    info = R.construction
+    if isinstance(info, ProductOf):
+        for d1 in standard_expansions(info.left):
+            for d2 in standard_expansions(info.right):
+                yield induced_product(R, d1, d2), product_rule(R, d1, d2)
+    elif isinstance(info, QuotientOf):
+        for d in standard_expansions(info.parent):
+            yield induced_quotient(R, d), projection_rule(info.projection, d)
+    elif isinstance(info, LocalizationOf):
+        for d in standard_expansions(info.parent):
+            yield induced_localization(R, d), projection_rule(info.projection, d)
+    elif isinstance(info, TrivialExtensionOf):
+        for d in standard_expansions(info.base):
+            yield induced_trivial_extension(R, d), trivial_extension_rule(R, d)
+
+
+@pytest.mark.parametrize("tier, count", [("catalog16", 905), ("catalog_enlarged", 1523)])
+def test_induced_tables_match_their_rules(request, tier, count):
+    seen = 0
+    for entry in request.getfixturevalue(tier):
+        for got, rule in _induced_with_rules(entry.ring):
+            want = from_rule(entry.ring, rule, got.label)
+            assert got.table == want.table, (entry.provenance, got.label)
+            seen += 1
+    assert seen == count

@@ -309,3 +309,33 @@ def test_radical_definition(n, a):
                 break
             y = R.mul(y, x)
     assert set(right.members) == expect
+
+
+def radical_scan(I):
+    """The definitional radical: x is in it when some power x^k, k up to the
+    ring order, lies in I."""
+    R = I.ring
+    mask = 0
+    for x in range(R.order):
+        p = x
+        for _ in range(R.order):
+            if (I.mask >> p) & 1:
+                mask |= 1 << x
+                break
+            p = R.mul_table[p][x]
+    return mask
+
+
+@pytest.mark.parametrize("tier, count", [("catalog16", 995), ("catalog_enlarged", 1680)])
+def test_radical_matches_the_power_scan(request, tier, count):
+    """The meet of the maximal ideals above I is the power-scan radical,
+    and an ideal, at every lattice ideal of both tiers."""
+    seen = 0
+    for entry in request.getfixturevalue(tier):
+        R = entry.ring
+        for I in R.ideals():
+            got = radical(I).mask
+            assert got == radical_scan(I), (entry.provenance, I.label)
+            assert is_ideal_mask(R, got)
+            seen += 1
+    assert seen == count

@@ -86,15 +86,15 @@ def test_jobs_independence(catalog8):
         assert serial == threaded
 
 
-GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "check-default.json"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "bench" / "golden" / "check-default.json"
+ENLARGED_GOLDEN = ROOT / "tests" / "golden" / "check-enlarged.json"
 
 
-def test_statement_results_match_the_golden(catalog16):
-    """Instance counts, hypothesis counts, failures and notes of every
-    statement on the default catalog, against the recorded golden."""
-    *golden, summary = json.loads(GOLDEN.read_text(encoding="utf-8"))
+def _assert_matches_golden(catalog, path):
+    *golden, summary = json.loads(path.read_text(encoding="utf-8"))
     reports = []
-    for r in verify_all(catalog16):
+    for r in verify_all(catalog):
         d = strip_elapsed(r)
         for failure in d["conclusion_failures"]:
             failure["ideal"] = sorted(failure["ideal"])
@@ -102,6 +102,20 @@ def test_statement_results_match_the_golden(catalog16):
     assert reports == golden
     assert sum(d["instances_checked"] for d in reports) == summary["summary"]["instances_checked"]
     assert sum(d["hypothesis_satisfied"] for d in reports) == summary["summary"]["hypothesis_satisfied"]
+
+
+def test_statement_results_match_the_golden(catalog16):
+    """Instance counts, hypothesis counts, failures and notes of every
+    statement on the default catalog, against the recorded golden."""
+    _assert_matches_golden(catalog16, GOLDEN)
+
+
+def test_enlarged_tier_matches_the_golden(catalog_enlarged):
+    """The same on the enlarged tier: 263 rings up to order 128, with
+    products of non-local factors, 1,680 expansions and 789,521 instances."""
+    assert len(catalog_enlarged) == 263
+    assert sum(len(e.expansions) for e in catalog_enlarged) == 1680
+    _assert_matches_golden(catalog_enlarged, ENLARGED_GOLDEN)
 
 
 def test_colon_positions_match_colon_on_default_catalog():
