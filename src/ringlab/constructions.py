@@ -35,14 +35,7 @@ class ProductOf:
 
     def pair_mask(self, m1: int, m2: int) -> int:
         n2 = self.right.order
-        out = 0
-        for a in range(self.left.order):
-            if (m1 >> a) & 1:
-                base = a * n2
-                for b in range(n2):
-                    if (m2 >> b) & 1:
-                        out |= 1 << (base + b)
-        return out
+        return sum(m2 << (a * n2) for a in range(self.left.order) if (m1 >> a) & 1)
 
     def decompose_mask(self, mask: int) -> tuple[int, int]:
         """Split an ideal mask into its two component ideal masks."""
@@ -116,6 +109,18 @@ def _coset_partition(R: FiniteRing, imask: int) -> tuple[list[int], list[int]]:
     return rep, reps
 
 
+def _coset_ring(R: FiniteRing, kmask: int, label: str) -> tuple[FiniteRing, RingHom]:
+    """R modulo an ideal mask, by sorted coset leaders, and the projection."""
+    rep, reps = _coset_partition(R, kmask)
+    index = {r: k for k, r in enumerate(reps)}
+    m = len(reps)
+    add = [[index[rep[R.add_table[reps[i]][reps[j]]]] for j in range(m)] for i in range(m)]
+    mul = [[index[rep[R.mul_table[reps[i]][reps[j]]]] for j in range(m)] for i in range(m)]
+    names = tuple(R.element_name(r) for r in reps)
+    Q = FiniteRing(add, mul, label, element_names=names)
+    return Q, RingHom(R, Q, tuple(index[rep[a]] for a in range(R.order)))
+
+
 def make_quotient(R: FiniteRing, I: Ideal) -> FiniteRing:
     """The quotient ring R/I, elements indexed by sorted coset leaders.
 
@@ -129,16 +134,8 @@ def make_quotient(R: FiniteRing, I: Ideal) -> FiniteRing:
     Q = quotients.get(I.mask)
     if Q is not None:
         return Q
-    rep, reps = _coset_partition(R, I.mask)
-    index = {r: k for k, r in enumerate(reps)}
-    m = len(reps)
-    add = [[index[rep[R.add_table[reps[i]][reps[j]]]] for j in range(m)] for i in range(m)]
-    mul = [[index[rep[R.mul_table[reps[i]][reps[j]]]] for j in range(m)] for i in range(m)]
     gens = ",".join(str(g) for g in generator_list(I))
-    label = f"{R.label}/({gens})"
-    names = tuple(R.element_name(r) for r in reps)
-    Q = FiniteRing(add, mul, label, element_names=names)
-    proj = RingHom(R, Q, tuple(index[rep[a]] for a in range(R.order)))
+    Q, proj = _coset_ring(R, I.mask, f"{R.label}/({gens})")
     Q.construction = QuotientOf(R, I.mask, proj)
     quotients[I.mask] = Q
     return Q
@@ -366,14 +363,7 @@ class TrivialExtensionOf:
 
     def pair_mask(self, imask: int, fmask: int) -> int:
         m = self.module.order
-        out = 0
-        for a in range(self.base.order):
-            if (imask >> a) & 1:
-                base = a * m
-                for e in range(m):
-                    if (fmask >> e) & 1:
-                        out |= 1 << (base + e)
-        return out
+        return sum(fmask << (a * m) for a in range(self.base.order) if (imask >> a) & 1)
 
     def split_pair_mask(self, mask: int) -> Optional[tuple[int, int]]:
         """Recover (I, F) masks when the mask has pair form, else None."""
@@ -555,19 +545,71 @@ def localize(R: FiniteRing, S: MultiplicativeSet) -> Localization:
                 break
     if not is_ideal_mask(R, kmask):
         raise InvariantError(f"S-torsion of {R.label} failed the ideal scan")
-    K = Ideal(R, kmask)
-    rep, reps = _coset_partition(R, kmask)
-    index = {r: k for k, r in enumerate(reps)}
-    m = len(reps)
-    add = [[index[rep[R.add_table[reps[i]][reps[j]]]] for j in range(m)] for i in range(m)]
-    mtab = [[index[rep[mul[reps[i]][reps[j]]]] for j in range(m)] for i in range(m)]
     gens = ",".join(str(g) for g in S.generators)
-    label = f"loc({R.label},{gens})"
-    names = tuple(R.element_name(r) for r in reps)
-    L = FiniteRing(add, mtab, label, element_names=names)
-    proj = RingHom(R, L, tuple(index[rep[a]] for a in range(R.order)))
+    L, proj = _coset_ring(R, kmask, f"loc({R.label},{gens})")
     L.construction = LocalizationOf(R, tuple(smembers), tuple(S.generators), proj, kmask)
     for s in smembers:
         if not L.is_unit(proj(s)):
             raise InvariantError("localized image of the multiplicative set is not a unit")
-    return Localization(L, proj, K, S)
+    return Localization(L, proj, Ideal(R, kmask), S)
+
+
+# ----------------------------------------------------------------------
+# the ideal correspondence of each construction
+
+
+def _preimage_positions(f: RingHom) -> tuple[int, ...]:
+    """For each codomain lattice position q, the domain position of f^-1(J_q)."""
+    pos = f.domain.lattice_position
+    return tuple(
+        pos(sum(1 << a for a, v in enumerate(f.mapping) if (J.mask >> v) & 1))
+        for J in f.codomain.ideals()
+    )
+
+
+def _correspondence(R: FiniteRing) -> tuple:
+    """How R's construction maps ideals to ideals, as lattice positions,
+    built once per constructed ring. p indexes the source lattice, q R's.
+
+    - Quotient or localization by the projection f: ``(img, pre)``, img[p]
+      the position of f(I_p) (f is onto) and pre[q] that of f^-1(J_q).
+    - Product: ``(comp, inv)``, comp[q] = (p1, p2) when J_q = I_p1 x I_p2,
+      and inv the inverse map.
+    - Trivial extension of A by E: ``(env, up, pairs)``, env[q] the A-part of
+      J_q's smallest enveloping pair ideal, up[p] the position of I_p x E,
+      and pairs a (p, q, F) per pair ideal J_q = I_p x F, in ``pair_ideals``
+      order.
+    """
+    got = R.cache.get("correspondence")
+    if got is not None:
+        return got
+    info, pos, lattice = R.construction, R.lattice_position, R.ideals()
+    if isinstance(info, (QuotientOf, LocalizationOf)):
+        f = info.projection.mapping
+        # the image mask is the sum of the distinct bits f(a), a in I
+        img = tuple(pos(sum({1 << f[a] for a in I.members_sorted})) for I in info.parent.ideals())
+        got = (img, _preimage_positions(info.projection))
+    elif isinstance(info, ProductOf):
+        inv = {
+            (p1, p2): pos(info.pair_mask(I1.mask, I2.mask))
+            for p1, I1 in enumerate(info.left.ideals())
+            for p2, I2 in enumerate(info.right.ideals())
+        }
+        got = (tuple(sorted(inv, key=inv.__getitem__)), inv)
+    elif isinstance(info, TrivialExtensionOf):
+        A, m = info.base, info.module.order
+        block = (1 << m) - 1
+        env = tuple(
+            A.lattice_position(sum(1 << a for a in range(A.order) if (J.mask >> (a * m)) & block))
+            for J in lattice
+        )
+        up = tuple(pos(info.pair_mask(I.mask, block)) for I in A.ideals())
+        pairs = tuple(
+            (A.lattice_position(I.mask), pos(info.pair_mask(I.mask, F)), F)
+            for I, F in info.pair_ideals()
+        )
+        got = (env, up, pairs)
+    else:
+        raise RingMismatchError(f"{R.label} was not built by a construction")
+    R.cache["correspondence"] = got
+    return got

@@ -8,12 +8,23 @@ domain with delta(R) = R.
 Families: the identity, the radical, translation by a fixed ideal, and the
 constant-ring map. Expansions also transfer along the standard
 constructions (products, quotients, localizations, trivial extensions).
+An induced table is read off the construction's ideal correspondence, the
+lattice-position maps of ``constructions._correspondence``: one lookup per
+ideal of the constructed ring, with no ideal built.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
+from .constructions import (
+    LocalizationOf,
+    ProductOf,
+    QuotientOf,
+    TrivialExtensionOf,
+    _correspondence,
+    _preimage_positions,
+)
 from .errors import ExpansionAxiomError, RingMismatchError
 from .ideals import Ideal, _principal_masks, _sum_masks, generator_list, radical
 from .rings import FiniteRing, RingHom
@@ -240,15 +251,14 @@ def delta_gamma_hom_check(
 ) -> tuple[bool, Optional[Ideal]]:
     """Whether delta(preimage(J)) = preimage(gamma(J)) for every ideal J.
 
-    The witness is the first failing ideal of the codomain in canonical
-    order.
+    Both sides are compared as lattice positions of the domain. The witness
+    is the first failing ideal of the codomain in canonical order.
     """
     if delta.ring is not f.domain or gamma.ring is not f.codomain:
         raise RingMismatchError("expansions do not match the homomorphism")
-    for J in f.codomain.ideals():
-        lhs = delta(f.preimage_ideal(J))
-        rhs = f.preimage_ideal(gamma(J))
-        if lhs.mask != rhs.mask:
+    pre = _preimage_positions(f)
+    for q, J in enumerate(f.codomain.ideals()):
+        if delta.table[pre[q]] != pre[gamma.table[q]]:
             return False, J
     return True, None
 
@@ -264,14 +274,15 @@ def is_delta_gamma_hom(
 
 
 def _induced(
-    target: FiniteRing, key: tuple, build: Callable[[], ExpansionFunction]
+    target: FiniteRing, sources: tuple, build: Callable[[], ExpansionFunction]
 ) -> ExpansionFunction:
-    """Build an induced expansion once per target ring and source key.
+    """Build an induced expansion once per target ring and source expansions.
 
     Expansions compare by table alone, so the key holds each source's label
     next to its table: equal tables with different labels stay apart.
     """
     memo = target.cache.setdefault("induced", {})
+    key = tuple((d.label, d.table) for d in sources)
     got = memo.get(key)
     if got is None:
         got = memo[key] = build()
@@ -281,100 +292,84 @@ def _induced(
 def induced_product(
     P: FiniteRing, d1: ExpansionFunction, d2: ExpansionFunction
 ) -> ExpansionFunction:
-    """The componentwise expansion on a product ring."""
-    from .constructions import ProductOf
-
+    """The componentwise expansion on a product ring: I1 x I2 maps to
+    d1(I1) x d2(I2), read off the factor positions of each ideal."""
     info = P.construction
     if not isinstance(info, ProductOf):
         raise RingMismatchError(f"{P.label} was not built as a product")
     if d1.ring is not info.left or d2.ring is not info.right:
         raise RingMismatchError("component expansions do not match the factors")
+    comp, inv = _correspondence(P)
+    return _induced(P, (d1, d2), lambda: ExpansionFunction(
+        P, [inv[d1.table[p1], d2.table[p2]] for p1, p2 in comp], f"prod({d1.label},{d2.label})"))
 
-    def rule(I: Ideal) -> Ideal:
-        m1, m2 = info.decompose_mask(I.mask)
-        D1 = d1(Ideal(info.left, m1))
-        D2 = d2(Ideal(info.right, m2))
-        return Ideal(P, info.pair_mask(D1.mask, D2.mask))
 
-    key = (d1.label, d1.table, d2.label, d2.table)
-    return _induced(P, key, lambda: from_rule(P, rule, f"prod({d1.label},{d2.label})"))
+def _projected(
+    R: FiniteRing, delta: ExpansionFunction, label: Callable[[], str]
+) -> ExpansionFunction:
+    """J maps to f(delta(f^-1(J))) along the projection f onto R."""
+    img, pre = _correspondence(R)
+    return _induced(R, (delta,), lambda: ExpansionFunction(
+        R, [img[delta.table[p]] for p in pre], label()))
 
 
 def induced_quotient(Q: FiniteRing, delta: ExpansionFunction) -> ExpansionFunction:
-    """The expansion J/I maps to delta(J)/I on a quotient ring."""
-    from .constructions import QuotientOf
-
+    """The expansion J/I maps to delta(J)/I on a quotient ring R/I, read off
+    the preimage and image positions along the projection."""
     info = Q.construction
     if not isinstance(info, QuotientOf):
         raise RingMismatchError(f"{Q.label} was not built as a quotient")
     if delta.ring is not info.parent:
         raise RingMismatchError("expansion does not live on the quotient parent")
-    f = info.projection
-    gens = ",".join(str(g) for g in generator_list(Ideal(info.parent, info.ideal_mask)))
 
-    def rule(Jbar: Ideal) -> Ideal:
-        return f.image_ideal(delta(f.preimage_ideal(Jbar)))
+    def label() -> str:
+        gens = ",".join(str(g) for g in generator_list(Ideal(info.parent, info.ideal_mask)))
+        return f"bar({delta.label},({gens}))"
 
-    return _induced(Q, (delta.label, delta.table),
-                    lambda: from_rule(Q, rule, f"bar({delta.label},({gens}))"))
+    return _projected(Q, delta, label)
 
 
 def induced_localization(L: FiniteRing, delta: ExpansionFunction) -> ExpansionFunction:
-    """Contraction followed by expansion followed by extension."""
-    from .constructions import LocalizationOf
-
+    """Contraction followed by expansion followed by extension, read off the
+    preimage and image positions along the projection, as for quotients."""
     info = L.construction
     if not isinstance(info, LocalizationOf):
         raise RingMismatchError(f"{L.label} was not built as a localization")
     if delta.ring is not info.parent:
         raise RingMismatchError("expansion does not live on the localization parent")
-    f = info.projection
     gens = ",".join(str(g) for g in info.set_generators)
-
-    def rule(J: Ideal) -> Ideal:
-        return f.image_ideal(delta(f.preimage_ideal(J)))
-
-    return _induced(L, (delta.label, delta.table),
-                    lambda: from_rule(L, rule, f"loc({delta.label},{gens})"))
+    return _projected(L, delta, lambda: f"loc({delta.label},{gens})")
 
 
 def induced_trivial_extension(T: FiniteRing, delta: ExpansionFunction) -> ExpansionFunction:
     """Pair ideals expand componentwise to delta(I) paired with the module.
 
     Ideals that are not of pair form are first enlarged to their smallest
-    enveloping pair ideal.
+    enveloping pair ideal. The value delta(I) x E is read off the base part I
+    of that envelope.
     """
-    from .constructions import TrivialExtensionOf
-
     info = T.construction
     if not isinstance(info, TrivialExtensionOf):
         raise RingMismatchError(f"{T.label} was not built as a trivial extension")
     if delta.ring is not info.base:
         raise RingMismatchError("expansion does not live on the extension base")
-
-    def rule(J: Ideal) -> Ideal:
-        imask, _ = info.pair_envelope(J.mask)
-        D = delta(Ideal(info.base, imask))
-        return Ideal(T, info.pair_mask(D.mask, (1 << info.module.order) - 1))
-
-    return _induced(T, (delta.label, delta.table),
-                    lambda: from_rule(T, rule, f"triv({delta.label})"))
+    env, up, _ = _correspondence(T)
+    return _induced(T, (delta,), lambda: ExpansionFunction(
+        T, [up[delta.table[p]] for p in env], f"triv({delta.label})"))
 
 
 def localization_compatibility(L: FiniteRing, delta: ExpansionFunction) -> bool:
     """Whether extension of delta(I) matches the induced expansion on the
-    extension of I, for every parent ideal I missing the multiplicative set."""
-    from .constructions import LocalizationOf
-
+    extension of I, for every parent ideal I missing the multiplicative set.
+    Both sides are compared as lattice positions of L."""
     info = L.construction
     if not isinstance(info, LocalizationOf):
         raise RingMismatchError(f"{L.label} was not built as a localization")
-    f = info.projection
     smask = sum(1 << s for s in info.set_members)
     ds = induced_localization(L, delta)
-    for I in info.parent.ideals():
-        if I.mask & smask:
-            continue
-        if ds(f.image_ideal(I)).mask != f.image_ideal(delta(I)).mask:
-            return False
-    return True
+    img, _ = _correspondence(L)
+    return all(
+        ds.table[img[p]] == img[delta.table[p]]
+        for p, I in enumerate(info.parent.ideals())
+        if not I.mask & smask
+    )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Union
 
-from .errors import InvariantError, ProperIdealError, RingMismatchError
+from .errors import ProperIdealError, RingMismatchError
 from .rings import Element, FiniteRing
 
 
@@ -311,26 +311,17 @@ def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
 
 
 def radical(I: Ideal) -> Ideal:
-    """The radical, by scanning powers with exponent up to the ring order."""
+    """The radical, as the meet of the maximal ideals that contain I.
+
+    The radical is the meet of the primes above I, and in a finite
+    commutative ring every prime is maximal. The unit ideal lies in no
+    maximal ideal and is its own radical.
+    """
     R = I.ring
-    cache = R.cache.setdefault("radical", {})
-    got = cache.get(I.mask)
-    if got is not None:
-        return Ideal(R, got)
-    n = R.order
-    mul = R.mul_table
-    im = I.mask
-    mask = 0
-    for x in range(n):
-        p = x
-        for _ in range(n):
-            if (im >> p) & 1:
-                mask |= 1 << x
-                break
-            p = mul[p][x]
-    if not is_ideal_mask(R, mask):
-        raise InvariantError(f"radical of {I!r} failed the ideal scan")
-    cache[I.mask] = mask
+    mask = (1 << R.order) - 1
+    for M in R.maximal_ideals():
+        if not I.mask & ~M.mask:
+            mask &= M.mask
     return Ideal(R, mask)
 
 

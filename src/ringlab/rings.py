@@ -293,15 +293,12 @@ class FiniteRing:
         return val
 
     def jacobson_radical(self):
+        """The meet of all maximal ideals: the radical of the zero ideal."""
         val = self.cache.get("jacobson")
         if val is None:
-            mask = (1 << self.order) - 1
-            for M in self.maximal_ideals():
-                mask &= M.mask
-            from .ideals import Ideal
+            from . import ideals as _ideals
 
-            val = Ideal(self, mask)
-            self.cache["jacobson"] = val
+            val = self.cache["jacobson"] = _ideals.radical(self.zero_ideal())
         return val
 
     def is_local(self) -> bool:

@@ -20,6 +20,7 @@ from .constructions import (
     ProductOf,
     QuotientOf,
     TrivialExtensionOf,
+    _correspondence,
     make_product,
     make_quotient,
 )
@@ -27,7 +28,6 @@ from .errors import InvariantError, UnknownTheoremError
 from .expansions import (
     ExpansionFunction,
     from_rule,
-    identity_expansion,
     induced_localization,
     induced_product,
     induced_quotient,
@@ -56,7 +56,6 @@ from .predicates import (
     idealwise_one_absorbing_check,
     is_delta_primary,
     is_delta_semiprimary,
-    is_one_absorbing_delta_primary,
     is_two_absorbing_delta_primary,
     one_absorbing_delta_primary_check,
 )
@@ -183,13 +182,6 @@ class _Part:
 
 def _names(R: FiniteRing, idxs) -> tuple[str, ...]:
     return tuple(R.element_name(i) for i in idxs)
-
-
-def _rad_or_unit(I: Ideal) -> Ideal:
-    """Radical, extended with the unit ideal as its own radical."""
-    if not I.is_proper:
-        return I.ring.unit_ideal()
-    return radical(I)
 
 
 # Sweeps read one verdict per proper ideal, by lattice position, from the
@@ -476,7 +468,7 @@ def _t_sqrt(entry: CatalogEntry, part: _Part) -> None:
         one_abs, primary = _one_abs(d), _primary(d)
         for p, I in enumerate(R.proper_ideals()):
             rad = radical(I)
-            swap = _rad_or_unit(d(I)).mask == d(rad).mask
+            swap = radical(d(I)).mask == d(rad).mask
             if part.instance(swap and one_abs[p]) and not primary[R.lattice_position(rad.mask)]:
                 part.fail(I, d.label, None, "sqrt(I) not delta-primary")
 
@@ -574,7 +566,7 @@ def _t_char(entry: CatalogEntry, part: _Part) -> None:
 def _t_char_cor(entry: CatalogEntry, part: _Part) -> None:
     """The identity-expansion specialization of the characterization."""
     R = entry.ring
-    d = identity_expansion(R)
+    d = entry.expansions[0]  # the catalog puts id first on every ring
     part.instance(True)
     i, ii, iii = _char_states(R, d)
     if not (i == ii == iii):
@@ -601,7 +593,9 @@ def _t_spec(entry: CatalogEntry, part: _Part) -> None:
 
 
 # ----------------------------------------------------------------------
-# transfer along homomorphisms and constructions
+# transfer along homomorphisms and constructions: both sides of an instance
+# are read from the verdict vectors, at the lattice positions given by the
+# construction's ideal correspondence (``constructions._correspondence``)
 
 
 @_sweep("T-HOM")
@@ -613,25 +607,19 @@ def _t_hom(entry: CatalogEntry, part: _Part) -> None:
     Q = entry.ring
     f = info.projection
     parent = info.parent
+    img, pre = _correspondence(Q)
     nonunit_ok, _ = f.is_nonunit_preserving()
     for d in standard_expansions(parent):
         g = induced_quotient(Q, d)
         compatible = nonunit_ok and is_delta_gamma_hom(f, d, g)
-        for J in Q.proper_ideals():
-            hyp = compatible and is_one_absorbing_delta_primary(J, g)
-            if part.instance(hyp):
-                pre = f.preimage_ideal(J)
-                if not is_one_absorbing_delta_primary(pre, d):
-                    part.fail(pre, d.label, None, f"preimage of {J.label} fails")
-        ker_mask = f.kernel().mask
-        for I in parent.proper_ideals():
-            if ker_mask & ~I.mask:
-                continue
-            if part.instance(compatible):
-                up = is_one_absorbing_delta_primary(I, d)
-                down = is_one_absorbing_delta_primary(f.image_ideal(I), g)
-                if up != down:
-                    part.fail(I, d.label, None, f"source={up} image={down}")
+        d_abs, g_abs = _one_abs(d), _one_abs(g)
+        for q, J in enumerate(Q.proper_ideals()):
+            if part.instance(compatible and g_abs[q]) and not d_abs[pre[q]]:
+                part.fail(parent.ideals()[pre[q]], d.label, None, f"preimage of {J.label} fails")
+        for p, I in enumerate(parent.proper_ideals()):
+            # I contains the kernel exactly when it is the preimage of its image
+            if pre[img[p]] == p and part.instance(compatible) and d_abs[p] != g_abs[img[p]]:
+                part.fail(I, d.label, None, f"source={d_abs[p]} image={g_abs[img[p]]}")
 
 
 @_sweep("T-QUOT")
@@ -640,24 +628,21 @@ def _t_quot(entry: CatalogEntry, part: _Part) -> None:
     R = entry.ring
     if R.construction is not None:
         return
-    quotients: dict[int, tuple] = {}
-    for I in R.proper_ideals():
+    proper = R.proper_ideals()
+    quotients = []
+    for I in proper:
         Q = make_quotient(R, I)
-        proj = Q.construction.projection
-        nonunit_ok, _ = proj.is_nonunit_preserving()
-        quotients[I.mask] = (Q, proj, nonunit_ok)
+        nonunit_ok, _ = Q.construction.projection.is_nonunit_preserving()
+        above = [p for p, J in enumerate(proper) if not I.mask & ~J.mask]
+        quotients.append((I, Q, nonunit_ok, above, _correspondence(Q)[0]))
     for d in entry.expansions:
-        for I in R.proper_ideals():
-            Q, proj, nonunit_ok = quotients[I.mask]
-            g = induced_quotient(Q, d)
-            for J in R.proper_ideals():
-                if I.mask & ~J.mask:
-                    continue
-                if part.instance(nonunit_ok):
-                    up = is_one_absorbing_delta_primary(J, d)
-                    down = is_one_absorbing_delta_primary(proj.image_ideal(J), g)
-                    if up != down:
-                        part.fail(J, d.label, None, f"mod {I.label}: source={up} image={down}")
+        d_abs = _one_abs(d)
+        for I, Q, nonunit_ok, above, img in quotients:
+            g_abs = _one_abs(induced_quotient(Q, d))
+            for p in above:
+                up, down = d_abs[p], g_abs[img[p]]
+                if part.instance(nonunit_ok) and up != down:
+                    part.fail(proper[p], d.label, None, f"mod {I.label}: source={up} image={down}")
 
 
 @_sweep("T-LOC")
@@ -667,22 +652,19 @@ def _t_loc(entry: CatalogEntry, part: _Part) -> None:
     if not isinstance(info, LocalizationOf):
         return
     L = entry.ring
-    proj = info.projection
     parent = info.parent
-    s_mask = 0
-    for s in info.set_members:
-        s_mask |= 1 << s
+    img, _ = _correspondence(L)
+    s_mask = sum(1 << s for s in info.set_members)
     for d in standard_expansions(parent):
         ds = induced_localization(L, d)
         compatible = localization_compatibility(L, d)
-        for I in parent.proper_ideals():
+        d_abs, ds_abs = _one_abs(d), _one_abs(ds)
+        for p, I in enumerate(parent.proper_ideals()):
             if I.mask & s_mask:
                 continue
-            hyp = compatible and is_one_absorbing_delta_primary(I, d)
-            if part.instance(hyp):
-                ext = proj.image_ideal(I)
-                if not is_one_absorbing_delta_primary(ext, ds):
-                    part.fail(I, d.label, None, f"extension {ext.label} fails")
+            if part.instance(compatible and d_abs[p]) and not ds_abs[img[p]]:
+                ext = L.ideals()[img[p]]
+                part.fail(I, d.label, None, f"extension {ext.label} fails")
 
 
 @_sweep("T-PROD")
@@ -693,25 +675,22 @@ def _t_prod(entry: CatalogEntry, part: _Part) -> None:
         return
     R = entry.ring
     R1, R2 = info.left, info.right
-    full1 = (1 << R1.order) - 1
-    full2 = (1 << R2.order) - 1
+    top1, top2 = len(R1.ideals()) - 1, len(R2.ideals()) - 1
+    comp, _ = _correspondence(R)
     for d1 in standard_expansions(R1):
         for d2 in standard_expansions(R2):
             dx = induced_product(R, d1, d2)
-            for I in R.proper_ideals():
+            one_abs, primary = _one_abs(dx), _primary(dx)
+            for p, I in enumerate(R.proper_ideals()):
                 part.instance(True)
-                m1, m2 = info.decompose_mask(I.mask)
-                s1 = is_one_absorbing_delta_primary(I, dx)
-                s2 = is_delta_primary(I, dx)
-                if m2 == full2:
-                    s3 = is_delta_primary(Ideal(R1, m1), d1)
-                elif m1 == full1:
-                    s3 = is_delta_primary(Ideal(R2, m2), d2)
+                p1, p2 = comp[p]
+                s1, s2 = one_abs[p], primary[p]
+                if p2 == top2:
+                    s3 = _primary(d1)[p1]
+                elif p1 == top1:
+                    s3 = _primary(d2)[p2]
                 else:
-                    s3 = (
-                        d1(Ideal(R1, m1)).mask == full1
-                        and d2(Ideal(R2, m2)).mask == full2
-                    )
+                    s3 = d1.table[p1] == top1 and d2.table[p2] == top2
                 if not (s1 == s2 == s3):
                     part.fail(I, dx.label, None, f"1abs={s1} primary={s2} components={s3}")
                 elif (
@@ -735,13 +714,7 @@ def _t_prod_ex(part: _Part) -> None:
 
     def sqrt_plus_two(factor: FiniteRing):
         two = span(factor, [2 % factor.order])
-
-        def rule(I: Ideal) -> Ideal:
-            if not I.is_proper:
-                return factor.unit_ideal()
-            return radical(I) + two
-
-        return from_rule(factor, rule, "rad+(2)")
+        return from_rule(factor, lambda I: radical(I) + two, "rad+(2)")
 
     d1, d2 = sqrt_plus_two(R1), sqrt_plus_two(R2)
     R = make_product(R1, R2)
@@ -768,24 +741,23 @@ def _t_triv(entry: CatalogEntry, part: _Part) -> None:
         return
     T = entry.ring
     A, E = info.base, info.module
+    base = A.ideals()
+    pairs = [  # (p, q, whether (F : c) = F for every c outside I_p)
+        (p, q, all(E.module_colon(F, c) == F for c in range(A.order) if c not in base[p]))
+        for p, q, F in _correspondence(T)[2]
+        if base[p].is_proper
+    ]
     for d in standard_expansions(A):
         dt = induced_trivial_extension(T, d)
-        for I, fmask in info.pair_ideals():
-            if not I.is_proper:
-                continue
-            J = Ideal(T, info.pair_mask(I.mask, fmask))
-            up = is_one_absorbing_delta_primary(J, dt)
-            down = is_one_absorbing_delta_primary(I, d)
-            colon_fixed = all(
-                E.module_colon(fmask, c) == fmask
-                for c in range(A.order)
-                if c not in I
-            )
+        d_abs, dt_abs = _one_abs(d), _one_abs(dt)
+        for p, q, colon_fixed in pairs:
+            up, down = dt_abs[q], d_abs[p]
             part.instance(up or colon_fixed)
             if up and not down:
-                part.fail(J, dt.label, None, f"pair ideal 1abs but {I.label} is not")
+                detail = f"pair ideal 1abs but {base[p].label} is not"
+                part.fail(T.ideals()[q], dt.label, None, detail)
             if colon_fixed and up != down:
-                part.fail(J, dt.label, None, f"(F:c)=F but pair={up} base={down}")
+                part.fail(T.ideals()[q], dt.label, None, f"(F:c)=F but pair={up} base={down}")
 
 
 @_sweep("T-TRIV-COR")
@@ -795,17 +767,14 @@ def _t_triv_cor(entry: CatalogEntry, part: _Part) -> None:
     if not isinstance(info, TrivialExtensionOf):
         return
     T = entry.ring
-    A, E = info.base, info.module
-    full = (1 << E.order) - 1
-    for d in standard_expansions(A):
+    _, up, _ = _correspondence(T)
+    for d in standard_expansions(info.base):
         dt = induced_trivial_extension(T, d)
-        for I in A.proper_ideals():
+        d_abs, dt_abs = _one_abs(d), _one_abs(dt)
+        for p, q in enumerate(up[:-1]):  # I_p x E for each proper I_p
             part.instance(True)
-            J = Ideal(T, info.pair_mask(I.mask, full))
-            up = is_one_absorbing_delta_primary(J, dt)
-            down = is_one_absorbing_delta_primary(I, d)
-            if up != down:
-                part.fail(J, dt.label, None, f"pair={up} base={down}")
+            if dt_abs[q] != d_abs[p]:
+                part.fail(T.ideals()[q], dt.label, None, f"pair={dt_abs[q]} base={d_abs[p]}")
 
 
 # ----------------------------------------------------------------------

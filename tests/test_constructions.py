@@ -12,7 +12,12 @@ import pytest
 import ringlab
 from ringlab.catalog import CatalogConfig, build_catalog
 from ringlab.constructions import (
+    LocalizationOf,
     MultiplicativeSet,
+    ProductOf,
+    QuotientOf,
+    TrivialExtensionOf,
+    _correspondence,
     localize,
     make_product,
     make_quotient,
@@ -245,3 +250,57 @@ def test_arithmetical_matches_the_localizations_on_default_catalog():
         assert R.is_arithmetical() == want, entry.provenance
         seen.append(want)
     assert len(seen) == 190 and any(seen) and not all(seen)
+
+
+def pair_mask_scan(info, left_mask, right_mask, right_order):
+    """The mask of every (a, b) with a in the left mask and b in the right."""
+    return sum(
+        1 << info.encode(a, b)
+        for a in range(left_mask.bit_length())
+        if (left_mask >> a) & 1
+        for b in range(right_order)
+        if (right_mask >> b) & 1
+    )
+
+
+@pytest.mark.parametrize("tier", ["catalog16", "catalog_enlarged"])
+def test_correspondence_matches_the_ideal_maps(request, tier):
+    """Every lattice-position map of ``_correspondence`` against the ideal
+    maps it stands for: images and preimages along the projection, the
+    factors of a product ideal, and pair envelopes and pair ideals."""
+    kinds = set()
+    for entry in request.getfixturevalue(tier):
+        R = entry.ring
+        info = R.construction
+        if info is None:
+            continue
+        kinds.add(type(info).__name__)
+        pos, lattice = R.lattice_position, R.ideals()
+        if isinstance(info, (QuotientOf, LocalizationOf)):
+            f, P = info.projection, info.parent
+            img, pre = _correspondence(R)
+            assert img == tuple(pos(f.image_ideal(I).mask) for I in P.ideals())
+            assert pre == tuple(P.lattice_position(f.preimage_ideal(J).mask) for J in lattice)
+        elif isinstance(info, ProductOf):
+            comp, inv = _correspondence(R)
+            R1, R2 = info.left, info.right
+            assert comp == tuple(
+                (R1.lattice_position(m1), R2.lattice_position(m2))
+                for m1, m2 in (info.decompose_mask(J.mask) for J in lattice)
+            )
+            assert inv == {
+                (p1, p2): pos(pair_mask_scan(info, I1.mask, I2.mask, R2.order))
+                for p1, I1 in enumerate(R1.ideals())
+                for p2, I2 in enumerate(R2.ideals())
+            }
+        else:
+            env, up, pairs = _correspondence(R)
+            A, m = info.base, info.module.order
+            full = (1 << m) - 1
+            assert env == tuple(A.lattice_position(info.pair_envelope(J.mask)[0]) for J in lattice)
+            assert up == tuple(pos(pair_mask_scan(info, I.mask, full, m)) for I in A.ideals())
+            assert pairs == tuple(
+                (A.lattice_position(I.mask), pos(pair_mask_scan(info, I.mask, F, m)), F)
+                for I, F in info.pair_ideals()
+            )
+    assert kinds == {"ProductOf", "QuotientOf", "LocalizationOf", "TrivialExtensionOf"}

@@ -321,6 +321,22 @@ def test_proper_ideals_drop_only_the_unit_ideal(catalog16):
         assert proper == tuple(I for I in R.ideals() if I.is_proper)
 
 
+def _count_expansions_built(monkeypatch) -> list:
+    """Record (ring, label) for every ExpansionFunction constructed."""
+    built = []
+    original = ExpansionFunction.__init__
+
+    def counting(self, ring, table, label):
+        built.append((ring.label, label))
+        original(self, ring, table, label)
+
+    monkeypatch.setattr(ExpansionFunction, "__init__", counting)
+    identity_expansion(make_zn(2))
+    assert built == [("Z2", "id")]
+    built.clear()
+    return built
+
+
 def test_transfer_sweeps_build_no_expansions(catalog8, monkeypatch):
     """The transfer sweeps reuse the induced expansions the catalog built.
 
@@ -329,19 +345,50 @@ def test_transfer_sweeps_build_no_expansions(catalog8, monkeypatch):
     the zero ideal, which the catalog leaves out, so only its first run
     builds.
     """
-    built = []
-    original = expansions.from_rule
-
-    def counting(R, rule, label):
-        built.append((R.label, label))
-        return original(R, rule, label)
-
-    monkeypatch.setattr(expansions, "from_rule", counting)
+    built = _count_expansions_built(monkeypatch)
     verify("T-QUOT", catalog8)
     built.clear()
     for tid in ("T-HOM", "T-QUOT", "T-LOC", "T-PROD", "T-TRIV", "T-TRIV-COR"):
         verify(tid, catalog8)
     assert built == []
+
+
+def test_transfer_sweeps_build_no_ideals(catalog16, monkeypatch):
+    """Warm transfer sweeps read positions only: no ideal is built, mapped
+    along a projection, split into factors or paired with a submodule."""
+    from ringlab.constructions import ProductOf, TrivialExtensionOf
+    from ringlab.rings import RingHom
+
+    sweeps = ("T-HOM", "T-QUOT", "T-LOC", "T-PROD", "T-TRIV", "T-TRIV-COR")
+    for tid in sweeps:
+        verify(tid, catalog16)
+    calls = []
+    for cls, name in ((Ideal, "__init__"), (RingHom, "image_ideal"), (RingHom, "preimage_ideal"),
+                      (ProductOf, "decompose_mask"), (ProductOf, "pair_mask"),
+                      (TrivialExtensionOf, "pair_mask")):
+        original = getattr(cls, name)
+
+        def counting(*args, _original=original, _name=f"{cls.__name__}.{name}"):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(cls, name, counting)
+    Ideal(catalog16.entries[0].ring, 1)
+    assert calls == ["Ideal.__init__"]
+    calls.clear()
+    for tid in sweeps:
+        verify(tid, catalog16)
+    assert calls == []
+
+
+def test_char_cor_builds_no_expansion(catalog8, monkeypatch):
+    """T-CHAR-COR takes each entry's own id expansion."""
+    verify("T-CHAR-COR", catalog8)
+    built = _count_expansions_built(monkeypatch)
+    report = verify("T-CHAR-COR", catalog8)
+    assert built == []
+    assert report.instances_checked == len(catalog8)
+    assert all(e.expansions[0].label == "id" for e in catalog8)
 
 
 def test_induced_expansions_are_built_once_per_label(z4):
@@ -442,3 +489,51 @@ def test_induced_tables_match_their_rules(request, tier, count):
             assert got.table == want.table, (entry.provenance, got.label)
             seen += 1
     assert seen == count
+
+
+def delta_gamma_hom_scan(f, delta, gamma):
+    """The definitional check: compare delta(f^-1(J)) with f^-1(gamma(J)) as ideals."""
+    for J in f.codomain.ideals():
+        if delta(f.preimage_ideal(J)).mask != f.preimage_ideal(gamma(J)).mask:
+            return False, J
+    return True, None
+
+
+def localization_compatibility_scan(L, delta):
+    """The definitional check, by images of ideals along the projection."""
+    info = L.construction
+    f, ds = info.projection, induced_localization(L, delta)
+    return all(
+        ds(f.image_ideal(I)).mask == f.image_ideal(delta(I)).mask
+        for I in info.parent.ideals()
+        if not any(s in I for s in info.set_members)
+    )
+
+
+@pytest.mark.parametrize("tier", ["catalog16", "catalog_enlarged"])
+def test_compatibility_checks_match_their_scans(request, tier):
+    """The position comparisons of ``delta_gamma_hom_check`` and
+    ``localization_compatibility`` agree with the ideal-by-ideal scans, both
+    verdicts occurring, along every quotient and localization of the tier."""
+    outcomes = set()
+    for entry in request.getfixturevalue(tier):
+        R, info = entry.ring, entry.ring.construction
+        if isinstance(info, QuotientOf):
+            for d in standard_expansions(info.parent):
+                for g in (induced_quotient(R, d), *standard_expansions(R)):
+                    got = delta_gamma_hom_check(info.projection, d, g)
+                    assert got == delta_gamma_hom_scan(info.projection, d, g)
+                    outcomes.add(("hom", got[0]))
+        elif isinstance(info, LocalizationOf):
+            for d in standard_expansions(info.parent):
+                got = localization_compatibility(R, d)
+                assert got == localization_compatibility_scan(R, d)
+                outcomes.add(("loc", got))
+    # the stock families are all compatible; lifting (4) to (2) on Z12 is not
+    # at 3, where (0) and (4) have the same extension
+    z12 = make_zn(12)
+    L = localize(z12, MultiplicativeSet.from_generators(z12, [3])).ring
+    four, two = span(z12, [4]), span(z12, [2])
+    jump = from_rule(z12, lambda I: two if I.mask == four.mask else I, "jump")
+    assert localization_compatibility(L, jump) is localization_compatibility_scan(L, jump) is False
+    assert outcomes == {("hom", True), ("hom", False), ("loc", True)}

@@ -148,9 +148,17 @@ def test_sweep_runs_in_the_calling_thread(catalog8, monkeypatch):
     assert seen == {threading.get_ident()}
 
 
+def _all_delta_primary(d):
+    """A corrupted delta-primary verdict vector: every proper ideal passes."""
+    return (True,) * len(d.ring.proper_ideals())
+
+
 def test_mutation_is_caught(catalog8, monkeypatch):
-    """Corrupting a predicate must flip T-PROD to refuted with witnesses."""
-    monkeypatch.setattr(verifier, "is_delta_primary", lambda I, d: True)
+    """Corrupting a predicate must flip T-PROD to refuted with witnesses.
+
+    T-PROD reads delta-primary verdicts, on the product and on each factor,
+    through the verifier's vector accessor, so that is what gets corrupted."""
+    monkeypatch.setattr(verifier, "_primary", _all_delta_primary)
     r = verify("T-PROD", catalog8)
     assert r.status == "refuted"
     assert r.conclusion_failures
@@ -161,10 +169,36 @@ def test_mutation_is_caught(catalog8, monkeypatch):
 
 def test_failure_cap(catalog8, monkeypatch):
     monkeypatch.setattr(verifier, "FAILURE_CAP", 3)
-    monkeypatch.setattr(verifier, "is_delta_primary", lambda I, d: True)
+    monkeypatch.setattr(verifier, "_primary", _all_delta_primary)
     r = verify("T-PROD", catalog8)
     assert len(r.conclusion_failures) == 3
     assert any("truncated" in n for n in r.notes)
+
+
+def test_transfer_sweeps_catch_corrupted_verdicts(catalog16, monkeypatch):
+    """Flipping every 1-absorbing verdict on the constructed rings refutes
+    each transfer sweep through each of its conclusions, so each one reads
+    the vectors at the positions the correspondence gives."""
+    one_abs = verifier._one_abs
+
+    def flipped(d):
+        got = one_abs(d)
+        return tuple(not v for v in got) if d.ring.construction is not None else got
+
+    monkeypatch.setattr(verifier, "_one_abs", flipped)
+    monkeypatch.setattr(verifier, "FAILURE_CAP", 10**6)
+    conclusions = {
+        "T-HOM": ("preimage of", "source="),
+        "T-QUOT": ("mod ",),
+        "T-LOC": ("extension ",),
+        "T-PROD": ("1abs=",),
+        "T-TRIV": ("pair ideal 1abs but", "(F:c)=F but"),
+        "T-TRIV-COR": ("pair=",),
+    }
+    for tid, starts in conclusions.items():
+        details = [w.detail for w in verify(tid, catalog16).conclusion_failures]
+        for start in starts:
+            assert any(d.startswith(start) for d in details), (tid, start)
 
 
 def test_witness_to_dict():
