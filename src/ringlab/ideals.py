@@ -257,33 +257,12 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
 
 
 def ideal_product(I: Ideal, J: Ideal) -> Ideal:
-    """The ideal generated by pairwise products, via additive closure."""
+    """The ideal spanned by the products g*h of generators g of I and h of J."""
     if J.ring is not I.ring:
         raise RingMismatchError("ideals belong to different rings")
     R = I.ring
-    mul, add = R.mul_table, R.add_table
-    amembers = I.members_sorted
-    prods = 0
-    for a in amembers:
-        row = mul[a]
-        for b in range(R.order):
-            if (J.mask >> b) & 1:
-                prods |= 1 << row[b]
-    mask = 1 << R.zero
-    members = [R.zero]
-    stack = [v for v in range(R.order) if (prods >> v) & 1]
-    while stack:
-        e = stack.pop()
-        if (mask >> e) & 1:
-            continue
-        mask |= 1 << e
-        arow = add[e]
-        for m in members:
-            v = arow[m]
-            if not (mask >> v) & 1:
-                stack.append(v)
-        members.append(e)
-    return Ideal(R, mask)
+    mul = R.mul_table
+    return span(R, [mul[g][h] for g in generator_list(I) for h in generator_list(J)])
 
 
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
@@ -323,6 +302,15 @@ def radical(I: Ideal) -> Ideal:
         if not I.mask & ~M.mask:
             mask &= M.mask
     return Ideal(R, mask)
+
+
+def _radical_positions(R: FiniteRing) -> tuple[int, ...]:
+    """For each lattice position, the position of its radical, built once."""
+    val = R.cache.get("radical_positions")
+    if val is None:
+        pos = R.lattice_position
+        val = R.cache["radical_positions"] = tuple(pos(radical(I).mask) for I in R.ideals())
+    return val
 
 
 def scale(x: Union[int, Element], I: Ideal) -> Ideal:

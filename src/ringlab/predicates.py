@@ -87,10 +87,11 @@ def _one_absorbing(R: FiniteRing, im: int, dm: int) -> TripleResult:
     raise InvariantError("fast path and witness scan disagree")
 
 
-# The 2-absorbing kernel scans only nonunit pairs (a, b). If a is a unit,
-# then a*b*c in I gives b*c in I, which lies in dm; a unit b is the same
-# case. So a pair with a unit has an empty ``bad`` mask, and skipping it
-# leaves the first witness in (a, b) order unchanged. The c side needs no
+# The 2-absorbing kernel scans only nonunit pairs (a, b) with a <= b. If a
+# is a unit, then a*b*c in I gives b*c in I, which lies in dm; a unit b is
+# the same case, so a pair with a unit has an empty ``bad`` mask. The test is
+# symmetric in a and b, so the first failing pair in (a, b) order has a <= b
+# and the half scan meets it first, with the same c. The c side needs no
 # cut: when a*b is outside I, no unit c puts a*b*c in I.
 
 
@@ -100,10 +101,10 @@ def _two_absorbing(R: FiniteRing, im: int, dm: int) -> TripleResult:
     cd = R.colon_masks(dm)
     mul = R.mul_table
     nus = R.nonunit_list
-    for a in nus:
+    for i, a in enumerate(nus):
         row = mul[a]
         nota = ~cd[a]
-        for b in nus:
+        for b in nus[i:]:
             ab = row[b]
             if (im >> ab) & 1:
                 continue

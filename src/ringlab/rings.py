@@ -69,8 +69,8 @@ class FiniteRing:
             self.element_names = names
         else:
             self.element_names = tuple(str(i) for i in range(n))
-        self._validate()
         self.cache: dict = {}
+        self._validate()
 
     # ------------------------------------------------------------------
     # validation
@@ -97,11 +97,11 @@ class FiniteRing:
             if zero not in add[a]:
                 raise TableError(f"element {a} has no additive inverse")
         if n <= 256:
-            # translate() composes whole rows at C speed; tables are padded
-            # to the 256 bytes translate requires, rows keep length n
+            # translate() composes rows at C speed (colon_masks reuses mul's
+            # byte rows); tables are padded to the 256 bytes it needs
             pad = bytes(256 - n)
             addb = [bytes(row) for row in add]
-            mulb = [bytes(row) for row in mul]
+            mulb = self.cache["mul_bytes"] = [bytes(row) for row in mul]
             addt = [row + pad for row in addb]
             mult = [row + pad for row in mulb]
             for a in range(n):
@@ -345,16 +345,19 @@ class FiniteRing:
     # bitmask helpers shared by the predicate kernels
 
     def colon_masks(self, imask: int) -> tuple[int, ...]:
-        """For each d, the bitmask of {x : d*x lands in the ideal mask}."""
+        """For each d, the bitmask of {x : d*x lands in the ideal mask}.
+
+        Up to order 256, row d of mul, kept as bytes, is translated through a
+        table mapping v to "1" for v in the ideal and to "0" otherwise, and is
+        read reversed as binary. A bytes row holds no index above 255."""
         table = self.cache.setdefault("colon", {})
         val = table.get(imask)
         if val is None:
-            n = self.order
-            mul = self.mul_table
-            val = tuple(
-                sum(1 << x for x in range(n) if (imask >> row[x]) & 1)
-                for row in mul
-            )
+            if self.order <= 256:
+                tab = format(imask, "0256b")[::-1].encode()
+                val = tuple(int(row.translate(tab)[::-1], 2) for row in self.cache["mul_bytes"])
+            else:
+                val = _colon_rows(self.mul_table, imask)
             table[imask] = val
         return val
 
@@ -375,6 +378,13 @@ class FiniteRing:
 
     def __repr__(self) -> str:
         return f"FiniteRing({self.label!r}, order={self.order})"
+
+
+def _colon_rows(mul: Table, imask: int) -> tuple[int, ...]:
+    """Row d: the mask of {x : mul[d][x] in imask}, one entry at a time. The
+    path of ``FiniteRing.colon_masks`` above order 256, and its oracle."""
+    n = len(mul)
+    return tuple(sum(1 << x for x in range(n) if (imask >> row[x]) & 1) for row in mul)
 
 
 def _first_asym(table: Table) -> tuple[int, int]:

@@ -42,11 +42,11 @@ from .expansions import (
 )
 from .ideals import (
     Ideal,
+    _radical_positions,
     ideal_intersection,
     ideal_product,
     is_prime_element,
     is_principal,
-    is_radical_ideal,
     radical,
     scale,
     span,
@@ -299,11 +299,10 @@ def _t_2abs(entry: CatalogEntry, part: _Part) -> None:
 def _t_semi(entry: CatalogEntry, part: _Part) -> None:
     """With delta(I) radical, 1-absorbing delta-primary implies delta-semiprimary."""
     R = entry.ring
+    rpos = _radical_positions(R)
     for d in entry.expansions:
-        for I, one_abs in zip(R.proper_ideals(), _one_abs(d)):
-            dI = d(I)
-            rad_hyp = (not dI.is_proper) or is_radical_ideal(dI)
-            if part.instance(rad_hyp and one_abs) and not is_delta_semiprimary(I, d):
+        for I, one_abs, q in zip(R.proper_ideals(), _one_abs(d), d.table):
+            if part.instance(rpos[q] == q and one_abs) and not is_delta_semiprimary(I, d):
                 part.fail(I, d.label, None, "not delta-semiprimary")
 
 
@@ -445,6 +444,8 @@ def _t_pmax(entry: CatalogEntry, part: _Part) -> None:
     if not is_principal(M):
         return
     m2_mask = ideal_product(M, M).mask
+    masks = [I.mask for I in R.ideals()]
+    rpos = _radical_positions(R)
     for d in entry.expansions:
         one_abs, primary = _one_abs(d), _primary(d)
         for p, I in enumerate(R.proper_ideals()):
@@ -452,7 +453,7 @@ def _t_pmax(entry: CatalogEntry, part: _Part) -> None:
             alt = primary[p] or (m2_mask & ~I.mask) == 0
             if one_abs[p] != alt:
                 part.fail(I, d.label, None, f"1abs={one_abs[p]} primary-or-M^2={alt}")
-            elif radical(I).mask & ~d(I).mask == 0 and one_abs[p] != primary[p]:
+            elif masks[rpos[p]] & ~masks[d.table[p]] == 0 and one_abs[p] != primary[p]:
                 _fail_equiv(part, I, d, one_abs[p], primary[p], "sqrt(I) inside delta(I)")
 
 
@@ -464,12 +465,12 @@ def _t_pmax(entry: CatalogEntry, part: _Part) -> None:
 def _t_sqrt(entry: CatalogEntry, part: _Part) -> None:
     """If sqrt(delta(I)) = delta(sqrt(I)), the radical of a 1abs ideal is delta-primary."""
     R = entry.ring
+    rpos = _radical_positions(R)
     for d in entry.expansions:
         one_abs, primary = _one_abs(d), _primary(d)
         for p, I in enumerate(R.proper_ideals()):
-            rad = radical(I)
-            swap = radical(d(I)).mask == d(rad).mask
-            if part.instance(swap and one_abs[p]) and not primary[R.lattice_position(rad.mask)]:
+            swap = rpos[d.table[p]] == d.table[rpos[p]]
+            if part.instance(swap and one_abs[p]) and not primary[rpos[p]]:
                 part.fail(I, d.label, None, "sqrt(I) not delta-primary")
 
 

@@ -11,7 +11,7 @@ import ringlab.verifier as verifier
 from ringlab.cli import main
 from ringlab.ideals import span
 from ringlab.specparse import parse_ring
-from ringlab.verifier import THEOREM_IDS, TheoremReport, Witness
+from ringlab.verifier import THEOREM_IDS, TheoremReport, Witness, verify
 
 
 def run(capsys, *argv):
@@ -134,18 +134,27 @@ def test_check_bad_env_var(capsys, monkeypatch):
     assert "RINGLAB_MAX_ORDER" in err
 
 
-def test_check_jobs_does_not_change_output(capsys):
-    _, out1, _ = run(capsys, "check", "--theorem", "T-PROD", "--max-order", "8", "--jobs", "1", "--json")
-    _, out4, _ = run(capsys, "check", "--theorem", "T-PROD", "--max-order", "8", "--jobs", "4", "--json")
-
-    def strip(line):
-        d = json.loads(line)
-        d.pop("elapsed", None)
-        return d
-
-    assert [strip(l) for l in out1.strip().splitlines()] == [
-        strip(l) for l in out4.strip().splitlines()
-    ]
+def test_jobs_is_accepted_and_changes_nothing(capsys, catalog8):
+    """``verify(..., jobs=4)`` and ``check --jobs 4`` run the one serial sweep:
+    both are accepted and give the output of ``jobs=1``."""
+    reports = {}
+    for tid in ("T-CHAIN", "T-PROD", "T-TRIV"):
+        serial, parallel = (verify(tid, catalog8, jobs=jobs).to_dict() for jobs in (1, 4))
+        serial.pop("elapsed")
+        parallel.pop("elapsed")
+        assert parallel == serial, tid
+        reports[tid] = serial
+    outs = []
+    for jobs in ("1", "4"):
+        code, out, _ = run(capsys, "check", "--theorem", "T-PROD", "--max-order", "8",
+                           "--jobs", jobs, "--json")
+        assert code == 0
+        lines = [json.loads(line) for line in out.strip().splitlines()]
+        for d in lines:
+            d.pop("elapsed", None)
+        outs.append(lines)
+    assert outs[0] == outs[1]
+    assert outs[0][0] == reports["T-PROD"]
 
 
 def test_members_print_in_index_order(capsys):

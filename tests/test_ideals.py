@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ringlab.errors import ProperIdealError, RingMismatchError
 from ringlab.ideals import (
+    _radical_positions,
     all_ideals,
     colon,
     generator_list,
@@ -329,13 +330,58 @@ def radical_scan(I):
 @pytest.mark.parametrize("tier, count", [("catalog16", 995), ("catalog_enlarged", 1680)])
 def test_radical_matches_the_power_scan(request, tier, count):
     """The meet of the maximal ideals above I is the power-scan radical,
-    and an ideal, at every lattice ideal of both tiers."""
+    and an ideal, at every lattice ideal of both tiers; so is the ideal at
+    I's entry of ``_radical_positions``."""
     seen = 0
     for entry in request.getfixturevalue(tier):
         R = entry.ring
-        for I in R.ideals():
+        lattice = R.ideals()
+        rpos = _radical_positions(R)
+        for I, q in zip(lattice, rpos):
             got = radical(I).mask
             assert got == radical_scan(I), (entry.provenance, I.label)
             assert is_ideal_mask(R, got)
+            assert lattice[q].mask == got, (entry.provenance, I.label)
             seen += 1
     assert seen == count
+
+
+def closure_product(I, J):
+    """The products a*b of members, closed under addition: the definitional
+    product ideal, the oracle for ``ideal_product``."""
+    R = I.ring
+    mul, add = R.mul_table, R.add_table
+    prods = 0
+    for a in I.members_sorted:
+        row = mul[a]
+        for b in J.members_sorted:
+            prods |= 1 << row[b]
+    mask = 1 << R.zero
+    members = [R.zero]
+    stack = [v for v in range(R.order) if (prods >> v) & 1]
+    while stack:
+        e = stack.pop()
+        if (mask >> e) & 1:
+            continue
+        mask |= 1 << e
+        arow = add[e]
+        for m in members:
+            v = arow[m]
+            if not (mask >> v) & 1:
+                stack.append(v)
+        members.append(e)
+    return mask
+
+
+def test_product_matches_the_closure(catalog16):
+    """The span of generator products is the closure of all member products
+    at every pair of lattice ideals of the default catalog."""
+    pairs = 0
+    for entry in catalog16:
+        lattice = entry.ring.ideals()
+        for I in lattice:
+            for J in lattice:
+                assert ideal_product(I, J).mask == closure_product(I, J), (
+                    entry.provenance, I.label, J.label)
+                pairs += 1
+    assert pairs == 7583

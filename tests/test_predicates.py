@@ -246,7 +246,8 @@ def _relabelled(R, sigma):
 def test_verdicts_survive_relabelling(data):
     """Renaming the elements of a catalog ring of order at most 16 keeps its
     lattice size, and every verdict vector under id, rad and full agrees
-    once each ideal is carried to its image."""
+    once each ideal is carried to its image. On the renamed ring the
+    absorbing kernels equal their scans, values and witnesses."""
     small = [e.ring for e in build_catalog(CatalogConfig()) if e.ring.order <= 16]
     R = data.draw(st.sampled_from(small))
     sigma = data.draw(st.permutations(range(R.order)))
@@ -262,6 +263,15 @@ def test_verdicts_survive_relabelling(data):
             theirs = _verdicts(name, S, e)
             assert _verdicts(name, R, d) == tuple(theirs[q] for q in image), (
                 R.label, family.__name__, name)
+        for I in S.proper_ideals():
+            assert two_absorbing_delta_primary_check(I, e) == two_absorbing_delta_primary_scan(
+                I, e), (R.label, sigma, family.__name__, I.label)
+            assert one_absorbing_delta_primary_check(I, e) == one_absorbing_delta_primary_scan(
+                I, e), (R.label, sigma, family.__name__, I.label)
+    ident = identity_expansion(S)
+    for I in S.proper_ideals():
+        assert two_absorbing_check(I) == two_absorbing_delta_primary_scan(I, ident), (
+            R.label, sigma, I.label)
 
 
 def test_memo_is_shared_by_expansions_that_agree_at_the_ideal():

@@ -13,6 +13,7 @@ import ringlab
 from ringlab.errors import InvariantError, TableError
 from ringlab.rings import (
     FiniteRing,
+    _colon_rows,
     _first_asym,
     _first_diff,
     format_poly,
@@ -171,6 +172,20 @@ def test_nonunit_product_mask(z8):
     mask = z8.nonunit_product_mask
     members = {i for i in range(8) if mask >> i & 1}
     assert members == {0, 4}
+
+
+@pytest.mark.parametrize("tier, count", [("catalog16", 995), ("catalog_enlarged", 1680)])
+def test_colon_masks_match_the_row_scan(request, tier, count):
+    """The translated byte rows of ``colon_masks`` equal the entry-by-entry
+    oracle ``_colon_rows`` at every lattice ideal of both tiers."""
+    seen = 0
+    for entry in request.getfixturevalue(tier):
+        R = entry.ring
+        for I in R.ideals():
+            assert R.colon_masks(I.mask) == _colon_rows(R.mul_table, I.mask), (
+                entry.provenance, I.label)
+            seen += 1
+    assert seen == count
 
 
 @settings(max_examples=30, deadline=None)

@@ -11,7 +11,7 @@ import pytest
 import ringlab.verifier as verifier
 from ringlab.catalog import CatalogConfig, build_catalog
 from ringlab.errors import UnknownTheoremError
-from ringlab.ideals import colon
+from ringlab.ideals import Ideal, colon
 from ringlab.verifier import (
     THEOREM_IDS,
     TheoremReport,
@@ -79,11 +79,27 @@ def test_determinism(catalog8):
     assert a == b
 
 
-def test_jobs_independence(catalog8):
-    for tid in ("T-CHAIN", "T-PROD", "T-TRIV"):
-        serial = strip_elapsed(verify(tid, catalog8, jobs=1))
-        threaded = strip_elapsed(verify(tid, catalog8, jobs=4))
-        assert serial == threaded
+def test_radical_sweeps_build_no_ideals(catalog16, monkeypatch):
+    """Warm T-SQRT and T-SEMI read radicals as lattice positions and build
+    no ideal; warm T-PMAX builds only M^2, at most one ideal per ring."""
+    for tid in ("T-SQRT", "T-SEMI", "T-PMAX"):
+        verify(tid, catalog16)
+    built = []
+    original = Ideal.__init__
+
+    def counting(self, ring, mask):
+        built.append(id(ring))
+        original(self, ring, mask)
+
+    monkeypatch.setattr(Ideal, "__init__", counting)
+    Ideal(catalog16.entries[0].ring, 1)
+    assert len(built) == 1
+    built.clear()
+    for tid in ("T-SQRT", "T-SEMI"):
+        verify(tid, catalog16)
+        assert built == [], tid
+    verify("T-PMAX", catalog16)
+    assert built and len(set(built)) == len(built)
 
 
 ROOT = Path(__file__).resolve().parents[1]
