@@ -134,16 +134,9 @@ def test_check_bad_env_var(capsys, monkeypatch):
     assert "RINGLAB_MAX_ORDER" in err
 
 
-def test_jobs_is_accepted_and_changes_nothing(capsys, catalog8):
-    """``verify(..., jobs=4)`` and ``check --jobs 4`` run the one serial sweep:
-    both are accepted and give the output of ``jobs=1``."""
-    reports = {}
-    for tid in ("T-CHAIN", "T-PROD", "T-TRIV"):
-        serial, parallel = (verify(tid, catalog8, jobs=jobs).to_dict() for jobs in (1, 4))
-        serial.pop("elapsed")
-        parallel.pop("elapsed")
-        assert parallel == serial, tid
-        reports[tid] = serial
+def test_check_jobs_does_not_change_output(capsys, catalog8):
+    """``check --jobs 4`` runs the one serial sweep: it is accepted and gives
+    the output of ``--jobs 1``, which is the library's report."""
     outs = []
     for jobs in ("1", "4"):
         code, out, _ = run(capsys, "check", "--theorem", "T-PROD", "--max-order", "8",
@@ -154,7 +147,9 @@ def test_jobs_is_accepted_and_changes_nothing(capsys, catalog8):
             d.pop("elapsed", None)
         outs.append(lines)
     assert outs[0] == outs[1]
-    assert outs[0][0] == reports["T-PROD"]
+    report = verify("T-PROD", catalog8).to_dict()
+    report.pop("elapsed")
+    assert outs[0][0] == report
 
 
 def test_members_print_in_index_order(capsys):

@@ -79,6 +79,14 @@ def test_determinism(catalog8):
     assert a == b
 
 
+def test_jobs_independence(catalog8):
+    """``jobs=`` is accepted and changes no report."""
+    for tid in ("T-CHAIN", "T-PROD", "T-TRIV"):
+        serial = strip_elapsed(verify(tid, catalog8, jobs=1))
+        threaded = strip_elapsed(verify(tid, catalog8, jobs=4))
+        assert serial == threaded
+
+
 def test_radical_sweeps_build_no_ideals(catalog16, monkeypatch):
     """Warm T-SQRT and T-SEMI read radicals as lattice positions and build
     no ideal; warm T-PMAX builds only M^2, at most one ideal per ring."""
