@@ -53,25 +53,20 @@ class ProductOf:
         return m1, m2
 
 
+def _pair_rows(t1: Sequence[Sequence[int]], t2: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The componentwise table on row-major pairs, one row per comprehension:
+    entry ((a, b), (c, d)) is t1[a][c] * len(t2) + t2[b][d]."""
+    n2 = len(t2)
+    shifted = [[k * n2 for k in row1] for row1 in t1]
+    return [[k + v for k in row1 for v in row2] for row1 in shifted for row2 in t2]
+
+
 def make_product(R1: FiniteRing, R2: FiniteRing) -> FiniteRing:
     """The componentwise product ring R1 x R2."""
     info = ProductOf(R1, R2)
     n1, n2 = R1.order, R2.order
-    n = n1 * n2
-    add = [[0] * n for _ in range(n)]
-    mul = [[0] * n for _ in range(n)]
-    for a1 in range(n1):
-        for b1 in range(n2):
-            i = a1 * n2 + b1
-            arow1, mrow1 = R1.add_table[a1], R1.mul_table[a1]
-            arow2, mrow2 = R2.add_table[b1], R2.mul_table[b1]
-            for a2 in range(n1):
-                base_a = arow1[a2] * n2
-                base_m = mrow1[a2] * n2
-                for b2 in range(n2):
-                    j = a2 * n2 + b2
-                    add[i][j] = base_a + arow2[b2]
-                    mul[i][j] = base_m + mrow2[b2]
+    add = _pair_rows(R1.add_table, R2.add_table)
+    mul = _pair_rows(R1.mul_table, R2.mul_table)
     names = tuple(
         f"({R1.element_name(a)},{R2.element_name(b)})"
         for a in range(n1)
@@ -427,22 +422,17 @@ def make_trivial_extension(A: FiniteRing, E: FiniteModule) -> FiniteRing:
         raise RingMismatchError("module lives over a different ring")
     info = TrivialExtensionOf(A, E)
     n, m = A.order, E.order
-    order = n * m
-    add = [[0] * order for _ in range(order)]
-    mul = [[0] * order for _ in range(order)]
-    for a in range(n):
-        for e in range(m):
-            i = a * m + e
-            arowA, mrowA = A.add_table[a], A.mul_table[a]
-            act_a = E.action[a]
-            for b in range(n):
-                act_b = E.action[b]
-                base_a = arowA[b] * m
-                base_m = mrowA[b] * m
-                for f_ in range(m):
-                    j = b * m + f_
-                    add[i][j] = base_a + E.add_table[e][f_]
-                    mul[i][j] = base_m + E.add_table[act_a[f_]][act_b[e]]
+    add = _pair_rows(A.add_table, E.add_table)
+    # row (a, e) of mul: entry (b, f) is ab*m + (af + be), where plus[a][w]
+    # is af + w over f, and col[e][b] = be
+    shifted = [[k * m for k in row] for row in A.mul_table]
+    plus = [[tuple(E.add_table[x][w] for x in act) for w in range(m)] for act in E.action]
+    col = list(zip(*E.action))
+    mul = [
+        [s + x for s, w in zip(shifted[a], col[e]) for x in plus[a][w]]
+        for a in range(n)
+        for e in range(m)
+    ]
     names = tuple(
         f"({A.element_name(a)}|{E.element_name(e)})" for a in range(n) for e in range(m)
     )

@@ -25,7 +25,7 @@ from .constructions import (
     _correspondence,
     _preimage_positions,
 )
-from .errors import ExpansionAxiomError, RingMismatchError
+from .errors import ExpansionAxiomError, InvariantError, RingMismatchError
 from .ideals import Ideal, _principal_masks, _sum_masks, generator_list, radical
 from .rings import FiniteRing, RingHom
 
@@ -46,11 +46,24 @@ class ExpansionFunction:
             raise ExpansionAxiomError(
                 f"table length {len(self.table)} does not match lattice size {len(lattice)}"
             )
+        masks, covers = _lattice_covers(ring)
         for p, q in enumerate(self.table):
-            if lattice[p].mask & ~lattice[q].mask:
+            if not (isinstance(q, int) and 0 <= q < len(lattice)):
+                raise ExpansionAxiomError(
+                    f"image {q!r} at {lattice[p].label} is not a lattice position"
+                )
+            if masks[p] & ~masks[q]:
                 raise ExpansionAxiomError(
                     f"not extensive at {lattice[p].label}: image {lattice[q].label}"
                 )
+        image = [masks[q] for q in self.table]
+        if any(image[p] & ~image[q] for p, q in covers):
+            self._first_non_monotone_pair()
+
+    def _first_non_monotone_pair(self) -> None:
+        """The pair scan over all p, q with I_p inside I_q: raises on the first
+        pair, in lattice order, whose images are not nested."""
+        lattice = self.ring.ideals()
         for p in range(len(lattice)):
             pm = lattice[p].mask
             dp = lattice[self.table[p]].mask
@@ -60,12 +73,13 @@ class ExpansionFunction:
                         raise ExpansionAxiomError(
                             f"not monotone at pair ({lattice[p].label}, {lattice[q].label})"
                         )
-        self._image = {I.mask: lattice[q] for I, q in zip(lattice, self.table)}
+        raise InvariantError("a cover pair failed where the pair scan passed")
 
     def __call__(self, I: Ideal) -> Ideal:
         if I.ring is not self.ring:
             raise RingMismatchError("ideal belongs to a different ring")
-        return self._image[I.mask]
+        R = self.ring
+        return R.ideals()[self.table[R.lattice_position(I.mask)]]
 
     @property
     def key(self) -> tuple:
@@ -83,6 +97,30 @@ class ExpansionFunction:
 
     def __repr__(self) -> str:
         return f"ExpansionFunction({self.label!r} on {self.ring.label})"
+
+
+def _lattice_covers(R: FiniteRing) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The lattice masks, and the cover pairs (p, q): I_p inside I_q with no
+    ideal strictly between. A table is monotone when it is on every cover pair,
+    since inclusion is the transitive closure of covering. Cached per ring.
+
+    In canonical order a proper subset sits at a lower position, so the
+    subsets of I_q are scanned largest first. Each ideal strictly between
+    I_p and I_q lies in a cover of I_q found before I_p, so I_p covers
+    under I_q exactly when no cover found so far contains it."""
+    got = R.cache.get("covers")
+    if got is None:
+        masks = tuple(I.mask for I in R.ideals())
+        pairs = []
+        for q, mq in enumerate(masks):
+            found: list[int] = []
+            for p in range(q - 1, -1, -1):
+                mp = masks[p]
+                if not mp & ~mq and all(mp & ~c for c in found):
+                    found.append(mp)
+                    pairs.append((p, q))
+        got = R.cache["covers"] = (masks, tuple(pairs))
+    return got
 
 
 def from_rule(R: FiniteRing, rule: Callable[[Ideal], Ideal], label: str) -> ExpansionFunction:

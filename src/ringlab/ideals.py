@@ -313,6 +313,16 @@ def _radical_positions(R: FiniteRing) -> tuple[int, ...]:
     return val
 
 
+def _jacobson_square(R: FiniteRing) -> int:
+    """The mask of Jac(R)^2, built once per ring. On a local ring Jac(R) is
+    the maximal ideal M, so this is also M^2."""
+    val = R.cache.get("jacobson_square")
+    if val is None:
+        jac = R.jacobson_radical()
+        val = R.cache["jacobson_square"] = ideal_product(jac, jac).mask
+    return val
+
+
 def scale(x: Union[int, Element], I: Ideal) -> Ideal:
     """The ideal x*I = {x*i : i in I}."""
     R = I.ring

@@ -24,10 +24,24 @@ def _normalize_table(table: Sequence[Sequence[int]], n: int, what: str) -> Table
     for i, row in enumerate(rows):
         if len(row) != n:
             raise TableError(f"{what} table row {i} has length {len(row)}, expected {n}")
-        for j, v in enumerate(row):
-            if not (0 <= v < n):
-                raise TableError(f"{what} table entry [{i}][{j}] = {v} out of range")
+        if not _row_in_range(row, n):
+            for j, v in enumerate(row):
+                if not isinstance(v, int):
+                    raise TableError(f"{what} table entry [{i}][{j}] = {v!r} is not an integer")
+                if not 0 <= v < n:
+                    raise TableError(f"{what} table entry [{i}][{j}] = {v} out of range")
     return rows
+
+
+def _row_in_range(row: tuple, n: int) -> bool:
+    """Whether every entry is an int in range(n): one bytes() conversion, which
+    rejects non-integers and anything outside 0..255, up to order 256."""
+    if n <= 256:
+        try:
+            return max(bytes(row)) < n
+        except (TypeError, ValueError):
+            return False
+    return all(isinstance(v, int) and 0 <= v < n for v in row)
 
 
 def _find_identity(table: Table, n: int) -> Optional[int]:
@@ -41,9 +55,13 @@ def _find_identity(table: Table, n: int) -> Optional[int]:
 class FiniteRing:
     """A finite commutative ring with identity, order at least 2.
 
-    Construction validates every axiom by a full table scan (commutativity,
-    associativity of both operations, identities, additive inverses, and
-    distributivity) and reports a violating element triple on failure.
+    Construction proves every axiom. Commutativity, both identities and
+    additive inverses are read off the tables. Up to order 256, associativity
+    of both operations and distributivity are proven on an additive
+    generating set G only, by O(order * |G|) byte-row comparisons (see
+    ``_generator_proof``). A table that fails the proof, or any table above
+    order 256, gets the full scan, which reports the first violating element
+    triple.
     """
 
     def __init__(
@@ -97,26 +115,13 @@ class FiniteRing:
             if zero not in add[a]:
                 raise TableError(f"element {a} has no additive inverse")
         if n <= 256:
-            # translate() composes rows at C speed (colon_masks reuses mul's
-            # byte rows); tables are padded to the 256 bytes it needs
-            pad = bytes(256 - n)
+            # byte rows let translate() compose rows at C speed; colon_masks
+            # reuses mul's
             addb = [bytes(row) for row in add]
             mulb = self.cache["mul_bytes"] = [bytes(row) for row in mul]
-            addt = [row + pad for row in addb]
-            mult = [row + pad for row in mulb]
-            for a in range(n):
-                ra, ma = addt[a], mult[a]
-                arow, mrow = add[a], mul[a]
-                for b in range(n):
-                    if addb[arow[b]] != addb[b].translate(ra):
-                        c = _first_diff(addb[arow[b]], addb[b].translate(ra))
-                        raise TableError(f"addition is not associative, witness ({a}, {b}, {c})")
-                    if mulb[mrow[b]] != mulb[b].translate(ma):
-                        c = _first_diff(mulb[mrow[b]], mulb[b].translate(ma))
-                        raise TableError(f"multiplication is not associative, witness ({a}, {b}, {c})")
-                    if addb[b].translate(ma) != mulb[a].translate(addt[mrow[b]]):
-                        c = _first_diff(addb[b].translate(ma), mulb[a].translate(addt[mrow[b]]))
-                        raise TableError(f"multiplication does not distribute, witness ({a}, {b}, {c})")
+            if not _generator_proof(addb, mulb, zero):
+                _scan_axioms(addb, mulb)
+                raise InvariantError("the generator proof failed where the full scan passed")
         else:
             for a in range(n):
                 arow, mrow = add[a], mul[a]
@@ -385,6 +390,93 @@ def _colon_rows(mul: Table, imask: int) -> tuple[int, ...]:
     path of ``FiniteRing.colon_masks`` above order 256, and its oracle."""
     n = len(mul)
     return tuple(sum(1 << x for x in range(n) if (imask >> row[x]) & 1) for row in mul)
+
+
+def _additive_generators(addb: list[bytes], zero: int) -> list[int]:
+    """A greedy generating set: each index, ascending, not yet reached from
+    zero by the maps x -> x + g over the chosen g. Every index ends up
+    reached, so the closure under "+g", read off the table, is the ring."""
+    gens: list[int] = []
+    reached = {zero}
+    for a in range(len(addb)):
+        if a in reached:
+            continue
+        gens.append(a)
+        todo = list(reached)
+        while todo:
+            row = addb[todo.pop()]
+            for g in gens:
+                y = row[g]
+                if y not in reached:
+                    reached.add(y)
+                    todo.append(y)
+    return gens
+
+
+def _generator_proof(addb: list[bytes], mulb: list[bytes], zero: int) -> bool:
+    """Whether associativity of both operations and distributivity hold, given
+    commutative tables with identities and additive inverses.
+
+    For each g of the additive generating set G, and x over all elements, as
+    byte rows over y:
+      1. (x+g)+y = x+(g+y), Light's associativity test;
+      2. x(y+g) = xy + xg;
+      3. (xy)g = x(yg).
+    Each is an instance of its axiom, so a table that fails is not a ring.
+    Conversely, the elements c that satisfy an axiom in the place of g for all
+    x and y (the "good" ones) are closed under +, and they include G:
+      1. 0 is good; if a and b are good, (x+(a+b))+y = ((x+a)+b)+y =
+         (x+a)+(b+y) = x+(a+(b+y)) = x+((a+b)+y). The elements reached from 0
+         by "+g" are therefore all good, and they are the whole ring, so +
+         is associative and (R, +) is a group. Every element is then a
+         nonempty sum of generators: 0 = ord(g)*g.
+      2. both sides are additive in the last variable: x(y+(a+b)) =
+         x((y+a)+b) = (xy+xa)+xb = xy+x(a+b).
+      3. with distributivity, (xy)(a+b) = (xy)a+(xy)b = x(ya)+x(yb) =
+         x(y(a+b)).
+    Each step translates O(n*|G|) byte rows, where the full scan translates
+    O(n*n). The rows used as ``translate`` tables are padded to 256 bytes."""
+    pad = bytes(256 - len(addb))
+    addt = [row + pad for row in addb]
+    mult = [row + pad for row in mulb]
+    gens = _additive_generators(addb, zero)
+    for g in gens:
+        ag = addb[g]
+        if any(addb[v] != ag.translate(addt[x]) for x, v in enumerate(ag)):
+            return False
+    for g in gens:
+        ag, mg = addb[g], mulb[g]
+        if any(ag.translate(mult[x]) != row.translate(addt[mg[x]]) for x, row in enumerate(mulb)):
+            return False
+    for g in gens:
+        mg, tg = mulb[g], mult[g]
+        if any(row.translate(tg) != mg.translate(mult[x]) for x, row in enumerate(mulb)):
+            return False
+    return True
+
+
+def _scan_axioms(addb: list[bytes], mulb: list[bytes]) -> None:
+    """The full scan over all (a, b), one byte row over c each: raises on the
+    first triple that breaks associativity of + or of *, or distributivity.
+    It names the witness when ``_generator_proof`` fails, and it is the
+    proof's test oracle."""
+    n = len(addb)
+    pad = bytes(256 - n)
+    addt = [row + pad for row in addb]
+    mult = [row + pad for row in mulb]
+    for a in range(n):
+        ra, ma = addt[a], mult[a]
+        arow, mrow = addb[a], mulb[a]
+        for b in range(n):
+            if addb[arow[b]] != addb[b].translate(ra):
+                c = _first_diff(addb[arow[b]], addb[b].translate(ra))
+                raise TableError(f"addition is not associative, witness ({a}, {b}, {c})")
+            if mulb[mrow[b]] != mulb[b].translate(ma):
+                c = _first_diff(mulb[mrow[b]], mulb[b].translate(ma))
+                raise TableError(f"multiplication is not associative, witness ({a}, {b}, {c})")
+            if addb[b].translate(ma) != mulb[a].translate(addt[mrow[b]]):
+                c = _first_diff(addb[b].translate(ma), mulb[a].translate(addt[mrow[b]]))
+                raise TableError(f"multiplication does not distribute, witness ({a}, {b}, {c})")
 
 
 def _first_asym(table: Table) -> tuple[int, int]:

@@ -42,6 +42,7 @@ from .expansions import (
 )
 from .ideals import (
     Ideal,
+    _jacobson_square,
     _radical_positions,
     ideal_intersection,
     ideal_product,
@@ -384,10 +385,7 @@ def _t_m2(entry: CatalogEntry, part: _Part) -> None:
     """1-absorbing delta-primary: delta-semiprimary, or local with M^2 inside I."""
     R = entry.ring
     local = R.is_local()
-    m2_mask = None
-    if local:
-        M = R.maximal_ideals()[0]
-        m2_mask = ideal_product(M, M).mask
+    m2_mask = _jacobson_square(R) if local else None
     for d in entry.expansions:
         for I, one_abs in zip(R.proper_ideals(), _one_abs(d)):
             if part.instance(one_abs) and not is_delta_semiprimary(I, d):
@@ -416,12 +414,12 @@ def _fail_equiv(part: _Part, I: Ideal, d: ExpansionFunction, one_abs: bool, prim
 
 @_sweep("T-CHAINED")
 def _t_chained(entry: CatalogEntry, part: _Part) -> None:
-    """On a chained ring, away from M^2 the two notions coincide."""
+    """On a chained ring, away from M^2 the two notions coincide. A chained
+    ring is local, so M^2 is the square of its Jacobson radical."""
     R = entry.ring
     if not R.is_chained():
         return
-    M = R.maximal_ideals()[0]
-    _equiv_off(part, entry, ideal_product(M, M).mask, "chained")
+    _equiv_off(part, entry, _jacobson_square(R), "chained")
 
 
 @_sweep("T-ARITH")
@@ -430,8 +428,7 @@ def _t_arith(entry: CatalogEntry, part: _Part) -> None:
     R = entry.ring
     if not R.is_arithmetical():
         return
-    M = R.jacobson_radical()
-    _equiv_off(part, entry, ideal_product(M, M).mask, "arithmetical")
+    _equiv_off(part, entry, _jacobson_square(R), "arithmetical")
 
 
 @_sweep("T-PMAX")
@@ -443,7 +440,7 @@ def _t_pmax(entry: CatalogEntry, part: _Part) -> None:
     M = R.maximal_ideals()[0]
     if not is_principal(M):
         return
-    m2_mask = ideal_product(M, M).mask
+    m2_mask = _jacobson_square(R)
     masks = [I.mask for I in R.ideals()]
     rpos = _radical_positions(R)
     for d in entry.expansions:
@@ -536,8 +533,7 @@ def _t_princ(entry: CatalogEntry, part: _Part) -> None:
 def _char_states(R: FiniteRing, d: ExpansionFunction) -> tuple[bool, bool, bool]:
     i, _ = _every_proper_one_absorbing(R, d, principal_only=True)
     ii, _ = _every_proper_one_absorbing(R, d)
-    jac = R.jacobson_radical()
-    iii = R.is_local() and ideal_product(jac, jac).is_zero
+    iii = R.is_local() and _jacobson_square(R) == 1 << R.zero
     return i, ii, iii
 
 

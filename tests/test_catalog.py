@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from ringlab.catalog import CatalogConfig, CatalogEntry, base_rings, build_catalog
@@ -136,3 +140,34 @@ def test_localizations_nontrivial(catalog16):
         c = entry.ring.construction
         if isinstance(c, LocalizationOf):
             assert any(not c.parent.is_unit(s) for s in c.set_members), entry.provenance
+
+
+DIGEST_GOLDEN = Path(__file__).resolve().parent / "golden" / "catalog-digest.json"
+
+
+def entry_digest(entry: CatalogEntry) -> str:
+    """SHA-256 of everything an entry keeps: provenance, both tables, element
+    names, zero, one, and each expansion's label and table, in order."""
+    R = entry.ring
+    kept = (
+        entry.provenance,
+        R.add_table,
+        R.mul_table,
+        R.element_names,
+        R.zero,
+        R.one,
+        tuple((d.label, d.table) for d in entry.expansions),
+    )
+    return hashlib.sha256(repr(kept).encode()).hexdigest()
+
+
+def catalog_digests(catalog) -> list[list[str]]:
+    return [[e.provenance, entry_digest(e)] for e in catalog]
+
+
+def test_catalog_digests_match_the_golden(catalog16, catalog_enlarged):
+    """Every entry of both tiers, byte for byte, against the recorded digests:
+    the catalog a build keeps does not depend on how it was built."""
+    golden = json.loads(DIGEST_GOLDEN.read_text(encoding="utf-8"))
+    assert catalog_digests(catalog16) == golden["default"]
+    assert catalog_digests(catalog_enlarged) == golden["enlarged"]

@@ -8,9 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ringlab
-from ringlab.catalog import CatalogConfig, build_catalog
+from ringlab.catalog import CatalogConfig, base_rings, build_catalog
 from ringlab.constructions import (
     LocalizationOf,
     MultiplicativeSet,
@@ -304,3 +306,76 @@ def test_correspondence_matches_the_ideal_maps(request, tier):
                 for I, F in info.pair_ideals()
             )
     assert kinds == {"ProductOf", "QuotientOf", "LocalizationOf", "TrivialExtensionOf"}
+
+
+def product_tables_by_entry(R1, R2):
+    """The product's tables, one entry at a time: the oracle of the row
+    assembly in ``make_product``."""
+    n1, n2 = R1.order, R2.order
+    n = n1 * n2
+    add = [[0] * n for _ in range(n)]
+    mul = [[0] * n for _ in range(n)]
+    for a1 in range(n1):
+        for b1 in range(n2):
+            i = a1 * n2 + b1
+            arow1, mrow1 = R1.add_table[a1], R1.mul_table[a1]
+            arow2, mrow2 = R2.add_table[b1], R2.mul_table[b1]
+            for a2 in range(n1):
+                base_a = arow1[a2] * n2
+                base_m = mrow1[a2] * n2
+                for b2 in range(n2):
+                    j = a2 * n2 + b2
+                    add[i][j] = base_a + arow2[b2]
+                    mul[i][j] = base_m + mrow2[b2]
+    return add, mul
+
+
+def trivial_extension_tables_by_entry(A, E):
+    """The trivial extension's tables, one entry at a time: the oracle of the
+    row assembly in ``make_trivial_extension``."""
+    n, m = A.order, E.order
+    order = n * m
+    add = [[0] * order for _ in range(order)]
+    mul = [[0] * order for _ in range(order)]
+    for a in range(n):
+        for e in range(m):
+            i = a * m + e
+            arowA, mrowA = A.add_table[a], A.mul_table[a]
+            act_a = E.action[a]
+            for b in range(n):
+                act_b = E.action[b]
+                base_a = arowA[b] * m
+                base_m = mrowA[b] * m
+                for f_ in range(m):
+                    j = b * m + f_
+                    add[i][j] = base_a + E.add_table[e][f_]
+                    mul[i][j] = base_m + E.add_table[act_a[f_]][act_b[e]]
+    return add, mul
+
+
+SMALL_BASES = base_rings(CatalogConfig(max_order=9))
+
+
+def _tables(add, mul):
+    return tuple(map(tuple, add)), tuple(map(tuple, mul))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_BASES), st.sampled_from(SMALL_BASES), st.data())
+def test_row_built_tables_match_the_entry_builders(R1, R2, data):
+    """Products and trivial extensions of random small bases, one of them
+    itself a product or a quotient, against the entry-by-entry builders."""
+    shape = data.draw(st.sampled_from(["base", "product", "quotient"]))
+    if shape == "product" and R1.order * R2.order <= 16:
+        R1 = make_product(R1, R2)
+    elif shape == "quotient" and len(R1.proper_ideals()) > 1:
+        R1 = make_quotient(R1, data.draw(st.sampled_from(R1.proper_ideals()[1:])))
+    P = make_product(R1, R2)
+    assert (P.add_table, P.mul_table) == _tables(*product_tables_by_entry(R1, R2))
+    modules = [regular_module(R1)] + [quotient_module(R1, J) for J in R1.proper_ideals()[1:]]
+    E = data.draw(st.sampled_from(modules))
+    E2 = data.draw(st.sampled_from(modules))
+    if data.draw(st.booleans()) and R1.order * E.order * E2.order <= 128:
+        E = module_product(E, E2)
+    T = make_trivial_extension(R1, E)
+    assert (T.add_table, T.mul_table) == _tables(*trivial_extension_tables_by_entry(R1, E))

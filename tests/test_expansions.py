@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import ringlab.expansions as expansions
@@ -20,6 +22,7 @@ from ringlab.constructions import (
 from ringlab.errors import ExpansionAxiomError, RingMismatchError
 from ringlab.expansions import (
     ExpansionFunction,
+    _lattice_covers,
     commutes_with_scaling,
     constant_ring,
     delta_gamma_hom_check,
@@ -537,3 +540,65 @@ def test_compatibility_checks_match_their_scans(request, tier):
     jump = from_rule(z12, lambda I: two if I.mask == four.mask else I, "jump")
     assert localization_compatibility(L, jump) is localization_compatibility_scan(L, jump) is False
     assert outcomes == {("hom", True), ("hom", False), ("loc", True)}
+
+
+def test_table_entries_must_be_lattice_positions():
+    z4 = make_zn(4)
+    n = len(z4.ideals())
+    for bad in ([-1] * n, [0, 1, n], [0, 1.0, 2]):
+        with pytest.raises(ExpansionAxiomError, match="is not a lattice position"):
+            ExpansionFunction(z4, bad, "bad")
+
+
+def monotone_by_pair_scan(R, table) -> str:
+    """The definition: for every pair I inside J, delta(I) inside delta(J).
+    The message names the first failing pair in lattice order."""
+    lattice = R.ideals()
+    for p, I in enumerate(lattice):
+        for q, J in enumerate(lattice):
+            if not I.mask & ~J.mask and lattice[table[p]].mask & ~lattice[table[q]].mask:
+                return f"not monotone at pair ({I.label}, {J.label})"
+    return "ok"
+
+
+@pytest.mark.parametrize("tier", ["catalog16", "catalog_enlarged"])
+def test_cover_pairs_match_their_definition(request, tier):
+    """I_p is covered by I_q when I_p is strictly inside I_q and no ideal lies
+    strictly between them."""
+    for entry in request.getfixturevalue(tier):
+        masks, covers = _lattice_covers(entry.ring)
+        assert masks == tuple(I.mask for I in entry.ring.ideals())
+
+        def below(a, b):
+            return a != b and not a & ~b
+
+        expect = {
+            (p, q)
+            for p, a in enumerate(masks)
+            for q, b in enumerate(masks)
+            if below(a, b) and not any(below(a, c) and below(c, b) for c in masks)
+        }
+        assert set(covers) == expect and len(covers) == len(expect), entry.provenance
+
+
+def test_cover_check_matches_the_pair_scan(catalog16):
+    """Seeded random extensive tables, eight per ring of the default catalog:
+    the cover check accepts and rejects exactly as the pair scan does, with
+    the same first failing pair."""
+    rng = random.Random(3)
+    outcomes = {"ok": 0, "bad": 0}
+    for entry in catalog16:
+        R = entry.ring
+        masks = [I.mask for I in R.ideals()]
+        above = [[q for q, b in enumerate(masks) if not a & ~b] for a in masks]
+        for _ in range(8):
+            table = [rng.choice(qs) for qs in above]
+            expect = monotone_by_pair_scan(R, table)
+            try:
+                ExpansionFunction(R, table, "random")
+                got = "ok"
+            except ExpansionAxiomError as exc:
+                got = str(exc)
+            assert got == expect, (entry.provenance, table)
+            outcomes["ok" if got == "ok" else "bad"] += 1
+    assert outcomes == {"ok": 799, "bad": 721}

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ringlab.errors import ProperIdealError, RingMismatchError
 from ringlab.ideals import (
+    _jacobson_square,
     _radical_positions,
     all_ideals,
     colon,
@@ -385,3 +386,16 @@ def test_product_matches_the_closure(catalog16):
                     entry.provenance, I.label, J.label)
                 pairs += 1
     assert pairs == 7583
+
+
+@pytest.mark.parametrize("tier", ["catalog16", "catalog_enlarged"])
+def test_jacobson_square_matches_the_closure(request, tier):
+    """The cached square is the closure product of the Jacobson radical with
+    itself on every ring of both tiers, and M^2 on the local ones."""
+    for entry in request.getfixturevalue(tier):
+        R = entry.ring
+        jac = R.jacobson_radical()
+        assert _jacobson_square(R) == closure_product(jac, jac), entry.provenance
+        if R.is_local():
+            M = R.maximal_ideals()[0]
+            assert _jacobson_square(R) == closure_product(M, M), entry.provenance

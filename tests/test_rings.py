@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+import re
 from pathlib import Path
 
 import pytest
@@ -10,12 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ringlab
-from ringlab.errors import InvariantError, TableError
+import ringlab.rings as rings
+from ringlab.errors import InvariantError, RinglabError, TableError
 from ringlab.rings import (
     FiniteRing,
+    _additive_generators,
     _colon_rows,
     _first_asym,
     _first_diff,
+    _scan_axioms,
     format_poly,
     irreducible_poly,
     make_galois_field,
@@ -129,6 +134,9 @@ def test_out_of_range_entry_reports_its_column():
     mul = [[0, 0, 0], [0, 1, 2], [0, 7, 7]]
     with pytest.raises(TableError, match=r"multiplication table entry \[2\]\[1\] = 7 out of range"):
         FiniteRing(add, mul, label="bad")
+    mul = [[0, 0, 0], [0, 1, 2], [0, 2, 3]]
+    with pytest.raises(TableError, match=r"multiplication table entry \[2\]\[2\] = 3 out of range"):
+        FiniteRing(add, mul, label="bad")
 
 
 def test_validation_rejects_missing_identity():
@@ -225,3 +233,118 @@ def test_table_diff_helpers_raise_invariant_errors():
         _first_asym(((0, 1), (1, 0)))
     with pytest.raises(InvariantError):
         _first_diff(b"ab", b"ab")
+
+
+def test_non_integer_entry_reports_its_position():
+    with pytest.raises(TableError, match=r"addition table entry \[0\]\[1\] = 1.0 is not an integer"):
+        FiniteRing([[0, 1.0], [1, 0]], [[0, 0], [0, 1]], label="bad")
+    with pytest.raises(TableError, match=r"multiplication table entry \[1\]\[0\] = '0' is not"):
+        FiniteRing([[0, 1], [1, 0]], [[0, 0], ["0", 1]], label="bad")
+
+
+def _outcome(add, mul) -> str:
+    try:
+        FiniteRing(add, mul, label="bad")
+    except RinglabError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "ok"
+
+
+def _full_scan(addb, mulb, zero) -> bool:
+    _scan_axioms(addb, mulb)
+    return True
+
+
+def test_generator_proof_matches_the_full_scan(catalog16, monkeypatch):
+    """Seeded symmetric corruptions of one entry pair, twelve per ring of the
+    default catalog (all of order at most 64): the generator proof reports the
+    exception and message of the full scan, and every kind of failure that a
+    symmetric corruption can cause occurs."""
+    rng = random.Random(8)
+    cases = []
+    for entry in catalog16:
+        R = entry.ring
+        assert R.order <= 64
+        for k in range(12):
+            add = [list(row) for row in R.add_table]
+            mul = [list(row) for row in R.mul_table]
+            table = add if k % 2 == 0 else mul
+            i, j = rng.randrange(R.order), rng.randrange(R.order)
+            v = rng.choice([x for x in range(R.order) if x != table[i][j]])
+            table[i][j] = table[j][i] = v
+            cases.append((add, mul))
+    proved = [_outcome(add, mul) for add, mul in cases]
+    monkeypatch.setattr(rings, "_generator_proof", _full_scan)
+    assert proved == [_outcome(add, mul) for add, mul in cases]
+    kinds = {re.sub(r", witness.*|element \d+ ", "", o) for o in proved}
+    assert kinds == {
+        "TableError: addition has no identity element",
+        "TableError: multiplication has no identity element",
+        "TableError: zero and one coincide, the zero ring is excluded",
+        "TableError: has no additive inverse",
+        "TableError: addition is not associative",
+        "TableError: multiplication is not associative",
+        "TableError: multiplication does not distribute",
+    }
+    reached = sum("associative" in o or "distribute" in o for o in proved)
+    assert reached == 1568
+
+
+def _algebra_mul() -> list[list[int]]:
+    """A product on (Z2)^3 that is bilinear, commutative and unital but not
+    associative: basis 1, a, b (bits 0, 1, 2), a*a = b, a*b = 1, b*b = 0, so
+    (a*a)*b = 0 while a*(a*b) = a. Only the proof's third step fails."""
+    basis = {(0, 0): 1, (0, 1): 2, (0, 2): 4, (1, 1): 4, (1, 2): 1, (2, 2): 0}
+
+    def prod(x, y):
+        out = 0
+        for i in range(3):
+            for j in range(3):
+                if (x >> i) & 1 and (y >> j) & 1:
+                    out ^= basis[min(i, j), max(i, j)]
+        return out
+
+    return [[prod(x, y) for y in range(8)] for x in range(8)]
+
+
+# The multiplication of Z2xZ2xZ2 carried along a permutation of its nonzero
+# elements: commutative, associative and unital (one is 6), and distributive
+# at the first additive generator 1 but not at 2 or 4.
+TRANSPORTED_MUL = [
+    [0, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 1, 0, 1, 1, 0], [0, 0, 2, 2, 0, 0, 2, 2],
+    [0, 1, 2, 3, 0, 1, 3, 2], [0, 0, 0, 0, 4, 4, 4, 4], [0, 1, 0, 1, 4, 5, 5, 4],
+    [0, 1, 2, 3, 4, 5, 6, 7], [0, 0, 2, 2, 4, 4, 7, 7],
+]
+
+
+@pytest.mark.parametrize("mul, kind", [
+    (_algebra_mul(), "multiplication is not associative"),
+    (TRANSPORTED_MUL, "multiplication does not distribute"),
+])
+def test_one_failing_axiom_is_found_as_the_full_scan_finds_it(mul, kind, monkeypatch):
+    """Tables on the group (Z2)^3 that break one axiom only, at generators
+    past the first: the proof rejects them with the full scan's message."""
+    add = [[a ^ b for b in range(8)] for a in range(8)]
+    got = _outcome(add, mul)
+    assert got.startswith(f"TableError: {kind}, witness"), got
+    monkeypatch.setattr(rings, "_generator_proof", _full_scan)
+    assert _outcome(add, mul) == got
+
+
+@pytest.mark.parametrize("tier", ["catalog16", "catalog_enlarged"])
+def test_additive_generators_reach_every_element(request, tier):
+    """The greedy generating set reaches the whole ring from zero under the
+    maps x -> x + g, and stays small: at most 7 generators on both tiers."""
+    for entry in request.getfixturevalue(tier):
+        R = entry.ring
+        addb = [bytes(row) for row in R.add_table]
+        gens = _additive_generators(addb, R.zero)
+        reached, todo = {R.zero}, [R.zero]
+        while todo:
+            x = todo.pop()
+            for g in gens:
+                if R.add_table[x][g] not in reached:
+                    reached.add(R.add_table[x][g])
+                    todo.append(R.add_table[x][g])
+        assert len(reached) == R.order, entry.provenance
+        assert gens == sorted(gens) and len(gens) <= 7, entry.provenance

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import ringlab.ideals as ideals
 import ringlab.verifier as verifier
 from ringlab.catalog import CatalogConfig, build_catalog
 from ringlab.errors import UnknownTheoremError
@@ -88,8 +89,8 @@ def test_jobs_independence(catalog8):
 
 
 def test_radical_sweeps_build_no_ideals(catalog16, monkeypatch):
-    """Warm T-SQRT and T-SEMI read radicals as lattice positions and build
-    no ideal; warm T-PMAX builds only M^2, at most one ideal per ring."""
+    """Warm T-SQRT, T-SEMI and T-PMAX read radicals as lattice positions, and
+    T-PMAX reads M^2 from the per-ring square: none of them builds an ideal."""
     for tid in ("T-SQRT", "T-SEMI", "T-PMAX"):
         verify(tid, catalog16)
     built = []
@@ -103,11 +104,33 @@ def test_radical_sweeps_build_no_ideals(catalog16, monkeypatch):
     Ideal(catalog16.entries[0].ring, 1)
     assert len(built) == 1
     built.clear()
-    for tid in ("T-SQRT", "T-SEMI"):
+    for tid in ("T-SQRT", "T-SEMI", "T-PMAX"):
         verify(tid, catalog16)
         assert built == [], tid
-    verify("T-PMAX", catalog16)
-    assert built and len(set(built)) == len(built)
+
+
+SQUARE_READERS = ("T-M2", "T-CHAINED", "T-ARITH", "T-PMAX", "T-CHAR", "T-CHAR-COR")
+
+
+def test_square_sweeps_make_no_products(catalog16, monkeypatch):
+    """Warm sweeps that read M^2 or Jac^2 take it from the mask cached per
+    ring, and make no ``ideal_product`` call (996 in all before the cache)."""
+    for tid in SQUARE_READERS:
+        verify(tid, catalog16)
+    calls = []
+    original = ideals.ideal_product
+
+    def counting(I, J):
+        calls.append(I.ring.label)
+        return original(I, J)
+
+    monkeypatch.setattr(ideals, "ideal_product", counting)
+    monkeypatch.setattr(verifier, "ideal_product", counting)
+    for tid in SQUARE_READERS:
+        verify(tid, catalog16)
+        assert calls == [], tid
+    verify("T-SPEC", catalog16)
+    assert calls, "the counter sees the calls that remain"
 
 
 ROOT = Path(__file__).resolve().parents[1]
