@@ -114,7 +114,7 @@ SQUARE_READERS = ("T-M2", "T-CHAINED", "T-ARITH", "T-PMAX", "T-CHAR", "T-CHAR-CO
 
 def test_square_sweeps_make_no_products(catalog16, monkeypatch):
     """Warm sweeps that read M^2 or Jac^2 take it from the mask cached per
-    ring, and make no ``ideal_product`` call (996 in all before the cache)."""
+    ring, and make no ``ideal_product`` call."""
     for tid in SQUARE_READERS:
         verify(tid, catalog16)
     calls = []
