@@ -64,8 +64,11 @@ def _default_max_order(value: Optional[int]) -> int:
 def _emit(lines: list[str], out_path: Optional[str]) -> None:
     text = "\n".join(lines) + ("\n" if lines else "")
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise RinglabError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

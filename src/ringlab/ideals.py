@@ -357,7 +357,7 @@ def _pair_kernel(
 ) -> tuple[bool, Optional[tuple[int, int]]]:
     """a*b in the ideal mask im forces a in skip or b in dm.
 
-    With skip = im this is the pair-primary kernel, with skip = dm the
+    With skip = im this is the pair-primary scan, with skip = dm the
     pair-semiprimary one. Row a of the colon table holds every b with a*b
     in I, so the first a outside skip whose row leaves dm gives the minimal
     witness.
@@ -373,10 +373,38 @@ def _pair_kernel(
     return True, None
 
 
+def _zero_divisor_masks(R: FiniteRing) -> tuple[int, ...]:
+    """V_I for each proper ideal I, in lattice order, built once per ring.
+
+    V_I is the mask of the b with (I : b) != I, the zero-divisors modulo I.
+    (I : b) always contains I, so a*b in I with a outside I happens exactly
+    when b lies in V_I. Hence "a*b in I forces a in I or b in m" holds
+    exactly when V_I lies inside m: prime at m = I, primary at m = rad(I),
+    delta-primary at m = delta(I).
+    """
+    val = R.cache.get("zero_divisors")
+    if val is None:
+        val = []
+        for I in R.proper_ideals():
+            im = I.mask
+            val.append(sum(1 << b for b, row in enumerate(R.colon_masks(im)) if row != im))
+        val = R.cache["zero_divisors"] = tuple(val)
+    return val
+
+
+def _pair_primary(I: Ideal, dm: int) -> tuple[bool, Optional[tuple[int, int]]]:
+    """a*b in I forces a in I or b in dm: one mask test against V_I. Only a
+    failure runs the pair scan, for its minimal witness."""
+    R = I.ring
+    if not _zero_divisor_masks(R)[R.lattice_position(I.mask)] & ~dm:
+        return True, None
+    return _pair_kernel(R, I.mask, dm, I.mask)
+
+
 def prime_check(I: Ideal) -> tuple[bool, Optional[tuple[int, int]]]:
-    """a*b in I forces a in I or b in I: the pair-primary kernel at I itself."""
+    """a*b in I forces a in I or b in I: the pair-primary test at I itself."""
     _require_proper(I, "is_prime")
-    return _pair_kernel(I.ring, I.mask, I.mask, I.mask)
+    return _pair_primary(I, I.mask)
 
 
 def is_prime(I: Ideal) -> bool:
@@ -399,10 +427,10 @@ def is_maximal(I: Ideal) -> bool:
 
 
 def primary_check(I: Ideal) -> tuple[bool, Optional[tuple[int, int]]]:
-    """a*b in I forces a in I or b in the radical: the pair-primary kernel
-    at rad(I)."""
+    """a*b in I forces a in I or b in the radical: the pair-primary test at
+    rad(I)."""
     _require_proper(I, "is_primary")
-    return _pair_kernel(I.ring, I.mask, radical(I).mask, I.mask)
+    return _pair_primary(I, radical(I).mask)
 
 
 def is_primary(I: Ideal) -> bool:
@@ -414,12 +442,13 @@ def is_radical_ideal(I: Ideal) -> bool:
 
 
 def is_prime_element(R: FiniteRing, x: Union[int, Element]) -> bool:
-    """Nonzero x whose principal ideal is proper and prime."""
+    """Nonzero x whose principal ideal is proper and prime. (x) is proper
+    exactly when x is a nonunit; it is prime when V_(x) lies inside (x)."""
     if isinstance(x, Element):
         if x.ring is not R:
             raise RingMismatchError("element belongs to a different ring")
         x = x.index
-    if x == R.zero:
+    if x == R.zero or x in R.units():
         return False
-    P = Ideal(R, _principal_masks(R)[x])
-    return P.is_proper and is_prime(P)
+    pm = _principal_masks(R)[x]
+    return not _zero_divisor_masks(R)[R.lattice_position(pm)] & ~pm

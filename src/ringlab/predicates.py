@@ -2,17 +2,32 @@
 
 Every predicate takes a proper ideal (and, where relevant, an expansion)
 and reports a boolean together with a lexicographically minimal witness on
-failure. Four private kernels, each a function of the masks ``(im, dm)``
-of I and of the ideal the conclusion may land in, do all the scanning:
-pair-primary and pair-semiprimary (``ideals._pair_kernel``), 1-absorbing
-and 2-absorbing. A delta check runs its kernel at dm = delta(I); the
-delta-free checks run the same kernel at dm = I (prime, 1-absorbing prime,
-2-absorbing) or dm = rad(I) (primary, 1-absorbing primary). The
-definitional ``*_scan`` functions are kept as oracles for the test suite.
+failure. Each condition asks whether some obstruction stays inside a bound
+m, where m is I itself, rad(I) or delta(I); the checks never depend on
+delta beyond the mask of delta(I).
 
-Results are memoized per ring, keyed by check name and the mask pair
-(I, dm), so expansions that agree at I share one entry. ``_verdicts`` keeps
-one check's values over all proper ideals as a tuple for the sweeps.
+Six checks are decided by one obstruction mask per proper ideal, cached on
+the ring and read off the colon rows of I:
+
+- V_I (``ideals._zero_divisor_masks``), the b with (I : b) != I. Prime,
+  primary and delta-primary hold exactly when V_I lies inside m.
+- U_I (``_absorbing_masks``), the nonunits c with v*c in I for some product
+  v of two nonunits outside I. 1-absorbing prime, 1-absorbing primary and
+  1-absorbing delta-primary hold exactly when U_I lies inside m.
+
+A check that passes its mask test returns at once; only a failure runs the
+check's scan, which finds the minimal witness. The 2-absorbing condition
+only weakens as m grows, so an ideal that is 2-absorbing is 2-absorbing
+delta-primary for every delta, and the 2-absorbing kernel runs at
+m = delta(I) only at ideals that are not 2-absorbing. The definitional
+``*_scan`` functions are kept as oracles for the test suite.
+
+The ring keeps its 2-absorbing results, one per proper ideal. ``_memo``
+keeps, per ring and keyed by check name and the mask pair (I, m), the
+results that still need a scan: the 2-absorbing kernel at delta(I) where I
+is not 2-absorbing, delta-semiprimary and the ideal-wise form.
+``_verdicts`` keeps one check's values over all proper ideals as a tuple
+for the sweeps, filled by one mask test per entry for the six checks above.
 """
 
 from __future__ import annotations
@@ -26,7 +41,10 @@ from .ideals import (
     Ideal,
     _lsb,
     _pair_kernel,
+    _pair_primary,
+    _radical_positions,
     _require_proper,
+    _zero_divisor_masks,
     ideal_colon,
     ideal_product,
     maximal_check,
@@ -52,27 +70,52 @@ def _memo(I: Ideal, dm: int, name: str, compute):
 
 
 # ----------------------------------------------------------------------
-# kernels over the mask pair (im, dm)
+# the 1-absorbing obstruction mask and the 2-absorbing kernel
 
 
-def _one_absorbing(R: FiniteRing, im: int, dm: int) -> TripleResult:
-    """a*b*c in I forces a*b in I or c in dm, over nonunit triples.
+def _absorbing_masks(R: FiniteRing) -> tuple[int, ...]:
+    """U_I for each proper ideal I, in lattice order, built once per ring.
 
-    The fast path scans each distinct nonunit pair product d outside I once
-    and asks whether some nonunit c outside dm lands d*c back in I, which
-    is a colon-mask lookup. The pair scan only runs to recover the minimal
-    witness after a failure.
+    U_I is the mask of the nonunits c with v*c in I for some product v of
+    two nonunits that lies outside I: row v of the colon table, over those
+    v. A nonunit triple with a*b*c in I and a*b outside I has its c in U_I,
+    and every c in U_I ends such a triple, so "a*b*c in I forces a*b in I or
+    c in m" holds exactly when U_I lies inside m: 1-absorbing prime at
+    m = I, 1-absorbing primary at m = rad(I), 1-absorbing delta-primary at
+    m = delta(I).
     """
+    val = R.cache.get("absorbing")
+    if val is None:
+        nu, nu2 = R.nonunits_mask, R.nonunit_product_mask
+        val = []
+        for I in R.proper_ideals():
+            cm = R.colon_masks(I.mask)
+            u = 0
+            v = nu2 & ~I.mask
+            while v:
+                low = v & -v
+                u |= cm[low.bit_length() - 1]
+                v ^= low
+            val.append(u & nu)
+        val = R.cache["absorbing"] = tuple(val)
+    return val
+
+
+def _one_absorbing(I: Ideal, dm: int) -> TripleResult:
+    """a*b*c in I forces a*b in I or c in dm, over nonunit triples: one mask
+    test against U_I. Only a failure runs the pair scan, for its minimal
+    witness."""
+    R = I.ring
+    if not _absorbing_masks(R)[R.lattice_position(I.mask)] & ~dm:
+        return True, None
+    return _one_absorbing_witness(R, I.mask, dm)
+
+
+def _one_absorbing_witness(R: FiniteRing, im: int, dm: int) -> TripleResult:
+    """The first nonunit pair (a, b) with a*b outside I whose colon row
+    leaves dm, with the least such c: the scan behind a failed U_I test."""
     cm = R.colon_masks(im)
     notdm = R.nonunits_mask & ~dm
-    d = R.nonunit_product_mask & ~im
-    while d:
-        low = d & -d
-        if cm[low.bit_length() - 1] & notdm:
-            break
-        d ^= low
-    else:
-        return True, None
     mul = R.mul_table
     nus = R.nonunit_list
     for a in nus:
@@ -84,7 +127,7 @@ def _one_absorbing(R: FiniteRing, im: int, dm: int) -> TripleResult:
             bad = cm[ab] & notdm
             if bad:
                 return False, (a, b, _lsb(bad))
-    raise InvariantError("fast path and witness scan disagree")
+    raise InvariantError("U_I leaves the bound but the witness scan passed")
 
 
 # The 2-absorbing kernel scans only nonunit pairs (a, b) with a <= b. If a
@@ -114,15 +157,25 @@ def _two_absorbing(R: FiniteRing, im: int, dm: int) -> TripleResult:
     return True, None
 
 
+def _two_absorbing_results(R: FiniteRing) -> tuple[TripleResult, ...]:
+    """The 2-absorbing kernel at dm = I for each proper ideal I, in lattice
+    order: the ring's 2-absorbing verdicts and witnesses, built once."""
+    val = R.cache.get("two_absorbing")
+    if val is None:
+        val = R.cache["two_absorbing"] = tuple(
+            _two_absorbing(R, I.mask, I.mask) for I in R.proper_ideals())
+    return val
+
+
 # ----------------------------------------------------------------------
 # expansion-primary pairs (two-element conclusions)
 
 
 def delta_primary_check(I: Ideal, delta: ExpansionFunction) -> PairResult:
-    """a*b in I forces a in I or b in delta(I), over all ring elements."""
+    """a*b in I forces a in I or b in delta(I), over all ring elements: the
+    pair-primary test at delta(I)."""
     _require_proper(I, "is_delta_primary")
-    dm = delta(I).mask
-    return _memo(I, dm, "delta_primary", lambda: _pair_kernel(I.ring, I.mask, dm, I.mask))
+    return _pair_primary(I, delta(I).mask)
 
 
 def is_delta_primary(I: Ideal, delta: ExpansionFunction) -> bool:
@@ -147,9 +200,7 @@ def is_delta_semiprimary(I: Ideal, delta: ExpansionFunction) -> bool:
 def one_absorbing_delta_primary_check(I: Ideal, delta: ExpansionFunction) -> TripleResult:
     """a*b*c in I forces a*b in I or c in delta(I), over nonunit triples."""
     _require_proper(I, "is_one_absorbing_delta_primary")
-    dm = delta(I).mask
-    return _memo(I, dm, "one_absorbing_delta_primary",
-                 lambda: _one_absorbing(I.ring, I.mask, dm))
+    return _one_absorbing(I, delta(I).mask)
 
 
 def is_one_absorbing_delta_primary(I: Ideal, delta: ExpansionFunction) -> bool:
@@ -177,10 +228,9 @@ def one_absorbing_delta_primary_scan(I: Ideal, delta: ExpansionFunction) -> Trip
 
 
 def one_absorbing_prime_check(I: Ideal) -> TripleResult:
-    """a*b*c in I forces a*b in I or c in I: the 1-absorbing kernel at I."""
+    """a*b*c in I forces a*b in I or c in I: the 1-absorbing test at I."""
     _require_proper(I, "is_one_absorbing_prime")
-    im = I.mask
-    return _memo(I, im, "one_absorbing_prime", lambda: _one_absorbing(I.ring, im, im))
+    return _one_absorbing(I, I.mask)
 
 
 def is_one_absorbing_prime(I: Ideal) -> bool:
@@ -189,10 +239,9 @@ def is_one_absorbing_prime(I: Ideal) -> bool:
 
 def one_absorbing_primary_check(I: Ideal) -> TripleResult:
     """a*b*c in I forces a*b in I or c in the radical of I: the 1-absorbing
-    kernel at rad(I)."""
+    test at rad(I)."""
     _require_proper(I, "is_one_absorbing_primary")
-    rm = radical(I).mask
-    return _memo(I, rm, "one_absorbing_primary", lambda: _one_absorbing(I.ring, I.mask, rm))
+    return _one_absorbing(I, radical(I).mask)
 
 
 def is_one_absorbing_primary(I: Ideal) -> bool:
@@ -207,8 +256,8 @@ def two_absorbing_check(I: Ideal) -> TripleResult:
     """a*b*c in I forces a*b in I or a*c in I or b*c in I: the 2-absorbing
     kernel at I."""
     _require_proper(I, "is_two_absorbing")
-    im = I.mask
-    return _memo(I, im, "two_absorbing", lambda: _two_absorbing(I.ring, im, im))
+    R = I.ring
+    return _two_absorbing_results(R)[R.lattice_position(I.mask)]
 
 
 def is_two_absorbing(I: Ideal) -> bool:
@@ -217,11 +266,19 @@ def is_two_absorbing(I: Ideal) -> bool:
 
 def two_absorbing_delta_primary_check(I: Ideal, delta: ExpansionFunction) -> TripleResult:
     """a*b*c in I forces a*b in I or a*c in delta(I) or b*c in delta(I),
-    over all element triples."""
+    over all element triples.
+
+    The condition only weakens as delta(I) grows, and delta(I) contains I,
+    so a 2-absorbing ideal passes under every delta: the kernel runs at
+    delta(I) only where I is not 2-absorbing.
+    """
     _require_proper(I, "is_two_absorbing_delta_primary")
-    dm = delta(I).mask
-    return _memo(I, dm, "two_absorbing_delta_primary",
-                 lambda: _two_absorbing(I.ring, I.mask, dm))
+    R = I.ring
+    im, dm = I.mask, delta(I).mask
+    got = _two_absorbing_results(R)[R.lattice_position(im)]
+    if got[0] or dm == im:
+        return got
+    return _memo(I, dm, "two_absorbing_delta_primary", lambda: _two_absorbing(R, im, dm))
 
 
 def is_two_absorbing_delta_primary(I: Ideal, delta: ExpansionFunction) -> bool:
@@ -333,14 +390,27 @@ DELTA_FREE = frozenset({"prime", "maximal", "primary", "2abs", "1abs-prime", "1a
 PREDICATE_NAMES = tuple(PREDICATES)
 
 
+# The six checks that one mask test decides: name -> (the obstruction masks
+# of the proper ideals, the lattice positions of their bounds).
+_MASK_TESTS = {
+    "prime": (_zero_divisor_masks, lambda R, d: range(len(R.proper_ideals()))),
+    "primary": (_zero_divisor_masks, lambda R, d: _radical_positions(R)),
+    "delta-primary": (_zero_divisor_masks, lambda R, d: d.table),
+    "1abs-prime": (_absorbing_masks, lambda R, d: range(len(R.proper_ideals()))),
+    "1abs-primary": (_absorbing_masks, lambda R, d: _radical_positions(R)),
+    "1abs-delta-primary": (_absorbing_masks, lambda R, d: d.table),
+}
+
+
 def _verdicts(
     name: str, R: FiniteRing, delta: Optional[ExpansionFunction] = None
 ) -> tuple[bool, ...]:
     """The value of check ``name`` at each proper ideal of R, in lattice order.
 
-    Computed once through ``_CHECKS`` and kept on the expansion, or on R for
-    the delta-free checks, so a sweep indexes a tuple instead of calling the
-    check per instance.
+    Computed once and kept on the expansion, or on R for the delta-free
+    checks, so a sweep indexes a tuple instead of calling the check per
+    instance. The checks of ``_MASK_TESTS`` take one mask test per entry;
+    the other four go through ``_CHECKS``.
     """
     if name in DELTA_FREE:
         store = R.cache.setdefault("verdicts", {})
@@ -350,8 +420,15 @@ def _verdicts(
         store = delta.verdicts
     got = store.get(name)
     if got is None:
-        check = _CHECKS[name]
-        got = store[name] = tuple(check(I, delta)[0] for I in R.proper_ideals())
+        test = _MASK_TESTS.get(name)
+        if test is None:
+            check = _CHECKS[name]
+            got = tuple(check(I, delta)[0] for I in R.proper_ideals())
+        else:
+            obstruction, bound = test
+            lattice = R.ideals()
+            got = tuple(not o & ~lattice[q].mask for o, q in zip(obstruction(R), bound(R, delta)))
+        store[name] = got
     return got
 
 

@@ -27,6 +27,7 @@ from .constructions import (
 from .errors import InvariantError, UnknownTheoremError
 from .expansions import (
     ExpansionFunction,
+    _scaling_table,
     from_rule,
     induced_localization,
     induced_product,
@@ -45,14 +46,13 @@ from .ideals import (
     _jacobson_square,
     _radical_positions,
     ideal_intersection,
-    ideal_product,
     is_prime_element,
     is_principal,
     radical,
-    scale,
     span,
 )
 from .predicates import (
+    _cached_product,
     _verdicts,
     idealwise_one_absorbing_check,
     is_delta_primary,
@@ -325,14 +325,16 @@ def _t_xm(entry: CatalogEntry, part: _Part) -> None:
     R = entry.ring
     if not R.is_local():
         return
-    M = R.maximal_ideals()[0]
-    primes = [x for x in range(R.order) if x != R.zero and is_prime_element(R, x)]
+    lattice = R.ideals()
+    m = R.maximal_ideals()[0].mask
+    row = R.lattice_position(m)
+    scaled = _scaling_table(R)
+    primes = [(x, scaled[x][row]) for x in range(R.order) if is_prime_element(R, x)]
     for d in entry.expansions:
-        for x in primes:
-            xM = scale(x, M)
-            dxM = d(xM)
-            hyp = dxM.mask != M.mask and (dxM.mask & ~M.mask) == 0 and x in dxM
-            if part.instance(hyp):
+        for x, p in primes:
+            dxm = lattice[d.table[p]].mask
+            if part.instance(dxm != m and (dxm & ~m) == 0 and (dxm >> x) & 1):
+                xM = lattice[p]
                 ok, wit = one_absorbing_delta_primary_check(xM, d)
                 if not ok:
                     part.fail(xM, d.label, wit, f"x={R.element_name(x)}")
@@ -577,11 +579,12 @@ def _t_spec(entry: CatalogEntry, part: _Part) -> None:
     if not R.is_local():
         return
     M = R.maximal_ideals()[0]
+    lattice = R.ideals()
     spec_masks = {P.mask for P in R.spectrum()}
     for d in entry.expansions:
-        d0 = d(R.zero_ideal())
+        d0 = lattice[d.table[0]]  # the zero ideal comes first in lattice order
         case1 = spec_masks == {d0.mask}
-        case2 = spec_masks == {d0.mask, M.mask} and ideal_product(d0, M).is_zero
+        case2 = spec_masks == {d0.mask, M.mask} and _cached_product(R, d0, M) == 1 << R.zero
         hyp = (case1 or case2) and is_prime_expansion(d)
         if part.instance(hyp):
             ok, bad = _every_proper_one_absorbing(R, d)

@@ -222,6 +222,22 @@ def test_out_writes_file(capsys, tmp_path):
     assert json.loads(lines[0])["theorem_id"] == "T-CHAIN"
 
 
+@pytest.mark.parametrize("command", [
+    ("classify", "--ring", "Z4", "--delta", "id"),
+    ("check", "--theorem", "T-CHAIN", "--max-order", "8"),
+    ("search", "--property", "prime", "--max-order", "8"),
+])
+def test_unwritable_out_is_exit_two(capsys, tmp_path, command):
+    """--out in a missing directory, or naming a directory, is bad input:
+    one error line and exit code 2, not a traceback."""
+    for target, reason in ((tmp_path / "missing" / "out.txt", "No such file or directory"),
+                           (tmp_path, "Is a directory")):
+        code, out, err = run(capsys, *command, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {target}: {reason}\n"
+
+
 def test_usage_error_is_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--ring", "Z4"])  # missing --delta

@@ -14,6 +14,8 @@ from ringlab.expansions import (
     radical_expansion,
     standard_expansions,
 )
+import ringlab.ideals as ideals
+import ringlab.predicates as predicates
 from ringlab.ideals import primary_check, prime_check, radical, span
 from ringlab.predicates import (
     _CHECKS,
@@ -42,7 +44,19 @@ from ringlab.predicates import (
     two_absorbing_delta_primary_scan,
 )
 from ringlab.catalog import CatalogConfig, build_catalog
+from ringlab.constructions import (
+    make_product,
+    make_quotient,
+    make_trivial_extension,
+    quotient_module,
+    regular_module,
+)
 from ringlab.rings import FiniteRing, make_zn
+from test_constructions import SMALL_BASES
+
+
+MASK_DECIDED = ("prime", "primary", "delta-primary", "1abs-prime", "1abs-primary",
+                "1abs-delta-primary")
 
 
 def definitional_pair_scan(I, dm, skip):
@@ -229,6 +243,91 @@ def test_verdict_vectors_match_the_checks_on_default_catalog():
     assert pairs == 6588
 
 
+def assert_checks_match_the_scans(R, expansions):
+    """All ten checks, values and witnesses, and their verdict vectors, at
+    every proper ideal of R under each expansion, against the definitional
+    scans: the pair scan for the primary family, the triple loop for the
+    1-absorbing family and the all-element pair scan for the 2-absorbing
+    family, each at the bound I, rad(I) or delta(I). Returns the number of
+    (I, delta) pairs."""
+    lattice = R.ideals()
+    proper = R.proper_ideals()
+    rad = [R.lattice_position(radical(I).mask) for I in proper]
+    scans = {}
+
+    def against(p, q):
+        """The four scans of I_p with I_q as the bound. The scans read their
+        expansion only through its value at I_p."""
+        if (p, q) not in scans:
+            I, bound = lattice[p], lattice[q]
+            at_bound = lambda J: bound  # noqa: E731
+            scans[p, q] = (
+                definitional_pair_scan(I, bound.mask, I.mask),
+                definitional_pair_scan(I, bound.mask, bound.mask),
+                one_absorbing_delta_primary_scan(I, at_bound),
+                two_absorbing_delta_primary_scan(I, at_bound),
+            )
+        return scans[p, q]
+
+    for d in expansions:
+        values = {name: [] for name in _CHECKS}
+        for p, I in enumerate(proper):
+            own, at_rad, at_delta = against(p, p), against(p, rad[p]), against(p, d.table[p])
+            above = next((J for J in proper[p + 1:] if not I.mask & ~J.mask), None)
+            want = {
+                "prime": own[0],
+                "maximal": (above is None, above),
+                "primary": at_rad[0],
+                "2abs": own[3],
+                "1abs-prime": own[2],
+                "1abs-primary": at_rad[2],
+                "delta-primary": at_delta[0],
+                "delta-semiprimary": at_delta[1],
+                "1abs-delta-primary": at_delta[2],
+                "2abs-delta-primary": at_delta[3],
+            }
+            for name, check in _CHECKS.items():
+                assert check(I, d) == want[name], (R.label, d.label, I.label, name)
+                values[name].append(want[name][0])
+        for name in _CHECKS:
+            assert _verdicts(name, R, d) == tuple(values[name]), (R.label, d.label, name)
+    return len(proper) * len(expansions)
+
+
+@pytest.mark.parametrize("tier", ["catalog16", "catalog_enlarged"])
+def test_all_checks_match_the_definitional_scans(request, tier):
+    """Every proper ideal of both tiers, under each attached expansion and
+    under id, rad and full."""
+    pairs = 0
+    for entry in request.getfixturevalue(tier):
+        R = entry.ring
+        stock = (identity_expansion(R), radical_expansion(R), constant_ring(R))
+        pairs += assert_checks_match_the_scans(R, entry.expansions + stock)
+    assert pairs == {"catalog16": 6588 + 3 * 805}.get(tier, pairs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(SMALL_BASES), st.sampled_from(SMALL_BASES), st.data())
+def test_all_checks_match_the_scans_on_random_constructed_rings(R1, R2, data):
+    """Products, quotients and trivial extensions of random small bases, one
+    factor itself a product or a quotient as in the table-builder test, under
+    every stock expansion."""
+    shape = data.draw(st.sampled_from(["base", "product", "quotient"]))
+    if shape == "product" and R1.order * R2.order <= 16:
+        R1 = make_product(R1, R2)
+    elif shape == "quotient" and len(R1.proper_ideals()) > 1:
+        R1 = make_quotient(R1, data.draw(st.sampled_from(R1.proper_ideals()[1:])))
+    kind = data.draw(st.sampled_from(["product", "quotient", "trivial extension"]))
+    if kind == "product":
+        R = make_product(R1, R2)
+    elif kind == "quotient" and len(R1.proper_ideals()) > 1:
+        R = make_quotient(R1, data.draw(st.sampled_from(R1.proper_ideals()[1:])))
+    else:
+        modules = [regular_module(R1)] + [quotient_module(R1, J) for J in R1.proper_ideals()[1:]]
+        R = make_trivial_extension(R1, data.draw(st.sampled_from(modules)))
+    assert assert_checks_match_the_scans(R, standard_expansions(R)) > 0
+
+
 def _relabelled(R, sigma):
     """R with element a renamed sigma[a]: the same ring, other indices."""
     n = R.order
@@ -274,17 +373,56 @@ def test_verdicts_survive_relabelling(data):
             R.label, sigma, I.label)
 
 
-def test_memo_is_shared_by_expansions_that_agree_at_the_ideal():
+def _no_scan(*args):
+    raise AssertionError("a scan ran")
+
+
+def test_passing_checks_read_cached_masks_and_run_no_scan(catalog16, monkeypatch):
+    """On Z8 at (2), id and rad agree and both read the one U_I cached on
+    the ring, with no memo entry. Over the default catalog, every (I, delta)
+    pair that passes a mask-decided check runs no scan and adds no memo
+    entry, and at a 2-absorbing ideal the 2-absorbing delta-primary check
+    runs no 2-absorbing scan under any expansion."""
     R = make_zn(8)
     d1, d2 = identity_expansion(R), radical_expansion(R)
     I = span(R, [2])
     assert d1 != d2 and d1(I) == d2(I)
-    memo = R.cache.setdefault("predicates", {})
-    before = len(memo)
-    first = one_absorbing_delta_primary_check(I, d1)
-    assert len(memo) == before + 1
-    assert one_absorbing_delta_primary_check(I, d2) == first
-    assert len(memo) == before + 1
+    read = []
+    absorbing_masks = predicates._absorbing_masks
+    monkeypatch.setattr(predicates, "_absorbing_masks",
+                        lambda ring: read.append(absorbing_masks(ring)) or read[-1])
+    monkeypatch.setattr(predicates, "_one_absorbing_witness", _no_scan)
+    assert one_absorbing_delta_primary_check(I, d1) == (True, None)
+    assert one_absorbing_delta_primary_check(I, d2) == (True, None)
+    assert len(read) == 2 and read[0] is read[1] is R.cache["absorbing"]
+    assert R.cache.get("predicates", {}) == {}
+    monkeypatch.undo()
+
+    passing = two_abs = 0
+    for entry in catalog16:
+        R = entry.ring
+        proper = R.proper_ideals()
+        is_2abs = [two_absorbing_check(I)[0] for I in proper]
+        verdicts = {(name, d): _verdicts(name, R, d)
+                    for name in MASK_DECIDED for d in entry.expansions}
+        memo = dict(R.cache.get("predicates", {}))
+        with monkeypatch.context() as m:
+            for module in (predicates, ideals):
+                m.setattr(module, "_pair_kernel", _no_scan)
+            m.setattr(predicates, "_one_absorbing_witness", _no_scan)
+            m.setattr(predicates, "_two_absorbing", _no_scan)
+            for (name, d), values in verdicts.items():
+                for I, ok in zip(proper, values):
+                    if ok:
+                        assert _CHECKS[name](I, d) == (True, None), (name, d.label, I)
+                        passing += 1
+            for d in entry.expansions:
+                for I, ok in zip(proper, is_2abs):
+                    if ok:
+                        assert two_absorbing_delta_primary_check(I, d) == (True, None)
+                        two_abs += 1
+        assert R.cache.get("predicates", {}) == memo, entry.provenance
+    assert passing > 0 and two_abs > 0
 
 
 def test_idealwise_scan_agrees(catalog8):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import ringlab.ideals as ideals
+import ringlab.predicates as predicates
 import ringlab.verifier as verifier
 from ringlab.catalog import CatalogConfig, build_catalog
 from ringlab.errors import UnknownTheoremError
@@ -90,9 +91,12 @@ def test_jobs_independence(catalog8):
 
 def test_radical_sweeps_build_no_ideals(catalog16, monkeypatch):
     """Warm T-SQRT, T-SEMI and T-PMAX read radicals as lattice positions, and
-    T-PMAX reads M^2 from the per-ring square: none of them builds an ideal."""
-    for tid in ("T-SQRT", "T-SEMI", "T-PMAX"):
-        verify(tid, catalog16)
+    T-PMAX reads M^2 from the per-ring square. Warm T-XM reads x*M from the
+    scaling table and T-SPEC reads delta(0) at lattice position 0 and
+    delta(0)*M from the pairwise product cache. None of them builds an
+    ideal."""
+    sweeps = ("T-SQRT", "T-SEMI", "T-PMAX", "T-XM", "T-SPEC")
+    cold = {tid: strip_elapsed(verify(tid, catalog16)) for tid in sweeps}
     built = []
     original = Ideal.__init__
 
@@ -104,17 +108,18 @@ def test_radical_sweeps_build_no_ideals(catalog16, monkeypatch):
     Ideal(catalog16.entries[0].ring, 1)
     assert len(built) == 1
     built.clear()
-    for tid in ("T-SQRT", "T-SEMI", "T-PMAX"):
-        verify(tid, catalog16)
+    for tid in sweeps:
+        assert strip_elapsed(verify(tid, catalog16)) == cold[tid], tid
         assert built == [], tid
 
 
-SQUARE_READERS = ("T-M2", "T-CHAINED", "T-ARITH", "T-PMAX", "T-CHAR", "T-CHAR-COR")
+SQUARE_READERS = ("T-M2", "T-CHAINED", "T-ARITH", "T-PMAX", "T-CHAR", "T-CHAR-COR", "T-SPEC")
 
 
 def test_square_sweeps_make_no_products(catalog16, monkeypatch):
     """Warm sweeps that read M^2 or Jac^2 take it from the mask cached per
-    ring, and make no ``ideal_product`` call."""
+    ring, and T-SPEC takes delta(0)*M from the pairwise product cache: none
+    makes an ``ideal_product`` call."""
     for tid in SQUARE_READERS:
         verify(tid, catalog16)
     calls = []
@@ -125,12 +130,14 @@ def test_square_sweeps_make_no_products(catalog16, monkeypatch):
         return original(I, J)
 
     monkeypatch.setattr(ideals, "ideal_product", counting)
-    monkeypatch.setattr(verifier, "ideal_product", counting)
+    monkeypatch.setattr(predicates, "ideal_product", counting)
     for tid in SQUARE_READERS:
         verify(tid, catalog16)
         assert calls == [], tid
+    for entry in catalog16:
+        entry.ring.cache.pop("pairwise_products", None)
     verify("T-SPEC", catalog16)
-    assert calls, "the counter sees the calls that remain"
+    assert calls, "the counter sees the products a cold cache makes"
 
 
 ROOT = Path(__file__).resolve().parents[1]
