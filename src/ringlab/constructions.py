@@ -4,6 +4,13 @@ Each construction attaches a descriptor object to the produced ring so that
 expansions and the verifier can recover the ingredients. Labels double as
 provenance strings: for catalog-shaped inputs they re-parse to a ring with
 identical tables.
+
+A ``FiniteModule`` is checked and spanned by the ring and ideal code. Its
+addition table goes through ``rings._normalize_table`` and
+``rings._additive_zero``, and its action rows through ``rings._row_in_range``.
+Its span and submodule lattice are sums of cyclic submodules Re, each read
+off a column of the action table, through ``ideals._sum_masks`` and
+``ideals._sum_closure``, the routines that build ideal spans and lattices.
 """
 
 from __future__ import annotations
@@ -12,8 +19,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from .errors import ConstructionError, InvariantError, RingMismatchError, TableError
-from .ideals import Ideal, generator_list, is_ideal_mask
-from .rings import Element, FiniteRing, RingHom
+from .ideals import Ideal, _sum_closure, _sum_masks, generator_list, is_ideal_mask
+from .rings import Element, FiniteRing, RingHom, _additive_zero, _normalize_table, _row_in_range
 
 
 # ----------------------------------------------------------------------
@@ -166,11 +173,13 @@ class FiniteModule:
         self.order = len(add_table)
         if self.order < 1:
             raise ConstructionError("module must be nonempty")
-        self.add_table = tuple(tuple(row) for row in add_table)
+        self.add_table = _normalize_table(add_table, self.order, "module addition")
         self.action = tuple(tuple(row) for row in action)
         self.spec_label = spec_label
         if element_names is not None:
             self.element_names = tuple(element_names)
+            if len(self.element_names) != self.order:
+                raise ConstructionError("element_names length must equal the module order")
         else:
             self.element_names = tuple(str(i) for i in range(self.order))
         self._validate()
@@ -178,29 +187,13 @@ class FiniteModule:
 
     def _validate(self) -> None:
         m, n = self.order, self.ring.order
-        for row in self.add_table:
-            if len(row) != m or any(not (0 <= v < m) for v in row):
-                raise TableError("module addition table is malformed")
         if len(self.action) != n:
             raise TableError("module action table must have one row per ring element")
         for row in self.action:
-            if len(row) != m or any(not (0 <= v < m) for v in row):
+            if len(row) != m or not _row_in_range(row, m):
                 raise TableError("module action table is malformed")
         add = self.add_table
-        if add != tuple(zip(*add)):
-            raise TableError("module addition is not commutative")
-        zero = None
-        ident = tuple(range(m))
-        for e in range(m):
-            if add[e] == ident:
-                zero = e
-                break
-        if zero is None:
-            raise TableError("module addition has no identity")
-        self.zero = zero
-        for e in range(m):
-            if zero not in add[e]:
-                raise TableError(f"module element {e} has no additive inverse")
+        self.zero = _additive_zero(add, "module ")
         for a in range(m):
             arow = add[a]
             for b in range(m):
@@ -211,7 +204,7 @@ class FiniteModule:
                         raise TableError(f"module addition not associative at ({a},{b},{c})")
         act = self.action
         radd, rmul = self.ring.add_table, self.ring.mul_table
-        if act[self.ring.one] != ident:
+        if act[self.ring.one] != tuple(range(m)):
             raise TableError("module action of one is not the identity")
         for r in range(n):
             arow = act[r]
@@ -241,53 +234,22 @@ class FiniteModule:
         return self.element_names[e]
 
     def span(self, generators: Sequence[int]) -> int:
-        """Bitmask of the submodule generated by the given elements."""
+        """Bitmask of the submodule generated by the given elements: the sum
+        of their cyclic submodules, as ``ideals.span`` sums principal ideals."""
+        cyclic = _cyclic_masks(self)
         mask = 1 << self.zero
-        members = [self.zero]
-        stack = list(generators)
-        while stack:
-            e = stack.pop()
-            if (mask >> e) & 1:
-                continue
-            mask |= 1 << e
-            for r in range(self.ring.order):
-                v = self.action[r][e]
-                if not (mask >> v) & 1:
-                    stack.append(v)
-            arow = self.add_table[e]
-            for mmb in members:
-                v = arow[mmb]
-                if not (mask >> v) & 1:
-                    stack.append(v)
-            members.append(e)
+        for e in generators:
+            mask = _sum_masks(self, mask, cyclic[e])
         return mask
 
     def submodules(self) -> tuple[int, ...]:
-        """All submodule bitmasks, ordered by cardinality then bitset value."""
+        """All submodule bitmasks, ordered by cardinality then bitset value:
+        the sums of the cyclic submodules, closed as ``all_ideals`` closes
+        the principal ideals."""
         got = self.cache.get("submodules")
-        if got is not None:
-            return got
-        cyclic = sorted({self.span((e,)) for e in range(self.order)})
-        masks = set(cyclic)
-        queue = list(cyclic)
-        while queue:
-            mask = queue.pop()
-            elems = [e for e in range(self.order) if (mask >> e) & 1]
-            for c in cyclic:
-                if not (c & ~mask):
-                    continue
-                out = 0
-                for b in range(self.order):
-                    if (c >> b) & 1:
-                        row = self.add_table[b]
-                        for a in elems:
-                            out |= 1 << row[a]
-                if out not in masks:
-                    masks.add(out)
-                    queue.append(out)
-        val = tuple(sorted(masks, key=lambda v: (v.bit_count(), v)))
-        self.cache["submodules"] = val
-        return val
+        if got is None:
+            got = self.cache["submodules"] = _sum_closure(self, _cyclic_masks(self))
+        return got
 
     def module_colon(self, fmask: int, c: Union[int, Element]) -> int:
         """Bitmask of (F : c) = {e : c e lies in F}."""
@@ -300,6 +262,21 @@ class FiniteModule:
 
     def __repr__(self) -> str:
         return f"FiniteModule({self.spec_label!r} over {self.ring.label}, order={self.order})"
+
+
+def _cyclic_masks(E: FiniteModule) -> tuple[int, ...]:
+    """For each element e, the mask of the cyclic submodule Re.
+
+    Re = {r*e : r in R} is column e of the action table: it holds e = 1*e,
+    and r*e + s*e = (r+s)*e and s*(r*e) = (s*r)*e keep it closed, as
+    ``ideals._principal_masks`` reads (x) off a multiplication row. Cached
+    on the module.
+    """
+    got = E.cache.get("cyclic_masks")
+    if got is None:
+        got = tuple(sum(1 << v for v in set(col)) for col in zip(*E.action))
+        E.cache["cyclic_masks"] = got
+    return got
 
 
 def regular_module(A: FiniteRing) -> FiniteModule:
@@ -326,15 +303,8 @@ def module_product(E1: FiniteModule, E2: FiniteModule) -> FiniteModule:
     if E1.ring is not E2.ring:
         raise RingMismatchError("modules live over different rings")
     m1, m2 = E1.order, E2.order
-    add = [
-        [E1.add_table[a1][a2] * m2 + E2.add_table[b1][b2] for a2 in range(m1) for b2 in range(m2)]
-        for a1 in range(m1)
-        for b1 in range(m2)
-    ]
-    action = [
-        [E1.action[r][a] * m2 + E2.action[r][b] for a in range(m1) for b in range(m2)]
-        for r in range(E1.ring.order)
-    ]
+    add = _pair_rows(E1.add_table, E2.add_table)
+    action = [[x * m2 + y for x in row1 for y in row2] for row1, row2 in zip(E1.action, E2.action)]
     names = tuple(
         f"({E1.element_name(a)},{E2.element_name(b)})" for a in range(m1) for b in range(m2)
     )
@@ -444,12 +414,19 @@ def make_trivial_extension(A: FiniteRing, E: FiniteModule) -> FiniteRing:
 # multiplicative sets and localization
 
 
+def _require_elements(R: FiniteRing, items) -> None:
+    for a in items:
+        if not (isinstance(a, int) and 0 <= a < R.order):
+            raise ConstructionError(f"set member {a!r} is not an element of {R.label}")
+
+
 class MultiplicativeSet:
     """A multiplicatively closed subset containing one and excluding zero."""
 
     def __init__(self, ring: FiniteRing, members, generators: Optional[Sequence[int]] = None):
         self.ring = ring
         self.members = frozenset(members)
+        _require_elements(ring, self.members)
         if ring.one not in self.members:
             raise ConstructionError("multiplicative set must contain one")
         if ring.zero in self.members:
@@ -469,6 +446,7 @@ class MultiplicativeSet:
 
     @classmethod
     def from_generators(cls, R: FiniteRing, gens: Sequence[int]) -> MultiplicativeSet:
+        _require_elements(R, gens)
         members = {R.one}
         stack = [g for g in gens]
         mul = R.mul_table

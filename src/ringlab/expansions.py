@@ -6,7 +6,9 @@ lattice and validated on construction. The whole ring is included in the
 domain with delta(R) = R.
 
 Families: the identity, the radical, translation by a fixed ideal, and the
-constant-ring map. Expansions also transfer along the standard
+constant-ring map, each a table read off the lattice masks with no ideal
+built (``from_rule``, which maps ideals through a callable, is for
+hand-written expansions). Expansions also transfer along the standard
 constructions (products, quotients, localizations, trivial extensions).
 An induced table is read off the construction's ideal correspondence, the
 lattice-position maps of ``constructions._correspondence``: one lookup per
@@ -26,7 +28,7 @@ from .constructions import (
     _preimage_positions,
 )
 from .errors import ExpansionAxiomError, InvariantError, RingMismatchError
-from .ideals import Ideal, _principal_masks, _sum_masks, generator_list, radical
+from .ideals import Ideal, _principal_masks, _radical_positions, _sum_masks, generator_list
 from .rings import FiniteRing, RingHom
 
 
@@ -142,15 +144,17 @@ def identity_expansion(R: FiniteRing) -> ExpansionFunction:
 
 
 def radical_expansion(R: FiniteRing) -> ExpansionFunction:
-    return from_rule(R, radical, "rad")
+    return ExpansionFunction(R, _radical_positions(R), "rad")
 
 
 def plus_fixed(R: FiniteRing, J: Ideal) -> ExpansionFunction:
-    """The translation I maps to I + J."""
+    """The translation I maps to I + J, summed on the lattice masks."""
     if J.ring is not R:
         raise RingMismatchError("fixed ideal belongs to a different ring")
     gens = ",".join(str(g) for g in generator_list(J))
-    return from_rule(R, lambda I: I + J, f"plus:({gens})")
+    pos = R.lattice_position
+    table = [pos(_sum_masks(R, I.mask, J.mask)) for I in R.ideals()]
+    return ExpansionFunction(R, table, f"plus:({gens})")
 
 
 def constant_ring(R: FiniteRing) -> ExpansionFunction:

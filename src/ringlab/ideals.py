@@ -7,6 +7,12 @@ table once per ring (``_principal_masks``) and every other ideal is a sum
 of them. The lattice of all ideals is enumerated once per ring and kept in
 a canonical order: by cardinality, then by bitset value. Witnesses reported
 by the predicates are lexicographically minimal in element-index order.
+
+Ideals are the submodules of the regular module, and submodules are built
+by the same code: ``_sum_masks`` adds two masks and ``_sum_closure`` closes
+a set of cyclic masks under pairwise sums. Both read only ``add_table`` and
+``order``, so ``constructions.FiniteModule`` passes itself where a ring
+goes, with its cyclic submodules Re in place of the principal ideals.
 """
 
 from __future__ import annotations
@@ -143,7 +149,7 @@ def span(R: FiniteRing, generators: Iterable[Union[int, Element]]) -> Ideal:
 
 
 def _sum_masks(R: FiniteRing, m1: int, m2: int) -> int:
-    """The mask of I + J for ideal masks m1 and m2.
+    """The mask of I + J for ideal (or submodule) masks m1 and m2.
 
     I + J is a union of cosets b + I with b in J; an element of J that the
     union already holds adds no new coset, so each coset is built once.
@@ -183,25 +189,31 @@ def is_ideal_mask(R: FiniteRing, mask: int) -> bool:
     return True
 
 
-def all_ideals(R: FiniteRing) -> tuple[Ideal, ...]:
-    """Every ideal of R, in canonical order (cardinality, then bitset value).
+def _sum_closure(R: FiniteRing, cyclic: Iterable[int]) -> tuple[int, ...]:
+    """Every sum of the given cyclic masks, in canonical order.
 
-    Principal ideals are the row images of ``_principal_masks`` and the rest
-    are produced by closing under pairwise sums, which reaches every ideal
-    because each one is a finite sum of principal ideals.
+    Closing under pairwise sums with one cyclic mask at a time reaches every
+    finite sum. R may be a ring or a ``constructions.FiniteModule``: like
+    ``_sum_masks``, this reads only ``add_table`` and ``order``.
     """
-    pr = list(_principal_table(R))
-    masks = set(pr)
-    queue = list(pr)
+    gens = set(cyclic)
+    masks = set(gens)
+    queue = list(gens)
     while queue:
         m = queue.pop()
-        for p in pr:
+        for p in gens:
             s = _sum_masks(R, m, p)
             if s not in masks:
                 masks.add(s)
                 queue.append(s)
-    ordered = sorted(masks, key=lambda m: (m.bit_count(), m))
-    return tuple(Ideal(R, m) for m in ordered)
+    return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
+
+
+def all_ideals(R: FiniteRing) -> tuple[Ideal, ...]:
+    """Every ideal of R, in canonical order (cardinality, then bitset value):
+    the sums of the principal ideals, the row images of ``_principal_masks``.
+    """
+    return tuple(Ideal(R, m) for m in _sum_closure(R, _principal_table(R)))
 
 
 def _principal_table(R: FiniteRing) -> dict[int, int]:

@@ -52,6 +52,22 @@ def _find_identity(table: Table, n: int) -> Optional[int]:
     return None
 
 
+def _additive_zero(add: Table, what: str) -> int:
+    """The zero of an addition table, after checking that it is commutative
+    (with a witness), has an identity and has inverses. what prefixes each
+    message: "" for a ring, "module " for a module."""
+    if add != tuple(zip(*add)):
+        a, b = _first_asym(add)
+        raise TableError(f"{what}addition is not commutative, witness ({a}, {b})")
+    zero = _find_identity(add, len(add))
+    if zero is None:
+        raise TableError(f"{what}addition has no identity element")
+    for a, row in enumerate(add):
+        if zero not in row:
+            raise TableError(f"{what}element {a} has no additive inverse")
+    return zero
+
+
 class FiniteRing:
     """A finite commutative ring with identity, order at least 2.
 
@@ -96,24 +112,16 @@ class FiniteRing:
     def _validate(self) -> None:
         n = self.order
         add, mul = self.add_table, self.mul_table
-        if add != tuple(zip(*add)):
-            a, b = _first_asym(add)
-            raise TableError(f"addition is not commutative, witness ({a}, {b})")
+        zero = _additive_zero(add, "")
         if mul != tuple(zip(*mul)):
             a, b = _first_asym(mul)
             raise TableError(f"multiplication is not commutative, witness ({a}, {b})")
-        zero = _find_identity(add, n)
-        if zero is None:
-            raise TableError("addition has no identity element")
         one = _find_identity(mul, n)
         if one is None:
             raise TableError("multiplication has no identity element")
         if zero == one:
             raise TableError("zero and one coincide, the zero ring is excluded")
         self.zero, self.one = zero, one
-        for a in range(n):
-            if zero not in add[a]:
-                raise TableError(f"element {a} has no additive inverse")
         if n <= 256:
             # byte rows let translate() compose rows at C speed; colon_masks
             # reuses mul's
@@ -548,9 +556,12 @@ class RingHom:
         self.mapping = tuple(mapping)
         if len(self.mapping) != domain.order:
             raise TableError("homomorphism table length must equal the domain order")
-        for v in self.mapping:
-            if not (0 <= v < codomain.order):
-                raise TableError(f"homomorphism value {v} out of range for {codomain.label}")
+        if not _row_in_range(self.mapping, codomain.order):
+            for v in self.mapping:
+                if not isinstance(v, int):
+                    raise TableError(f"homomorphism value {v!r} is not an integer")
+                if not 0 <= v < codomain.order:
+                    raise TableError(f"homomorphism value {v} out of range for {codomain.label}")
         self._validate()
 
     def _validate(self) -> None:

@@ -13,7 +13,7 @@ ParseError.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 from .constructions import (
     LocalizationOf,
@@ -28,7 +28,7 @@ from .constructions import (
     quotient_module,
     regular_module,
 )
-from .errors import ParseError
+from .errors import ConstructionError, ParseError
 from .expansions import (
     ExpansionFunction,
     constant_ring,
@@ -50,8 +50,9 @@ class _Cursor:
         self.text = text
         self.pos = 0
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.text, self.pos)
+    def error(self, message: str, position: Optional[int] = None) -> ParseError:
+        """A ParseError at the given position, by default the current one."""
+        return ParseError(message, self.text, self.pos if position is None else position)
 
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
@@ -83,6 +84,18 @@ class _Cursor:
             out.append(self.integer())
         return out
 
+    def generators(self, R: FiniteRing, close: str = ")") -> tuple[list[int], int]:
+        """A list of element indices of R, then the closing token. Returns the
+        list and the position right after it, where the caret of an index
+        out of range, or of any later complaint about the list, points."""
+        gens = self.int_list()
+        gpos = self.pos
+        self.expect(close)
+        for g in gens:
+            if not 0 <= g < R.order:
+                raise self.error(f"generator {g} out of range for {R.label}", gpos)
+        return gens, gpos
+
     def skip_spaces(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos] == " ":
             self.pos += 1
@@ -110,16 +123,12 @@ def _product(cur: _Cursor) -> FiniteRing:
 
 def _term(cur: _Cursor) -> FiniteRing:
     R = _atom(cur)
-    while cur.startswith("/("):
-        cur.expect("/(")
-        gens = cur.int_list()
-        gpos = cur.pos
-        cur.expect(")")
-        for g in gens:
-            if not (0 <= g < R.order):
-                cur.pos = gpos
-                raise cur.error(f"generator {g} out of range for {R.label}")
-        R = make_quotient(R, R.span(gens))
+    while cur.take("/("):
+        gens, gpos = cur.generators(R)
+        try:
+            R = make_quotient(R, R.span(gens))
+        except ConstructionError as exc:
+            raise cur.error(str(exc), gpos)
     return R
 
 
@@ -130,13 +139,7 @@ def _atom(cur: _Cursor) -> FiniteRing:
         if cur.take("reg"):
             E = regular_module(A)
         elif cur.take("quot:("):
-            gens = cur.int_list()
-            gpos = cur.pos
-            cur.expect(")")
-            for g in gens:
-                if not (0 <= g < A.order):
-                    cur.pos = gpos
-                    raise cur.error(f"generator {g} out of range for {A.label}")
+            gens, _ = cur.generators(A)
             E = quotient_module(A, A.span(gens))
         else:
             raise cur.error("expected a module spec, reg or quot:(...)")
@@ -145,18 +148,11 @@ def _atom(cur: _Cursor) -> FiniteRing:
     if cur.take("loc("):
         R = _product(cur)
         cur.expect(",")
-        gens = cur.int_list()
-        gpos = cur.pos
-        cur.expect(")")
-        for g in gens:
-            if not (0 <= g < R.order):
-                cur.pos = gpos
-                raise cur.error(f"generator {g} out of range for {R.label}")
+        gens, gpos = cur.generators(R)
         try:
             S = MultiplicativeSet.from_generators(R, gens)
-        except Exception as exc:
-            cur.pos = gpos
-            raise cur.error(str(exc))
+        except ConstructionError as exc:
+            raise cur.error(str(exc), gpos)
         return localize(R, S).ring
     if cur.take("Z"):
         n = cur.integer()
@@ -225,13 +221,7 @@ def _expansion(cur: _Cursor, R: FiniteRing) -> ExpansionFunction:
     if cur.take("full"):
         return constant_ring(R)
     if cur.take("plus:("):
-        gens = cur.int_list()
-        gpos = cur.pos
-        cur.expect(")")
-        for g in gens:
-            if not (0 <= g < R.order):
-                cur.pos = gpos
-                raise cur.error(f"generator {g} out of range for {R.label}")
+        gens, _ = cur.generators(R)
         return plus_fixed(R, R.span(gens))
     if cur.take("prod("):
         info = R.construction
@@ -248,13 +238,9 @@ def _expansion(cur: _Cursor, R: FiniteRing) -> ExpansionFunction:
             raise cur.error(f"{R.label} was not built as a quotient")
         d = _expansion(cur, info.parent)
         cur.expect(",(")
-        gens = cur.int_list()
-        gpos = cur.pos
-        cur.expect("))")
-        span = info.parent.span(gens)
-        if span.mask != info.ideal_mask:
-            cur.pos = gpos
-            raise cur.error("ideal does not match the quotient construction")
+        gens, gpos = cur.generators(info.parent, "))")
+        if info.parent.span(gens).mask != info.ideal_mask:
+            raise cur.error("ideal does not match the quotient construction", gpos)
         return induced_quotient(R, d)
     if cur.take("loc("):
         info = R.construction
@@ -262,13 +248,13 @@ def _expansion(cur: _Cursor, R: FiniteRing) -> ExpansionFunction:
             raise cur.error(f"{R.label} was not built as a localization")
         d = _expansion(cur, info.parent)
         cur.expect(",")
-        gens = cur.int_list()
-        gpos = cur.pos
-        cur.expect(")")
-        closure = MultiplicativeSet.from_generators(info.parent, gens)
+        gens, gpos = cur.generators(info.parent)
+        try:
+            closure = MultiplicativeSet.from_generators(info.parent, gens)
+        except ConstructionError as exc:
+            raise cur.error(str(exc), gpos)
         if frozenset(closure.members) != frozenset(info.set_members):
-            cur.pos = gpos
-            raise cur.error("set does not match the localization construction")
+            raise cur.error("set does not match the localization construction", gpos)
         return induced_localization(R, d)
     if cur.take("triv("):
         info = R.construction

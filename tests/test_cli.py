@@ -65,6 +65,17 @@ def test_classify_parse_error(capsys):
     assert "^" in err  # caret diagnostic
 
 
+def test_quotient_by_a_unit_is_a_caret_diagnostic(capsys):
+    code, out, err = run(capsys, "classify", "--ring", "Z4/(3)", "--delta", "id")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: cannot quotient by the unit ideal, the zero ring is excluded",
+        "  Z4/(3)",
+        "       ^",
+    ]
+
+
 def test_classify_bad_delta(capsys):
     code, _, err = run(capsys, "classify", "--ring", "Z4", "--delta", "prod(id,id)")
     assert code == 2

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import ringlab
 from ringlab.catalog import CatalogConfig, base_rings, build_catalog
 from ringlab.constructions import (
+    FiniteModule,
     LocalizationOf,
     MultiplicativeSet,
     ProductOf,
@@ -29,9 +30,10 @@ from ringlab.constructions import (
     quotient_projection,
     regular_module,
 )
-from ringlab.errors import ConstructionError, RingMismatchError
+from ringlab.errors import ConstructionError, RingMismatchError, TableError
 from ringlab.ideals import Ideal, all_ideals, span
 from ringlab.rings import make_zn
+from ringlab.specparse import parse_ring
 
 
 def test_product_structure(z4):
@@ -192,6 +194,17 @@ def test_multiplicative_set_validation(z12):
         MultiplicativeSet(z12, {3, 9})  # missing one
     S = MultiplicativeSet.from_generators(z12, [5])
     assert S.members == {1, 5}
+
+
+def test_multiplicative_set_rejects_non_elements():
+    z2 = make_zn(2)
+    with pytest.raises(ConstructionError, match="set member 5 is not an element of Z2"):
+        MultiplicativeSet(z2, {1, 5})
+    with pytest.raises(ConstructionError, match="set member '1' is not an element of Z2"):
+        MultiplicativeSet(z2, {1, "1"})
+    for gens in ([5], [1.0], [-1]):
+        with pytest.raises(ConstructionError, match=f"set member {gens[0]!r} is not an element"):
+            MultiplicativeSet.from_generators(z2, gens)
 
 
 def test_localize_z12_at_3(z12):
@@ -379,3 +392,116 @@ def test_row_built_tables_match_the_entry_builders(R1, R2, data):
         E = module_product(E, E2)
     T = make_trivial_extension(R1, E)
     assert (T.add_table, T.mul_table) == _tables(*trivial_extension_tables_by_entry(R1, E))
+
+
+# ----------------------------------------------------------------------
+# submodule lattices against the definitional scan
+
+
+def _is_submodule_mask(E, mask):
+    """Definitional scan: holds zero, closed under + and under the action."""
+    if not (mask >> E.zero) & 1:
+        return False
+    elems = [e for e in range(E.order) if (mask >> e) & 1]
+    for e in elems:
+        row = E.add_table[e]
+        if any(not (mask >> row[f]) & 1 for f in elems):
+            return False
+        if any(not (mask >> E.action[r][e]) & 1 for r in range(E.ring.order)):
+            return False
+    return True
+
+
+def _module_cases(request):
+    """Every module of both catalog tiers, by (base, module) label, plus
+    direct products of small modules."""
+    modules = {}
+    for tier in ("catalog16", "catalog_enlarged"):
+        for entry in request.getfixturevalue(tier):
+            info = entry.ring.construction
+            if isinstance(info, TrivialExtensionOf):
+                modules.setdefault((info.base.label, info.module.spec_label), info.module)
+    z2, z3, z4 = make_zn(2), make_zn(3), make_zn(4)
+    dual = parse_ring("Z2[x]/(x^2)")
+    products = [
+        module_product(regular_module(z2), regular_module(z2)),
+        module_product(module_product(regular_module(z2), regular_module(z2)), regular_module(z2)),
+        module_product(regular_module(z3), regular_module(z3)),
+        module_product(quotient_module(z4, span(z4, [2])), regular_module(z4)),
+        module_product(regular_module(dual), quotient_module(dual, span(dual, [2]))),
+        module_product(regular_module(z4), regular_module(z4)),
+    ]
+    return list(modules.values()) + products
+
+
+def test_submodules_and_spans_match_the_definitional_scan(request):
+    """submodules() is every mask that passes the scan over all 2^m subsets,
+    in canonical order, and span of each pair of elements is the smallest."""
+    cases = _module_cases(request)
+    assert len(cases) == 42 + 6
+    for E in cases:
+        scanned = [m for m in range(1 << E.order) if _is_submodule_mask(E, m)]
+        assert E.submodules() == tuple(sorted(scanned, key=lambda m: (m.bit_count(), m))), E
+        for e in range(E.order):
+            for f in range(e, E.order):
+                want = (1 << E.order) - 1
+                for m in scanned:
+                    if (m >> e) & 1 and (m >> f) & 1:
+                        want &= m
+                assert E.span((e, f)) == want, (E, e, f)
+        assert E.span(()) == 1 << E.zero
+
+
+def _z2_module(add=None, action=None):
+    """Z2 as a module over Z2, with one table replaced."""
+    z2 = make_zn(2)
+    return FiniteModule(
+        z2,
+        [[0, 1], [1, 0]] if add is None else add,
+        [[0, 0], [0, 1]] if action is None else action,
+        "bad",
+    )
+
+
+# Z2 x Z2 as a group, indexed 0..3 by bits
+KLEIN = [[a ^ b for b in range(4)] for a in range(4)]
+
+
+@pytest.mark.parametrize("add, action, error, message", [
+    ([], [[], []], ConstructionError, "module must be nonempty"),
+    ([[0, 1], [1]], None, TableError, r"module addition table row 1 has length 1, expected 2"),
+    ([[0, 1], [1, 2]], None, TableError, r"module addition table entry \[1\]\[1\] = 2 out of range"),
+    ([[0, 1], [1, 0.0]], None, TableError, r"module addition table entry \[1\]\[1\] = 0.0 is not an integer"),
+    (None, [[0, 0]], TableError, "module action table must have one row per ring element"),
+    (None, [[0, 0], [0]], TableError, "module action table is malformed"),
+    (None, [[0, 0], [0, 2]], TableError, "module action table is malformed"),
+    (None, [[0, 0], [0, "1"]], TableError, "module action table is malformed"),
+    ([[0, 1], [0, 0]], None, TableError, r"module addition is not commutative, witness \(0, 1\)"),
+    ([[1, 1], [1, 1]], None, TableError, "module addition has no identity"),
+    ([[0, 1, 2], [1, 2, 2], [2, 2, 1]], [[0, 0, 0], [0, 1, 2]], TableError,
+     "module element 1 has no additive inverse"),
+    ([[0, 1, 2], [1, 2, 0], [2, 0, 0]], [[0, 0, 0], [0, 1, 2]], TableError,
+     r"module addition not associative at \(1, ?1, ?2\)"),
+    (None, [[0, 0], [0, 0]], TableError, "module action of one is not the identity"),
+    (KLEIN, [[0, 1, 0, 0], [0, 1, 2, 3]], TableError, r"action not additive at \(0, ?1, ?2\)"),
+    (None, [[0, 1], [0, 1]], TableError, r"action not linear in the ring at \(0, ?0, ?1\)"),
+])
+def test_module_rejects_each_broken_table(add, action, error, message):
+    with pytest.raises(error, match=message):
+        _z2_module(add, action)
+
+
+def test_module_rejects_element_names_of_the_wrong_length():
+    with pytest.raises(ConstructionError, match="element_names length must equal the module order"):
+        FiniteModule(make_zn(2), [[0, 1], [1, 0]], [[0, 0], [0, 1]], "bad", element_names=["a"])
+
+
+def test_module_rejects_a_non_associative_action(f4):
+    """F4 on Z2 x Z2 through the additive map sending 1 and a to the identity
+    and a + 1 to zero: additive and linear in the ring, but a*a = a + 1 acts
+    as zero while a(a e) = e."""
+    a = next(x for x in range(4) if x not in (f4.zero, f4.one))
+    ident = list(range(4))
+    action = [ident if r in (f4.one, a) else [0] * 4 for r in range(4)]
+    with pytest.raises(TableError, match="action not associative at"):
+        FiniteModule(f4, KLEIN, action, "bad")

@@ -44,8 +44,8 @@ from ringlab.expansions import (
     scaling_check,
     standard_expansions,
 )
-from ringlab.ideals import Ideal, scale, span
-from ringlab.rings import make_zn
+from ringlab.ideals import Ideal, _radical_positions, radical, scale, span
+from ringlab.rings import FiniteRing, make_zn
 from ringlab.verifier import verify
 
 
@@ -110,6 +110,40 @@ def test_standard_expansions_dedup(z8, f4):
     assert "plus:(0)" not in labels_z8
     tables = [d.table for d in standard_expansions(z8)]
     assert len(tables) == len(set(tables))
+
+
+@pytest.mark.parametrize("tier", ["catalog16", "catalog_enlarged"])
+def test_stock_tables_match_their_rules(request, tier, monkeypatch):
+    """The radical and every translation I + J, read off the lattice masks,
+    equal the tables ``from_rule`` builds from the ideal maps. On a fresh copy
+    of each ring, with its lattice and radicals built, ``standard_expansions``
+    builds no ideal and makes no ``from_rule`` call."""
+    rings = [entry.ring for entry in request.getfixturevalue(tier)]
+    for R in rings:
+        assert radical_expansion(R).table == from_rule(R, radical, "rad").table, R.label
+        for J in R.proper_ideals():
+            want = from_rule(R, lambda I: I + J, "plus").table
+            assert plus_fixed(R, J).table == want, (R.label, J.label)
+    fresh = []
+    for R in rings:
+        S = FiniteRing(R.add_table, R.mul_table, R.label)
+        _radical_positions(S)
+        fresh.append(S)
+    built = []
+    original = Ideal.__init__
+
+    def counting(self, ring, mask):
+        built.append(ring.label)
+        original(self, ring, mask)
+
+    def refuse(*args):
+        raise AssertionError("from_rule on the build path")
+
+    monkeypatch.setattr(Ideal, "__init__", counting)
+    monkeypatch.setattr(expansions, "from_rule", refuse)
+    for S in fresh:
+        standard_expansions(S)
+    assert built == []
 
 
 def test_star_and_jacobson(z8):

@@ -16,6 +16,7 @@ import ringlab.rings as rings
 from ringlab.errors import InvariantError, RinglabError, TableError
 from ringlab.rings import (
     FiniteRing,
+    RingHom,
     _additive_generators,
     _colon_rows,
     _first_asym,
@@ -240,6 +241,17 @@ def test_non_integer_entry_reports_its_position():
         FiniteRing([[0, 1.0], [1, 0]], [[0, 0], [0, 1]], label="bad")
     with pytest.raises(TableError, match=r"multiplication table entry \[1\]\[0\] = '0' is not"):
         FiniteRing([[0, 1], [1, 0]], [[0, 0], ["0", 1]], label="bad")
+
+
+def test_bad_homomorphism_values_are_table_errors():
+    z2 = make_zn(2)
+    with pytest.raises(TableError, match=r"homomorphism value 1.0 is not an integer"):
+        RingHom(z2, z2, [0, 1.0])
+    with pytest.raises(TableError, match=r"homomorphism value 2 out of range for Z2"):
+        RingHom(z2, z2, [0, 2])
+    with pytest.raises(TableError, match=r"homomorphism value -1 out of range for Z2"):
+        RingHom(z2, z2, [-1, 1])
+    assert RingHom(z2, z2, [0, 1]).is_surjective()
 
 
 def _outcome(add, mul) -> str:

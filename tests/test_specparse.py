@@ -73,6 +73,35 @@ def test_parse_errors_carry_position():
         parse_ring("")
 
 
+@pytest.mark.parametrize("text, position, message", [
+    ("Z4/(1)", 5, "cannot quotient by the unit ideal"),
+    ("Z4/(3)", 5, "cannot quotient by the unit ideal"),
+    ("Z12/(4)/(2,3)", 12, "cannot quotient by the unit ideal"),
+    ("Z4/(5)", 5, "generator 5 out of range for Z4"),
+    ("triv(Z4,quot:(0,9))", 17, "generator 9 out of range for Z4"),
+    ("loc(Z12,12)", 10, "generator 12 out of range for Z12"),
+    ("loc(Z12,0)", 9, "multiplicative set contains zero"),
+])
+def test_bad_generator_lists_point_at_the_list(text, position, message):
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_ring(text)
+    assert exc.value.position == position
+
+
+@pytest.mark.parametrize("ring, text, position, message", [
+    ("Z12", "plus:(12)", 8, "generator 12 out of range for Z12"),
+    ("Z12/(4)", "bar(id,(40))", 10, "generator 40 out of range for Z12"),
+    ("Z12/(4)", "bar(id,(2))", 9, "ideal does not match the quotient construction"),
+    ("loc(Z12,3)", "loc(id,13)", 9, "generator 13 out of range for Z12"),
+    ("loc(Z12,3)", "loc(id,0)", 8, "multiplicative set contains zero"),
+    ("loc(Z12,3)", "loc(id,5)", 8, "set does not match the localization construction"),
+])
+def test_bad_expansion_generator_lists_point_at_the_list(ring, text, position, message):
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_expansion(text, parse_ring(ring))
+    assert exc.value.position == position
+
+
 def test_ring_labels_roundtrip(catalog12):
     for entry in catalog12:
         R = entry.ring
