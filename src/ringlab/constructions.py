@@ -20,7 +20,16 @@ from typing import Optional, Sequence, Union
 
 from .errors import ConstructionError, InvariantError, RingMismatchError, TableError
 from .ideals import Ideal, _sum_closure, _sum_masks, generator_list, is_ideal_mask
-from .rings import Element, FiniteRing, RingHom, _additive_zero, _normalize_table, _row_in_range
+from .rings import (
+    Element,
+    FiniteRing,
+    RingHom,
+    _additive_zero,
+    _element_index,
+    _normalize_table,
+    _pair_rows,
+    _row_in_range,
+)
 
 
 # ----------------------------------------------------------------------
@@ -58,14 +67,6 @@ class ProductOf:
         if self.pair_mask(m1, m2) != mask:
             raise InvariantError(f"mask {mask:#x} is not a product ideal")
         return m1, m2
-
-
-def _pair_rows(t1: Sequence[Sequence[int]], t2: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The componentwise table on row-major pairs, one row per comprehension:
-    entry ((a, b), (c, d)) is t1[a][c] * len(t2) + t2[b][d]."""
-    n2 = len(t2)
-    shifted = [[k * n2 for k in row1] for row1 in t1]
-    return [[k + v for k in row1 for v in row2] for row1 in shifted for row2 in t2]
 
 
 def make_product(R1: FiniteRing, R2: FiniteRing) -> FiniteRing:
@@ -239,7 +240,7 @@ class FiniteModule:
         cyclic = _cyclic_masks(self)
         mask = 1 << self.zero
         for e in generators:
-            mask = _sum_masks(self, mask, cyclic[e])
+            mask = _sum_masks(self, mask, cyclic[_element_index(self, e)])
         return mask
 
     def submodules(self) -> tuple[int, ...]:
@@ -253,11 +254,7 @@ class FiniteModule:
 
     def module_colon(self, fmask: int, c: Union[int, Element]) -> int:
         """Bitmask of (F : c) = {e : c e lies in F}."""
-        if isinstance(c, Element):
-            if c.ring is not self.ring:
-                raise RingMismatchError("element belongs to a different ring")
-            c = c.index
-        row = self.action[c]
+        row = self.action[_element_index(self.ring, c)]
         return sum(1 << e for e in range(self.order) if (fmask >> row[e]) & 1)
 
     def __repr__(self) -> str:

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Union
 
-from .errors import ProperIdealError, RingMismatchError
-from .rings import Element, FiniteRing
+from .errors import ConstructionError, ProperIdealError, RingMismatchError
+from .rings import Element, FiniteRing, _element_index
 
 
 class Ideal:
@@ -60,10 +60,10 @@ class Ideal:
         return (self._card, self.mask)
 
     def __contains__(self, a: Union[int, Element]) -> bool:
-        if isinstance(a, Element):
-            if a.ring is not self.ring:
-                raise RingMismatchError("element belongs to a different ring")
-            a = a.index
+        try:
+            a = _element_index(self.ring, a)
+        except ConstructionError:
+            return False
         return bool((self.mask >> a) & 1)
 
     def _same_ring(self, other: Ideal) -> None:
@@ -138,13 +138,7 @@ def span(R: FiniteRing, generators: Iterable[Union[int, Element]]) -> Ideal:
     pm = _principal_masks(R)
     mask = 1 << R.zero
     for g in generators:
-        if isinstance(g, Element):
-            if g.ring is not R:
-                raise RingMismatchError("generator belongs to a different ring")
-            g = g.index
-        if not (0 <= g < R.order):
-            raise ValueError(f"generator {g} out of range for {R.label}")
-        mask = _sum_masks(R, mask, pm[g])
+        mask = _sum_masks(R, mask, pm[_element_index(R, g)])
     return Ideal(R, mask)
 
 
@@ -283,11 +277,7 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
 
 def colon(I: Ideal, d: Union[int, Element]) -> Ideal:
     """The element colon (I : d) = {x : d*x lies in I}."""
-    if isinstance(d, Element):
-        if d.ring is not I.ring:
-            raise RingMismatchError("element belongs to a different ring")
-        d = d.index
-    return Ideal(I.ring, I.ring.colon_masks(I.mask)[d])
+    return Ideal(I.ring, I.ring.colon_masks(I.mask)[_element_index(I.ring, d)])
 
 
 def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
@@ -338,11 +328,7 @@ def _jacobson_square(R: FiniteRing) -> int:
 def scale(x: Union[int, Element], I: Ideal) -> Ideal:
     """The ideal x*I = {x*i : i in I}."""
     R = I.ring
-    if isinstance(x, Element):
-        if x.ring is not R:
-            raise RingMismatchError("element belongs to a different ring")
-        x = x.index
-    row = R.mul_table[x]
+    row = R.mul_table[_element_index(R, x)]
     mask = 0
     m = I.mask
     for a in range(R.order):
@@ -456,10 +442,7 @@ def is_radical_ideal(I: Ideal) -> bool:
 def is_prime_element(R: FiniteRing, x: Union[int, Element]) -> bool:
     """Nonzero x whose principal ideal is proper and prime. (x) is proper
     exactly when x is a nonunit; it is prime when V_(x) lies inside (x)."""
-    if isinstance(x, Element):
-        if x.ring is not R:
-            raise RingMismatchError("element belongs to a different ring")
-        x = x.index
+    x = _element_index(R, x)
     if x == R.zero or x in R.units():
         return False
     pm = _principal_masks(R)[x]

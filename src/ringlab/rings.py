@@ -177,9 +177,7 @@ class FiniteRing:
         return tab
 
     def element(self, index: int) -> Element:
-        if not (0 <= index < self.order):
-            raise ValueError(f"index {index} out of range for {self.label}")
-        return Element(self, index)
+        return Element(self, _element_index(self, index))
 
     def elements(self) -> list[Element]:
         return [Element(self, i) for i in range(self.order)]
@@ -543,6 +541,21 @@ class Element:
         return f"<{self.ring.element_name(self.index)} in {self.ring.label}>"
 
 
+def _element_index(space, a) -> int:
+    """The index of a in space, a ring or a module: a.index for an Element of
+    the ring space, or a itself for an int in 0..order-1. Every caller that
+    takes an element argument goes through here, so a foreign Element raises
+    RingMismatchError and any other value raises ConstructionError, never an
+    IndexError or a silently read row."""
+    if isinstance(a, Element):
+        if a.ring is not space:
+            raise RingMismatchError(f"element of {a.ring.label} used in {space!r}")
+        return a.index
+    if isinstance(a, int) and 0 <= a < space.order:
+        return a
+    raise ConstructionError(f"{a!r} is not an element index of {space!r}")
+
+
 class RingHom:
     """A unital ring homomorphism given by its value table.
 
@@ -667,12 +680,36 @@ def format_poly(coeffs: Sequence[int]) -> str:
     return "+".join(terms) if terms else "0"
 
 
+def _pair_rows(t1: Sequence[Sequence[int]], t2: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The componentwise table on row-major pairs, one row per comprehension:
+    entry ((a, b), (c, d)) is t1[a][c] * len(t2) + t2[b][d]."""
+    n2 = len(t2)
+    shifted = [[k * n2 for k in row1] for row1 in t1]
+    return [[k + v for k in row1 for v in row2] for row1 in shifted for row2 in t2]
+
+
+def _digits(m: int, p: int, k: int) -> list[int]:
+    """The k base-p digits of m, least significant first."""
+    out = []
+    for _ in range(k):
+        m, d = divmod(m, p)
+        out.append(d)
+    return out
+
+
 def make_poly_quotient(p: int, coeffs: Sequence[int]) -> FiniteRing:
-    """The quotient Z_p[x]/(f) for a monic f of degree at least 1.
+    """The quotient Z_p[x]/(f) for a monic f of degree k at least 1.
 
     Coefficients are given low to high. Elements are residue polynomials of
-    degree below deg(f), indexed by base-p digit encoding, so the constants
-    occupy indices 0..p-1.
+    degree below k. Index i stands for the polynomial whose coefficients are
+    the base-p digits of i, least significant first, so the constants
+    occupy indices 0..p-1 and i = c + p*h is the polynomial c + x*h.
+
+    Addition is k copies of Z_p's addition, paired digit by digit.
+    Multiplication is built row by row, each from two earlier rows: row c of
+    a constant c is row c-1 plus the identity row, and row c + p*h is row c
+    plus x times row h. Multiplying by x shifts the digits up one place and
+    cancels the carried top coefficient t by subtracting t*f.
     """
     if not _is_prime_int(p):
         raise ConstructionError(f"polynomial quotient needs a prime modulus, got {p}")
@@ -684,67 +721,37 @@ def make_poly_quotient(p: int, coeffs: Sequence[int]) -> FiniteRing:
         raise ConstructionError("polynomial modulus must have degree at least 1")
     if f[k] != 1:
         raise ConstructionError(f"polynomial modulus must be monic, got {format_poly(f)}")
-    n = p**k
-
-    def decode(i: int) -> list[int]:
-        out = []
-        for _ in range(k):
-            out.append(i % p)
-            i //= p
-        return out
-
-    def encode(cs: Sequence[int]) -> int:
-        i = 0
-        for c in reversed(cs[:k]):
-            i = i * p + (c % p)
-        return i
-
-    def reduce(cs: list[int]) -> list[int]:
-        cs = [c % p for c in cs]
-        for d in range(len(cs) - 1, k - 1, -1):
-            lead = cs[d]
-            if lead:
-                for j in range(k + 1):
-                    cs[d - k + j] = (cs[d - k + j] - lead * f[j]) % p
-        return cs[:k] + [0] * (k - len(cs))
-
-    polys = [decode(i) for i in range(n)]
-    add = [
-        [encode([(x + y) % p for x, y in zip(polys[i], polys[j])]) for j in range(n)]
-        for i in range(n)
-    ]
-    mul = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            prod = [0] * (2 * k - 1)
-            for d1, c1 in enumerate(polys[i]):
-                if c1 == 0:
-                    continue
-                for d2, c2 in enumerate(polys[j]):
-                    prod[d1 + d2] = (prod[d1 + d2] + c1 * c2) % p
-            row.append(encode(reduce(prod)))
-        mul.append(row)
+    n, top = p**k, p ** (k - 1)
+    digit_add = [[(a + b) % p for b in range(p)] for a in range(p)]
+    add = digit_add
+    for _ in range(k - 1):
+        add = _pair_rows(add, digit_add)
+    # cancel[t] = -t*(f - x^k), the value of t*x^k
+    cancel = [sum((-t * f[d]) % p * p**d for d in range(k)) for t in range(p)]
+    times_x = [add[g % top * p][cancel[g // top]] for g in range(n)]
+    mul = [[0] * n]
+    for i in range(1, n):
+        h, c = divmod(i, p)
+        if h:
+            mul.append([add[u][times_x[v]] for u, v in zip(mul[c], mul[h])])
+        else:
+            mul.append([add[u][j] for j, u in enumerate(mul[c - 1])])
     label = f"Z{p}[x]/({format_poly(f)})"
-    names = tuple(format_poly(polys[i]) for i in range(n))
+    names = tuple(format_poly(_digits(i, p, k)) for i in range(n))
     return FiniteRing(add, mul, label, element_names=names)
 
 
 def _poly_is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
     k = len(coeffs) - 1
+    if k == 1:
+        return True
     if any(sum(c * pow(a, d, p) for d, c in enumerate(coeffs)) % p == 0 for a in range(p)):
         return False
     if k < 4:
         return True
     for d in range(2, k // 2 + 1):
         for m in range(p**d):
-            g = []
-            i = m
-            for _ in range(d):
-                g.append(i % p)
-                i //= p
-            g.append(1)
-            if _poly_divides(p, g, list(coeffs)):
+            if _poly_divides(p, _digits(m, p, d) + [1], list(coeffs)):
                 return False
     return True
 
@@ -769,14 +776,9 @@ def irreducible_poly(p: int, k: int) -> tuple[int, ...]:
     if k < 1:
         raise ConstructionError("irreducible_poly needs degree at least 1")
     for m in range(p**k):
-        cs = []
-        i = m
-        for _ in range(k):
-            cs.append(i % p)
-            i //= p
-        cs.append(1)
-        if _poly_is_irreducible(p, tuple(cs)):
-            return tuple(cs)
+        cs = tuple(_digits(m, p, k)) + (1,)
+        if _poly_is_irreducible(p, cs):
+            return cs
     raise InvariantError("no irreducible polynomial found")
 
 

@@ -125,6 +125,22 @@ def test_module_axioms_and_colon(z4):
     assert got1 == 0b0101
 
 
+def test_module_element_arguments_are_range_checked(z4, z8):
+    # Z4/(2) has order 2: span takes module elements, module_colon ring elements
+    E = quotient_module(z4, span(z4, [2]))
+    assert E.span([1]) == 0b11
+    assert E.module_colon(0b01, 3) == 0b01
+    for bad in (2, 9, -1):
+        with pytest.raises(ConstructionError, match=f"{bad} is not an element index of FiniteModule"):
+            E.span([bad])
+    for bad in (4, 9, -1):
+        with pytest.raises(ConstructionError, match=f"{bad} is not an element index of FiniteRing"):
+            E.module_colon(0b01, bad)
+    assert E.module_colon(0b01, z4.element(2)) == 0b11
+    with pytest.raises(RingMismatchError):
+        E.module_colon(0b01, z8.element(2))
+
+
 def test_quotient_module(z4):
     J = span(z4, [2])
     E = quotient_module(z4, J)

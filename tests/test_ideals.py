@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringlab.errors import ProperIdealError, RingMismatchError
+from ringlab.errors import ConstructionError, ProperIdealError, RingMismatchError
 from ringlab.ideals import (
     _jacobson_square,
     _radical_positions,
@@ -145,6 +145,37 @@ def test_ring_mismatch_rejected(z12, z8):
     J = span(z8, [4])
     with pytest.raises(RingMismatchError):
         _ = I <= J
+
+
+# every public call that takes an element argument, on Z4 with I = (2)
+ELEMENT_CALLS = {
+    "span": lambda R, I, x: span(R, [x]),
+    "FiniteRing.span": lambda R, I, x: R.span([x]),
+    "FiniteRing.element": lambda R, I, x: R.element(x),
+    "colon": lambda R, I, x: colon(I, x),
+    "scale": lambda R, I, x: scale(x, I),
+    "is_prime_element": lambda R, I, x: is_prime_element(R, x),
+}
+
+
+@pytest.mark.parametrize("call", sorted(ELEMENT_CALLS))
+def test_element_arguments_are_range_checked(z4, z8, call):
+    fn = ELEMENT_CALLS[call]
+    I = span(z4, [2])
+    for bad in (4, 9, -1, -2, "1"):
+        with pytest.raises(ConstructionError, match=f"{bad!r} is not an element index of .*Z4"):
+            fn(z4, I, bad)
+    with pytest.raises(RingMismatchError):
+        fn(z4, I, z8.element(1))
+    assert fn(z4, I, z4.element(3)) == fn(z4, I, 3)
+
+
+def test_membership_of_an_index_outside_the_ring_is_false(z4, z8):
+    I = span(z4, [2])
+    assert [x for x in (-2, -1, 0, 1, 2, 3, 4, 9) if x in I] == [0, 2]
+    assert z4.element(2) in I
+    with pytest.raises(RingMismatchError):
+        _ = z8.element(2) in I
 
 
 def test_sum_product_intersection(z12):

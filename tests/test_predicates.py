@@ -507,12 +507,23 @@ def test_classify_shape(z36):
     assert by_label["(6)"].witnesses["1abs-delta-primary"] == (2, 2, 3)
 
 
-def test_memoization_returns_same_result(z36):
-    d = plus_fixed(z36, span(z36, [2]))
-    I = span(z36, [6])
-    first = one_absorbing_delta_primary_check(I, d)
-    second = one_absorbing_delta_primary_check(I, d)
-    assert first == second
+def test_memoization_returns_same_result(monkeypatch):
+    # (12) in Z36 is not 2-absorbing, witness (2, 2, 3), and delta((12)) = (2),
+    # so both checks compute their kernel once and then read the memo
+    R = make_zn(36)
+    d = plus_fixed(R, span(R, [2]))
+    I = span(R, [12])
+    assert two_absorbing_check(I) == (False, (2, 2, 3))
+    assert d(I).mask == span(R, [2]).mask
+    checks = (two_absorbing_delta_primary_check, delta_semiprimary_check)
+    first = [check(I, d) for check in checks]
+
+    def no_kernel(*args):
+        raise AssertionError("kernel ran on a memoized pair")
+
+    monkeypatch.setattr(predicates, "_two_absorbing", no_kernel)
+    monkeypatch.setattr(predicates, "_pair_kernel", no_kernel)
+    assert [check(I, d) for check in checks] == first
 
 
 @settings(max_examples=40, deadline=None)

@@ -25,6 +25,7 @@ from ringlab.rings import (
     format_poly,
     irreducible_poly,
     make_galois_field,
+    make_poly_quotient,
     make_zn,
 )
 
@@ -107,6 +108,52 @@ def test_irreducible_poly_is_irreducible():
         for a in range(p):
             val = sum(c * pow(a, i, p) for i, c in enumerate(coeffs)) % p
             assert val != 0
+
+
+def test_irreducible_poly_of_degree_one_is_x():
+    for p in (2, 3, 5):
+        assert irreducible_poly(p, 1) == (0, 1)
+
+
+def _poly_quotient_by_division(p, f):
+    """The tables of Z_p[x]/(f) entry by entry: each sum digit by digit, each
+    product by polynomial multiplication and then long division by f."""
+    k = len(f) - 1
+    polys = [[i // p**d % p for d in range(k)] for i in range(p**k)]
+
+    def encode(cs):
+        return sum(c % p * p**d for d, c in enumerate(cs))
+
+    def product(a, b):
+        cs = [0] * (2 * k - 1)
+        for d1, c1 in enumerate(a):
+            for d2, c2 in enumerate(b):
+                cs[d1 + d2] += c1 * c2
+        for d in range(2 * k - 2, k - 1, -1):
+            lead = cs[d] % p
+            for j in range(k + 1):
+                cs[d - k + j] -= lead * f[j]
+        return encode(cs[:k])
+
+    add = tuple(tuple(encode([x + y for x, y in zip(a, b)]) for b in polys) for a in polys)
+    mul = tuple(tuple(product(a, b) for b in polys) for a in polys)
+    return add, mul, f"Z{p}[x]/({format_poly(f)})", tuple(format_poly(a) for a in polys)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_poly_quotient_matches_division(p):
+    """Every monic f over Z_p with p^deg(f) <= 32."""
+    count = 0
+    for k in range(1, 6):
+        if p**k > 32:
+            break
+        for m in range(p**k):
+            f = [m // p**d % p for d in range(k)] + [1]
+            R = make_poly_quotient(p, f)
+            got = (R.add_table, R.mul_table, R.label, R.element_names)
+            assert got == _poly_quotient_by_division(p, f), f
+            count += 1
+    assert count == {2: 62, 3: 39, 5: 30}.get(p, p)
 
 
 def test_format_poly():

@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 
 from ringlab.errors import ParseError
-from ringlab.expansions import radical_expansion
+from ringlab.expansions import (
+    identity_expansion,
+    induced_trivial_extension,
+    plus_fixed,
+    radical_expansion,
+)
 from ringlab.ideals import span
 from ringlab.predicates import DELTA_FREE
 from ringlab.rings import make_zn
@@ -134,6 +139,20 @@ def test_parse_expansion_requires_matching_construction(z12):
         parse_expansion("bar(rad,(4))", z12)  # not a quotient ring
     with pytest.raises(ParseError):
         parse_expansion("nonsense", z12)
+
+
+def test_parse_expansion_trivial_extension():
+    T = parse_ring("triv(Z4,reg)")
+    A = T.construction.base
+    bases = {"id": identity_expansion(A), "rad": radical_expansion(A),
+             "plus:(2)": plus_fixed(A, span(A, [2]))}
+    for spec, base in bases.items():
+        got = parse_expansion(f"triv({spec})", T)
+        want = induced_trivial_extension(T, base)
+        assert (got.table, got.label) == (want.table, f"triv({spec})")
+    with pytest.raises(ParseError, match="Z4 was not built as a trivial extension") as exc:
+        parse_expansion("triv(id)", make_zn(4))
+    assert exc.value.position == 5
 
 
 def test_parse_query_evaluation():
