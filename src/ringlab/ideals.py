@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Union
 
-from .errors import ConstructionError, ProperIdealError, RingMismatchError
+from .errors import ConstructionError, InvariantError, ProperIdealError, RingMismatchError
 from .rings import Element, FiniteRing, _element_index
 
 
@@ -371,8 +371,41 @@ def _pair_kernel(
     return True, None
 
 
-def _zero_divisor_masks(R: FiniteRing) -> tuple[int, ...]:
-    """V_I for each proper ideal I, in lattice order, built once per ring.
+# ----------------------------------------------------------------------
+# pass sets (see ``predicates``): bit q of a proper ideal I's pass set is set
+# when the check holds at I with the ideal at lattice position q as its
+# bound. Only the bits of bounds that contain I are read.
+
+
+def _bounds_containing(R: FiniteRing, mask: int) -> int:
+    """The lattice positions of the ideals that contain ``mask``."""
+    return sum(1 << q for q, J in enumerate(R.ideals()) if not mask & ~J.mask)
+
+
+def _up_sets(R: FiniteRing) -> tuple[int, ...]:
+    """UP[q], the positions of the ideals that contain I_q, for each lattice
+    position q, built once."""
+    val = R.cache.get("up_sets")
+    if val is None:
+        val = R.cache["up_sets"] = tuple(_bounds_containing(R, I.mask) for I in R.ideals())
+    return val
+
+
+def _decide(I: Ideal, pass_sets, bound: int, witness) -> tuple[bool, Optional[tuple]]:
+    """A check at I with the bound mask ``bound``: the bit of I's pass set
+    in ``pass_sets(R)``, and on a failure the first witness that
+    ``witness(R, I.mask, bound)`` finds."""
+    R = I.ring
+    if (pass_sets(R)[R.lattice_position(I.mask)] >> R.lattice_position(bound)) & 1:
+        return True, None
+    got = witness(R, I.mask, bound)
+    if got[0]:
+        raise InvariantError("the pass set fails a bound that the witness scan passes")
+    return got
+
+
+def _primary_pass_sets(R: FiniteRing) -> tuple[int, ...]:
+    """{J : V_I inside J} for each proper ideal I, in lattice order.
 
     V_I is the mask of the b with (I : b) != I, the zero-divisors modulo I.
     (I : b) always contains I, so a*b in I with a outside I happens exactly
@@ -380,23 +413,21 @@ def _zero_divisor_masks(R: FiniteRing) -> tuple[int, ...]:
     exactly when V_I lies inside m: prime at m = I, primary at m = rad(I),
     delta-primary at m = delta(I).
     """
-    val = R.cache.get("zero_divisors")
+    val = R.cache.get("primary_pass")
     if val is None:
         val = []
         for I in R.proper_ideals():
             im = I.mask
-            val.append(sum(1 << b for b, row in enumerate(R.colon_masks(im)) if row != im))
-        val = R.cache["zero_divisors"] = tuple(val)
+            v = sum(1 << b for b, row in enumerate(R.colon_masks(im)) if row != im)
+            val.append(_bounds_containing(R, v))
+        val = R.cache["primary_pass"] = tuple(val)
     return val
 
 
 def _pair_primary(I: Ideal, dm: int) -> tuple[bool, Optional[tuple[int, int]]]:
-    """a*b in I forces a in I or b in dm: one mask test against V_I. Only a
+    """a*b in I forces a in I or b in dm: one bit of I's pass set. Only a
     failure runs the pair scan, for its minimal witness."""
-    R = I.ring
-    if not _zero_divisor_masks(R)[R.lattice_position(I.mask)] & ~dm:
-        return True, None
-    return _pair_kernel(R, I.mask, dm, I.mask)
+    return _decide(I, _primary_pass_sets, dm, lambda R, im, m: _pair_kernel(R, im, m, im))
 
 
 def prime_check(I: Ideal) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -409,15 +440,31 @@ def is_prime(I: Ideal) -> bool:
     return prime_check(I)[0]
 
 
-def maximal_check(I: Ideal) -> tuple[bool, Optional[Ideal]]:
-    """Lattice scan: no proper ideal strictly between I and the ring."""
-    _require_proper(I, "is_maximal")
-    for J in I.ring.ideals():
-        if J.num_elements <= I.num_elements or not J.is_proper:
-            continue
-        if not (I.mask & ~J.mask) and J.mask != I.mask:
+def _maximal_pass_sets(R: FiniteRing) -> tuple[int, ...]:
+    """Every bound for a maximal ideal and none for the others. A proper
+    ideal is maximal when the unit ideal is the only other ideal above it."""
+    val = R.cache.get("maximal_pass")
+    if val is None:
+        up = _up_sets(R)
+        top = len(up) - 1
+        val = R.cache["maximal_pass"] = tuple(
+            (1 << len(up)) - 1 if up[p] == 1 << p | 1 << top else 0 for p in range(top))
+    return val
+
+
+def _larger_ideal(R: FiniteRing, im: int, _bound: int) -> tuple[bool, Optional[Ideal]]:
+    """The first proper ideal strictly above the ideal mask im."""
+    for J in R.proper_ideals():
+        if not im & ~J.mask and J.mask != im:
             return False, J
     return True, None
+
+
+def maximal_check(I: Ideal) -> tuple[bool, Optional[Ideal]]:
+    """No proper ideal strictly between I and the ring; the witness is the
+    first proper ideal strictly above I."""
+    _require_proper(I, "is_maximal")
+    return _decide(I, _maximal_pass_sets, I.mask, _larger_ideal)
 
 
 def is_maximal(I: Ideal) -> bool:
@@ -441,9 +488,10 @@ def is_radical_ideal(I: Ideal) -> bool:
 
 def is_prime_element(R: FiniteRing, x: Union[int, Element]) -> bool:
     """Nonzero x whose principal ideal is proper and prime. (x) is proper
-    exactly when x is a nonunit; it is prime when V_(x) lies inside (x)."""
+    exactly when x is a nonunit; it is prime when V_(x) lies inside (x),
+    which bit (x) of its primary pass set records."""
     x = _element_index(R, x)
     if x == R.zero or x in R.units():
         return False
-    pm = _principal_masks(R)[x]
-    return not _zero_divisor_masks(R)[R.lattice_position(pm)] & ~pm
+    p = R.lattice_position(_principal_masks(R)[x])
+    return bool((_primary_pass_sets(R)[p] >> p) & 1)

@@ -6,28 +6,28 @@ failure. Each condition asks whether some obstruction stays inside a bound
 m, where m is I itself, rad(I) or delta(I); the checks never depend on
 delta beyond the mask of delta(I).
 
-Six checks are decided by one obstruction mask per proper ideal, cached on
-the ring and read off the colon rows of I:
+Each condition only weakens as m grows, so at a proper ideal I the bounds
+at which a check holds form an up-set of the ideal lattice. That up-set is
+kept as an int over lattice positions, I's pass set: bit q is set when the
+check holds with the ideal at position q as its bound. There is one pass
+set per conclusion shape, built for every proper ideal once per ring and
+cached on the ring:
 
-- V_I (``ideals._zero_divisor_masks``), the b with (I : b) != I. Prime,
-  primary and delta-primary hold exactly when V_I lies inside m.
-- U_I (``_absorbing_masks``), the nonunits c with v*c in I for some product
-  v of two nonunits outside I. 1-absorbing prime, 1-absorbing primary and
-  1-absorbing delta-primary hold exactly when U_I lies inside m.
+- prime, primary and delta-primary: {J : V_I inside J}, where V_I is the
+  set of zero-divisors modulo I (``ideals._primary_pass_sets``);
+- the three 1-absorbing checks: {J : U_I inside J}, where U_I is the set of
+  last factors of the nonunit triples that break the condition at I
+  (``_one_absorbing_pass_sets``);
+- maximal: every bound or none (``ideals._maximal_pass_sets``);
+- 2-absorbing and 2-absorbing delta-primary, delta-semiprimary and the
+  ideal-wise form: built over pairs of principal or of proper ideals
+  (``_two_absorbing_pass_sets``, ``_semiprimary_pass_sets``,
+  ``_idealwise_pass_sets``).
 
-A check that passes its mask test returns at once; only a failure runs the
-check's scan, which finds the minimal witness. The 2-absorbing condition
-only weakens as m grows, so an ideal that is 2-absorbing is 2-absorbing
-delta-primary for every delta, and the 2-absorbing kernel runs at
-m = delta(I) only at ideals that are not 2-absorbing. The definitional
+A check reads one bit (``ideals._decide``) and runs its scan only on a
+failure, to find the minimal witness. ``_verdicts`` reads one check's bits
+at every proper ideal into a tuple for the sweeps. The definitional
 ``*_scan`` functions are kept as oracles for the test suite.
-
-The ring keeps its 2-absorbing results, one per proper ideal. ``_memo``
-keeps, per ring and keyed by check name and the mask pair (I, m), the
-results that still need a scan: the 2-absorbing kernel at delta(I) where I
-is not 2-absorbing, delta-semiprimary and the ideal-wise form.
-``_verdicts`` keeps one check's values over all proper ideals as a tuple
-for the sweeps, filled by one mask test per entry for the six checks above.
 """
 
 from __future__ import annotations
@@ -35,22 +35,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvariantError
+from .errors import RinglabError
 from .expansions import ExpansionFunction
 from .ideals import (
     Ideal,
+    _bounds_containing,
+    _decide,
     _lsb,
+    _maximal_pass_sets,
     _pair_kernel,
     _pair_primary,
+    _primary_pass_sets,
+    _principal_table,
     _radical_positions,
     _require_proper,
-    _zero_divisor_masks,
+    _up_sets,
     ideal_colon,
     ideal_product,
     maximal_check,
     primary_check,
     prime_check,
     radical,
+    scale,
 )
 from .rings import FiniteRing
 
@@ -59,6 +65,7 @@ TripleResult = tuple[bool, Optional[tuple[int, int, int]]]
 IdealTripleResult = tuple[bool, Optional[tuple[Ideal, Ideal, Ideal]]]
 
 
+# No caller: the pass sets replaced it, and bench/tracing.py still patches it.
 def _memo(I: Ideal, dm: int, name: str, compute):
     cache = I.ring.cache.setdefault("predicates", {})
     key = (name, I.mask, dm)
@@ -70,50 +77,47 @@ def _memo(I: Ideal, dm: int, name: str, compute):
 
 
 # ----------------------------------------------------------------------
-# the 1-absorbing obstruction mask and the 2-absorbing kernel
+# the 1-absorbing and 2-absorbing pass sets and witness scans
 
 
-def _absorbing_masks(R: FiniteRing) -> tuple[int, ...]:
-    """U_I for each proper ideal I, in lattice order, built once per ring.
+def _one_absorbing_pass_sets(R: FiniteRing) -> tuple[int, ...]:
+    """{J : U_I inside J} for each proper ideal I, in lattice order.
 
     U_I is the mask of the nonunits c with v*c in I for some product v of
     two nonunits that lies outside I: row v of the colon table, over those
-    v. A nonunit triple with a*b*c in I and a*b outside I has its c in U_I,
-    and every c in U_I ends such a triple, so "a*b*c in I forces a*b in I or
+    v; that row holds only nonunits, since v lies outside I. A nonunit
+    triple with a*b*c in I and a*b outside I has its c in U_I, and every c
+    in U_I ends such a triple, so "a*b*c in I forces a*b in I or
     c in m" holds exactly when U_I lies inside m: 1-absorbing prime at
     m = I, 1-absorbing primary at m = rad(I), 1-absorbing delta-primary at
     m = delta(I).
     """
-    val = R.cache.get("absorbing")
+    val = R.cache.get("one_absorbing_pass")
     if val is None:
-        nu, nu2 = R.nonunits_mask, R.nonunit_product_mask
         val = []
         for I in R.proper_ideals():
             cm = R.colon_masks(I.mask)
             u = 0
-            v = nu2 & ~I.mask
+            v = R.nonunit_product_mask & ~I.mask
             while v:
                 low = v & -v
                 u |= cm[low.bit_length() - 1]
                 v ^= low
-            val.append(u & nu)
-        val = R.cache["absorbing"] = tuple(val)
+            val.append(_bounds_containing(R, u))
+        val = R.cache["one_absorbing_pass"] = tuple(val)
     return val
 
 
 def _one_absorbing(I: Ideal, dm: int) -> TripleResult:
-    """a*b*c in I forces a*b in I or c in dm, over nonunit triples: one mask
-    test against U_I. Only a failure runs the pair scan, for its minimal
+    """a*b*c in I forces a*b in I or c in dm, over nonunit triples: one bit
+    of I's pass set. Only a failure runs the pair scan, for its minimal
     witness."""
-    R = I.ring
-    if not _absorbing_masks(R)[R.lattice_position(I.mask)] & ~dm:
-        return True, None
-    return _one_absorbing_witness(R, I.mask, dm)
+    return _decide(I, _one_absorbing_pass_sets, dm, _one_absorbing_witness)
 
 
 def _one_absorbing_witness(R: FiniteRing, im: int, dm: int) -> TripleResult:
     """The first nonunit pair (a, b) with a*b outside I whose colon row
-    leaves dm, with the least such c: the scan behind a failed U_I test."""
+    leaves dm, with the least such c: the scan behind a failed bit."""
     cm = R.colon_masks(im)
     notdm = R.nonunits_mask & ~dm
     mul = R.mul_table
@@ -127,10 +131,10 @@ def _one_absorbing_witness(R: FiniteRing, im: int, dm: int) -> TripleResult:
             bad = cm[ab] & notdm
             if bad:
                 return False, (a, b, _lsb(bad))
-    raise InvariantError("U_I leaves the bound but the witness scan passed")
+    return True, None
 
 
-# The 2-absorbing kernel scans only nonunit pairs (a, b) with a <= b. If a
+# The 2-absorbing scan covers only nonunit pairs (a, b) with a <= b. If a
 # is a unit, then a*b*c in I gives b*c in I, which lies in dm; a unit b is
 # the same case, so a pair with a unit has an empty ``bad`` mask. The test is
 # symmetric in a and b, so the first failing pair in (a, b) order has a <= b
@@ -157,13 +161,46 @@ def _two_absorbing(R: FiniteRing, im: int, dm: int) -> TripleResult:
     return True, None
 
 
-def _two_absorbing_results(R: FiniteRing) -> tuple[TripleResult, ...]:
-    """The 2-absorbing kernel at dm = I for each proper ideal I, in lattice
-    order: the ring's 2-absorbing verdicts and witnesses, built once."""
-    val = R.cache.get("two_absorbing")
+def _two_absorbing_pass_sets(R: FiniteRing) -> tuple[int, ...]:
+    """The bounds J at which "a*b*c in I forces a*b in I or a*c in J or b*c
+    in J" holds, for each proper ideal I, in lattice order.
+
+    Take nonunits a <= b with a*b outside I, and K = (I : a*b). The bad c
+    at J are those of K outside (J : a) and (J : b). An ideal inside the
+    union of two ideals lies inside one of them, so the pair passes at J
+    exactly when a*K or b*K lies inside J. a*K = (a)K, and K depends only
+    on (a*b) = (a)(b), so one generator per proper principal ideal stands
+    for all its generators. Each product x*K is built once, when first met.
+    """
+    val = R.cache.get("two_absorbing_pass")
     if val is None:
-        val = R.cache["two_absorbing"] = tuple(
-            _two_absorbing(R, I.mask, I.mask) for I in R.proper_ideals())
+        up = _up_sets(R)
+        pos = R.lattice_position
+        lattice = R.ideals()
+        nu = R.nonunits_mask
+        gens = [g for g in _principal_table(R).values() if (nu >> g) & 1]
+        scaled: dict[tuple[int, int], int] = {}  # (x, k) -> UP[x*I_k]
+
+        def up_scaled(x: int, k: int) -> int:
+            got = scaled.get((x, k))
+            if got is None:
+                got = scaled[x, k] = up[pos(scale(x, lattice[k]).mask)]
+            return got
+
+        mul = R.mul_table
+        val = []
+        for p, I in enumerate(R.proper_ideals()):
+            im, cm = I.mask, R.colon_masks(I.mask)
+            s = up[p]
+            for i, a in enumerate(gens):
+                row = mul[a]
+                for b in gens[i:]:
+                    ab = row[b]
+                    if not (im >> ab) & 1:
+                        k = pos(cm[ab])
+                        s &= up_scaled(a, k) | up_scaled(b, k)
+            val.append(s)
+        val = R.cache["two_absorbing_pass"] = tuple(val)
     return val
 
 
@@ -182,11 +219,33 @@ def is_delta_primary(I: Ideal, delta: ExpansionFunction) -> bool:
     return delta_primary_check(I, delta)[0]
 
 
+def _semiprimary_pass_sets(R: FiniteRing) -> tuple[int, ...]:
+    """The bounds J at which "a*b in I forces a in J or b in J" holds, for
+    each proper ideal I, in lattice order: the AND over a of
+    UP[(a)] | UP[(I : a)]. For a outside J, every b with a*b in I, that is
+    all of (I : a), must lie in J. (I : a) = (I : (a)), so one generator per
+    principal ideal is enough."""
+    val = R.cache.get("semiprimary_pass")
+    if val is None:
+        up = _up_sets(R)
+        pos = R.lattice_position
+        gens = [(g, up[pos(m)]) for m, g in _principal_table(R).items()]
+        val = []
+        for p, I in enumerate(R.proper_ideals()):
+            cm = R.colon_masks(I.mask)
+            s = up[p]
+            for g, up_g in gens:
+                s &= up_g | up[pos(cm[g])]
+            val.append(s)
+        val = R.cache["semiprimary_pass"] = tuple(val)
+    return val
+
+
 def delta_semiprimary_check(I: Ideal, delta: ExpansionFunction) -> PairResult:
     """a*b in I forces a in delta(I) or b in delta(I)."""
     _require_proper(I, "is_delta_semiprimary")
-    dm = delta(I).mask
-    return _memo(I, dm, "delta_semiprimary", lambda: _pair_kernel(I.ring, I.mask, dm, dm))
+    return _decide(I, _semiprimary_pass_sets, delta(I).mask,
+                   lambda R, im, dm: _pair_kernel(R, im, dm, dm))
 
 
 def is_delta_semiprimary(I: Ideal, delta: ExpansionFunction) -> bool:
@@ -254,10 +313,9 @@ def is_one_absorbing_primary(I: Ideal) -> bool:
 
 def two_absorbing_check(I: Ideal) -> TripleResult:
     """a*b*c in I forces a*b in I or a*c in I or b*c in I: the 2-absorbing
-    kernel at I."""
+    test at I."""
     _require_proper(I, "is_two_absorbing")
-    R = I.ring
-    return _two_absorbing_results(R)[R.lattice_position(I.mask)]
+    return _decide(I, _two_absorbing_pass_sets, I.mask, _two_absorbing)
 
 
 def is_two_absorbing(I: Ideal) -> bool:
@@ -266,19 +324,9 @@ def is_two_absorbing(I: Ideal) -> bool:
 
 def two_absorbing_delta_primary_check(I: Ideal, delta: ExpansionFunction) -> TripleResult:
     """a*b*c in I forces a*b in I or a*c in delta(I) or b*c in delta(I),
-    over all element triples.
-
-    The condition only weakens as delta(I) grows, and delta(I) contains I,
-    so a 2-absorbing ideal passes under every delta: the kernel runs at
-    delta(I) only where I is not 2-absorbing.
-    """
+    over all element triples."""
     _require_proper(I, "is_two_absorbing_delta_primary")
-    R = I.ring
-    im, dm = I.mask, delta(I).mask
-    got = _two_absorbing_results(R)[R.lattice_position(im)]
-    if got[0] or dm == im:
-        return got
-    return _memo(I, dm, "two_absorbing_delta_primary", lambda: _two_absorbing(R, im, dm))
+    return _decide(I, _two_absorbing_pass_sets, delta(I).mask, _two_absorbing)
 
 
 def is_two_absorbing_delta_primary(I: Ideal, delta: ExpansionFunction) -> bool:
@@ -316,25 +364,46 @@ def idealwise_one_absorbing_check(I: Ideal, delta: ExpansionFunction) -> IdealTr
     For proper I1, I2, I3: I1*I2*I3 inside I forces I1*I2 inside I or I3
     inside delta(I). For a fixed pair with I1*I2 not inside I, the ideals
     I3 allowed by the premise are exactly those inside (I : I1*I2), which
-    is then proper, so only the colon itself needs testing.
+    is then proper, so only the colon itself needs testing. The witness is
+    (I1, I2, (I : I1*I2)) for the first such pair whose colon leaves
+    delta(I).
     """
     _require_proper(I, "idealwise_one_absorbing_check")
-    dm = delta(I).mask
+    return _decide(I, _idealwise_pass_sets, delta(I).mask, _idealwise_witness)
 
-    def compute():
-        R = I.ring
+
+def _idealwise_pass_sets(R: FiniteRing) -> tuple[int, ...]:
+    """{J : W_I inside J} for each proper ideal I, in lattice order, where
+    W_I is the union of (I : P) over the distinct products P of two proper
+    ideals with P outside I."""
+    val = R.cache.get("idealwise_pass")
+    if val is None:
         proper = R.proper_ideals()
-        for I1 in proper:
-            for I2 in proper:
-                P12 = _cached_product(R, I1, I2)
-                if not (P12 & ~I.mask):
-                    continue
+        products = {_cached_product(R, I1, I2) for i, I1 in enumerate(proper) for I2 in proper[i:]}
+        val = []
+        for I in proper:
+            w = 0
+            for P in products:
+                if P & ~I.mask:
+                    w |= ideal_colon(I, Ideal(R, P)).mask
+            val.append(_bounds_containing(R, w))
+        val = R.cache["idealwise_pass"] = tuple(val)
+    return val
+
+
+def _idealwise_witness(R: FiniteRing, im: int, dm: int) -> IdealTripleResult:
+    """The first pair of proper ideals (I1, I2) with I1*I2 outside I whose
+    colon (I : I1*I2) leaves dm, with that colon."""
+    I = Ideal(R, im)
+    proper = R.proper_ideals()
+    for I1 in proper:
+        for I2 in proper:
+            P12 = _cached_product(R, I1, I2)
+            if P12 & ~im:
                 K = ideal_colon(I, Ideal(R, P12))
                 if K.mask & ~dm:
                     return False, (I1, I2, K)
-        return True, None
-
-    return _memo(I, dm, "idealwise_one_absorbing", compute)
+    return True, None
 
 
 def idealwise_one_absorbing_scan(I: Ideal, delta: ExpansionFunction) -> IdealTripleResult:
@@ -390,15 +459,26 @@ DELTA_FREE = frozenset({"prime", "maximal", "primary", "2abs", "1abs-prime", "1a
 PREDICATE_NAMES = tuple(PREDICATES)
 
 
-# The six checks that one mask test decides: name -> (the obstruction masks
-# of the proper ideals, the lattice positions of their bounds).
-_MASK_TESTS = {
-    "prime": (_zero_divisor_masks, lambda R, d: range(len(R.proper_ideals()))),
-    "primary": (_zero_divisor_masks, lambda R, d: _radical_positions(R)),
-    "delta-primary": (_zero_divisor_masks, lambda R, d: d.table),
-    "1abs-prime": (_absorbing_masks, lambda R, d: range(len(R.proper_ideals()))),
-    "1abs-primary": (_absorbing_masks, lambda R, d: _radical_positions(R)),
-    "1abs-delta-primary": (_absorbing_masks, lambda R, d: d.table),
+# The lattice positions of the bounds I, rad(I) and delta(I) at the proper
+# ideals, and each check by name, with the ideal-wise form that T-DEF-EQ
+# compares: (its pass sets, its bounds).
+_OWN, _RAD, _DELTA = (
+    lambda R, d: range(len(R.proper_ideals())),
+    lambda R, d: _radical_positions(R),
+    lambda R, d: d.table,
+)
+_PASS_SETS = {
+    "prime": (_primary_pass_sets, _OWN),
+    "maximal": (_maximal_pass_sets, _OWN),
+    "primary": (_primary_pass_sets, _RAD),
+    "2abs": (_two_absorbing_pass_sets, _OWN),
+    "1abs-prime": (_one_absorbing_pass_sets, _OWN),
+    "1abs-primary": (_one_absorbing_pass_sets, _RAD),
+    "delta-primary": (_primary_pass_sets, _DELTA),
+    "delta-semiprimary": (_semiprimary_pass_sets, _DELTA),
+    "1abs-delta-primary": (_one_absorbing_pass_sets, _DELTA),
+    "2abs-delta-primary": (_two_absorbing_pass_sets, _DELTA),
+    "idealwise": (_idealwise_pass_sets, _DELTA),
 }
 
 
@@ -407,10 +487,9 @@ def _verdicts(
 ) -> tuple[bool, ...]:
     """The value of check ``name`` at each proper ideal of R, in lattice order.
 
-    Computed once and kept on the expansion, or on R for the delta-free
-    checks, so a sweep indexes a tuple instead of calling the check per
-    instance. The checks of ``_MASK_TESTS`` take one mask test per entry;
-    the other four go through ``_CHECKS``.
+    Read bit by bit from the pass sets, once, and kept on the expansion, or
+    on R for the delta-free checks, so a sweep indexes a tuple instead of
+    calling the check per instance. ``name`` is a check or "idealwise".
     """
     if name in DELTA_FREE:
         store = R.cache.setdefault("verdicts", {})
@@ -420,23 +499,17 @@ def _verdicts(
         store = delta.verdicts
     got = store.get(name)
     if got is None:
-        test = _MASK_TESTS.get(name)
-        if test is None:
-            check = _CHECKS[name]
-            got = tuple(check(I, delta)[0] for I in R.proper_ideals())
-        else:
-            obstruction, bound = test
-            lattice = R.ideals()
-            got = tuple(not o & ~lattice[q].mask for o, q in zip(obstruction(R), bound(R, delta)))
-        store[name] = got
+        pass_sets, bounds = _PASS_SETS[name]
+        got = store[name] = tuple(
+            bool((s >> q) & 1) for s, q in zip(pass_sets(R), bounds(R, delta)))
     return got
 
 
 def evaluate_predicate(name: str, I: Ideal, delta: Optional[ExpansionFunction]) -> bool:
     if name not in PREDICATES:
-        raise KeyError(f"unknown predicate {name!r}")
+        raise RinglabError(f"unknown predicate {name!r}")
     if name not in DELTA_FREE and delta is None:
-        raise ValueError(f"predicate {name!r} needs an expansion")
+        raise RinglabError(f"predicate {name!r} needs an expansion")
     return PREDICATES[name](I, delta)
 
 

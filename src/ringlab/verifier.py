@@ -56,8 +56,6 @@ from .predicates import (
     _verdicts,
     idealwise_one_absorbing_check,
     is_delta_primary,
-    is_delta_semiprimary,
-    is_two_absorbing_delta_primary,
     one_absorbing_delta_primary_check,
 )
 from .rings import FiniteRing, make_zn
@@ -186,10 +184,8 @@ def _names(R: FiniteRing, idxs) -> tuple[str, ...]:
 
 
 # Sweeps read one verdict per proper ideal, by lattice position, from the
-# vectors of ``predicates._verdicts``. A conclusion asked only where the
-# hypothesis holds (2-absorbing, semiprimary) stays a check call, so its
-# kernel never runs on the other ideals. A failure reruns its check for the
-# witness.
+# vectors of ``predicates._verdicts``, each read bit by bit from the ring's
+# pass sets. Only a failure calls its check, for the witness.
 
 
 def _one_abs(d: ExpansionFunction) -> tuple[bool, ...]:
@@ -241,11 +237,11 @@ def _t_def_eq(entry: CatalogEntry, part: _Part) -> None:
     if R.order > 12:
         return
     for d in entry.expansions:
-        for I in R.proper_ideals():
+        for I, el, iw in zip(R.proper_ideals(), _one_abs(d), _verdicts("idealwise", R, d)):
             part.instance(True)
-            el, wit = one_absorbing_delta_primary_check(I, d)
-            iw, iwit = idealwise_one_absorbing_check(I, d)
             if el != iw:
+                _, wit = one_absorbing_delta_primary_check(I, d)
+                _, iwit = idealwise_one_absorbing_check(I, d)
                 detail = f"elementwise={el} idealwise={iw}"
                 if iwit is not None:
                     detail += " triple " + ",".join(K.label for K in iwit)
@@ -291,8 +287,9 @@ def _t_2abs(entry: CatalogEntry, part: _Part) -> None:
     """1-absorbing delta-primary implies 2-absorbing delta-primary."""
     R = entry.ring
     for d in entry.expansions:
-        for I, one_abs in zip(R.proper_ideals(), _one_abs(d)):
-            if part.instance(one_abs) and not is_two_absorbing_delta_primary(I, d):
+        two_abs = _verdicts("2abs-delta-primary", R, d)
+        for I, one_abs, ok in zip(R.proper_ideals(), _one_abs(d), two_abs):
+            if part.instance(one_abs) and not ok:
                 part.fail(I, d.label, None, "not 2-absorbing delta-primary")
 
 
@@ -302,8 +299,9 @@ def _t_semi(entry: CatalogEntry, part: _Part) -> None:
     R = entry.ring
     rpos = _radical_positions(R)
     for d in entry.expansions:
-        for I, one_abs, q in zip(R.proper_ideals(), _one_abs(d), d.table):
-            if part.instance(rpos[q] == q and one_abs) and not is_delta_semiprimary(I, d):
+        semi = _verdicts("delta-semiprimary", R, d)
+        for I, one_abs, ok, q in zip(R.proper_ideals(), _one_abs(d), semi, d.table):
+            if part.instance(rpos[q] == q and one_abs) and not ok:
                 part.fail(I, d.label, None, "not delta-semiprimary")
 
 
@@ -389,8 +387,9 @@ def _t_m2(entry: CatalogEntry, part: _Part) -> None:
     local = R.is_local()
     m2_mask = _jacobson_square(R) if local else None
     for d in entry.expansions:
-        for I, one_abs in zip(R.proper_ideals(), _one_abs(d)):
-            if part.instance(one_abs) and not is_delta_semiprimary(I, d):
+        semi = _verdicts("delta-semiprimary", R, d)
+        for I, one_abs, ok in zip(R.proper_ideals(), _one_abs(d), semi):
+            if part.instance(one_abs) and not ok:
                 if local and (m2_mask & ~I.mask) == 0:
                     continue
                 part.fail(I, d.label, None, "neither delta-semiprimary nor M^2 inside I")

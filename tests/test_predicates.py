@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringlab.errors import ProperIdealError
+from ringlab.errors import ProperIdealError, RinglabError
 from ringlab.expansions import (
     constant_ring,
     identity_expansion,
@@ -16,7 +16,7 @@ from ringlab.expansions import (
 )
 import ringlab.ideals as ideals
 import ringlab.predicates as predicates
-from ringlab.ideals import primary_check, prime_check, radical, span
+from ringlab.ideals import ideal_colon, ideal_product, primary_check, prime_check, radical, span
 from ringlab.predicates import (
     _CHECKS,
     DELTA_FREE,
@@ -53,10 +53,6 @@ from ringlab.constructions import (
 )
 from ringlab.rings import FiniteRing, make_zn
 from test_constructions import SMALL_BASES
-
-
-MASK_DECIDED = ("prime", "primary", "delta-primary", "1abs-prime", "1abs-primary",
-                "1abs-delta-primary")
 
 
 def definitional_pair_scan(I, dm, skip):
@@ -243,6 +239,37 @@ def test_verdict_vectors_match_the_checks_on_default_catalog():
     assert pairs == 6588
 
 
+def test_every_bound_above_i_matches_the_scans_on_default_catalog():
+    """The 2-absorbing delta-primary, delta-semiprimary and delta-primary
+    checks with every lattice position J that contains I as the bound, not
+    only I, rad(I) and delta(I): values and witnesses against the
+    all-element pair scans, and bit J of I's pass set against the value, on
+    every proper ideal of the default catalog."""
+    kinds = (
+        (two_absorbing_delta_primary_check, predicates._two_absorbing_pass_sets),
+        (delta_semiprimary_check, predicates._semiprimary_pass_sets),
+        (delta_primary_check, ideals._primary_pass_sets),
+    )
+    pairs = 0
+    for entry in build_catalog(CatalogConfig()):
+        R = entry.ring
+        for p, I in enumerate(R.proper_ideals()):
+            for q, J in enumerate(R.ideals()):
+                if I.mask & ~J.mask:
+                    continue
+                at_bound = lambda _: J  # noqa: E731
+                want = (
+                    two_absorbing_delta_primary_scan(I, at_bound),
+                    definitional_pair_scan(I, J.mask, J.mask),
+                    definitional_pair_scan(I, J.mask, I.mask),
+                )
+                for (check, pass_sets), scan in zip(kinds, want):
+                    assert check(I, at_bound) == scan, (entry.provenance, I, J, check.__name__)
+                    assert (pass_sets(R)[p] >> q) & 1 == scan[0], (entry.provenance, I, J)
+                pairs += 1
+    assert pairs == 3217
+
+
 def assert_checks_match_the_scans(R, expansions):
     """All ten checks, values and witnesses, and their verdict vectors, at
     every proper ideal of R under each expansion, against the definitional
@@ -306,7 +333,10 @@ def test_all_checks_match_the_definitional_scans(request, tier):
     assert pairs == {"catalog16": 6588 + 3 * 805}.get(tier, pairs)
 
 
-@settings(max_examples=25, deadline=None)
+# derandomize fixes the draws: unseeded, they reached a ring of order 256
+# whose definitional scans took 40 s. Hypothesis derives the fixed seed from
+# the test's source, so an edit to the function below changes what it draws.
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.sampled_from(SMALL_BASES), st.sampled_from(SMALL_BASES), st.data())
 def test_all_checks_match_the_scans_on_random_constructed_rings(R1, R2, data):
     """Products, quotients and trivial extensions of random small bases, one
@@ -377,64 +407,95 @@ def _no_scan(*args):
     raise AssertionError("a scan ran")
 
 
+# What a check may run besides reading a pass set: the witness scans, and
+# the pieces the pass-set builders are made of.
+SCANS = (
+    (ideals, "_pair_kernel"), (predicates, "_pair_kernel"), (ideals, "_larger_ideal"),
+    (predicates, "_one_absorbing_witness"), (predicates, "_two_absorbing"),
+    (predicates, "_idealwise_witness"),
+)
+BUILDERS = (
+    (ideals, "_bounds_containing"), (predicates, "_bounds_containing"),
+    (ideals, "_up_sets"), (predicates, "_up_sets"), (predicates, "scale"),
+)
+
+
 def test_passing_checks_read_cached_masks_and_run_no_scan(catalog16, monkeypatch):
-    """On Z8 at (2), id and rad agree and both read the one U_I cached on
-    the ring, with no memo entry. Over the default catalog, every (I, delta)
-    pair that passes a mask-decided check runs no scan and adds no memo
-    entry, and at a 2-absorbing ideal the 2-absorbing delta-primary check
-    runs no 2-absorbing scan under any expansion."""
+    """On Z8 at (2), id and rad agree and both read the one 1-absorbing pass
+    set cached on the ring. Over the default catalog, under every attached
+    expansion and id, rad and full, every check that passes, and the
+    ideal-wise form, reads its ring's cached pass set and runs no witness
+    scan and no builder, and no ring gains a "predicates" cache entry."""
     R = make_zn(8)
     d1, d2 = identity_expansion(R), radical_expansion(R)
     I = span(R, [2])
     assert d1 != d2 and d1(I) == d2(I)
     read = []
-    absorbing_masks = predicates._absorbing_masks
-    monkeypatch.setattr(predicates, "_absorbing_masks",
-                        lambda ring: read.append(absorbing_masks(ring)) or read[-1])
+    pass_sets = predicates._one_absorbing_pass_sets
+    monkeypatch.setattr(predicates, "_one_absorbing_pass_sets",
+                        lambda ring: read.append(pass_sets(ring)) or read[-1])
     monkeypatch.setattr(predicates, "_one_absorbing_witness", _no_scan)
     assert one_absorbing_delta_primary_check(I, d1) == (True, None)
     assert one_absorbing_delta_primary_check(I, d2) == (True, None)
-    assert len(read) == 2 and read[0] is read[1] is R.cache["absorbing"]
-    assert R.cache.get("predicates", {}) == {}
+    assert len(read) == 2 and read[0] is read[1] is R.cache["one_absorbing_pass"]
     monkeypatch.undo()
 
-    passing = two_abs = 0
+    checks = dict(_CHECKS, idealwise=idealwise_one_absorbing_check)
+    passing = 0
     for entry in catalog16:
         R = entry.ring
         proper = R.proper_ideals()
-        is_2abs = [two_absorbing_check(I)[0] for I in proper]
-        verdicts = {(name, d): _verdicts(name, R, d)
-                    for name in MASK_DECIDED for d in entry.expansions}
-        memo = dict(R.cache.get("predicates", {}))
+        expansions = entry.expansions + (
+            identity_expansion(R), radical_expansion(R), constant_ring(R))
+        names = checks if R.order <= 12 else _CHECKS
+        verdicts = {(name, d): _verdicts(name, R, d) for name in names for d in expansions}
+        cached = {k: v for k, v in R.cache.items() if k.endswith("_pass")}
         with monkeypatch.context() as m:
-            for module in (predicates, ideals):
-                m.setattr(module, "_pair_kernel", _no_scan)
-            m.setattr(predicates, "_one_absorbing_witness", _no_scan)
-            m.setattr(predicates, "_two_absorbing", _no_scan)
+            for module, name in SCANS + BUILDERS:
+                m.setattr(module, name, _no_scan)
             for (name, d), values in verdicts.items():
                 for I, ok in zip(proper, values):
                     if ok:
-                        assert _CHECKS[name](I, d) == (True, None), (name, d.label, I)
+                        assert checks[name](I, d) == (True, None), (name, d.label, I)
                         passing += 1
-            for d in entry.expansions:
-                for I, ok in zip(proper, is_2abs):
-                    if ok:
-                        assert two_absorbing_delta_primary_check(I, d) == (True, None)
-                        two_abs += 1
-        assert R.cache.get("predicates", {}) == memo, entry.provenance
-    assert passing > 0 and two_abs > 0
+        assert {k: v for k, v in R.cache.items() if k.endswith("_pass")} == cached
+        assert all(R.cache[k] is v for k, v in cached.items())
+        assert "predicates" not in R.cache, entry.provenance
+    assert passing > 0
 
 
-def test_idealwise_scan_agrees(catalog8):
-    for entry in catalog8:
+def test_idealwise_scan_agrees(catalog16, catalog_enlarged):
+    """On the rings of order at most 12 of both tiers (the domain of
+    T-DEF-EQ), the ideal-wise check against the triple loop over proper
+    ideals. A failure's witness (I1, I2, K) has I1*I2 outside I and
+    K = (I : I1*I2) outside delta(I), and (I1, I2) is the first such pair in
+    canonical order: the pair of the triple loop's witness, whose I3 lies
+    inside K."""
+    pairs = 0
+    for entry in catalog16.entries + catalog_enlarged.entries:
         R = entry.ring
         if R.order > 12:
             continue
+        proper = R.proper_ideals()
         for d in entry.expansions:
-            for I in R.proper_ideals():
-                fast = idealwise_one_absorbing_check(I, d)
-                slow = idealwise_one_absorbing_scan(I, d)
-                assert fast[0] == slow[0]
+            for I in proper:
+                dm = d(I).mask
+                ok, wit = idealwise_one_absorbing_check(I, d)
+                slow_ok, slow = idealwise_one_absorbing_scan(I, d)
+                assert ok == slow_ok, (entry.provenance, d.label, I.label)
+                pairs += 1
+                if ok:
+                    assert wit is None and slow is None
+                    continue
+                I1, I2, K = wit
+                P = ideal_product(I1, I2)
+                assert not P <= I and K == ideal_colon(I, P) and K.mask & ~dm
+                first = next((A, B) for A in proper for B in proper
+                             if not ideal_product(A, B) <= I
+                             and ideal_colon(I, ideal_product(A, B)).mask & ~dm)
+                assert (I1, I2) == first == slow[:2], (entry.provenance, d.label, I.label)
+                assert slow[2] <= K
+    assert pairs == 2 * 648
 
 
 def test_idealwise_matches_elementwise(catalog8):
@@ -493,6 +554,16 @@ def test_witness_validity_everywhere(catalog8):
                 assert c not in d(I)
 
 
+def test_evaluate_predicate_rejects_an_unknown_name_with_a_ringlab_error(z4):
+    with pytest.raises(RinglabError, match="unknown predicate 'nope'"):
+        evaluate_predicate("nope", span(z4, [2]), None)
+
+
+def test_evaluate_predicate_without_an_expansion_is_a_ringlab_error(z4):
+    with pytest.raises(RinglabError, match="predicate 'delta-primary' needs an expansion"):
+        evaluate_predicate("delta-primary", span(z4, [2]), None)
+
+
 def test_classify_shape(z36):
     d = plus_fixed(z36, span(z36, [2]))
     rows = classify(z36, d)
@@ -508,22 +579,27 @@ def test_classify_shape(z36):
 
 
 def test_memoization_returns_same_result(monkeypatch):
-    # (12) in Z36 is not 2-absorbing, witness (2, 2, 3), and delta((12)) = (2),
-    # so both checks compute their kernel once and then read the memo
+    # (12) in Z36 is not 2-absorbing, witness (2, 2, 3), and delta((12)) = (2).
+    # The first calls build the ring's pass sets once; the second calls read
+    # them, build nothing, and return the same values and witnesses. No call
+    # leaves a per-(I, delta) memo entry.
     R = make_zn(36)
     d = plus_fixed(R, span(R, [2]))
     I = span(R, [12])
     assert two_absorbing_check(I) == (False, (2, 2, 3))
     assert d(I).mask == span(R, [2]).mask
-    checks = (two_absorbing_delta_primary_check, delta_semiprimary_check)
+    checks = (two_absorbing_delta_primary_check, delta_semiprimary_check,
+              idealwise_one_absorbing_check, one_absorbing_delta_primary_check)
     first = [check(I, d) for check in checks]
+    assert [ok for ok, _ in first] == [True, True, False, False]
 
-    def no_kernel(*args):
-        raise AssertionError("kernel ran on a memoized pair")
+    def no_build(*args):
+        raise AssertionError("a pass set was built again")
 
-    monkeypatch.setattr(predicates, "_two_absorbing", no_kernel)
-    monkeypatch.setattr(predicates, "_pair_kernel", no_kernel)
+    for module, name in BUILDERS:
+        monkeypatch.setattr(module, name, no_build)
     assert [check(I, d) for check in checks] == first
+    assert "predicates" not in R.cache
 
 
 @settings(max_examples=40, deadline=None)

@@ -255,6 +255,49 @@ def test_transfer_sweeps_catch_corrupted_verdicts(catalog16, monkeypatch):
             assert any(d.startswith(start) for d in details), (tid, start)
 
 
+def test_indexed_sweeps_call_no_check(monkeypatch):
+    """T-DEF-EQ, T-2ABS, T-SEMI and T-M2 read verdict vectors only: with the
+    verifier's imports of the predicate checks patched to raise, each
+    sweeps the default catalog, where every instance passes."""
+
+    def no_check(*args):
+        raise AssertionError("a sweep called a check")
+
+    patched = []
+    for name, value in list(vars(verifier).items()):
+        if getattr(value, "__module__", None) in ("ringlab.predicates", "ringlab.ideals") and (
+                name.endswith("_check") or name.startswith("is_")):
+            monkeypatch.setattr(verifier, name, no_check)
+            patched.append(name)
+    assert {"one_absorbing_delta_primary_check", "idealwise_one_absorbing_check"} <= set(patched)
+    catalog = build_catalog(CatalogConfig())
+    for tid in ("T-DEF-EQ", "T-2ABS", "T-SEMI", "T-M2"):
+        report = verify(tid, catalog)
+        assert report.status == "verified" and report.hypothesis_satisfied > 0, tid
+
+
+def test_indexed_sweeps_read_their_conclusion_vectors(catalog16, monkeypatch):
+    """Flipping one verdict vector at a time refutes the sweep whose
+    conclusion it is, with the sweep's own failure detail, so each sweep
+    reads the vector of its conclusion and not that of a stronger check."""
+    verdicts = verifier._verdicts
+    conclusions = {
+        "T-DEF-EQ": ("idealwise", "elementwise="),
+        "T-2ABS": ("2abs-delta-primary", "not 2-absorbing delta-primary"),
+        "T-SEMI": ("delta-semiprimary", "not delta-semiprimary"),
+        "T-M2": ("delta-semiprimary", "neither delta-semiprimary nor M^2 inside I"),
+    }
+    for tid, (name, detail) in conclusions.items():
+        def flipped(which, R, d=None, name=name):
+            got = verdicts(which, R, d)
+            return tuple(not v for v in got) if which == name else got
+
+        monkeypatch.setattr(verifier, "_verdicts", flipped)
+        failures = verify(tid, catalog16).conclusion_failures
+        assert failures and failures[0].detail.startswith(detail), tid
+    monkeypatch.undo()
+
+
 def test_witness_to_dict():
     w = Witness(ring="Z8", ideal=("0", "4"), delta="rad", elements=("2", "2", "2"))
     d = w.to_dict()
