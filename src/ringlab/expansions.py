@@ -187,12 +187,10 @@ def standard_expansions(R: FiniteRing) -> tuple[ExpansionFunction, ...]:
 
 
 def satisfies_star(delta: ExpansionFunction) -> bool:
-    """Condition (*): proper ideals keep proper images."""
-    lattice = delta.ring.ideals()
-    top = len(lattice) - 1
-    return all(
-        delta.table[p] != top for p in range(len(lattice)) if lattice[p].is_proper
-    )
+    """Condition (*): proper ideals keep proper images. The unit ideal is
+    the last lattice position, the only one that is not proper."""
+    top = len(delta.table) - 1
+    return top not in delta.table[:top]
 
 
 def preserves_jacobson(delta: ExpansionFunction) -> bool:
@@ -203,24 +201,31 @@ def preserves_jacobson(delta: ExpansionFunction) -> bool:
 def _scaling_table(R: FiniteRing) -> tuple[tuple[int, ...], ...]:
     """Row x holds the lattice position of x*I for each lattice position of I.
 
-    x*I is an ideal of a commutative ring, so it has a lattice position. It
-    is the sum of the principal ideals (x*g) over the generators g of I, so
-    each entry is a sum of ``_principal_masks`` entries. Cached per ring.
+    x*I = (x)*I, so elements that generate the same principal ideal share
+    one row, the same tuple object, computed at the smallest such x: one row
+    per principal ideal. x*I is the sum of the principal ideals (x*g) over
+    the generators g of I, so each entry is a sum of ``_principal_masks``
+    entries. Cached per ring.
     """
     table = R.cache.get("scaling")
     if table is None:
         pm = _principal_masks(R)
+        ppos = [R.lattice_position(m) for m in pm]
         gens = [generator_list(I) for I in R.ideals()]
 
         def scaled(row: tuple[int, ...], gs: tuple[int, ...]) -> int:
+            if len(gs) == 1:
+                return ppos[row[gs[0]]]
             mask = 1 << R.zero
             for g in gs:
                 mask = _sum_masks(R, mask, pm[row[g]])
             return R.lattice_position(mask)
 
-        table = R.cache["scaling"] = tuple(
-            tuple(scaled(row, gs) for gs in gens) for row in R.mul_table
-        )
+        rows: dict[int, tuple[int, ...]] = {}
+        for x, row in enumerate(R.mul_table):
+            if pm[x] not in rows:
+                rows[pm[x]] = tuple(scaled(row, gs) for gs in gens)
+        table = R.cache["scaling"] = tuple(rows[m] for m in pm)
     return table
 
 
@@ -233,13 +238,19 @@ def scaling_check(
     the characterization results and are skipped. The witness is the first
     failing pair, x ascending and I in canonical lattice order. Both sides
     are compared as lattice positions read from the ring's scaling table.
+    Associates share a row, so each row is tested once, at its smallest x,
+    which is where the ascending scan would first fail on it.
     """
     R = delta.ring
     lattice = R.ideals()
     zero = R.lattice_position(1 << R.zero)
     table = delta.table
     proper = range(len(lattice) - 1)
+    seen: set[int] = set()
     for x, row in enumerate(_scaling_table(R)):
+        if id(row) in seen:
+            continue
+        seen.add(id(row))
         for p in proper:
             xp = row[p]
             if xp != zero and table[xp] != row[table[p]]:
@@ -251,19 +262,41 @@ def commutes_with_scaling(delta: ExpansionFunction) -> bool:
     return scaling_check(delta)[0]
 
 
+def _meet_table(R: FiniteRing) -> tuple[tuple[int, ...], ...]:
+    """meet[p][q] is the lattice position of the intersection of the ideals
+    at positions p and q. Cached per ring."""
+    meet = R.cache.get("meet")
+    if meet is None:
+        masks = [I.mask for I in R.ideals()]
+        pos = R.lattice_position
+        meet = R.cache["meet"] = tuple(
+            tuple(map(pos, [mp & mq for mq in masks])) for mp in masks
+        )
+    return meet
+
+
+def _crossing_meets(R: FiniteRing) -> tuple[tuple[int, int, int], ...]:
+    """(p, q, meet[p][q]) for each pair p < q of incomparable ideals. Cached
+    per ring."""
+    got = R.cache.get("crossing_meets")
+    if got is None:
+        meet = _meet_table(R)
+        got = R.cache["crossing_meets"] = tuple(
+            (p, q, m)
+            for p, row in enumerate(meet)
+            for q, m in enumerate(row[p + 1 :], p + 1)
+            if m != p and m != q
+        )
+    return got
+
+
 def is_intersection_preserving(delta: ExpansionFunction) -> bool:
-    """Whether delta(I & J) = delta(I) & delta(J) for every pair."""
-    R = delta.ring
-    lattice = R.ideals()
-    pos = {I.mask: p for p, I in enumerate(lattice)}
-    for p in range(len(lattice)):
-        dp = lattice[delta.table[p]].mask
-        for q in range(p, len(lattice)):
-            meet = lattice[pos[lattice[p].mask & lattice[q].mask]]
-            lhs = lattice[delta.table[pos[meet.mask]]].mask
-            if lhs != dp & lattice[delta.table[q]].mask:
-                return False
-    return True
+    """Whether delta(I & J) = delta(I) & delta(J) for every pair, read as
+    lattice positions off the ring's meet table. A pair with I inside J
+    holds by monotonicity, so only incomparable pairs are tested."""
+    t = delta.table
+    meet = _meet_table(delta.ring)
+    return all(t[m] == meet[t[p]][t[q]] for p, q, m in _crossing_meets(delta.ring))
 
 
 def is_idempotent_at(delta: ExpansionFunction, I: Ideal) -> bool:

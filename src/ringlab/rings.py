@@ -72,12 +72,11 @@ class FiniteRing:
     """A finite commutative ring with identity, order at least 2.
 
     Construction proves every axiom. Commutativity, both identities and
-    additive inverses are read off the tables. Up to order 256, associativity
-    of both operations and distributivity are proven on an additive
-    generating set G only, by O(order * |G|) byte-row comparisons (see
-    ``_generator_proof``). A table that fails the proof, or any table above
-    order 256, gets the full scan, which reports the first violating element
-    triple.
+    additive inverses are read off the tables. Associativity of both
+    operations and distributivity are proven on an additive generating set G
+    only, by O(order * |G|) row comparisons (see ``_generator_proof``). A
+    table that fails the proof gets the full scan, which reports the first
+    violating element triple.
     """
 
     def __init__(
@@ -125,24 +124,12 @@ class FiniteRing:
         if n <= 256:
             # byte rows let translate() compose rows at C speed; colon_masks
             # reuses mul's
-            addb = [bytes(row) for row in add]
-            mulb = self.cache["mul_bytes"] = [bytes(row) for row in mul]
-            if not _generator_proof(addb, mulb, zero):
-                _scan_axioms(addb, mulb)
-                raise InvariantError("the generator proof failed where the full scan passed")
-        else:
-            for a in range(n):
-                arow, mrow = add[a], mul[a]
-                for b in range(n):
-                    ab_a, ab_m = arow[b], mrow[b]
-                    brow_a, brow_m = add[b], mul[b]
-                    for c in range(n):
-                        if add[ab_a][c] != arow[brow_a[c]]:
-                            raise TableError(f"addition is not associative, witness ({a}, {b}, {c})")
-                        if mul[ab_m][c] != mrow[brow_m[c]]:
-                            raise TableError(f"multiplication is not associative, witness ({a}, {b}, {c})")
-                        if mrow[brow_a[c]] != add[ab_m][mrow[c]]:
-                            raise TableError(f"multiplication does not distribute, witness ({a}, {b}, {c})")
+            add, mul = [bytes(row) for row in add], [bytes(row) for row in mul]
+            self.cache["mul_bytes"] = mul
+        step = _row_step(n)
+        if not _generator_proof(add, mul, zero, step):
+            _scan_axioms(add, mul, step)
+            raise InvariantError("the generator proof failed where the full scan passed")
 
     # ------------------------------------------------------------------
     # element arithmetic on indices
@@ -398,7 +385,7 @@ def _colon_rows(mul: Table, imask: int) -> tuple[int, ...]:
     return tuple(sum(1 << x for x in range(n) if (imask >> row[x]) & 1) for row in mul)
 
 
-def _additive_generators(addb: list[bytes], zero: int) -> list[int]:
+def _additive_generators(addb: list, zero: int) -> list[int]:
     """A greedy generating set: each index, ascending, not yet reached from
     zero by the maps x -> x + g over the chosen g. Every index ends up
     reached, so the closure under "+g", read off the table, is the ring."""
@@ -419,12 +406,28 @@ def _additive_generators(addb: list[bytes], zero: int) -> list[int]:
     return gens
 
 
-def _generator_proof(addb: list[bytes], mulb: list[bytes], zero: int) -> bool:
+def _compose_rows(row: tuple, t: tuple) -> tuple:
+    return tuple(map(t.__getitem__, row))
+
+
+def _row_step(n: int) -> tuple:
+    """How the axiom proofs compose table rows at order n, as (pad, compose):
+    compose(row, t + pad)[y] = t[row[y]]. Up to order 256 rows are bytes and
+    compose is ``bytes.translate``, at C speed, whose table must be 256
+    bytes long; above, where bytes cannot hold an index, rows are tuples and
+    compose maps each entry through t."""
+    if n <= 256:
+        return bytes(256 - n), bytes.translate
+    return (), _compose_rows
+
+
+def _generator_proof(addb: list, mulb: list, zero: int, step: tuple) -> bool:
     """Whether associativity of both operations and distributivity hold, given
-    commutative tables with identities and additive inverses.
+    commutative tables with identities and additive inverses, as rows that
+    ``step`` composes (see ``_row_step``).
 
     For each g of the additive generating set G, and x over all elements, as
-    byte rows over y:
+    rows over y:
       1. (x+g)+y = x+(g+y), Light's associativity test;
       2. x(y+g) = xy + xg;
       3. (xy)g = x(yg).
@@ -440,48 +443,46 @@ def _generator_proof(addb: list[bytes], mulb: list[bytes], zero: int) -> bool:
          x((y+a)+b) = (xy+xa)+xb = xy+x(a+b).
       3. with distributivity, (xy)(a+b) = (xy)a+(xy)b = x(ya)+x(yb) =
          x(y(a+b)).
-    Each step translates O(n*|G|) byte rows, where the full scan translates
-    O(n*n). The rows used as ``translate`` tables are padded to 256 bytes."""
-    pad = bytes(256 - len(addb))
+    Each step composes O(n*|G|) rows, where the full scan composes O(n*n)."""
+    pad, compose = step
     addt = [row + pad for row in addb]
     mult = [row + pad for row in mulb]
     gens = _additive_generators(addb, zero)
     for g in gens:
         ag = addb[g]
-        if any(addb[v] != ag.translate(addt[x]) for x, v in enumerate(ag)):
+        if any(addb[v] != compose(ag, addt[x]) for x, v in enumerate(ag)):
             return False
     for g in gens:
         ag, mg = addb[g], mulb[g]
-        if any(ag.translate(mult[x]) != row.translate(addt[mg[x]]) for x, row in enumerate(mulb)):
+        if any(compose(ag, mult[x]) != compose(row, addt[mg[x]]) for x, row in enumerate(mulb)):
             return False
     for g in gens:
         mg, tg = mulb[g], mult[g]
-        if any(row.translate(tg) != mg.translate(mult[x]) for x, row in enumerate(mulb)):
+        if any(compose(row, tg) != compose(mg, mult[x]) for x, row in enumerate(mulb)):
             return False
     return True
 
 
-def _scan_axioms(addb: list[bytes], mulb: list[bytes]) -> None:
-    """The full scan over all (a, b), one byte row over c each: raises on the
+def _scan_axioms(addb: list, mulb: list, step: tuple) -> None:
+    """The full scan over all (a, b), one row over c each: raises on the
     first triple that breaks associativity of + or of *, or distributivity.
     It names the witness when ``_generator_proof`` fails, and it is the
     proof's test oracle."""
-    n = len(addb)
-    pad = bytes(256 - n)
+    pad, compose = step
     addt = [row + pad for row in addb]
     mult = [row + pad for row in mulb]
-    for a in range(n):
+    for a in range(len(addb)):
         ra, ma = addt[a], mult[a]
         arow, mrow = addb[a], mulb[a]
-        for b in range(n):
-            if addb[arow[b]] != addb[b].translate(ra):
-                c = _first_diff(addb[arow[b]], addb[b].translate(ra))
+        for b in range(len(addb)):
+            if addb[arow[b]] != compose(addb[b], ra):
+                c = _first_diff(addb[arow[b]], compose(addb[b], ra))
                 raise TableError(f"addition is not associative, witness ({a}, {b}, {c})")
-            if mulb[mrow[b]] != mulb[b].translate(ma):
-                c = _first_diff(mulb[mrow[b]], mulb[b].translate(ma))
+            if mulb[mrow[b]] != compose(mulb[b], ma):
+                c = _first_diff(mulb[mrow[b]], compose(mulb[b], ma))
                 raise TableError(f"multiplication is not associative, witness ({a}, {b}, {c})")
-            if addb[b].translate(ma) != mulb[a].translate(addt[mrow[b]]):
-                c = _first_diff(addb[b].translate(ma), mulb[a].translate(addt[mrow[b]]))
+            if compose(addb[b], ma) != compose(mulb[a], addt[mrow[b]]):
+                c = _first_diff(compose(addb[b], ma), compose(mulb[a], addt[mrow[b]]))
                 raise TableError(f"multiplication does not distribute, witness ({a}, {b}, {c})")
 
 
@@ -493,7 +494,7 @@ def _first_asym(table: Table) -> tuple[int, int]:
     raise InvariantError("no asymmetry found")
 
 
-def _first_diff(x: bytes, y: bytes) -> int:
+def _first_diff(x: Sequence[int], y: Sequence[int]) -> int:
     for i, (u, v) in enumerate(zip(x, y)):
         if u != v:
             return i

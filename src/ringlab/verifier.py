@@ -27,6 +27,7 @@ from .constructions import (
 from .errors import InvariantError, UnknownTheoremError
 from .expansions import (
     ExpansionFunction,
+    _meet_table,
     _scaling_table,
     from_rule,
     induced_localization,
@@ -34,6 +35,7 @@ from .expansions import (
     induced_quotient,
     induced_trivial_extension,
     is_delta_gamma_hom,
+    is_intersection_preserving,
     is_prime_expansion,
     localization_compatibility,
     preserves_jacobson,
@@ -355,18 +357,27 @@ _FINALIZERS["T-XM"] = _finalize_xm
 
 @_sweep("T-COLON")
 def _t_colon(entry: CatalogEntry, part: _Part) -> None:
-    """Colon by a nonunit outside a 1-absorbing delta-primary ideal is delta-primary."""
+    """Colon by a nonunit outside a 1-absorbing delta-primary ideal is delta-primary.
+
+    Each colon row is summed up once per ring as the bitset of the positions
+    it reaches and the count of its instances with the hypothesis. An ideal
+    whose bitset lies inside the delta-primary positions has no failing a,
+    so only the others run the per-nonunit loop, for the witnesses."""
     R = entry.ring
     nonunits = R.nonunit_list
+    proper = R.proper_ideals()
     colons = _colon_positions(R)
+    reach = [sum(1 << k for k in set(row) if k >= 0) for row in colons]
+    counts = [len(row) - row.count(-1) for row in colons]
     for d in entry.expansions:
         one_abs, primary = _one_abs(d), _primary(d)
-        for p, I in enumerate(R.proper_ideals()):
-            row = colons[p] if one_abs[p] else ()
-            part.instances(len(nonunits), len(row) - row.count(-1))
-            for a, k in zip(nonunits, row):
-                if k >= 0 and not primary[k]:
-                    part.fail(I, d.label, (a,), f"(I:{R.element_name(a)}) not delta-primary")
+        held = sum(1 << k for k, ok in enumerate(primary) if ok)
+        part.instances(len(nonunits) * len(proper), sum(c for c, ok in zip(counts, one_abs) if ok))
+        for p, I in enumerate(proper):
+            if one_abs[p] and reach[p] & ~held:
+                for a, k in zip(nonunits, colons[p]):
+                    if k >= 0 and not primary[k]:
+                        part.fail(I, d.label, (a,), f"(I:{R.element_name(a)}) not delta-primary")
 
 
 def _colon_positions(R: FiniteRing) -> tuple[tuple[int, ...], ...]:
@@ -374,10 +385,11 @@ def _colon_positions(R: FiniteRing) -> tuple[tuple[int, ...], ...]:
     proper ideal I at position p, or -1 where a lies in I. Not cached:
     T-COLON reads it once per ring, so keeping it would only hold memory."""
     pos, nonunits = R.lattice_position, R.nonunit_list
-    return tuple(
-        tuple(-1 if (I.mask >> a) & 1 else pos(R.colon_masks(I.mask)[a]) for a in nonunits)
-        for I in R.proper_ideals()
-    )
+    rows = []
+    for I in R.proper_ideals():
+        colon = R.colon_masks(I.mask)
+        rows.append(tuple(-1 if (I.mask >> a) & 1 else pos(colon[a]) for a in nonunits))
+    return tuple(rows)
 
 
 @_sweep("T-M2")
@@ -492,27 +504,18 @@ def _t_inter(entry: CatalogEntry, part: _Part) -> None:
     R = entry.ring
     proper = R.proper_ideals()
     n = len(proper)
+    meet = _meet_table(R)
     for d in entry.expansions:
         one_abs = _one_abs(d)
-        ones = [p for p in range(n) if one_abs[p]] if _intersection_preserving(d) else []
+        ones = [p for p in range(n) if one_abs[p]] if is_intersection_preserving(d) else []
         hits = [(p, q) for i, p in enumerate(ones) for q in ones[i + 1 :]
                 if d.table[p] == d.table[q]]
         part.instances(n * (n - 1) // 2, len(hits))
         for p, q in hits:
             I, J = proper[p], proper[q]
-            if not one_abs[R.lattice_position(I.mask & J.mask)]:
+            if not one_abs[meet[p][q]]:
                 K = ideal_intersection(I, J)
                 part.fail(K, d.label, None, f"intersection of {I.label} and {J.label}")
-
-
-def _intersection_preserving(d: ExpansionFunction) -> bool:
-    got = d.ring.cache.setdefault("inter_preserving", {})
-    key = d.table
-    if key not in got:
-        from .expansions import is_intersection_preserving
-
-        got[key] = is_intersection_preserving(d)
-    return got[key]
 
 
 @_sweep("T-PRINC")
@@ -546,13 +549,11 @@ def _t_char(entry: CatalogEntry, part: _Part) -> None:
         i, ii, iii = _char_states(R, d)
         if iii and not (i and ii):
             part.fail(None, d.label, None, f"(iii) holds but i={i} ii={ii}", ring=R)
-        star = satisfies_star(d)
-        jac_fixed = preserves_jacobson(d)
-        scaling_ok, _ = scaling_check(d)
-        if part.instance(star and jac_fixed and scaling_ok):
+        star_jac = satisfies_star(d) and preserves_jacobson(d)
+        if part.instance(star_jac and scaling_check(d)[0]):
             if not (i == ii == iii):
                 part.fail(None, d.label, None, f"i={i} ii={ii} iii={iii}", ring=R)
-        elif star and jac_fixed and not scaling_ok and i and not iii:
+        elif star_jac and i and not iii:
             part.notes.append(
                 f"scaling necessity: {part.provenance} with {d.label} has every "
                 "proper ideal 1-absorbing while the radical square is nonzero; "

@@ -44,7 +44,15 @@ from ringlab.expansions import (
     scaling_check,
     standard_expansions,
 )
-from ringlab.ideals import Ideal, _radical_positions, radical, scale, span
+from ringlab.ideals import (
+    Ideal,
+    _principal_masks,
+    _radical_positions,
+    ideal_intersection,
+    radical,
+    scale,
+    span,
+)
 from ringlab.rings import FiniteRing, make_zn
 from ringlab.verifier import verify
 
@@ -156,6 +164,18 @@ def test_star_and_jacobson(z8):
     d_id = identity_expansion(z8)
     assert satisfies_star(d_id)
     assert preserves_jacobson(d_id)
+
+
+def test_satisfies_star_matches_the_scan(catalog16):
+    """Condition (*) against its definition on every attached expansion, and
+    on a Z6 expansion that sends only the maximal ideal (2) to the ring."""
+    z6 = make_zn(6)
+    lattice = z6.ideals()
+    assert [I.label for I in lattice] == ["(0)", "(3)", "(2)", "(1)"]
+    only_top = ExpansionFunction(z6, [0, 1, 3, 3], "(2)->R")
+    for d in [*_catalog_expansions(catalog16), only_top]:
+        assert satisfies_star(d) == all(d(I).is_proper for I in d.ring.proper_ideals()), d
+    assert not satisfies_star(only_top)
 
 
 def test_scaling_witness_z8():
@@ -348,6 +368,57 @@ def test_scaling_table_matches_scale(catalog16):
             for x in range(R.order)
         )
         assert expansions._scaling_table(R) == want, entry.provenance
+
+
+def test_associates_share_one_scaling_row(request):
+    """x*I = (x)*I, so elements generating the same principal ideal share
+    one row object, and there is one row per principal ideal."""
+    for tier in ("catalog16", "catalog_enlarged"):
+        for entry in request.getfixturevalue(tier):
+            R = entry.ring
+            table, pm = expansions._scaling_table(R), _principal_masks(R)
+            for x in range(R.order):
+                for y in range(x):
+                    assert (table[x] is table[y]) == (pm[x] == pm[y]), (entry.provenance, x, y)
+            assert len({id(row) for row in table}) == len(set(pm))
+
+
+def intersection_scan(delta):
+    """The definitional check: delta(I & J) = delta(I) & delta(J) for every
+    pair of lattice ideals, comparing masks."""
+    lattice = delta.ring.ideals()
+    return all(
+        delta(ideal_intersection(I, J)).mask == delta(I).mask & delta(J).mask
+        for I in lattice
+        for J in lattice
+    )
+
+
+def test_intersection_preserving_matches_the_pair_scan(request):
+    """The meet-table check agrees with the pair scan on every attached
+    expansion of both catalog tiers, and on id, rad and full, and both
+    verdicts occur."""
+    verdicts = set()
+    for tier in ("catalog16", "catalog_enlarged"):
+        for entry in request.getfixturevalue(tier):
+            R = entry.ring
+            stock = (identity_expansion(R), radical_expansion(R), constant_ring(R))
+            for d in (*entry.expansions, *stock):
+                got = is_intersection_preserving(d)
+                assert got == intersection_scan(d), (entry.provenance, d.label)
+                verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_meet_table_is_the_lattice_intersection(catalog16):
+    for entry in catalog16:
+        R = entry.ring
+        lattice = R.ideals()
+        meet = expansions._meet_table(R)
+        assert meet is expansions._meet_table(R)
+        for p, I in enumerate(lattice):
+            for q, J in enumerate(lattice):
+                assert lattice[meet[p][q]].mask == ideal_intersection(I, J).mask
 
 
 def test_proper_ideals_drop_only_the_unit_ideal(catalog16):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ringlab.errors import ProperIdealError, RinglabError
@@ -335,7 +335,8 @@ def test_all_checks_match_the_definitional_scans(request, tier):
 
 # derandomize fixes the draws: unseeded, they reached a ring of order 256
 # whose definitional scans took 40 s. Hypothesis derives the fixed seed from
-# the test's source, so an edit to the function below changes what it draws.
+# the test's source, so an edit to the function below changes what it draws;
+# the order cap keeps any such draw from reaching the scans.
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.sampled_from(SMALL_BASES), st.sampled_from(SMALL_BASES), st.data())
 def test_all_checks_match_the_scans_on_random_constructed_rings(R1, R2, data):
@@ -355,6 +356,7 @@ def test_all_checks_match_the_scans_on_random_constructed_rings(R1, R2, data):
     else:
         modules = [regular_module(R1)] + [quotient_module(R1, J) for J in R1.proper_ideals()[1:]]
         R = make_trivial_extension(R1, data.draw(st.sampled_from(modules)))
+    assume(R.order <= 128)
     assert assert_checks_match_the_scans(R, standard_expansions(R)) > 0
 
 

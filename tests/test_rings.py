@@ -309,8 +309,8 @@ def _outcome(add, mul) -> str:
     return "ok"
 
 
-def _full_scan(addb, mulb, zero) -> bool:
-    _scan_axioms(addb, mulb)
+def _full_scan(addb, mulb, zero, step) -> bool:
+    _scan_axioms(addb, mulb, step)
     return True
 
 
@@ -390,6 +390,30 @@ def test_one_failing_axiom_is_found_as_the_full_scan_finds_it(mul, kind, monkeyp
     assert _outcome(add, mul) == got
 
 
+def _times_z33(mul8: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Tables of order 264, above the byte-row bound: (Z2)^3 under mul8,
+    times Z33. Element 8*s + x is the pair (x, s)."""
+    n = 8 * 33
+    add = [[8 * ((a // 8 + b // 8) % 33) + (a % 8 ^ b % 8) for b in range(n)] for a in range(n)]
+    mul = [[8 * (a // 8 * (b // 8) % 33) + mul8[a % 8][b % 8] for b in range(n)] for a in range(n)]
+    return add, mul
+
+
+@pytest.mark.parametrize("mul8, kind", [
+    (_algebra_mul(), "multiplication is not associative"),
+    (TRANSPORTED_MUL, "multiplication does not distribute"),
+])
+def test_one_failing_axiom_above_order_256_is_found_as_the_full_scan_finds_it(mul8, kind,
+                                                                              monkeypatch):
+    """The same tables times Z33: the proof on tuple rows rejects them with
+    the full scan's message."""
+    add, mul = _times_z33(mul8)
+    got = _outcome(add, mul)
+    assert got.startswith(f"TableError: {kind}, witness"), got
+    monkeypatch.setattr(rings, "_generator_proof", _full_scan)
+    assert _outcome(add, mul) == got
+
+
 @pytest.mark.parametrize("tier", ["catalog16", "catalog_enlarged"])
 def test_additive_generators_reach_every_element(request, tier):
     """The greedy generating set reaches the whole ring from zero under the
@@ -407,3 +431,54 @@ def test_additive_generators_reach_every_element(request, tier):
                     todo.append(R.add_table[x][g])
         assert len(reached) == R.order, entry.provenance
         assert gens == sorted(gens) and len(gens) <= 7, entry.provenance
+
+
+def test_order_above_256_is_proven_on_tuple_rows():
+    """Above order 256 a byte cannot hold an index, so the generator proof
+    composes tuple rows. Z257 builds by the proof alone."""
+    z257 = make_zn(257)
+    assert z257.order == 257 and "mul_bytes" not in z257.cache
+    assert len(z257.ideals()) == 2
+
+
+@pytest.mark.parametrize("kind, i, j, v", [
+    ("add", 2, 3, 6),
+    ("mul", 2, 3, 7),
+])
+def test_corrupted_order_257_table_names_its_witness(kind, i, j, v, monkeypatch):
+    """A symmetric corruption of Z257 fails the proof on tuple rows, and the
+    full scan names the same first witness triple that it names when it runs
+    in place of the proof."""
+    n = 257
+    add = [[(a + b) % n for b in range(n)] for a in range(n)]
+    mul = [[(a * b) % n for b in range(n)] for a in range(n)]
+    table = add if kind == "add" else mul
+    table[i][j] = table[j][i] = v
+    got = _outcome(add, mul)
+    assert re.fullmatch(r"TableError: (addition|multiplication) (is not associative|does not "
+                        r"distribute), witness \(\d+, \d+, \d+\)", got), got
+    monkeypatch.setattr(rings, "_generator_proof", _full_scan)
+    assert _outcome(add, mul) == got
+
+
+def test_classify_z257_builds_in_well_under_a_second():
+    """The order-257 path of ``FiniteRing._validate`` end to end, through the
+    CLI: the ring is a field, so its zero ideal is prime and maximal."""
+    import io
+    import time
+    from contextlib import redirect_stdout
+
+    from ringlab.cli import main
+
+    out = io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out):
+        assert main(["classify", "--ring", "Z257", "--delta", "id", "--json"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert "(0)" in out.getvalue()
+
+
+def test_a_proof_failure_that_the_scan_does_not_confirm_is_an_invariant_error(monkeypatch):
+    monkeypatch.setattr(rings, "_generator_proof", lambda *args: False)
+    with pytest.raises(InvariantError, match="the generator proof failed where the full scan passed"):
+        make_zn(4)

@@ -13,7 +13,8 @@ import ringlab.predicates as predicates
 import ringlab.verifier as verifier
 from ringlab.catalog import CatalogConfig, build_catalog
 from ringlab.errors import UnknownTheoremError
-from ringlab.ideals import Ideal, colon
+from ringlab.expansions import is_intersection_preserving
+from ringlab.ideals import Ideal, colon, ideal_intersection
 from ringlab.verifier import (
     THEOREM_IDS,
     TheoremReport,
@@ -187,6 +188,125 @@ def test_colon_positions_match_colon_on_default_catalog():
             assert row == want, (entry.provenance, I.label)
             rows += 1
     assert rows == 805
+
+
+def _colon_reference(catalog):
+    """T-COLON as a per-nonunit loop at every proper ideal, reading the
+    verifier's verdict vectors: its instance and hypothesis counts, and its
+    failures in report order."""
+    checked = hits = 0
+    failures = []
+    for entry in sorted(catalog.entries, key=lambda e: e.provenance):
+        R = entry.ring
+        for d in entry.expansions:
+            one_abs, primary = verifier._one_abs(d), verifier._primary(d)
+            for I, ok in zip(R.proper_ideals(), one_abs):
+                for a in R.nonunit_list:
+                    checked += 1
+                    if not ok or a in I:
+                        continue
+                    hits += 1
+                    if not primary[R.lattice_position(colon(I, a).mask)]:
+                        name = R.element_name(a)
+                        failures.append(Witness(
+                            entry.provenance, tuple(R.element_name(i) for i in I.members_sorted),
+                            d.label, (name,), f"(I:{name}) not delta-primary",
+                        ))
+    return checked, hits, failures
+
+
+def test_colon_shortcut_reports_every_failure_of_the_loop(catalog16, monkeypatch):
+    """With one delta-primary verdict cleared at a position that a colon row
+    of a 1-absorbing delta-primary ideal reaches, T-COLON reports the
+    failures, witnesses and counts of the per-nonunit loop."""
+    reach = {}
+    for entry in catalog16:
+        colons = verifier._colon_positions(entry.ring)
+        for d in entry.expansions:
+            for row, ok in zip(colons, verifier._one_abs(d)):
+                for k in row:
+                    if ok and k >= 0:
+                        reach[d, k] = reach.get((d, k), 0) + 1
+    d0, k0 = max(reach, key=reach.get)
+    assert verifier._primary(d0)[k0]
+    before = verify("T-COLON", catalog16)
+    assert _colon_reference(catalog16) == (
+        before.instances_checked, before.hypothesis_satisfied, []
+    )
+    original = verifier._primary
+
+    def cleared(d):
+        got = original(d)
+        return got[:k0] + (False,) + got[k0 + 1 :] if d is d0 else got
+
+    monkeypatch.setattr(verifier, "_primary", cleared)
+    report = verify("T-COLON", catalog16)
+    checked, hits, failures = _colon_reference(catalog16)
+    cap = verifier.FAILURE_CAP
+    assert len(failures) == reach[d0, k0] > cap
+    assert len({w.ideal for w in failures[:cap]}) > 1
+    assert (report.instances_checked, report.hypothesis_satisfied) == (checked, hits)
+    assert report.conclusion_failures == tuple(failures[:cap])
+    assert f"conclusion failures truncated to {cap} of {len(failures)}" in report.notes
+    assert (checked, hits) == (before.instances_checked, before.hypothesis_satisfied)
+
+
+def _inter_reference(catalog):
+    """T-INTER as a loop over every pair of proper ideals, intersecting the
+    ideals themselves: its counts, and its failures in report order."""
+    checked = hits = 0
+    failures = []
+    for entry in sorted(catalog.entries, key=lambda e: e.provenance):
+        R = entry.ring
+        proper = R.proper_ideals()
+        for d in entry.expansions:
+            one_abs, preserving = verifier._one_abs(d), is_intersection_preserving(d)
+            for p, I in enumerate(proper):
+                for q in range(p + 1, len(proper)):
+                    checked += 1
+                    J = proper[q]
+                    if preserving and one_abs[p] and one_abs[q] and d(I).mask == d(J).mask:
+                        hits += 1
+                        K = ideal_intersection(I, J)
+                        if not one_abs[R.lattice_position(K.mask)]:
+                            failures.append(Witness(
+                                entry.provenance, tuple(R.element_name(i) for i in K.members_sorted),
+                                d.label, None, f"intersection of {I.label} and {J.label}",
+                            ))
+    return checked, hits, failures
+
+
+def test_inter_reads_each_meet_off_the_meet_table(catalog16, monkeypatch):
+    """With the 1-absorbing verdict cleared at the intersection of the most
+    hypothesis pairs whose ideals are incomparable, T-INTER reports what the
+    pair loop reports."""
+    meets = {}
+    for entry in catalog16:
+        proper = entry.ring.proper_ideals()
+        for d in entry.expansions:
+            one_abs = verifier._one_abs(d)
+            if not is_intersection_preserving(d):
+                continue
+            for p, I in enumerate(proper):
+                for q in range(p + 1, len(proper)):
+                    K = ideal_intersection(I, proper[q])
+                    if (one_abs[p] and one_abs[q] and d.table[p] == d.table[q]
+                            and K.mask not in (I.mask, proper[q].mask)):
+                        k = entry.ring.lattice_position(K.mask)
+                        meets[d, k] = meets.get((d, k), 0) + 1
+    d0, k0 = max(meets, key=meets.get)
+    original = verifier._one_abs
+
+    def cleared(d):
+        got = original(d)
+        return got[:k0] + (False,) + got[k0 + 1 :] if d is d0 else got
+
+    monkeypatch.setattr(verifier, "_one_abs", cleared)
+    report = verify("T-INTER", catalog16)
+    checked, hits, failures = _inter_reference(catalog16)
+    assert len(failures) == meets[d0, k0] > 0
+    assert (report.instances_checked, report.hypothesis_satisfied) == (checked, hits)
+    assert report.conclusion_failures == tuple(failures)
 
 
 def test_sweep_runs_in_the_calling_thread(catalog8, monkeypatch):
