@@ -8,11 +8,17 @@ domain with delta(R) = R.
 Families: the identity, the radical, translation by a fixed ideal, and the
 constant-ring map, each a table read off the lattice masks with no ideal
 built (``from_rule``, which maps ideals through a callable, is for
-hand-written expansions). Expansions also transfer along the standard
+hand-written expansions). All four are translations I -> I + J (see
+``standard_expansions``). Expansions also transfer along the standard
 constructions (products, quotients, localizations, trivial extensions).
 An induced table is read off the construction's ideal correspondence, the
 lattice-position maps of ``constructions._correspondence``: one lookup per
-ideal of the constructed ring, with no ideal built.
+ideal of the constructed ring, with no ideal built. Each construction
+carries a translation to a translation: the product of I -> I + J1 and
+I -> I + J2 is I -> I + J1 x J2, a quotient or localization along f gives
+I -> I + f(J), and a trivial extension by E gives I -> I + J x E. So an
+expansion induced from stock ones has the table of a stock expansion of
+the constructed ring.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ class ExpansionFunction:
     """A validated expansion of ideals, as a table over the lattice."""
 
     # Check name -> verdict vector, made by ``predicates._verdicts`` on first
-    # use: most expansions built for the catalog never get one.
+    # use.
     verdicts: Optional[dict] = None
 
     def __init__(self, ring: FiniteRing, table: Sequence[int], label: str):
@@ -164,22 +170,24 @@ def constant_ring(R: FiniteRing) -> ExpansionFunction:
 
 
 def standard_expansions(R: FiniteRing) -> tuple[ExpansionFunction, ...]:
-    """The stock families on R, deduplicated by table, first label wins."""
+    """The stock families on R: one translation I -> I + J per ideal J.
+
+    ``id`` is J = (0), ``plus:(J)`` is J and ``full`` is J = R. ``rad`` is
+    J = Jac(R): a finite commutative ring is a product of local rings, and
+    there rad(I) = I + Jac(R). The image of (0) is J, so distinct J give
+    distinct tables. The order is id, rad when Jac(R) is nonzero, plus:(J)
+    for every other proper J, then full. Cached per ring.
+    """
     got = R.cache.get("std_expansions")
-    if got is not None:
-        return got
-    out: list[ExpansionFunction] = []
-    seen: set[tuple] = set()
-    candidates = [identity_expansion(R), radical_expansion(R)]
-    candidates.extend(plus_fixed(R, J) for J in R.proper_ideals())
-    candidates.append(constant_ring(R))
-    for d in candidates:
-        if d.table not in seen:
-            seen.add(d.table)
-            out.append(d)
-    val = tuple(out)
-    R.cache["std_expansions"] = val
-    return val
+    if got is None:
+        jac = _radical_positions(R)[0]
+        out = [identity_expansion(R)]
+        if jac:
+            out.append(radical_expansion(R))
+        out.extend(plus_fixed(R, J) for p, J in enumerate(R.proper_ideals()) if p not in (0, jac))
+        out.append(constant_ring(R))
+        got = R.cache["std_expansions"] = tuple(out)
+    return got
 
 
 # ----------------------------------------------------------------------

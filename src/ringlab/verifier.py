@@ -781,12 +781,9 @@ def _t_triv_cor(entry: CatalogEntry, part: _Part) -> None:
 # driver
 
 
-def verify(theorem_id: str, catalog: Catalog, jobs: Optional[int] = None) -> TheoremReport:
-    """Run one statement check over the catalog and report the outcome.
-
-    The sweep runs in the calling thread. ``jobs`` is accepted for
-    compatibility and has no effect.
-    """
+def verify(theorem_id: str, catalog: Catalog) -> TheoremReport:
+    """Run one statement check over the catalog, in the calling thread, and
+    report the outcome."""
     if theorem_id not in THEOREM_IDS:
         raise UnknownTheoremError(f"unknown theorem id {theorem_id!r}")
     start = perf_counter()
@@ -839,8 +836,9 @@ def verify_all(
     theorem_ids: Optional[tuple[str, ...]] = None,
     jobs: Optional[int] = None,
 ) -> list[TheoremReport]:
-    """Run the whole suite (or a selection) in declaration order. ``jobs``
-    has no effect, as in ``verify``."""
+    """Run the whole suite (or a selection) in declaration order, in the
+    calling thread. ``jobs`` is accepted for compatibility and has no
+    effect."""
     ids = THEOREM_IDS if theorem_ids is None else theorem_ids
     return [verify(tid, catalog) for tid in ids]
 

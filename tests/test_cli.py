@@ -120,7 +120,7 @@ def test_check_exit_one_on_failure(capsys, monkeypatch):
         elapsed=0.0,
         notes=(),
     )
-    monkeypatch.setattr(cli, "verify", lambda tid, cat, jobs=None: bad)
+    monkeypatch.setattr(cli, "verify", lambda tid, cat: bad)
     code, out, _ = run(capsys, "check", "--theorem", "T-CHAIN", "--max-order", "8")
     assert code == 1
     assert "refuted" in out

@@ -7,6 +7,7 @@ import random
 import pytest
 
 import ringlab.expansions as expansions
+from ringlab.catalog import CatalogConfig, build_catalog
 from ringlab.constructions import (
     LocalizationOf,
     MultiplicativeSet,
@@ -107,15 +108,15 @@ def test_wrong_ring_rejected(z12, z8):
 
 
 def test_standard_expansions_dedup(z8, f4):
-    # on a field every stock family collapses to few distinct tables
+    # one translation I -> I + J per ideal J: a field has two ideals
     labels_f4 = [d.label for d in standard_expansions(f4)]
     assert labels_f4 == ["id", "full"]
     labels_z8 = [d.label for d in standard_expansions(z8)]
     assert labels_z8[0] == "id"
     assert "rad" in labels_z8
     assert "full" in labels_z8
-    # dedup keeps first label: plus:(0) == id never reappears
-    assert "plus:(0)" not in labels_z8
+    # J = (0) is built once, as id, and J = Jac once, as rad
+    assert "plus:(0)" not in labels_z8 and "plus:(2)" not in labels_z8
     tables = [d.table for d in standard_expansions(z8)]
     assert len(tables) == len(set(tables))
 
@@ -445,18 +446,23 @@ def _count_expansions_built(monkeypatch) -> list:
     return built
 
 
-def test_transfer_sweeps_build_no_expansions(catalog8, monkeypatch):
-    """The transfer sweeps reuse the induced expansions the catalog built.
-
-    Building the catalog induces every expansion that T-HOM, T-LOC, T-PROD,
-    T-TRIV and T-TRIV-COR ask for. T-QUOT also induces along quotients by
-    the zero ideal, which the catalog leaves out, so only its first run
-    builds.
-    """
+def test_catalog_builds_each_stock_expansion_once(monkeypatch):
+    """An uncached catalog build constructs exactly the expansions it attaches,
+    and each entry attaches the ring's ``standard_expansions`` tuple itself."""
     built = _count_expansions_built(monkeypatch)
-    verify("T-QUOT", catalog8)
-    built.clear()
-    for tid in ("T-HOM", "T-QUOT", "T-LOC", "T-PROD", "T-TRIV", "T-TRIV-COR"):
+    cat = build_catalog.__wrapped__(CatalogConfig(max_order=8))
+    assert len(built) == sum(len(e.expansions) for e in cat)
+    assert all(e.expansions is standard_expansions(e.ring) for e in cat)
+
+
+def test_transfer_sweeps_build_each_induced_expansion_once(catalog8, monkeypatch):
+    """The transfer sweeps induce what they test on first use, through the
+    per-ring memo of ``_induced``: a second run builds no expansion."""
+    sweeps = ("T-HOM", "T-QUOT", "T-LOC", "T-PROD", "T-TRIV", "T-TRIV-COR")
+    for tid in sweeps:
+        verify(tid, catalog8)
+    built = _count_expansions_built(monkeypatch)
+    for tid in sweeps:
         verify(tid, catalog8)
     assert built == []
 
@@ -571,7 +577,8 @@ def trivial_extension_rule(T, delta):
 
 
 def _induced_with_rules(R):
-    """Every induced expansion the catalog makes on R, with its oracle rule."""
+    """Every expansion that the transfer sweeps induce on R from the stock
+    expansions of its parent or factors, with its oracle rule."""
     info = R.construction
     if isinstance(info, ProductOf):
         for d1 in standard_expansions(info.left):
@@ -597,6 +604,25 @@ def test_induced_tables_match_their_rules(request, tier, count):
             assert got.table == want.table, (entry.provenance, got.label)
             seen += 1
     assert seen == count
+
+
+@pytest.mark.parametrize("tier", ["catalog16", "catalog_enlarged"])
+def test_every_catalog_expansion_is_a_stock_translation(request, tier):
+    """Every stock expansion is a translation I -> I + J, one per ideal J, and
+    every expansion induced from stock ones along a construction has a stock
+    table. The catalog attaches only stock expansions because of this; a
+    stock family that is not a translation would fail here."""
+    induced = 0
+    for entry in request.getfixturevalue(tier):
+        R = entry.ring
+        rad = radical_expansion(R).table
+        assert rad == plus_fixed(R, R.jacobson_radical()).table, entry.provenance
+        stock = {d.table for d in standard_expansions(R)}
+        assert len(stock) == len(standard_expansions(R)) == len(R.ideals()), entry.provenance
+        for got, _ in _induced_with_rules(R):
+            assert got.table in stock, (entry.provenance, got.label)
+            induced += 1
+    assert induced
 
 
 def delta_gamma_hom_scan(f, delta, gamma):

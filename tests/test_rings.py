@@ -482,3 +482,15 @@ def test_a_proof_failure_that_the_scan_does_not_confirm_is_an_invariant_error(mo
     monkeypatch.setattr(rings, "_generator_proof", lambda *args: False)
     with pytest.raises(InvariantError, match="the generator proof failed where the full scan passed"):
         make_zn(4)
+
+
+@pytest.mark.parametrize("tier", ["catalog16", "catalog_enlarged"])
+def test_nonunits_form_an_ideal_exactly_on_local_rings(request, tier):
+    """The nonunit-closure route to locality agrees with the maximal-ideal
+    count on every ring of the tier, and both verdicts occur."""
+    verdicts = set()
+    for entry in request.getfixturevalue(tier):
+        R = entry.ring
+        assert R.nonunits_form_ideal() == R.is_local(), entry.provenance
+        verdicts.add(R.is_local())
+    assert verdicts == {True, False}

@@ -83,11 +83,11 @@ def test_determinism(catalog8):
 
 
 def test_jobs_independence(catalog8):
-    """``jobs=`` is accepted and changes no report."""
-    for tid in ("T-CHAIN", "T-PROD", "T-TRIV"):
-        serial = strip_elapsed(verify(tid, catalog8, jobs=1))
-        threaded = strip_elapsed(verify(tid, catalog8, jobs=4))
-        assert serial == threaded
+    """``verify_all``'s ``jobs=`` is accepted and changes no report."""
+    tids = ("T-CHAIN", "T-PROD", "T-TRIV")
+    serial = [strip_elapsed(r) for r in verify_all(catalog8, tids, jobs=1)]
+    threaded = [strip_elapsed(r) for r in verify_all(catalog8, tids, jobs=4)]
+    assert serial == threaded
 
 
 def test_radical_sweeps_build_no_ideals(catalog16, monkeypatch):
@@ -318,7 +318,7 @@ def test_sweep_runs_in_the_calling_thread(catalog8, monkeypatch):
         sweep(entry, part)
 
     monkeypatch.setitem(verifier._SWEEPS, "T-CHAIN", spy)
-    verify("T-CHAIN", catalog8, jobs=4)
+    verify_all(catalog8, ("T-CHAIN",), jobs=4)
     assert seen == {threading.get_ident()}
 
 
