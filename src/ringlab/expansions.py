@@ -314,19 +314,16 @@ def is_idempotent_at(delta: ExpansionFunction, I: Ideal) -> bool:
 def is_prime_expansion(delta: ExpansionFunction) -> bool:
     """Whether delta sends every 1-absorbing delta-primary ideal to a prime.
 
-    An image equal to the whole ring counts as not prime.
+    An image equal to the whole ring counts as not prime. Both sides are
+    read from verdict vectors, at the lattice positions of I and delta(I).
     """
-    from .predicates import is_one_absorbing_delta_primary
+    from .predicates import _verdicts
 
     R = delta.ring
-    from .ideals import is_prime
-
-    for I in R.proper_ideals():
-        if is_one_absorbing_delta_primary(I, delta):
-            D = delta(I)
-            if not D.is_proper or not is_prime(D):
-                return False
-    return True
+    top = len(delta.table) - 1
+    prime = _verdicts("prime", R)
+    one_abs = _verdicts("1abs-delta-primary", R, delta)
+    return all(q != top and prime[q] for q, ok in zip(delta.table, one_abs) if ok)
 
 
 def delta_gamma_hom_check(

@@ -17,10 +17,12 @@ goes, with its cyclic submodules Re in place of the principal ideals.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_
 from typing import Iterable, Optional, Union
 
 from .errors import ConstructionError, InvariantError, ProperIdealError, RingMismatchError
-from .rings import Element, FiniteRing, _element_index
+from .rings import Element, FiniteRing, _colon_rows, _element_index
 
 
 class Ideal:
@@ -221,6 +223,40 @@ def _principal_table(R: FiniteRing) -> dict[int, int]:
     return table
 
 
+def _principal_colons(
+    R: FiniteRing,
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(gens, cls, table), built once per ring: gens[j] is the smallest
+    generator of the j-th principal ideal, in ``_principal_table`` order;
+    cls[x] is the index j with (x) = (gens[j]); and table[p][j] is the
+    lattice position of (I_p : gens[j]) for the proper ideal I_p.
+
+    (I : x) = (I : (x)), so every element colon is an entry: (I_p : x) sits
+    at table[p][cls[x]]. It is the unit ideal exactly when x lies in I_p.
+    Only the generators' multiplication rows are read, as in
+    ``FiniteRing.colon_masks``: up to order 256 each byte row is translated
+    through I_p's membership table, above it each tuple row is mapped.
+    """
+    val = R.cache.get("principal_colons")
+    if val is None:
+        pt = _principal_table(R)
+        gens = tuple(pt.values())
+        index = {m: j for j, m in enumerate(pt)}
+        cls = tuple(index[m] for m in _principal_masks(R))
+        pos = R.lattice_position
+        proper = R.proper_ideals()
+        if R.order <= 256:
+            rows = [R.cache["mul_bytes"][g] for g in gens]
+            table = tuple(
+                tuple(pos(int(row.translate(tab)[::-1], 2)) for row in rows)
+                for tab in (format(I.mask, "0256b")[::-1].encode() for I in proper))
+        else:
+            rows = [R.mul_table[g] for g in gens]
+            table = tuple(tuple(map(pos, _colon_rows(rows, I.mask))) for I in proper)
+        val = R.cache["principal_colons"] = (gens, cls, table)
+    return val
+
+
 def principal_generator(I: Ideal) -> Optional[int]:
     """The smallest x with (x) = I, or None when I is not principal."""
     return _principal_table(I.ring).get(I.mask)
@@ -404,23 +440,33 @@ def _decide(I: Ideal, pass_sets, bound: int, witness) -> tuple[bool, Optional[tu
     return got
 
 
+def _colon_up_sets(R: FiniteRing) -> tuple[int, ...]:
+    """UP with the unit ideal's entry set to every position. (I : x) is the
+    unit ideal exactly when x lies in I, so an AND of these entries over
+    colon positions skips the x inside I with no test. Built once."""
+    val = R.cache.get("colon_up_sets")
+    if val is None:
+        up = _up_sets(R)
+        val = R.cache["colon_up_sets"] = up[:-1] + ((1 << len(up)) - 1,)
+    return val
+
+
 def _primary_pass_sets(R: FiniteRing) -> tuple[int, ...]:
     """{J : V_I inside J} for each proper ideal I, in lattice order.
 
-    V_I is the mask of the b with (I : b) != I, the zero-divisors modulo I.
-    (I : b) always contains I, so a*b in I with a outside I happens exactly
-    when b lies in V_I. Hence "a*b in I forces a in I or b in m" holds
-    exactly when V_I lies inside m: prime at m = I, primary at m = rad(I),
-    delta-primary at m = delta(I).
+    V_I is the set of zero-divisors modulo I: the b with a*b in I for some
+    a outside I, that is, the union of the colons (I : a) over a outside I.
+    Hence "a*b in I forces a in I or b in m" holds exactly when V_I lies
+    inside m: prime at m = I, primary at m = rad(I), delta-primary at
+    m = delta(I). The pass set is the AND of UP[(I : a)] over a outside I,
+    and (I : a) = (I : (a)), so one generator per principal ideal is
+    enough: one row of ``_principal_colons``.
     """
     val = R.cache.get("primary_pass")
     if val is None:
-        val = []
-        for I in R.proper_ideals():
-            im = I.mask
-            v = sum(1 << b for b, row in enumerate(R.colon_masks(im)) if row != im)
-            val.append(_bounds_containing(R, v))
-        val = R.cache["primary_pass"] = tuple(val)
+        up = _colon_up_sets(R)
+        val = R.cache["primary_pass"] = tuple(
+            reduce(and_, {up[k] for k in row}) for row in _principal_colons(R)[2])
     return val
 
 

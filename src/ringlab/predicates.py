@@ -11,13 +11,19 @@ at which a check holds form an up-set of the ideal lattice. That up-set is
 kept as an int over lattice positions, I's pass set: bit q is set when the
 check holds with the ideal at position q as its bound. There is one pass
 set per conclusion shape, built for every proper ideal once per ring and
-cached on the ring:
+cached on the ring. Every one is read from one per-ring table of
+principal colons (``ideals._principal_colons``): (I : x) = (I : (x)), so
+the colon by any element is the colon by its principal ideal's smallest
+generator, kept as a lattice position, and each builder loops over
+principal classes, never over elements.
 
-- prime, primary and delta-primary: {J : V_I inside J}, where V_I is the
-  set of zero-divisors modulo I (``ideals._primary_pass_sets``);
-- the three 1-absorbing checks: {J : U_I inside J}, where U_I is the set of
-  last factors of the nonunit triples that break the condition at I
-  (``_one_absorbing_pass_sets``);
+- prime, primary and delta-primary: {J : V_I inside J}, where V_I, the set
+  of zero-divisors modulo I, is the union of (I : x) over the x outside I
+  (``ideals._primary_pass_sets``);
+- the three 1-absorbing checks: {J : U_I inside J}, where U_I, the set of
+  last factors of the nonunit triples that break the condition at I, is
+  the union of (I : v) over the products v of two nonunits outside I
+  (``_one_absorbing_pass_sets``, over the classes of ``_nonunit_products``);
 - maximal: every bound or none (``ideals._maximal_pass_sets``);
 - 2-absorbing and 2-absorbing delta-primary, delta-semiprimary and the
   ideal-wise form: built over pairs of principal or of proper ideals
@@ -26,37 +32,44 @@ cached on the ring:
 
 A check reads one bit (``ideals._decide``) and runs its scan only on a
 failure, to find the minimal witness. ``_verdicts`` reads one check's bits
-at every proper ideal into a tuple for the sweeps. The definitional
-``*_scan`` functions are kept as oracles for the test suite.
+at every proper ideal into a tuple for the sweeps, and ``PREDICATES``, the
+functions behind ``search`` queries, read the bit at I's lattice position
+from that tuple, with no witness scan. Full colon rows
+(``FiniteRing.colon_masks``) are read only by the witness scans, by
+``ideals.colon`` and ``ideals.ideal_colon``, and by the definitional
+``*_scan`` functions, kept as oracles for the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from typing import Optional
 
 from .errors import RinglabError
-from .expansions import ExpansionFunction
+from .expansions import ExpansionFunction, _scaling_table
 from .ideals import (
     Ideal,
-    _bounds_containing,
+    _colon_up_sets,
     _decide,
     _lsb,
     _maximal_pass_sets,
     _pair_kernel,
     _pair_primary,
     _primary_pass_sets,
+    _principal_colons,
     _principal_table,
     _radical_positions,
     _require_proper,
     _up_sets,
+    generator_list,
     ideal_colon,
     ideal_product,
     maximal_check,
     primary_check,
     prime_check,
     radical,
-    scale,
 )
 from .rings import FiniteRing
 
@@ -80,31 +93,48 @@ def _memo(I: Ideal, dm: int, name: str, compute):
 # the 1-absorbing and 2-absorbing pass sets and witness scans
 
 
+def _nonunit_products(R: FiniteRing) -> dict[int, tuple[tuple[int, int], ...]]:
+    """The principal classes of the products of two nonunits, each with its
+    pairs (a, b) of nonunit class generators, a <= b, whose product lies in
+    it. (a*b) = (a)(b), so the class of a product depends only on the
+    classes of its factors, and the keys are the classes (``cls`` of
+    ``_principal_colons``) of the elements of ``nonunit_product_mask``.
+    Built once per ring."""
+    val = R.cache.get("nonunit_products")
+    if val is None:
+        gens, cls, _ = _principal_colons(R)
+        nu = R.nonunits_mask
+        nus = [g for g in gens if (nu >> g) & 1]
+        mul = R.mul_table
+        val = {}
+        for i, a in enumerate(nus):
+            row = mul[a]
+            for b in nus[i:]:
+                val.setdefault(cls[row[b]], []).append((a, b))
+        val = R.cache["nonunit_products"] = {j: tuple(pairs) for j, pairs in val.items()}
+    return val
+
+
 def _one_absorbing_pass_sets(R: FiniteRing) -> tuple[int, ...]:
     """{J : U_I inside J} for each proper ideal I, in lattice order.
 
-    U_I is the mask of the nonunits c with v*c in I for some product v of
-    two nonunits that lies outside I: row v of the colon table, over those
-    v; that row holds only nonunits, since v lies outside I. A nonunit
-    triple with a*b*c in I and a*b outside I has its c in U_I, and every c
-    in U_I ends such a triple, so "a*b*c in I forces a*b in I or
+    U_I is the set of nonunits c with v*c in I for some product v of two
+    nonunits that lies outside I: the union of the colons (I : v) over
+    those v, each of which holds only nonunits, since v lies outside I. A
+    nonunit triple with a*b*c in I and a*b outside I has its c in U_I, and
+    every c in U_I ends such a triple, so "a*b*c in I forces a*b in I or
     c in m" holds exactly when U_I lies inside m: 1-absorbing prime at
     m = I, 1-absorbing primary at m = rad(I), 1-absorbing delta-primary at
-    m = delta(I).
+    m = delta(I). The pass set is the AND of UP[(I : v)] over those v, read
+    at one generator per principal class of products.
     """
     val = R.cache.get("one_absorbing_pass")
     if val is None:
-        val = []
-        for I in R.proper_ideals():
-            cm = R.colon_masks(I.mask)
-            u = 0
-            v = R.nonunit_product_mask & ~I.mask
-            while v:
-                low = v & -v
-                u |= cm[low.bit_length() - 1]
-                v ^= low
-            val.append(_bounds_containing(R, u))
-        val = R.cache["one_absorbing_pass"] = tuple(val)
+        up = _colon_up_sets(R)
+        full = up[-1]
+        classes = tuple(_nonunit_products(R))
+        val = R.cache["one_absorbing_pass"] = tuple(
+            reduce(and_, {up[row[j]] for j in classes}, full) for row in _principal_colons(R)[2])
     return val
 
 
@@ -170,35 +200,24 @@ def _two_absorbing_pass_sets(R: FiniteRing) -> tuple[int, ...]:
     union of two ideals lies inside one of them, so the pair passes at J
     exactly when a*K or b*K lies inside J. a*K = (a)K, and K depends only
     on (a*b) = (a)(b), so one generator per proper principal ideal stands
-    for all its generators. Each product x*K is built once, when first met.
+    for all its generators (``_nonunit_products``); K is read from the
+    principal colons and a*K from the scaling table.
     """
     val = R.cache.get("two_absorbing_pass")
     if val is None:
         up = _up_sets(R)
-        pos = R.lattice_position
-        lattice = R.ideals()
-        nu = R.nonunits_mask
-        gens = [g for g in _principal_table(R).values() if (nu >> g) & 1]
-        scaled: dict[tuple[int, int], int] = {}  # (x, k) -> UP[x*I_k]
-
-        def up_scaled(x: int, k: int) -> int:
-            got = scaled.get((x, k))
-            if got is None:
-                got = scaled[x, k] = up[pos(scale(x, lattice[k]).mask)]
-            return got
-
-        mul = R.mul_table
+        top = len(up) - 1
+        scaled = _scaling_table(R)
+        groups = [(j, [(scaled[a], scaled[b]) for a, b in pairs])
+                  for j, pairs in _nonunit_products(R).items()]
         val = []
-        for p, I in enumerate(R.proper_ideals()):
-            im, cm = I.mask, R.colon_masks(I.mask)
+        for p, row in enumerate(_principal_colons(R)[2]):
             s = up[p]
-            for i, a in enumerate(gens):
-                row = mul[a]
-                for b in gens[i:]:
-                    ab = row[b]
-                    if not (im >> ab) & 1:
-                        k = pos(cm[ab])
-                        s &= up_scaled(a, k) | up_scaled(b, k)
+            for j, pairs in groups:
+                k = row[j]
+                if k != top:  # a*b outside I
+                    for sa, sb in pairs:
+                        s &= up[sa[k]] | up[sb[k]]
             val.append(s)
         val = R.cache["two_absorbing_pass"] = tuple(val)
     return val
@@ -224,18 +243,17 @@ def _semiprimary_pass_sets(R: FiniteRing) -> tuple[int, ...]:
     each proper ideal I, in lattice order: the AND over a of
     UP[(a)] | UP[(I : a)]. For a outside J, every b with a*b in I, that is
     all of (I : a), must lie in J. (I : a) = (I : (a)), so one generator per
-    principal ideal is enough."""
+    principal ideal is enough: one row of ``_principal_colons``."""
     val = R.cache.get("semiprimary_pass")
     if val is None:
         up = _up_sets(R)
         pos = R.lattice_position
-        gens = [(g, up[pos(m)]) for m, g in _principal_table(R).items()]
+        up_gens = [up[pos(m)] for m in _principal_table(R)]
         val = []
-        for p, I in enumerate(R.proper_ideals()):
-            cm = R.colon_masks(I.mask)
+        for p, row in enumerate(_principal_colons(R)[2]):
             s = up[p]
-            for g, up_g in gens:
-                s &= up_g | up[pos(cm[g])]
+            for up_g, k in zip(up_gens, row):
+                s &= up_g | up[k]
             val.append(s)
         val = R.cache["semiprimary_pass"] = tuple(val)
     return val
@@ -375,18 +393,24 @@ def idealwise_one_absorbing_check(I: Ideal, delta: ExpansionFunction) -> IdealTr
 def _idealwise_pass_sets(R: FiniteRing) -> tuple[int, ...]:
     """{J : W_I inside J} for each proper ideal I, in lattice order, where
     W_I is the union of (I : P) over the distinct products P of two proper
-    ideals with P outside I."""
+    ideals with P outside I. (I : P) is the meet of (I : g) over the
+    generators g of P, read from the principal colons; it is the unit ideal
+    exactly when P lies inside I, where ``_colon_up_sets`` skips it."""
     val = R.cache.get("idealwise_pass")
     if val is None:
+        up = _colon_up_sets(R)
+        _, cls, table = _principal_colons(R)
+        masks = [I.mask for I in R.ideals()]
+        pos = R.lattice_position
         proper = R.proper_ideals()
         products = {_cached_product(R, I1, I2) for i, I1 in enumerate(proper) for I2 in proper[i:]}
+        product_gens = [[cls[g] for g in generator_list(Ideal(R, P))] for P in products]
         val = []
-        for I in proper:
-            w = 0
-            for P in products:
-                if P & ~I.mask:
-                    w |= ideal_colon(I, Ideal(R, P)).mask
-            val.append(_bounds_containing(R, w))
+        for row in table:
+            s = up[-1]
+            for js in product_gens:
+                s &= up[pos(reduce(and_, [masks[row[j]] for j in js]))]
+            val.append(s)
         val = R.cache["idealwise_pass"] = tuple(val)
     return val
 
@@ -452,11 +476,8 @@ _CHECKS = {
     "2abs-delta-primary": lambda I, d: two_absorbing_delta_primary_check(I, d),
 }
 
-PREDICATES = {name: (lambda I, d, check=check: check(I, d)[0]) for name, check in _CHECKS.items()}
 
 DELTA_FREE = frozenset({"prime", "maximal", "primary", "2abs", "1abs-prime", "1abs-primary"})
-
-PREDICATE_NAMES = tuple(PREDICATES)
 
 
 # The lattice positions of the bounds I, rad(I) and delta(I) at the proper
@@ -503,6 +524,29 @@ def _verdicts(
         got = store[name] = tuple(
             bool((s >> q) & 1) for s, q in zip(pass_sets(R), bounds(R, delta)))
     return got
+
+
+def _verdict_bit(name: str):
+    """Check ``name`` at I as a function of (I, delta): the bit at I's
+    lattice position of its verdict vector, with no witness scan. An
+    argument that the vector does not cover (an ideal that is not proper, a
+    missing expansion or one on another ring) goes to the check, which
+    raises its own error."""
+    check = _CHECKS[name]
+    needs_delta = name not in DELTA_FREE
+
+    def read(I: Ideal, d: Optional[ExpansionFunction]) -> bool:
+        R = I.ring
+        if not I.is_proper or needs_delta and getattr(d, "ring", None) is not R:
+            return check(I, d)[0]
+        return _verdicts(name, R, d)[R.lattice_position(I.mask)]
+
+    return read
+
+
+PREDICATES = {name: _verdict_bit(name) for name in _CHECKS}
+
+PREDICATE_NAMES = tuple(PREDICATES)
 
 
 def evaluate_predicate(name: str, I: Ideal, delta: Optional[ExpansionFunction]) -> bool:

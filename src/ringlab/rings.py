@@ -286,7 +286,9 @@ class FiniteRing:
         if val is None:
             from . import ideals as _ideals
 
-            val = tuple(I for I in self.proper_ideals() if _ideals.is_prime(I))
+            # I is prime when V_I lies inside I: bit p of pass set p
+            pass_sets = _ideals._primary_pass_sets(self)
+            val = tuple(I for p, I in enumerate(self.proper_ideals()) if (pass_sets[p] >> p) & 1)
             self.cache["spectrum"] = val
         return val
 
@@ -322,16 +324,21 @@ class FiniteRing:
     def is_arithmetical(self) -> bool:
         """Whether the localization at every maximal ideal M is chained. R_M is
         R/K_M with K_M = {x : s*x = 0 for some s outside M} (see ``localize``),
-        so it is chained exactly when the ideals of R containing K_M are."""
+        so it is chained exactly when the ideals of R containing K_M are. The
+        annihilators are row 0, the zero ideal's, of the principal colons: s
+        and its class generator g have one annihilator and lie in M together."""
         val = self.cache.get("arithmetical")
         if val is None:
-            ann = self.colon_masks(1 << self.zero)
+            from . import ideals as _ideals
+
+            gens, _, table = _ideals._principal_colons(self)
+            masks = [I.mask for I in self.ideals()]
             val = True
             for M in self.maximal_ideals():
                 k = 0
-                for s in range(self.order):
-                    if not (M.mask >> s) & 1:
-                        k |= ann[s]
+                for g, q in zip(gens, table[0]):
+                    if not (M.mask >> g) & 1:
+                        k |= masks[q]
                 above = [I.mask for I in self.ideals() if not k & ~I.mask]
                 if any(a & ~b for a, b in zip(above, above[1:])):
                     val = False
@@ -378,11 +385,12 @@ class FiniteRing:
         return f"FiniteRing({self.label!r}, order={self.order})"
 
 
-def _colon_rows(mul: Table, imask: int) -> tuple[int, ...]:
-    """Row d: the mask of {x : mul[d][x] in imask}, one entry at a time. The
-    path of ``FiniteRing.colon_masks`` above order 256, and its oracle."""
-    n = len(mul)
-    return tuple(sum(1 << x for x in range(n) if (imask >> row[x]) & 1) for row in mul)
+def _colon_rows(rows: Sequence[Sequence[int]], imask: int) -> tuple[int, ...]:
+    """For each multiplication row of some d, the mask of {x : d*x in imask},
+    one entry at a time. The path of ``FiniteRing.colon_masks`` (every row)
+    and of ``ideals._principal_colons`` (the generators' rows) above order
+    256, and their oracle."""
+    return tuple(sum(1 << x for x, v in enumerate(row) if (imask >> v) & 1) for row in rows)
 
 
 def _additive_generators(addb: list, zero: int) -> list[int]:

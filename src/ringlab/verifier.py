@@ -46,6 +46,7 @@ from .expansions import (
 from .ideals import (
     Ideal,
     _jacobson_square,
+    _principal_colons,
     _radical_positions,
     ideal_intersection,
     is_prime_element,
@@ -382,14 +383,15 @@ def _t_colon(entry: CatalogEntry, part: _Part) -> None:
 
 def _colon_positions(R: FiniteRing) -> tuple[tuple[int, ...], ...]:
     """Row p: for each nonunit a, the lattice position of (I : a) for the
-    proper ideal I at position p, or -1 where a lies in I. Not cached:
-    T-COLON reads it once per ring, so keeping it would only hold memory."""
-    pos, nonunits = R.lattice_position, R.nonunit_list
-    rows = []
-    for I in R.proper_ideals():
-        colon = R.colon_masks(I.mask)
-        rows.append(tuple(-1 if (I.mask >> a) & 1 else pos(colon[a]) for a in nonunits))
-    return tuple(rows)
+    proper ideal I at position p, or -1 where a lies in I, read from the
+    principal colons at a's class. Not cached: T-COLON reads it once per
+    ring, so keeping it would only hold memory."""
+    _, cls, table = _principal_colons(R)
+    nonunits = R.nonunit_list
+    classes = [cls[a] for a in nonunits]
+    return tuple(
+        tuple(-1 if (I.mask >> a) & 1 else row[j] for a, j in zip(nonunits, classes))
+        for I, row in zip(R.proper_ideals(), table))
 
 
 @_sweep("T-M2")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +45,22 @@ def test_classify_json_golden(capsys):
     assert rows["(0)"]["predicates"]["prime"] is False
     assert rows["(0)"]["witnesses"]["prime"] == ["2", "2"]
     assert rows["(0)"]["ideal"] == ["0"]
+
+
+SEARCH_GOLDEN = Path(__file__).resolve().parent / "golden" / "search-default.json"
+
+
+def test_search_json_golden(capsys):
+    """``search --json`` on the default catalog, byte for byte, for three
+    recorded queries: one delta-free, and between them every pass-set kind
+    but the maximal one, with !, &, | and parentheses."""
+    golden = json.loads(SEARCH_GOLDEN.read_text(encoding="utf-8"))
+    assert [g["count"] for g in golden] == [422, 121, 495]
+    for want in golden:
+        code, out, err = run(capsys, "search", "--property", want["query"], "--json")
+        assert code == 0 and err == ""
+        assert out == json.dumps(want, separators=(",", ":")) + "\n", want["query"]
+    assert {w["delta"] for w in golden[1]["witnesses"]} == {"-"}
 
 
 def test_classify_z36_witness(capsys):

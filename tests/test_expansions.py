@@ -50,10 +50,12 @@ from ringlab.ideals import (
     _principal_masks,
     _radical_positions,
     ideal_intersection,
+    prime_check,
     radical,
     scale,
     span,
 )
+from ringlab.predicates import one_absorbing_delta_primary_check
 from ringlab.rings import FiniteRing, make_zn
 from ringlab.verifier import verify
 
@@ -230,6 +232,27 @@ def test_prime_expansion(z8, z12):
     # on Z12, (0) is 1abs-rad-primary? no: rad is prime-valued on primaries only
     d_id_z8 = identity_expansion(z8)
     assert not is_prime_expansion(d_id_z8)  # (4) is 1abs-id-primary but not prime
+
+
+@pytest.mark.parametrize("tier", ["catalog16", "catalog_enlarged"])
+def test_prime_expansion_matches_the_definition(request, tier):
+    """``is_prime_expansion`` reads verdict vectors; under every attached
+    expansion of both tiers it agrees with the definition, the checks at
+    each proper I and at delta(I), with the ring as an image counted as not
+    prime. ``full`` sends every proper ideal, each 1-absorbing under it, to
+    the ring, so it is never a prime expansion."""
+    held = 0
+    for entry in request.getfixturevalue(tier):
+        for d in entry.expansions:
+            want = all(
+                d(I).is_proper and prime_check(d(I))[0]
+                for I in entry.ring.proper_ideals()
+                if one_absorbing_delta_primary_check(I, d)[0])
+            assert is_prime_expansion(d) == want, (entry.provenance, d.label)
+            held += want
+        assert entry.expansions[-1].label == "full"
+        assert not is_prime_expansion(entry.expansions[-1])
+    assert held > 0
 
 
 def test_delta_gamma_hom(z12):

@@ -31,7 +31,7 @@ from ringlab.ideals import (
 )
 from ringlab.catalog import CatalogConfig, build_catalog
 from ringlab.constructions import ProductOf, QuotientOf, TrivialExtensionOf
-from ringlab.ideals import Ideal, _principal_masks
+from ringlab.ideals import Ideal, _principal_colons, _principal_masks, _principal_table
 from ringlab.rings import make_galois_field, make_zn
 
 
@@ -430,3 +430,39 @@ def test_jacobson_square_matches_the_closure(request, tier):
         if R.is_local():
             M = R.maximal_ideals()[0]
             assert _jacobson_square(R) == closure_product(M, M), entry.provenance
+
+
+@pytest.mark.parametrize("tier, count", [("catalog16", 20963), ("catalog_enlarged", 58862)])
+def test_principal_colons_match_colon(request, tier, count):
+    """gens lists the smallest generator of each principal ideal in
+    ``_principal_table`` order, cls[x] is the index of (x), and
+    table[p][cls[x]] is the lattice position of colon(I_p, x), at every
+    proper ideal and element of both tiers."""
+    seen = 0
+    for entry in request.getfixturevalue(tier):
+        seen += _check_principal_colons(entry.ring)
+    assert seen == count
+
+
+def test_principal_colons_above_order_256():
+    """Above order 256 the table maps the generators' tuple rows; it agrees
+    with colon on Z257, a field, and on Z262 = Z2 x Z131."""
+    for n, ideals in ((257, 2), (262, 4)):
+        R = make_zn(n)
+        assert "mul_bytes" not in R.cache and len(R.ideals()) == ideals
+        assert _check_principal_colons(R) == (ideals - 1) * n
+
+
+def _check_principal_colons(R) -> int:
+    gens, cls, table = _principal_colons(R)
+    pm = _principal_masks(R)
+    assert gens == tuple(_principal_table(R).values())
+    assert all(pm[gens[cls[x]]] == pm[x] for x in range(R.order))
+    assert len(table) == len(R.proper_ideals())
+    seen = 0
+    for I, row in zip(R.proper_ideals(), table):
+        assert len(row) == len(gens)
+        for x in range(R.order):
+            assert row[cls[x]] == R.lattice_position(colon(I, x).mask), (R.label, I.label, x)
+            seen += 1
+    return seen

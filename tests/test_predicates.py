@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ringlab.errors import ProperIdealError, RinglabError
+from ringlab.errors import ProperIdealError, RingMismatchError, RinglabError
 from ringlab.expansions import (
     constant_ring,
     identity_expansion,
@@ -21,6 +21,7 @@ from ringlab.predicates import (
     _CHECKS,
     DELTA_FREE,
     PREDICATE_NAMES,
+    PREDICATES,
     _verdicts,
     classify,
     delta_primary_check,
@@ -417,8 +418,10 @@ SCANS = (
     (predicates, "_idealwise_witness"),
 )
 BUILDERS = (
-    (ideals, "_bounds_containing"), (predicates, "_bounds_containing"),
-    (ideals, "_up_sets"), (predicates, "_up_sets"), (predicates, "scale"),
+    (ideals, "_bounds_containing"), (ideals, "_up_sets"), (predicates, "_up_sets"),
+    (ideals, "_colon_up_sets"), (predicates, "_colon_up_sets"),
+    (ideals, "_principal_colons"), (predicates, "_principal_colons"),
+    (predicates, "_nonunit_products"), (predicates, "_scaling_table"),
 )
 
 
@@ -500,6 +503,27 @@ def test_idealwise_scan_agrees(catalog16, catalog_enlarged):
     assert pairs == 2 * 648
 
 
+@pytest.mark.parametrize("tier", ["catalog16", "catalog_enlarged"])
+def test_idealwise_pass_sets_match_the_colon_definition(request, tier):
+    """On every ring of both tiers, not only the order-12 domain of
+    T-DEF-EQ, the ideal-wise pass sets are the bounds that contain the union
+    of ``ideal_colon(I, P)`` over the products P of two proper ideals
+    outside I. From order 24 on, some such P needs two generators, so a
+    colon read at one generator of P shows here."""
+    for entry in request.getfixturevalue(tier):
+        R = entry.ring
+        proper = R.proper_ideals()
+        products = {predicates._cached_product(R, A, B) for A in proper for B in proper}
+        want = []
+        for I in proper:
+            w = 0
+            for P in products:
+                if P & ~I.mask:
+                    w |= ideal_colon(I, ideals.Ideal(R, P)).mask
+            want.append(ideals._bounds_containing(R, w))
+        assert predicates._idealwise_pass_sets(R) == tuple(want), entry.provenance
+
+
 def test_idealwise_matches_elementwise(catalog8):
     for entry in catalog8:
         R = entry.ring
@@ -564,6 +588,62 @@ def test_evaluate_predicate_rejects_an_unknown_name_with_a_ringlab_error(z4):
 def test_evaluate_predicate_without_an_expansion_is_a_ringlab_error(z4):
     with pytest.raises(RinglabError, match="predicate 'delta-primary' needs an expansion"):
         evaluate_predicate("delta-primary", span(z4, [2]), None)
+
+
+def test_evaluate_predicate_keeps_the_checks_errors(z4, z8):
+    """The bit reader hands what its vectors do not cover to the check: a
+    unit ideal raises the check's own ProperIdealError, and an expansion on
+    another ring a RingMismatchError."""
+    with pytest.raises(ProperIdealError, match="is_delta_primary needs a proper ideal"):
+        evaluate_predicate("delta-primary", z4.unit_ideal(), identity_expansion(z4))
+    with pytest.raises(ProperIdealError, match="is_prime needs a proper ideal"):
+        evaluate_predicate("prime", z4.unit_ideal(), None)
+    with pytest.raises(RingMismatchError):
+        evaluate_predicate("delta-primary", span(z4, [2]), identity_expansion(z8))
+
+
+def test_predicates_read_verdict_bits_and_run_no_scan(catalog16, monkeypatch):
+    """Every entry of PREDICATES, the functions behind ``search``, equals its
+    check at every proper ideal of the default catalog under every attached
+    expansion, and runs no witness scan, on a failure either."""
+    checks = [(name, _CHECKS[name], PREDICATES[name]) for name in PREDICATE_NAMES]
+    expected = {}
+    for entry in catalog16:
+        for d in entry.expansions:
+            for I in entry.ring.proper_ideals():
+                expected[d, I.mask] = [check(I, d)[0] for _, check, _ in checks]
+    for module, name in SCANS:
+        monkeypatch.setattr(module, name, _no_scan)
+    failing = 0
+    for entry in catalog16:
+        for d in entry.expansions:
+            for I in entry.ring.proper_ideals():
+                got = [evaluate_predicate(name, I, d) for name, _, _ in checks]
+                assert got == [read(I, d) for _, _, read in checks]
+                assert got == expected[d, I.mask], (entry.provenance, d.label, I.label)
+                failing += got.count(False)
+    assert failing > 0
+
+
+@pytest.mark.parametrize("tier", ["catalog16", "catalog_enlarged"])
+def test_nonunit_product_classes(request, tier):
+    """The classes that the 1-absorbing pass sets read are the classes of
+    the elements of ``nonunit_product_mask``, and each class's pairs are
+    nonunit class generators a <= b whose product lies in it."""
+    for entry in request.getfixturevalue(tier):
+        R = entry.ring
+        gens, cls, _ = ideals._principal_colons(R)
+        products = predicates._nonunit_products(R)
+        mask = R.nonunit_product_mask
+        assert set(products) == {cls[v] for v in range(R.order) if (mask >> v) & 1}
+        for j, pairs in products.items():
+            for a, b in pairs:
+                assert a <= b and a in gens and b in gens
+                assert not R.is_unit(a) and not R.is_unit(b)
+                assert cls[R.mul(a, b)] == j, entry.provenance
+        nonunit_gens = [g for g in gens if not R.is_unit(g)]
+        n = len(nonunit_gens)
+        assert sum(map(len, products.values())) == n * (n + 1) // 2
 
 
 def test_classify_shape(z36):

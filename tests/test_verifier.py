@@ -11,10 +11,19 @@ import pytest
 import ringlab.ideals as ideals
 import ringlab.predicates as predicates
 import ringlab.verifier as verifier
-from ringlab.catalog import CatalogConfig, build_catalog
+from ringlab.catalog import Catalog, CatalogConfig, CatalogEntry, build_catalog
 from ringlab.errors import UnknownTheoremError
-from ringlab.expansions import is_intersection_preserving
+from ringlab.expansions import (
+    ExpansionFunction,
+    from_rule,
+    identity_expansion,
+    is_intersection_preserving,
+    preserves_jacobson,
+    satisfies_star,
+    scaling_check,
+)
 from ringlab.ideals import Ideal, colon, ideal_intersection
+from ringlab.rings import make_zn
 from ringlab.verifier import (
     THEOREM_IDS,
     TheoremReport,
@@ -476,3 +485,64 @@ def test_catalog_notices_surface_in_reports():
     cat = build_catalog(CatalogConfig(max_order=8, max_entries=4))
     r = verify("T-CHAIN", cat)
     assert any(n.startswith("catalog:") for n in r.notes)
+
+
+def test_t_char_on_an_expansion_that_keeps_jac_and_breaks_star():
+    """A one-entry catalog: Z6 with id and an expansion that keeps
+    Jac(Z6) = (0) but sends the proper ideal (3) to the ring. T-CHAR counts
+    both instances and takes its hypothesis at id only; the other expansion
+    breaks (*) and, as ``test_star_and_jac_agree_where_t_char_reads_them``
+    shows it must, the scaling condition too."""
+    R = make_zn(6)
+    d = from_rule(R, lambda I: R.unit_ideal() if 3 in I else I, "unit-at-(3)")
+    assert preserves_jacobson(d) and not satisfies_star(d) and not scaling_check(d)[0]
+    catalog = Catalog((CatalogEntry(R, "Z6", (identity_expansion(R), d)),))
+    report = verify("T-CHAR", catalog)
+    assert (report.instances_checked, report.hypothesis_satisfied) == (2, 1)
+    assert report.conclusion_failures == () and report.notes == ()
+
+
+def _all_expansion_tables(R):
+    """Every extensive monotone table on R's lattice, by backtracking."""
+    masks = [I.mask for I in R.ideals()]
+
+    def extend(table):
+        p = len(table)
+        if p == len(masks):
+            yield tuple(table)
+            return
+        for q in range(p, len(masks)):
+            if not masks[p] & ~masks[q] and all(
+                    not masks[table[r]] & ~masks[q] for r in range(p) if not masks[r] & ~masks[p]):
+                yield from extend(table + [q])
+
+    return extend([])
+
+
+def test_star_and_jac_agree_where_t_char_reads_them(catalog8):
+    """T-CHAR's two side conditions differ on no instance it reads, so no
+    catalog can tell its hypothesis "(*) and delta(Jac) = Jac" from "(*) or
+    delta(Jac) = Jac". (*) gives delta(M) = M at each maximal M, hence
+    delta(Jac) = Jac. Where delta(Jac) = Jac and (*) fails, delta sends a
+    proper I to R, and in R = R_1 x ... x R_n (local R_i) two things fail:
+    scaling, at an idempotent that fixes I or at the unit of a factor where
+    I is proper and nonzero; and the 1-absorbing form at (0), since
+    delta(0) lies in Jac and misses one of e, 1 - e for a nontrivial
+    idempotent e (none exists on a local ring, where the two conditions
+    agree). Checked over every expansion of the rings of order at most 8
+    with at most 9 ideals."""
+    seen = split = 0
+    for entry in catalog8:
+        R = entry.ring
+        if len(R.ideals()) > 9:
+            continue
+        for table in _all_expansion_tables(R):
+            d = ExpansionFunction(R, table, "t")
+            star, jac = satisfies_star(d), preserves_jacobson(d)
+            assert jac or not star, (entry.provenance, table)
+            if jac and not star:
+                split += 1
+                assert not scaling_check(d)[0], (entry.provenance, table)
+                assert not verifier._char_states(R, d)[0], (entry.provenance, table)
+            seen += 1
+    assert (seen, split) == (12668, 1596)
