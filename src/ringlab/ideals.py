@@ -232,10 +232,10 @@ def _principal_colons(
     lattice position of (I_p : gens[j]) for the proper ideal I_p.
 
     (I : x) = (I : (x)), so every element colon is an entry: (I_p : x) sits
-    at table[p][cls[x]]. It is the unit ideal exactly when x lies in I_p.
-    Only the generators' multiplication rows are read, as in
-    ``FiniteRing.colon_masks``: up to order 256 each byte row is translated
-    through I_p's membership table, above it each tuple row is mapped.
+    at table[p][cls[x]] (``_element_colons``). It is the unit ideal exactly
+    when x lies in I_p. Only the generators' multiplication rows are read:
+    up to order 256 each byte row is translated through I_p's membership
+    table, above it each tuple row is mapped (``rings._colon_rows``).
     """
     val = R.cache.get("principal_colons")
     if val is None:
@@ -255,6 +255,25 @@ def _principal_colons(
             table = tuple(tuple(map(pos, _colon_rows(rows, I.mask))) for I in proper)
         val = R.cache["principal_colons"] = (gens, cls, table)
     return val
+
+
+def _element_colons(R: FiniteRing, im: int) -> list[int]:
+    """For each element x, the mask of (I : x) for the ideal mask im, read
+    off the principal-colon table at table[pos(I)][cls[x]]. Every colon is
+    the unit ideal when I is. Not cached: one list per call."""
+    if im == (1 << R.order) - 1:
+        return [im] * R.order
+    _, cls, table = _principal_colons(R)
+    lattice = R.ideals()
+    masks = [lattice[k].mask for k in table[R.lattice_position(im)]]
+    return [masks[j] for j in cls]
+
+
+def _colon_meet(colons: list[int], gens: Iterable[int]) -> int:
+    """The mask of (I : P) from I's element colons and generators of P: x*P
+    lies in I exactly when x*g does for each generator g, so (I : P) is the
+    meet of the (I : g)."""
+    return reduce(and_, [colons[g] for g in gens])
 
 
 def principal_generator(I: Ideal) -> Optional[int]:
@@ -313,18 +332,14 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
 
 def colon(I: Ideal, d: Union[int, Element]) -> Ideal:
     """The element colon (I : d) = {x : d*x lies in I}."""
-    return Ideal(I.ring, I.ring.colon_masks(I.mask)[_element_index(I.ring, d)])
+    return Ideal(I.ring, _element_colons(I.ring, I.mask)[_element_index(I.ring, d)])
 
 
 def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
     """The ideal colon (I : J) = {x : x*J lies in I}."""
     if J.ring is not I.ring:
         raise RingMismatchError("ideals belong to different rings")
-    rows = I.ring.colon_masks(I.mask)
-    mask = (1 << I.ring.order) - 1
-    for g in J.members_sorted:
-        mask &= rows[g]
-    return Ideal(I.ring, mask)
+    return Ideal(I.ring, _colon_meet(_element_colons(I.ring, I.mask), generator_list(J)))
 
 
 def radical(I: Ideal) -> Ideal:
@@ -392,11 +407,10 @@ def _pair_kernel(
     """a*b in the ideal mask im forces a in skip or b in dm.
 
     With skip = im this is the pair-primary scan, with skip = dm the
-    pair-semiprimary one. Row a of the colon table holds every b with a*b
-    in I, so the first a outside skip whose row leaves dm gives the minimal
-    witness.
+    pair-semiprimary one. (I : a) holds every b with a*b in I, so the first
+    a outside skip whose colon leaves dm gives the minimal witness.
     """
-    cm = R.colon_masks(im)
+    cm = _element_colons(R, im)
     notdm = ~dm
     for a in range(R.order):
         if (skip >> a) & 1:

@@ -34,10 +34,10 @@ A check reads one bit (``ideals._decide``) and runs its scan only on a
 failure, to find the minimal witness. ``_verdicts`` reads one check's bits
 at every proper ideal into a tuple for the sweeps, and ``PREDICATES``, the
 functions behind ``search`` queries, read the bit at I's lattice position
-from that tuple, with no witness scan. Full colon rows
-(``FiniteRing.colon_masks``) are read only by the witness scans, by
-``ideals.colon`` and ``ideals.ideal_colon``, and by the definitional
-``*_scan`` functions, kept as oracles for the test suite.
+from that tuple, with no witness scan. The witness scans, ``ideals.colon``,
+``ideals.ideal_colon`` and the definitional ``*_scan`` functions, kept as
+oracles for the test suite, read their colons off the same table
+(``ideals._element_colons``).
 """
 
 from __future__ import annotations
@@ -51,8 +51,10 @@ from .errors import RinglabError
 from .expansions import ExpansionFunction, _scaling_table
 from .ideals import (
     Ideal,
+    _colon_meet,
     _colon_up_sets,
     _decide,
+    _element_colons,
     _lsb,
     _maximal_pass_sets,
     _pair_kernel,
@@ -64,7 +66,6 @@ from .ideals import (
     _require_proper,
     _up_sets,
     generator_list,
-    ideal_colon,
     ideal_product,
     maximal_check,
     primary_check,
@@ -98,7 +99,7 @@ def _nonunit_products(R: FiniteRing) -> dict[int, tuple[tuple[int, int], ...]]:
     pairs (a, b) of nonunit class generators, a <= b, whose product lies in
     it. (a*b) = (a)(b), so the class of a product depends only on the
     classes of its factors, and the keys are the classes (``cls`` of
-    ``_principal_colons``) of the elements of ``nonunit_product_mask``.
+    ``_principal_colons``) of the products of two nonunits.
     Built once per ring."""
     val = R.cache.get("nonunit_products")
     if val is None:
@@ -146,9 +147,10 @@ def _one_absorbing(I: Ideal, dm: int) -> TripleResult:
 
 
 def _one_absorbing_witness(R: FiniteRing, im: int, dm: int) -> TripleResult:
-    """The first nonunit pair (a, b) with a*b outside I whose colon row
-    leaves dm, with the least such c: the scan behind a failed bit."""
-    cm = R.colon_masks(im)
+    """The first nonunit pair (a, b) with a*b outside I whose colon
+    (I : a*b) leaves dm, with the least such c: the scan behind a failed
+    bit."""
+    cm = _element_colons(R, im)
     notdm = R.nonunits_mask & ~dm
     mul = R.mul_table
     nus = R.nonunit_list
@@ -174,8 +176,8 @@ def _one_absorbing_witness(R: FiniteRing, im: int, dm: int) -> TripleResult:
 
 def _two_absorbing(R: FiniteRing, im: int, dm: int) -> TripleResult:
     """a*b*c in I forces a*b in I or a*c in dm or b*c in dm."""
-    cm = R.colon_masks(im)
-    cd = R.colon_masks(dm)
+    cm = _element_colons(R, im)
+    cd = _element_colons(R, dm)
     mul = R.mul_table
     nus = R.nonunit_list
     for i, a in enumerate(nus):
@@ -356,8 +358,8 @@ def two_absorbing_delta_primary_scan(I: Ideal, delta: ExpansionFunction) -> Trip
     _require_proper(I, "two_absorbing_delta_primary_scan")
     R = I.ring
     im, dm = I.mask, delta(I).mask
-    cm = R.colon_masks(im)
-    cd = R.colon_masks(dm)
+    cm = _element_colons(R, im)
+    cd = _element_colons(R, dm)
     mul = R.mul_table
     for a in range(R.order):
         row = mul[a]
@@ -394,22 +396,21 @@ def _idealwise_pass_sets(R: FiniteRing) -> tuple[int, ...]:
     """{J : W_I inside J} for each proper ideal I, in lattice order, where
     W_I is the union of (I : P) over the distinct products P of two proper
     ideals with P outside I. (I : P) is the meet of (I : g) over the
-    generators g of P, read from the principal colons; it is the unit ideal
-    exactly when P lies inside I, where ``_colon_up_sets`` skips it."""
+    generators g of P (``_colon_meet``); it is the unit ideal exactly when P
+    lies inside I, where ``_colon_up_sets`` skips it."""
     val = R.cache.get("idealwise_pass")
     if val is None:
         up = _colon_up_sets(R)
-        _, cls, table = _principal_colons(R)
-        masks = [I.mask for I in R.ideals()]
         pos = R.lattice_position
         proper = R.proper_ideals()
         products = {_cached_product(R, I1, I2) for i, I1 in enumerate(proper) for I2 in proper[i:]}
-        product_gens = [[cls[g] for g in generator_list(Ideal(R, P))] for P in products]
+        product_gens = [generator_list(Ideal(R, P)) for P in products]
         val = []
-        for row in table:
+        for I in proper:
+            colons = _element_colons(R, I.mask)
             s = up[-1]
-            for js in product_gens:
-                s &= up[pos(reduce(and_, [masks[row[j]] for j in js]))]
+            for gens in product_gens:
+                s &= up[pos(_colon_meet(colons, gens))]
             val.append(s)
         val = R.cache["idealwise_pass"] = tuple(val)
     return val
@@ -418,15 +419,15 @@ def _idealwise_pass_sets(R: FiniteRing) -> tuple[int, ...]:
 def _idealwise_witness(R: FiniteRing, im: int, dm: int) -> IdealTripleResult:
     """The first pair of proper ideals (I1, I2) with I1*I2 outside I whose
     colon (I : I1*I2) leaves dm, with that colon."""
-    I = Ideal(R, im)
+    colons = _element_colons(R, im)
     proper = R.proper_ideals()
     for I1 in proper:
         for I2 in proper:
             P12 = _cached_product(R, I1, I2)
             if P12 & ~im:
-                K = ideal_colon(I, Ideal(R, P12))
-                if K.mask & ~dm:
-                    return False, (I1, I2, K)
+                K = _colon_meet(colons, generator_list(Ideal(R, P12)))
+                if K & ~dm:
+                    return False, (I1, I2, Ideal(R, K))
     return True, None
 
 

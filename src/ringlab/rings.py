@@ -122,8 +122,8 @@ class FiniteRing:
             raise TableError("zero and one coincide, the zero ring is excluded")
         self.zero, self.one = zero, one
         if n <= 256:
-            # byte rows let translate() compose rows at C speed; colon_masks
-            # reuses mul's
+            # byte rows let translate() compose rows at C speed;
+            # ideals._principal_colons reuses mul's
             add, mul = [bytes(row) for row in add], [bytes(row) for row in mul]
             self.cache["mul_bytes"] = mul
         step = _row_step(n)
@@ -258,7 +258,10 @@ class FiniteRing:
         if pos is None:
             pos = {I.mask: k for k, I in enumerate(self.ideals())}
             self.cache["lattice_pos"] = pos
-        return pos[mask]
+        try:
+            return pos[mask]
+        except KeyError:
+            raise ConstructionError(f"{mask!r} is not the mask of an ideal of {self!r}") from None
 
     def span(self, generators: Iterable[int]):
         from . import ideals as _ideals
@@ -346,50 +349,14 @@ class FiniteRing:
             self.cache["arithmetical"] = val
         return val
 
-    # ------------------------------------------------------------------
-    # bitmask helpers shared by the predicate kernels
-
-    def colon_masks(self, imask: int) -> tuple[int, ...]:
-        """For each d, the bitmask of {x : d*x lands in the ideal mask}.
-
-        Up to order 256, row d of mul, kept as bytes, is translated through a
-        table mapping v to "1" for v in the ideal and to "0" otherwise, and is
-        read reversed as binary. A bytes row holds no index above 255."""
-        table = self.cache.setdefault("colon", {})
-        val = table.get(imask)
-        if val is None:
-            if self.order <= 256:
-                tab = format(imask, "0256b")[::-1].encode()
-                val = tuple(int(row.translate(tab)[::-1], 2) for row in self.cache["mul_bytes"])
-            else:
-                val = _colon_rows(self.mul_table, imask)
-            table[imask] = val
-        return val
-
-    @property
-    def nonunit_product_mask(self) -> int:
-        """Bitmask of every product of two nonunits."""
-        val = self.cache.get("nu2mask")
-        if val is None:
-            val = 0
-            mul = self.mul_table
-            nus = self.nonunit_list
-            for a in nus:
-                row = mul[a]
-                for b in nus:
-                    val |= 1 << row[b]
-            self.cache["nu2mask"] = val
-        return val
-
     def __repr__(self) -> str:
         return f"FiniteRing({self.label!r}, order={self.order})"
 
 
 def _colon_rows(rows: Sequence[Sequence[int]], imask: int) -> tuple[int, ...]:
     """For each multiplication row of some d, the mask of {x : d*x in imask},
-    one entry at a time. The path of ``FiniteRing.colon_masks`` (every row)
-    and of ``ideals._principal_colons`` (the generators' rows) above order
-    256, and their oracle."""
+    one entry at a time: the path of ``ideals._principal_colons`` above
+    order 256, and the oracle of the colons read off its table."""
     return tuple(sum(1 << x for x, v in enumerate(row) if (imask >> v) & 1) for row in rows)
 
 

@@ -32,7 +32,7 @@ from ringlab.ideals import (
 from ringlab.catalog import CatalogConfig, build_catalog
 from ringlab.constructions import ProductOf, QuotientOf, TrivialExtensionOf
 from ringlab.ideals import Ideal, _principal_colons, _principal_masks, _principal_table
-from ringlab.rings import make_galois_field, make_zn
+from ringlab.rings import _colon_rows, make_galois_field, make_zn
 
 
 def members(I):
@@ -436,8 +436,9 @@ def test_jacobson_square_matches_the_closure(request, tier):
 def test_principal_colons_match_colon(request, tier, count):
     """gens lists the smallest generator of each principal ideal in
     ``_principal_table`` order, cls[x] is the index of (x), and
-    table[p][cls[x]] is the lattice position of colon(I_p, x), at every
-    proper ideal and element of both tiers."""
+    table[p][cls[x]] is the lattice position of (I_p : x), as the
+    entry-by-entry scan ``_colon_rows`` finds it, at every proper ideal and
+    element of both tiers."""
     seen = 0
     for entry in request.getfixturevalue(tier):
         seen += _check_principal_colons(entry.ring)
@@ -446,7 +447,7 @@ def test_principal_colons_match_colon(request, tier, count):
 
 def test_principal_colons_above_order_256():
     """Above order 256 the table maps the generators' tuple rows; it agrees
-    with colon on Z257, a field, and on Z262 = Z2 x Z131."""
+    with the entry-by-entry scan on Z257, a field, and on Z262 = Z2 x Z131."""
     for n, ideals in ((257, 2), (262, 4)):
         R = make_zn(n)
         assert "mul_bytes" not in R.cache and len(R.ideals()) == ideals
@@ -462,7 +463,26 @@ def _check_principal_colons(R) -> int:
     seen = 0
     for I, row in zip(R.proper_ideals(), table):
         assert len(row) == len(gens)
-        for x in range(R.order):
-            assert row[cls[x]] == R.lattice_position(colon(I, x).mask), (R.label, I.label, x)
+        for x, m in enumerate(_colon_rows(R.mul_table, I.mask)):
+            assert row[cls[x]] == R.lattice_position(m), (R.label, I.label, x)
             seen += 1
     return seen
+
+
+def test_ideal_colon_matches_the_definition(catalog16):
+    """ideal_colon, the meet of (I : g) over the generators g of J, equals
+    {x : x*J inside I} at every pair (I, J) of ideals, the unit ideal
+    included, of every catalog ring of order at most 16."""
+    pairs = 0
+    for entry in catalog16:
+        R = entry.ring
+        if R.order > 16:
+            continue
+        lattice = R.ideals()
+        for I in lattice:
+            for J in lattice:
+                want = sum(1 << x for x in range(R.order)
+                           if all(R.mul(x, j) in I for j in J.members_sorted))
+                assert ideal_colon(I, J).mask == want, (entry.provenance, I.label, J.label)
+                pairs += 1
+    assert pairs == 1776

@@ -322,16 +322,19 @@ def assert_checks_match_the_scans(R, expansions):
     return len(proper) * len(expansions)
 
 
-@pytest.mark.parametrize("tier", ["catalog16", "catalog_enlarged"])
+@pytest.mark.parametrize("tier", ["catalog16", "catalog_enlarged", "z262"])
 def test_all_checks_match_the_definitional_scans(request, tier):
     """Every proper ideal of both tiers, under each attached expansion and
-    under id, rad and full."""
+    under id, rad and full; and Z262 = Z2 x Z131 under id, rad and full, the
+    one ring above order 256 where checks fail, so its witness scans read
+    colons the table built from tuple rows."""
+    rings = ([(make_zn(262), ())] if tier == "z262" else
+             [(entry.ring, entry.expansions) for entry in request.getfixturevalue(tier)])
     pairs = 0
-    for entry in request.getfixturevalue(tier):
-        R = entry.ring
+    for R, attached in rings:
         stock = (identity_expansion(R), radical_expansion(R), constant_ring(R))
-        pairs += assert_checks_match_the_scans(R, entry.expansions + stock)
-    assert pairs == {"catalog16": 6588 + 3 * 805}.get(tier, pairs)
+        pairs += assert_checks_match_the_scans(R, attached + stock)
+    assert pairs == {"catalog16": 6588 + 3 * 805, "z262": 3 * 3}.get(tier, pairs)
 
 
 # derandomize fixes the draws: unseeded, they reached a ring of order 256
@@ -628,14 +631,14 @@ def test_predicates_read_verdict_bits_and_run_no_scan(catalog16, monkeypatch):
 @pytest.mark.parametrize("tier", ["catalog16", "catalog_enlarged"])
 def test_nonunit_product_classes(request, tier):
     """The classes that the 1-absorbing pass sets read are the classes of
-    the elements of ``nonunit_product_mask``, and each class's pairs are
-    nonunit class generators a <= b whose product lies in it."""
+    the products of two nonunits, and each class's pairs are nonunit class
+    generators a <= b whose product lies in it."""
     for entry in request.getfixturevalue(tier):
         R = entry.ring
         gens, cls, _ = ideals._principal_colons(R)
         products = predicates._nonunit_products(R)
-        mask = R.nonunit_product_mask
-        assert set(products) == {cls[v] for v in range(R.order) if (mask >> v) & 1}
+        nus = R.nonunit_list
+        assert set(products) == {cls[R.mul(a, b)] for a in nus for b in nus}
         for j, pairs in products.items():
             for a, b in pairs:
                 assert a <= b and a in gens and b in gens
@@ -644,6 +647,16 @@ def test_nonunit_product_classes(request, tier):
         nonunit_gens = [g for g in gens if not R.is_unit(g)]
         n = len(nonunit_gens)
         assert sum(map(len, products.values())) == n * (n + 1) // 2
+
+
+def test_nonunit_product_classes_of_z8(z8):
+    """In Z8 the products of two nonunits of {0,2,4,6} are 0 and 4; the class
+    generators are 0, 2 and 4, and only 2*2 lands in (4)."""
+    nus = z8.nonunit_list
+    assert {z8.mul(a, b) for a in nus for b in nus} == {0, 4}
+    _, cls, _ = ideals._principal_colons(z8)
+    assert predicates._nonunit_products(z8) == {
+        cls[0]: ((0, 0), (0, 2), (0, 4), (2, 4), (4, 4)), cls[4]: ((2, 2),)}
 
 
 def test_classify_shape(z36):
@@ -664,7 +677,8 @@ def test_memoization_returns_same_result(monkeypatch):
     # (12) in Z36 is not 2-absorbing, witness (2, 2, 3), and delta((12)) = (2).
     # The first calls build the ring's pass sets once; the second calls read
     # them, build nothing, and return the same values and witnesses. No call
-    # leaves a per-(I, delta) memo entry.
+    # leaves a per-(I, delta) memo entry. The witness scans read the
+    # principal-colon table, so it stays unpatched; it is the same object.
     R = make_zn(36)
     d = plus_fixed(R, span(R, [2]))
     I = span(R, [12])
@@ -674,13 +688,16 @@ def test_memoization_returns_same_result(monkeypatch):
               idealwise_one_absorbing_check, one_absorbing_delta_primary_check)
     first = [check(I, d) for check in checks]
     assert [ok for ok, _ in first] == [True, True, False, False]
+    colons = R.cache["principal_colons"]
 
     def no_build(*args):
         raise AssertionError("a pass set was built again")
 
     for module, name in BUILDERS:
-        monkeypatch.setattr(module, name, no_build)
+        if name != "_principal_colons":
+            monkeypatch.setattr(module, name, no_build)
     assert [check(I, d) for check in checks] == first
+    assert R.cache["principal_colons"] is colons
     assert "predicates" not in R.cache
 
 

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 import ringlab
 import ringlab.rings as rings
-from ringlab.errors import InvariantError, RinglabError, TableError
+from ringlab.errors import ConstructionError, InvariantError, RinglabError, TableError
+from ringlab.expansions import identity_expansion
+from ringlab.ideals import Ideal, _element_colons, colon, is_prime
 from ringlab.rings import (
     FiniteRing,
     RingHom,
@@ -223,22 +225,26 @@ def test_jacobson_radical(z12, z8, f4):
     assert f4.jacobson_radical().is_zero
 
 
-def test_nonunit_product_mask(z8):
-    # products of nonunits in Z8: {0,2,4,6} * {0,2,4,6} = {0,4}
-    mask = z8.nonunit_product_mask
-    members = {i for i in range(8) if mask >> i & 1}
-    assert members == {0, 4}
+def test_lattice_position_of_a_mask_that_is_no_ideal(z12):
+    """A mask outside the lattice raises ConstructionError naming the mask
+    and the ring, from the lookup and from the calls that reach it."""
+    bad = Ideal(z12, 0b11)
+    for call in (lambda: z12.lattice_position(0b11), lambda: is_prime(bad),
+                 lambda: identity_expansion(z12)(bad), lambda: colon(bad, 2)):
+        with pytest.raises(ConstructionError, match=r"3 is not the mask of an ideal of .*Z12"):
+            call()
 
 
 @pytest.mark.parametrize("tier, count", [("catalog16", 995), ("catalog_enlarged", 1680)])
-def test_colon_masks_match_the_row_scan(request, tier, count):
-    """The translated byte rows of ``colon_masks`` equal the entry-by-entry
-    oracle ``_colon_rows`` at every lattice ideal of both tiers."""
+def test_element_colons_match_the_row_scan(request, tier, count):
+    """The element colons read off the principal-colon table equal the
+    entry-by-entry oracle ``_colon_rows`` at every lattice ideal of both
+    tiers, the unit ideal included."""
     seen = 0
     for entry in request.getfixturevalue(tier):
         R = entry.ring
         for I in R.ideals():
-            assert R.colon_masks(I.mask) == _colon_rows(R.mul_table, I.mask), (
+            assert tuple(_element_colons(R, I.mask)) == _colon_rows(R.mul_table, I.mask), (
                 entry.provenance, I.label)
             seen += 1
     assert seen == count
