@@ -34,7 +34,8 @@ from .constructions import (
     _preimage_positions,
 )
 from .errors import ExpansionAxiomError, InvariantError, RingMismatchError
-from .ideals import Ideal, _principal_masks, _radical_positions, _sum_masks, generator_list
+from .ideals import (
+    Ideal, _join_column, _principal_masks, _radical_positions, _sum_masks, generator_list)
 from .rings import FiniteRing, RingHom
 
 
@@ -42,19 +43,33 @@ class ExpansionFunction:
     """A validated expansion of ideals, as a table over the lattice."""
 
     # Check name -> verdict vector, made by ``predicates._verdicts`` on first
-    # use.
-    verdicts: Optional[dict] = None
+    # use. The verdicts depend on the ring and the table alone, so every
+    # expansion with one table on one ring shares one dict.
+    verdicts: dict
 
     def __init__(self, ring: FiniteRing, table: Sequence[int], label: str):
+        """Validate the table, unless the ring already holds an equal one of
+        ints: the ring keeps one (table, verdicts) record per validated
+        table, which every expansion with that table takes, keeping its own
+        label. (0, 1.0, 2) equals (0, 1, 2) but is no table, so it is
+        validated and rejected."""
         self.ring = ring
-        self.table = tuple(table)
         self.label = label
-        lattice = ring.ideals()
+        self.table = tuple(table)
+        records = ring.cache.setdefault("expansion_records", {})
+        record = records.get(self.table)
+        if record is None or set(map(type, self.table)) != {int}:
+            self._validate()
+            record = records.setdefault(self.table, (self.table, {}))
+        self.table, self.verdicts = record
+
+    def _validate(self) -> None:
+        lattice = self.ring.ideals()
         if len(self.table) != len(lattice):
             raise ExpansionAxiomError(
                 f"table length {len(self.table)} does not match lattice size {len(lattice)}"
             )
-        masks, covers = _lattice_covers(ring)
+        masks, covers = _lattice_covers(self.ring)
         for p, q in enumerate(self.table):
             if not (isinstance(q, int) and 0 <= q < len(lattice)):
                 raise ExpansionAxiomError(
@@ -154,13 +169,11 @@ def radical_expansion(R: FiniteRing) -> ExpansionFunction:
 
 
 def plus_fixed(R: FiniteRing, J: Ideal) -> ExpansionFunction:
-    """The translation I maps to I + J, summed on the lattice masks."""
+    """The translation I maps to I + J: the join column at J."""
     if J.ring is not R:
         raise RingMismatchError("fixed ideal belongs to a different ring")
     gens = ",".join(str(g) for g in generator_list(J))
-    pos = R.lattice_position
-    table = [pos(_sum_masks(R, I.mask, J.mask)) for I in R.ideals()]
-    return ExpansionFunction(R, table, f"plus:({gens})")
+    return ExpansionFunction(R, _join_column(R, R.lattice_position(J.mask)), f"plus:({gens})")
 
 
 def constant_ring(R: FiniteRing) -> ExpansionFunction:

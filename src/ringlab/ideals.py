@@ -343,26 +343,33 @@ def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
 
 
 def radical(I: Ideal) -> Ideal:
-    """The radical, as the meet of the maximal ideals that contain I.
-
-    The radical is the meet of the primes above I, and in a finite
-    commutative ring every prime is maximal. The unit ideal lies in no
-    maximal ideal and is its own radical.
-    """
+    """The radical, read off ``_radical_positions`` at I's lattice position."""
     R = I.ring
-    mask = (1 << R.order) - 1
-    for M in R.maximal_ideals():
-        if not I.mask & ~M.mask:
-            mask &= M.mask
-    return Ideal(R, mask)
+    return R.ideals()[_radical_positions(R)[R.lattice_position(I.mask)]]
+
+
+def _join_column(R: FiniteRing, q: int) -> tuple[int, ...]:
+    """The position of I_p + I_q for each lattice position p: the lowest in
+    UP[p] & UP[q], since every ideal above both contains the sum and the
+    canonical order extends inclusion. Not cached: readers keep theirs."""
+    up = _up_sets(R)
+    uq = up[q]
+    return tuple(_lsb(u & uq) for u in up)
 
 
 def _radical_positions(R: FiniteRing) -> tuple[int, ...]:
-    """For each lattice position, the position of its radical, built once."""
+    """For each lattice position, the position of its radical, built once.
+
+    The radical is the meet of the primes above I, every prime of a finite
+    commutative ring is maximal, and such a ring is a product of local
+    rings, so rad(I) = I + Jac(R) (see ``expansions.standard_expansions``)
+    with Jac(R) the meet of all maximal ideals: the join column at Jac(R).
+    The unit ideal lies in no maximal ideal and is its own radical.
+    """
     val = R.cache.get("radical_positions")
     if val is None:
-        pos = R.lattice_position
-        val = R.cache["radical_positions"] = tuple(pos(radical(I).mask) for I in R.ideals())
+        jac = reduce(and_, [M.mask for M in R.maximal_ideals()], (1 << R.order) - 1)
+        val = R.cache["radical_positions"] = _join_column(R, R.lattice_position(jac))
     return val
 
 

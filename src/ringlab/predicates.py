@@ -509,16 +509,12 @@ def _verdicts(
 ) -> tuple[bool, ...]:
     """The value of check ``name`` at each proper ideal of R, in lattice order.
 
-    Read bit by bit from the pass sets, once, and kept on the expansion, or
-    on R for the delta-free checks, so a sweep indexes a tuple instead of
-    calling the check per instance. ``name`` is a check or "idealwise".
+    Read bit by bit from the pass sets, once, and kept in the expansion's
+    ``verdicts`` (one dict per table on R), or on R for the delta-free
+    checks, so a sweep indexes a tuple instead of calling the check per
+    instance. ``name`` is a check or "idealwise".
     """
-    if name in DELTA_FREE:
-        store = R.cache.setdefault("verdicts", {})
-    elif delta.verdicts is None:
-        store = delta.verdicts = {}
-    else:
-        store = delta.verdicts
+    store = R.cache.setdefault("verdicts", {}) if name in DELTA_FREE else delta.verdicts
     got = store.get(name)
     if got is None:
         pass_sets, bounds = _PASS_SETS[name]

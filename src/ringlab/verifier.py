@@ -10,7 +10,9 @@ count is the expected outcome for every statement.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from time import perf_counter
 from typing import Callable, Optional
 
@@ -48,6 +50,7 @@ from .ideals import (
     _jacobson_square,
     _principal_colons,
     _radical_positions,
+    _up_sets,
     ideal_intersection,
     is_prime_element,
     is_principal,
@@ -267,16 +270,34 @@ def _t_chain(entry: CatalogEntry, part: _Part) -> None:
 
 @_sweep("T-MONO")
 def _t_mono(entry: CatalogEntry, part: _Part) -> None:
-    """Enlarging the expansion at I preserves the 1-absorbing form."""
+    """Enlarging the expansion at I preserves the 1-absorbing form.
+
+    delta(I_p) lies inside gamma(I_p) exactly when bit gamma.table[p] of
+    UP[delta.table[p]] is set. So at each p the expansions are tallied by
+    value and verdict, and each 1-absorbing value counts the values above
+    it, less itself. One that lies below a value not 1-absorbing at p is a
+    failure: only then does the ring run the pair loop, for the witnesses."""
     R = entry.ring
-    masks = [I.mask for I in R.ideals()]
     proper = R.proper_ideals()
-    for d in entry.expansions:
+    exps = entry.expansions
+    up = _up_sets(R)
+    hits = failing = 0
+    for values, oks in zip(zip(*(g.table for g in exps)), zip(*map(_one_abs, exps))):
+        tally = Counter(zip(values, oks)).items()
+        bad = sum(1 << q for (q, ok), _ in tally if not ok)
+        for (v, ok), c in tally:
+            if ok:
+                failing |= up[v] & bad
+                hits += c * (sum(n for (q, _), n in tally if up[v] >> q & 1) - 1)
+    if not failing:
+        part.instances(len(proper) * len(exps) * (len(exps) - 1), hits)
+        return
+    for d in exps:
         one_abs = [p for p, ok in enumerate(_one_abs(d)) if ok]
-        for g in entry.expansions:
+        for g in exps:
             if d is g:
                 continue
-            hits = [p for p in one_abs if masks[d.table[p]] & ~masks[g.table[p]] == 0]
+            hits = [p for p in one_abs if up[d.table[p]] >> g.table[p] & 1]
             part.instances(len(proper), len(hits))
             g_abs = _one_abs(g)
             for p in hits:
@@ -360,38 +381,28 @@ _FINALIZERS["T-XM"] = _finalize_xm
 def _t_colon(entry: CatalogEntry, part: _Part) -> None:
     """Colon by a nonunit outside a 1-absorbing delta-primary ideal is delta-primary.
 
-    Each colon row is summed up once per ring as the bitset of the positions
-    it reaches and the count of its instances with the hypothesis. An ideal
-    whose bitset lies inside the delta-primary positions has no failing a,
-    so only the others run the per-nonunit loop, for the witnesses."""
+    (I_p : a) is entry table[p][cls[a]] of the principal colons, the unit
+    ideal exactly when a lies in I_p, so the colons of I_p reach the
+    entries of the nonunit classes less the unit ideal; |nonunits| - |I_p|
+    nonunits lie outside I_p. Only an ideal whose reach leaves the
+    delta-primary positions walks the nonunits, for the witnesses."""
     R = entry.ring
     nonunits = R.nonunit_list
     proper = R.proper_ideals()
-    colons = _colon_positions(R)
-    reach = [sum(1 << k for k in set(row) if k >= 0) for row in colons]
-    counts = [len(row) - row.count(-1) for row in colons]
+    _, cls, table = _principal_colons(R)
+    unit = cls[R.one]
+    reach = [sum(1 << k for k in set(row[:unit] + row[unit + 1 :])) & ~(1 << len(proper))
+             for row in table]
+    counts = [len(nonunits) - I.num_elements for I in proper]
     for d in entry.expansions:
         one_abs, primary = _one_abs(d), _primary(d)
-        held = sum(1 << k for k, ok in enumerate(primary) if ok)
-        part.instances(len(nonunits) * len(proper), sum(c for c, ok in zip(counts, one_abs) if ok))
-        for p, I in enumerate(proper):
-            if one_abs[p] and reach[p] & ~held:
-                for a, k in zip(nonunits, colons[p]):
-                    if k >= 0 and not primary[k]:
+        held = sum(1 << k for k in compress(range(len(proper)), primary))
+        part.instances(len(nonunits) * len(proper), sum(compress(counts, one_abs)))
+        for p, I in compress(enumerate(proper), one_abs):
+            if reach[p] & ~held:
+                for a in nonunits:
+                    if not (I.mask >> a) & 1 and not primary[table[p][cls[a]]]:
                         part.fail(I, d.label, (a,), f"(I:{R.element_name(a)}) not delta-primary")
-
-
-def _colon_positions(R: FiniteRing) -> tuple[tuple[int, ...], ...]:
-    """Row p: for each nonunit a, the lattice position of (I : a) for the
-    proper ideal I at position p, or -1 where a lies in I, read from the
-    principal colons at a's class. Not cached: T-COLON reads it once per
-    ring, so keeping it would only hold memory."""
-    _, cls, table = _principal_colons(R)
-    nonunits = R.nonunit_list
-    classes = [cls[a] for a in nonunits]
-    return tuple(
-        tuple(-1 if (I.mask >> a) & 1 else row[j] for a, j in zip(nonunits, classes))
-        for I, row in zip(R.proper_ideals(), table))
 
 
 @_sweep("T-M2")

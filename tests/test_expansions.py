@@ -7,6 +7,7 @@ import random
 import pytest
 
 import ringlab.expansions as expansions
+import ringlab.predicates as predicates
 from ringlab.catalog import CatalogConfig, build_catalog
 from ringlab.constructions import (
     LocalizationOf,
@@ -646,6 +647,69 @@ def test_every_catalog_expansion_is_a_stock_translation(request, tier):
             assert got.table in stock, (entry.provenance, got.label)
             induced += 1
     assert induced
+
+
+@pytest.mark.parametrize("tier, count", [("catalog16", 977), ("catalog_enlarged", 1595)])
+def test_induced_expansions_share_the_record_of_their_table(request, tier, count):
+    """Every expansion the six transfer sweeps induce keeps its own label and
+    takes the table and verdicts of the stock expansion with its table on
+    its ring. Its 1-absorbing and delta-primary vectors equal ones read
+    fresh from the ring's pass sets at its table."""
+    catalog = request.getfixturevalue(tier)
+    for tid in ("T-HOM", "T-QUOT", "T-LOC", "T-PROD", "T-TRIV", "T-TRIV-COR"):
+        verify(tid, catalog)
+    rings = {id(e.ring): e.ring for e in catalog}
+    for R in list(rings.values()):  # T-QUOT's quotients of the base rings
+        if R.construction is None:
+            rings.update((id(Q), Q) for Q in (make_quotient(R, I) for I in R.proper_ideals()))
+    seen = 0
+    for R in rings.values():
+        stock = {d.table: d for d in standard_expansions(R)}
+        for got in R.cache.get("induced", {}).values():
+            twin = stock[got.table]
+            assert got.label.startswith(("prod(", "bar(", "loc(", "triv(")), got.label
+            assert got.table is twin.table and got.verdicts is twin.verdicts, got.label
+            for name in ("1abs-delta-primary", "delta-primary"):
+                pass_sets = predicates._PASS_SETS[name][0](R)
+                fresh = tuple(bool(s >> q & 1) for s, q in zip(pass_sets, got.table))
+                assert predicates._verdicts(name, R, got) == fresh, (got.label, name)
+            seen += 1
+    assert seen == count
+
+
+def test_invalid_tables_raise_on_rings_that_hold_valid_ones(catalog16):
+    """A ring that already holds validated tables rejects an invalid one with
+    the error a fresh copy of the ring gives: a short table, a float copy of
+    a stock table, an entry off the lattice, a non-extensive table and a
+    non-monotone one."""
+    rings = 0
+    for entry in catalog16:
+        R = entry.ring
+        n = len(R.ideals())
+        if n < 4:
+            continue
+        rad = list(radical_expansion(R).table)
+        assert tuple(rad) in R.cache["expansion_records"]
+        shrunk, swapped = list(range(n)), list(range(n))
+        shrunk[1], swapped[0] = 0, n - 2
+        names = [R.element_name(a) for a in range(R.order)]
+        fresh = FiniteRing(R.add_table, R.mul_table, R.label, element_names=names)
+        for table, start in ((rad[:-1], "table length"), ([float(q) for q in rad], "image"),
+                             (rad[:-1] + [n], "image"), (shrunk, "not extensive"),
+                             (swapped, "not monotone")):
+            with pytest.raises(ExpansionAxiomError, match=f"^{start}") as want:
+                ExpansionFunction(fresh, table, "bad")
+            with pytest.raises(ExpansionAxiomError) as got:
+                ExpansionFunction(R, table, "bad")
+            assert str(got.value) == str(want.value), (entry.provenance, table)
+        rings += 1
+    assert rings == 114
+    # a valid table equal to a recorded one, bools for ints, takes its record
+    z4 = make_zn(4)
+    d = identity_expansion(z4)
+    twin = ExpansionFunction(z4, (False, True, 2), "bools")
+    assert twin.table is d.table and twin.verdicts is d.verdicts
+    assert ExpansionFunction(z4, [0, 1, 2], "again").table is d.table
 
 
 def delta_gamma_hom_scan(f, delta, gamma):

@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 from ringlab.errors import ConstructionError, ProperIdealError, RingMismatchError
 from ringlab.ideals import (
     _jacobson_square,
+    _join_column,
     _radical_positions,
+    _sum_masks,
+    _up_sets,
     all_ideals,
     colon,
     generator_list,
@@ -357,6 +360,25 @@ def radical_scan(I):
                 break
             p = R.mul_table[p][x]
     return mask
+
+
+@pytest.mark.parametrize("tier, count", [("catalog16", 7583), ("catalog_enlarged", 15610)])
+def test_join_columns_match_the_sums(request, tier, count):
+    """At every pair (p, q) of lattice positions, the lowest bit of
+    UP[p] & UP[q], entry p of the join column at q, is the position of
+    I_p + I_q summed by ``_sum_masks``."""
+    pairs = 0
+    for entry in request.getfixturevalue(tier):
+        R = entry.ring
+        masks = [I.mask for I in R.ideals()]
+        up = _up_sets(R)
+        for q, mq in enumerate(masks):
+            want = tuple(R.lattice_position(_sum_masks(R, mp, mq)) for mp in masks)
+            both = [u & up[q] for u in up]
+            assert tuple((b & -b).bit_length() - 1 for b in both) == want, (entry.provenance, q)
+            assert _join_column(R, q) == want, (entry.provenance, q)
+            pairs += len(masks)
+    assert pairs == count
 
 
 @pytest.mark.parametrize("tier, count", [("catalog16", 995), ("catalog_enlarged", 1680)])

@@ -15,7 +15,7 @@ import ringlab
 import ringlab.rings as rings
 from ringlab.errors import ConstructionError, InvariantError, RinglabError, TableError
 from ringlab.expansions import identity_expansion
-from ringlab.ideals import Ideal, _element_colons, colon, is_prime
+from ringlab.ideals import Ideal, _element_colons, colon, is_prime, radical
 from ringlab.rings import (
     FiniteRing,
     RingHom,
@@ -230,7 +230,8 @@ def test_lattice_position_of_a_mask_that_is_no_ideal(z12):
     and the ring, from the lookup and from the calls that reach it."""
     bad = Ideal(z12, 0b11)
     for call in (lambda: z12.lattice_position(0b11), lambda: is_prime(bad),
-                 lambda: identity_expansion(z12)(bad), lambda: colon(bad, 2)):
+                 lambda: identity_expansion(z12)(bad), lambda: colon(bad, 2),
+                 lambda: radical(bad)):
         with pytest.raises(ConstructionError, match=r"3 is not the mask of an ideal of .*Z12"):
             call()
 

@@ -23,6 +23,7 @@ from ringlab.expansions import (
     scaling_check,
 )
 from ringlab.ideals import Ideal, colon, ideal_intersection
+from ringlab.predicates import one_absorbing_delta_primary_check
 from ringlab.rings import make_zn
 from ringlab.verifier import (
     THEOREM_IDS,
@@ -183,18 +184,22 @@ def test_enlarged_tier_matches_the_golden(catalog_enlarged):
 
 
 def test_colon_positions_match_colon_on_default_catalog():
-    """Row p of ``_colon_positions`` holds, per nonunit a, the lattice
-    position of (I : a) for the proper ideal I at p, and -1 where a is in I."""
+    """T-COLON reads (I : a), for the proper ideal I at position p and a
+    nonunit a outside I, at entry table[p][cls[a]] of the principal colons,
+    and the unit ideal's entry where a is in I: each is the lattice position
+    of ``colon(I, a)``."""
     rows = 0
     for entry in build_catalog(CatalogConfig()):
         R = entry.ring
-        table = verifier._colon_positions(R)
+        _, cls, table = ideals._principal_colons(R)
+        top = len(R.proper_ideals())
         assert len(table) == len(R.proper_ideals())
         for I, row in zip(R.proper_ideals(), table):
+            got = tuple(-1 if row[cls[a]] == top else row[cls[a]] for a in R.nonunit_list)
             want = tuple(
                 -1 if a in I else R.lattice_position(colon(I, a).mask) for a in R.nonunit_list
             )
-            assert row == want, (entry.provenance, I.label)
+            assert got == want, (entry.provenance, I.label)
             rows += 1
     assert rows == 805
 
@@ -230,11 +235,13 @@ def test_colon_shortcut_reports_every_failure_of_the_loop(catalog16, monkeypatch
     failures, witnesses and counts of the per-nonunit loop."""
     reach = {}
     for entry in catalog16:
-        colons = verifier._colon_positions(entry.ring)
+        R = entry.ring
+        colons = [[R.lattice_position(colon(I, a).mask) for a in R.nonunit_list if a not in I]
+                  for I in R.proper_ideals()]
         for d in entry.expansions:
             for row, ok in zip(colons, verifier._one_abs(d)):
                 for k in row:
-                    if ok and k >= 0:
+                    if ok:
                         reach[d, k] = reach.get((d, k), 0) + 1
     d0, k0 = max(reach, key=reach.get)
     assert verifier._primary(d0)[k0]
@@ -258,6 +265,68 @@ def test_colon_shortcut_reports_every_failure_of_the_loop(catalog16, monkeypatch
     assert report.conclusion_failures == tuple(failures[:cap])
     assert f"conclusion failures truncated to {cap} of {len(failures)}" in report.notes
     assert (checked, hits) == (before.instances_checked, before.hypothesis_satisfied)
+
+
+def _mono_reference(catalog):
+    """T-MONO as a loop over every ordered pair of distinct expansions and
+    every proper ideal, comparing the ideals delta(I) and gamma(I)
+    themselves: its counts, and its failures in report order."""
+    checked = hits = 0
+    failures = []
+    for entry in sorted(catalog.entries, key=lambda e: e.provenance):
+        R = entry.ring
+        for d in entry.expansions:
+            for g in entry.expansions:
+                if d is g:
+                    continue
+                d_abs, g_abs = verifier._one_abs(d), verifier._one_abs(g)
+                for p, I in enumerate(R.proper_ideals()):
+                    checked += 1
+                    if d_abs[p] and d(I) <= g(I):
+                        hits += 1
+                        if not g_abs[p]:
+                            _, wit = one_absorbing_delta_primary_check(I, g)
+                            failures.append(Witness(
+                                entry.provenance, tuple(R.element_name(i) for i in I.members_sorted),
+                                f"{d.label} -> {g.label}",
+                                None if wit is None else tuple(R.element_name(i) for i in wit),
+                            ))
+    return checked, hits, failures
+
+
+def test_mono_counts_by_value_as_the_pair_loop_does(catalog16, monkeypatch):
+    """T-MONO counts the pair loop's instances and hypotheses. With one
+    1-absorbing verdict cleared at the expansion and position that the most
+    delta reach, it reports the loop's failures, in order, and the loop's
+    truncation note."""
+    assert _mono_reference(catalog16) == (61380, 16756, [])
+    before = verify("T-MONO", catalog16)
+    assert (before.instances_checked, before.hypothesis_satisfied) == (61380, 16756)
+    reach = {}
+    for entry in catalog16:
+        for g in entry.expansions:
+            for p, I in enumerate(entry.ring.proper_ideals()):
+                reach[g, p] = sum(
+                    1 for d in entry.expansions
+                    if d is not g and verifier._one_abs(d)[p] and d(I) <= g(I))
+    g0, p0 = max(reach, key=reach.get)
+    assert verifier._one_abs(g0)[p0]
+    original = verifier._one_abs
+
+    def cleared(d):
+        got = original(d)
+        return got[:p0] + (False,) + got[p0 + 1 :] if d is g0 else got
+
+    cap = reach[g0, p0] // 2
+    monkeypatch.setattr(verifier, "_one_abs", cleared)
+    monkeypatch.setattr(verifier, "FAILURE_CAP", cap)
+    report = verify("T-MONO", catalog16)
+    checked, hits, failures = _mono_reference(catalog16)
+    assert len(failures) == reach[g0, p0] > cap > 1
+    assert (report.instances_checked, report.hypothesis_satisfied) == (checked, hits)
+    assert report.conclusion_failures == tuple(failures[:cap])
+    assert f"conclusion failures truncated to {cap} of {len(failures)}" in report.notes
+    assert checked == 61380
 
 
 def _inter_reference(catalog):
