@@ -83,7 +83,7 @@ def _witness_parts(R: FiniteRing, wit: object) -> list[str]:
 
 def _parse_diagnostic(exc: ParseError) -> list[str]:
     lines = [f"error: {exc.message}"]
-    if exc.text:
+    if exc.text is not None:
         lines.append("  " + exc.text)
         lines.append("  " + " " * exc.position + "^")
     return lines

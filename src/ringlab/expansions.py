@@ -35,14 +35,15 @@ from .constructions import (
 )
 from .errors import ExpansionAxiomError, InvariantError, RingMismatchError
 from .ideals import (
-    Ideal, _join_column, _principal_masks, _radical_positions, _sum_masks, generator_list)
+    Ideal, _bits, _join_column, _principal_masks, _radical_positions, _sum_masks, generator_list)
 from .rings import FiniteRing, RingHom
 
 
 class ExpansionFunction:
     """A validated expansion of ideals, as a table over the lattice."""
 
-    # Check name -> verdict vector, made by ``predicates._verdicts`` on first
+    # Check name -> verdict vector, an int with bit p set where the check
+    # holds at proper ideal p, made by ``predicates._verdicts`` on first
     # use. The verdicts depend on the ring and the table alone, so every
     # expansion with one table on one ring shares one dict.
     verdicts: dict
@@ -333,10 +334,9 @@ def is_prime_expansion(delta: ExpansionFunction) -> bool:
     from .predicates import _verdicts
 
     R = delta.ring
-    top = len(delta.table) - 1
     prime = _verdicts("prime", R)
     one_abs = _verdicts("1abs-delta-primary", R, delta)
-    return all(q != top and prime[q] for q, ok in zip(delta.table, one_abs) if ok)
+    return all(prime >> delta.table[p] & 1 for p in _bits(one_abs))
 
 
 def delta_gamma_hom_check(

@@ -403,6 +403,14 @@ def _lsb(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def _bits(mask: int):
+    """The positions of the set bits of ``mask``, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _require_proper(I: Ideal, what: str) -> None:
     if not I.is_proper:
         raise ProperIdealError(f"{what} needs a proper ideal")

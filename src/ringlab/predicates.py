@@ -32,9 +32,10 @@ principal classes, never over elements.
 
 A check reads one bit (``ideals._decide``) and runs its scan only on a
 failure, to find the minimal witness. ``_verdicts`` reads one check's bits
-at every proper ideal into a tuple for the sweeps, and ``PREDICATES``, the
-functions behind ``search`` queries, read the bit at I's lattice position
-from that tuple, with no witness scan. The witness scans, ``ideals.colon``,
+at every proper ideal into an int, its verdict vector, which the sweeps
+combine bitwise and count by popcount, and ``PREDICATES``, the functions
+behind ``search`` queries, read the bit at I's lattice position from it,
+with no witness scan. The witness scans, ``ideals.colon``,
 ``ideals.ideal_colon`` and the definitional ``*_scan`` functions, kept as
 oracles for the test suite, read their colons off the same table
 (``ideals._element_colons``).
@@ -504,22 +505,22 @@ _PASS_SETS = {
 }
 
 
-def _verdicts(
-    name: str, R: FiniteRing, delta: Optional[ExpansionFunction] = None
-) -> tuple[bool, ...]:
-    """The value of check ``name`` at each proper ideal of R, in lattice order.
+def _verdicts(name: str, R: FiniteRing, delta: Optional[ExpansionFunction] = None) -> int:
+    """The verdict vector of check ``name`` on R: bit p is set when the
+    check holds at the proper ideal at lattice position p, and no bit at or
+    above the unit ideal's position is set.
 
     Read bit by bit from the pass sets, once, and kept in the expansion's
     ``verdicts`` (one dict per table on R), or on R for the delta-free
-    checks, so a sweep indexes a tuple instead of calling the check per
+    checks, so a sweep combines ints instead of calling the check per
     instance. ``name`` is a check or "idealwise".
     """
     store = R.cache.setdefault("verdicts", {}) if name in DELTA_FREE else delta.verdicts
     got = store.get(name)
     if got is None:
         pass_sets, bounds = _PASS_SETS[name]
-        got = store[name] = tuple(
-            bool((s >> q) & 1) for s, q in zip(pass_sets(R), bounds(R, delta)))
+        got = store[name] = sum(
+            (s >> q & 1) << p for p, (s, q) in enumerate(zip(pass_sets(R), bounds(R, delta))))
     return got
 
 
@@ -536,7 +537,7 @@ def _verdict_bit(name: str):
         R = I.ring
         if not I.is_proper or needs_delta and getattr(d, "ring", None) is not R:
             return check(I, d)[0]
-        return _verdicts(name, R, d)[R.lattice_position(I.mask)]
+        return bool(_verdicts(name, R, d) >> R.lattice_position(I.mask) & 1)
 
     return read
 

@@ -311,7 +311,7 @@ def parse_query(text: str) -> Query:
         name = text[start : cur.pos]
         if name not in PREDICATES:
             cur.pos = start
-            raise cur.error(f"unknown predicate {name!r}")
+            raise cur.error(f"unknown predicate {name!r}" if name else "expected a predicate name")
         names.add(name)
         pred = PREDICATES[name]
         return lambda I, d: pred(I, d)

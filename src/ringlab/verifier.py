@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
 from time import perf_counter
 from typing import Callable, Optional
 
@@ -47,8 +46,11 @@ from .expansions import (
 )
 from .ideals import (
     Ideal,
+    _bits,
     _jacobson_square,
+    _lsb,
     _principal_colons,
+    _principal_table,
     _radical_positions,
     _up_sets,
     ideal_intersection,
@@ -146,7 +148,7 @@ class TheoremReport:
         return json.dumps(self.to_dict(), separators=(",", ":"))
 
 
-@dataclass
+@dataclass(slots=True)
 class _Part:
     """Per-entry accumulator, merged deterministically afterwards."""
 
@@ -189,26 +191,31 @@ def _names(R: FiniteRing, idxs) -> tuple[str, ...]:
     return tuple(R.element_name(i) for i in idxs)
 
 
-# Sweeps read one verdict per proper ideal, by lattice position, from the
-# vectors of ``predicates._verdicts``, each read bit by bit from the ring's
-# pass sets. Only a failure calls its check, for the witness.
+# Sweeps count the verdict vectors of ``predicates._verdicts`` by popcount and
+# walk the set bits of ``hyp & ~concl`` in ascending order, so failures keep
+# their order. Only a failure calls its check, for the witness.
 
 
-def _one_abs(d: ExpansionFunction) -> tuple[bool, ...]:
+def _one_abs(d: ExpansionFunction) -> int:
     return _verdicts("1abs-delta-primary", d.ring, d)
 
 
-def _primary(d: ExpansionFunction) -> tuple[bool, ...]:
+def _primary(d: ExpansionFunction) -> int:
     return _verdicts("delta-primary", d.ring, d)
 
 
 def _every_proper_one_absorbing(
     R: FiniteRing, d: ExpansionFunction, principal_only: bool = False
 ) -> tuple[bool, Optional[Ideal]]:
-    for I, ok in zip(R.proper_ideals(), _one_abs(d)):
-        if not ok and (is_principal(I) or not principal_only):
-            return False, I
-    return True, None
+    proper = R.proper_ideals()
+    among = (1 << len(proper)) - 1
+    if principal_only:  # the principal ideals less R itself, built once per ring
+        among = R.cache.get("principal_positions")
+        if among is None:
+            among = R.cache["principal_positions"] = sum(
+                1 << R.lattice_position(m) for m in _principal_table(R)) ^ 1 << len(proper)
+    missing = among & ~_one_abs(d)
+    return (False, proper[_lsb(missing)]) if missing else (True, None)
 
 
 _SWEEPS: dict[str, Callable[[CatalogEntry, _Part], None]] = {}
@@ -242,30 +249,32 @@ def _t_def_eq(entry: CatalogEntry, part: _Part) -> None:
     R = entry.ring
     if R.order > 12:
         return
+    proper = R.proper_ideals()
     for d in entry.expansions:
-        for I, el, iw in zip(R.proper_ideals(), _one_abs(d), _verdicts("idealwise", R, d)):
-            part.instance(True)
-            if el != iw:
-                _, wit = one_absorbing_delta_primary_check(I, d)
-                _, iwit = idealwise_one_absorbing_check(I, d)
-                detail = f"elementwise={el} idealwise={iw}"
-                if iwit is not None:
-                    detail += " triple " + ",".join(K.label for K in iwit)
-                part.fail(I, d.label, wit, detail)
+        el = _one_abs(d)
+        part.instances(len(proper), len(proper))
+        for p in _bits(el ^ _verdicts("idealwise", R, d)):
+            _, wit = one_absorbing_delta_primary_check(proper[p], d)
+            _, iwit = idealwise_one_absorbing_check(proper[p], d)
+            detail = f"elementwise={bool(el >> p & 1)} idealwise={not el >> p & 1}"
+            if iwit is not None:
+                detail += " triple " + ",".join(K.label for K in iwit)
+            part.fail(proper[p], d.label, wit, detail)
 
 
 @_sweep("T-CHAIN")
 def _t_chain(entry: CatalogEntry, part: _Part) -> None:
     """1-absorbing prime or delta-primary ideals stay 1-absorbing delta-primary."""
     R = entry.ring
+    proper = R.proper_ideals()
     prime = _verdicts("1abs-prime", R)
     for d in entry.expansions:
-        primary, one_abs = _primary(d), _one_abs(d)
-        for p, I in enumerate(R.proper_ideals()):
-            if part.instance(prime[p] or primary[p]) and not one_abs[p]:
-                _, wit = one_absorbing_delta_primary_check(I, d)
-                source = "1abs-prime" if prime[p] else "delta-primary"
-                part.fail(I, d.label, wit, f"{source} ideal lost the 1-absorbing form")
+        hyp = prime | _primary(d)
+        part.instances(len(proper), hyp.bit_count())
+        for p in _bits(hyp & ~_one_abs(d)):
+            _, wit = one_absorbing_delta_primary_check(proper[p], d)
+            source = "1abs-prime" if prime >> p & 1 else "delta-primary"
+            part.fail(proper[p], d.label, wit, f"{source} ideal lost the 1-absorbing form")
 
 
 @_sweep("T-MONO")
@@ -281,27 +290,27 @@ def _t_mono(entry: CatalogEntry, part: _Part) -> None:
     proper = R.proper_ideals()
     exps = entry.expansions
     up = _up_sets(R)
+    oks = [_one_abs(g) for g in exps]
+    columns = zip(*(format(v, f"0{len(proper)}b")[::-1] for v in oks))  # "1" where 1abs
     hits = failing = 0
-    for values, oks in zip(zip(*(g.table for g in exps)), zip(*map(_one_abs, exps))):
-        tally = Counter(zip(values, oks)).items()
-        bad = sum(1 << q for (q, ok), _ in tally if not ok)
+    for values, column in zip(zip(*(g.table for g in exps)), columns):
+        tally = Counter(zip(values, column)).items()
+        bad = sum(1 << q for (q, ok), _ in tally if ok == "0")
         for (v, ok), c in tally:
-            if ok:
+            if ok == "1":
                 failing |= up[v] & bad
                 hits += c * (sum(n for (q, _), n in tally if up[v] >> q & 1) - 1)
     if not failing:
         part.instances(len(proper) * len(exps) * (len(exps) - 1), hits)
         return
-    for d in exps:
-        one_abs = [p for p, ok in enumerate(_one_abs(d)) if ok]
-        for g in exps:
+    for d, d_abs in zip(exps, oks):
+        for g, g_abs in zip(exps, oks):
             if d is g:
                 continue
-            hits = [p for p in one_abs if up[d.table[p]] >> g.table[p] & 1]
+            hits = [p for p in _bits(d_abs) if up[d.table[p]] >> g.table[p] & 1]
             part.instances(len(proper), len(hits))
-            g_abs = _one_abs(g)
             for p in hits:
-                if not g_abs[p]:
+                if not g_abs >> p & 1:
                     _, wit = one_absorbing_delta_primary_check(proper[p], g)
                     part.fail(proper[p], f"{d.label} -> {g.label}", wit)
 
@@ -310,23 +319,25 @@ def _t_mono(entry: CatalogEntry, part: _Part) -> None:
 def _t_2abs(entry: CatalogEntry, part: _Part) -> None:
     """1-absorbing delta-primary implies 2-absorbing delta-primary."""
     R = entry.ring
+    proper = R.proper_ideals()
     for d in entry.expansions:
-        two_abs = _verdicts("2abs-delta-primary", R, d)
-        for I, one_abs, ok in zip(R.proper_ideals(), _one_abs(d), two_abs):
-            if part.instance(one_abs) and not ok:
-                part.fail(I, d.label, None, "not 2-absorbing delta-primary")
+        one_abs = _one_abs(d)
+        part.instances(len(proper), one_abs.bit_count())
+        for p in _bits(one_abs & ~_verdicts("2abs-delta-primary", R, d)):
+            part.fail(proper[p], d.label, None, "not 2-absorbing delta-primary")
 
 
 @_sweep("T-SEMI")
 def _t_semi(entry: CatalogEntry, part: _Part) -> None:
     """With delta(I) radical, 1-absorbing delta-primary implies delta-semiprimary."""
     R = entry.ring
+    proper = R.proper_ideals()
     rpos = _radical_positions(R)
     for d in entry.expansions:
-        semi = _verdicts("delta-semiprimary", R, d)
-        for I, one_abs, ok, q in zip(R.proper_ideals(), _one_abs(d), semi, d.table):
-            if part.instance(rpos[q] == q and one_abs) and not ok:
-                part.fail(I, d.label, None, "not delta-semiprimary")
+        hyp = sum(1 << p for p in _bits(_one_abs(d)) if rpos[d.table[p]] == d.table[p])
+        part.instances(len(proper), hyp.bit_count())
+        for p in _bits(hyp & ~_verdicts("delta-semiprimary", R, d)):
+            part.fail(proper[p], d.label, None, "not delta-semiprimary")
 
 
 @_sweep("T-LOCAL")
@@ -335,10 +346,9 @@ def _t_local(entry: CatalogEntry, part: _Part) -> None:
     R = entry.ring
     local = R.is_local()
     for d in entry.expansions:
-        pairs = zip(R.proper_ideals(), _one_abs(d), _primary(d))
-        found = next((I for I, one_abs, primary in pairs if one_abs and not primary), None)
-        if part.instance(found is not None) and not local:
-            part.fail(found, d.label, None, "ring is not local")
+        found = _one_abs(d) & ~_primary(d)
+        if part.instance(found != 0) and not local:
+            part.fail(R.proper_ideals()[_lsb(found)], d.label, None, "ring is not local")
 
 
 @_sweep("T-XM")
@@ -385,7 +395,7 @@ def _t_colon(entry: CatalogEntry, part: _Part) -> None:
     ideal exactly when a lies in I_p, so the colons of I_p reach the
     entries of the nonunit classes less the unit ideal; |nonunits| - |I_p|
     nonunits lie outside I_p. Only an ideal whose reach leaves the
-    delta-primary positions walks the nonunits, for the witnesses."""
+    delta-primary vector walks the nonunits, for the witnesses."""
     R = entry.ring
     nonunits = R.nonunit_list
     proper = R.proper_ideals()
@@ -396,12 +406,12 @@ def _t_colon(entry: CatalogEntry, part: _Part) -> None:
     counts = [len(nonunits) - I.num_elements for I in proper]
     for d in entry.expansions:
         one_abs, primary = _one_abs(d), _primary(d)
-        held = sum(1 << k for k in compress(range(len(proper)), primary))
-        part.instances(len(nonunits) * len(proper), sum(compress(counts, one_abs)))
-        for p, I in compress(enumerate(proper), one_abs):
-            if reach[p] & ~held:
+        part.instances(len(nonunits) * len(proper), sum(counts[p] for p in _bits(one_abs)))
+        for p in _bits(one_abs):
+            if reach[p] & ~primary:
+                I = proper[p]
                 for a in nonunits:
-                    if not (I.mask >> a) & 1 and not primary[table[p][cls[a]]]:
+                    if not (I.mask >> a) & 1 and not primary >> table[p][cls[a]] & 1:
                         part.fail(I, d.label, (a,), f"(I:{R.element_name(a)}) not delta-primary")
 
 
@@ -409,15 +419,13 @@ def _t_colon(entry: CatalogEntry, part: _Part) -> None:
 def _t_m2(entry: CatalogEntry, part: _Part) -> None:
     """1-absorbing delta-primary: delta-semiprimary, or local with M^2 inside I."""
     R = entry.ring
-    local = R.is_local()
-    m2_mask = _jacobson_square(R) if local else None
+    proper = R.proper_ideals()
+    m2 = _up_sets(R)[R.lattice_position(_jacobson_square(R))] if R.is_local() else 0
     for d in entry.expansions:
-        semi = _verdicts("delta-semiprimary", R, d)
-        for I, one_abs, ok in zip(R.proper_ideals(), _one_abs(d), semi):
-            if part.instance(one_abs) and not ok:
-                if local and (m2_mask & ~I.mask) == 0:
-                    continue
-                part.fail(I, d.label, None, "neither delta-semiprimary nor M^2 inside I")
+        one_abs = _one_abs(d)
+        part.instances(len(proper), one_abs.bit_count())
+        for p in _bits(one_abs & ~(_verdicts("delta-semiprimary", R, d) | m2)):
+            part.fail(proper[p], d.label, None, "neither delta-semiprimary nor M^2 inside I")
 
 
 # ----------------------------------------------------------------------
@@ -426,16 +434,19 @@ def _t_m2(entry: CatalogEntry, part: _Part) -> None:
 
 def _equiv_off(part: _Part, entry: CatalogEntry, m2_mask: int, context: str) -> None:
     """Away from the ideal at m2_mask, 1-absorbing equals delta-primary."""
+    R = entry.ring
+    proper = R.proper_ideals()
+    hyp = ((1 << len(proper)) - 1) & ~(1 << R.lattice_position(m2_mask))
     for d in entry.expansions:
         one_abs, primary = _one_abs(d), _primary(d)
-        for p, I in enumerate(entry.ring.proper_ideals()):
-            if part.instance(I.mask != m2_mask) and one_abs[p] != primary[p]:
-                _fail_equiv(part, I, d, one_abs[p], primary[p], context)
+        part.instances(len(proper), hyp.bit_count())
+        for p in _bits(hyp & (one_abs ^ primary)):
+            _fail_equiv(part, proper[p], d, one_abs >> p & 1, primary >> p & 1, context)
 
 
-def _fail_equiv(part: _Part, I: Ideal, d: ExpansionFunction, one_abs: bool, primary: bool,
+def _fail_equiv(part: _Part, I: Ideal, d: ExpansionFunction, one_abs: int, primary: int,
                 context: str) -> None:
-    part.fail(I, d.label, None, f"{context}: 1abs={one_abs} delta-primary={primary}")
+    part.fail(I, d.label, None, f"{context}: 1abs={bool(one_abs)} delta-primary={bool(primary)}")
 
 
 @_sweep("T-CHAINED")
@@ -463,21 +474,21 @@ def _t_pmax(entry: CatalogEntry, part: _Part) -> None:
     R = entry.ring
     if not R.is_local():
         return
-    M = R.maximal_ideals()[0]
-    if not is_principal(M):
+    if not is_principal(R.maximal_ideals()[0]):
         return
-    m2_mask = _jacobson_square(R)
-    masks = [I.mask for I in R.ideals()]
-    rpos = _radical_positions(R)
+    proper = R.proper_ideals()
+    up, rpos = _up_sets(R), _radical_positions(R)
+    m2 = up[R.lattice_position(_jacobson_square(R))] & ((1 << len(proper)) - 1)
     for d in entry.expansions:
         one_abs, primary = _one_abs(d), _primary(d)
-        for p, I in enumerate(R.proper_ideals()):
-            part.instance(True)
-            alt = primary[p] or (m2_mask & ~I.mask) == 0
-            if one_abs[p] != alt:
-                part.fail(I, d.label, None, f"1abs={one_abs[p]} primary-or-M^2={alt}")
-            elif masks[rpos[p]] & ~masks[d.table[p]] == 0 and one_abs[p] != primary[p]:
-                _fail_equiv(part, I, d, one_abs[p], primary[p], "sqrt(I) inside delta(I)")
+        part.instances(len(proper), len(proper))
+        alt = primary | m2
+        for p in _bits((one_abs ^ alt) | (one_abs ^ primary)):
+            a = one_abs >> p & 1
+            if a != alt >> p & 1:
+                part.fail(proper[p], d.label, None, f"1abs={bool(a)} primary-or-M^2={not a}")
+            elif up[rpos[p]] >> d.table[p] & 1:  # sqrt(I) inside delta(I), and primary = not a
+                _fail_equiv(part, proper[p], d, a, not a, "sqrt(I) inside delta(I)")
 
 
 # ----------------------------------------------------------------------
@@ -488,13 +499,15 @@ def _t_pmax(entry: CatalogEntry, part: _Part) -> None:
 def _t_sqrt(entry: CatalogEntry, part: _Part) -> None:
     """If sqrt(delta(I)) = delta(sqrt(I)), the radical of a 1abs ideal is delta-primary."""
     R = entry.ring
+    proper = R.proper_ideals()
     rpos = _radical_positions(R)
     for d in entry.expansions:
-        one_abs, primary = _one_abs(d), _primary(d)
-        for p, I in enumerate(R.proper_ideals()):
-            swap = rpos[d.table[p]] == d.table[rpos[p]]
-            if part.instance(swap and one_abs[p]) and not primary[rpos[p]]:
-                part.fail(I, d.label, None, "sqrt(I) not delta-primary")
+        t, primary = d.table, _primary(d)
+        hits = [p for p in _bits(_one_abs(d)) if rpos[t[p]] == t[rpos[p]]]
+        part.instances(len(proper), len(hits))
+        for p in hits:
+            if not primary >> rpos[p] & 1:
+                part.fail(proper[p], d.label, None, "sqrt(I) not delta-primary")
 
 
 @_sweep("T-IDEM")
@@ -502,13 +515,17 @@ def _t_idem(entry: CatalogEntry, part: _Part) -> None:
     """At idempotent values, 1-absorbing delta-primary equals 1-absorbing prime."""
     R = entry.ring
     lattice = R.ideals()
+    n = len(lattice) - 1
     prime = _verdicts("1abs-prime", R)
     for d in entry.expansions:
-        one_abs = _one_abs(d)
-        for p in range(len(lattice) - 1):
-            q = d.table[p]
-            if part.instance(lattice[q].is_proper and d.table[q] == q) and one_abs[q] != prime[q]:
-                part.fail(lattice[q], d.label, None, f"1abs={one_abs[q]} 1abs-prime={prime[q]}")
+        t, one_abs = d.table, _one_abs(d)
+        fixed = sum(1 << q for q in range(n) if t[q] == q)  # proper values that delta fixes
+        hits = [t[p] for p in range(n) if fixed >> t[p] & 1]
+        part.instances(n, len(hits))
+        for q in hits:
+            if (one_abs ^ prime) >> q & 1:
+                a = bool(one_abs >> q & 1)
+                part.fail(lattice[q], d.label, None, f"1abs={a} 1abs-prime={not a}")
 
 
 @_sweep("T-INTER")
@@ -520,13 +537,13 @@ def _t_inter(entry: CatalogEntry, part: _Part) -> None:
     meet = _meet_table(R)
     for d in entry.expansions:
         one_abs = _one_abs(d)
-        ones = [p for p in range(n) if one_abs[p]] if is_intersection_preserving(d) else []
+        ones = list(_bits(one_abs)) if is_intersection_preserving(d) else []
         hits = [(p, q) for i, p in enumerate(ones) for q in ones[i + 1 :]
                 if d.table[p] == d.table[q]]
         part.instances(n * (n - 1) // 2, len(hits))
         for p, q in hits:
             I, J = proper[p], proper[q]
-            if not one_abs[meet[p][q]]:
+            if not one_abs >> meet[p][q] & 1:
                 K = ideal_intersection(I, J)
                 part.fail(K, d.label, None, f"intersection of {I.label} and {J.label}")
 
@@ -535,8 +552,8 @@ def _t_inter(entry: CatalogEntry, part: _Part) -> None:
 def _t_princ(entry: CatalogEntry, part: _Part) -> None:
     """All principal proper ideals 1abs iff all proper ideals 1abs."""
     R = entry.ring
+    part.instances(len(entry.expansions), len(entry.expansions))
     for d in entry.expansions:
-        part.instance(True)
         principal_all, _ = _every_proper_one_absorbing(R, d, principal_only=True)
         full_all, bad = _every_proper_one_absorbing(R, d)
         if principal_all != full_all:
@@ -617,22 +634,26 @@ def _t_hom(entry: CatalogEntry, part: _Part) -> None:
     info = entry.ring.construction
     if not isinstance(info, QuotientOf):
         return
-    Q = entry.ring
-    f = info.projection
-    parent = info.parent
+    Q, f, parent = entry.ring, info.projection, info.parent
     img, pre = _correspondence(Q)
     nonunit_ok, _ = f.is_nonunit_preserving()
+    # I contains the kernel exactly when it is the preimage of its image
+    above = [p for p in range(len(parent.proper_ideals())) if pre[img[p]] == p]
     for d in standard_expansions(parent):
         g = induced_quotient(Q, d)
         compatible = nonunit_ok and is_delta_gamma_hom(f, d, g)
-        d_abs, g_abs = _one_abs(d), _one_abs(g)
-        for q, J in enumerate(Q.proper_ideals()):
-            if part.instance(compatible and g_abs[q]) and not d_abs[pre[q]]:
+        d_abs, g_abs = _one_abs(d), _one_abs(g) if compatible else 0
+        hits = g_abs.bit_count() + len(above) * compatible
+        part.instances(len(Q.proper_ideals()) + len(above), hits)
+        for q in _bits(g_abs):
+            if not d_abs >> pre[q] & 1:
+                J = Q.proper_ideals()[q]
                 part.fail(parent.ideals()[pre[q]], d.label, None, f"preimage of {J.label} fails")
-        for p, I in enumerate(parent.proper_ideals()):
-            # I contains the kernel exactly when it is the preimage of its image
-            if pre[img[p]] == p and part.instance(compatible) and d_abs[p] != g_abs[img[p]]:
-                part.fail(I, d.label, None, f"source={d_abs[p]} image={g_abs[img[p]]}")
+        for p in above if compatible else ():
+            source, image = d_abs >> p & 1, g_abs >> img[p] & 1
+            if source != image:
+                detail = f"source={bool(source)} image={bool(image)}"
+                part.fail(parent.proper_ideals()[p], d.label, None, detail)
 
 
 @_sweep("T-QUOT")
@@ -652,10 +673,12 @@ def _t_quot(entry: CatalogEntry, part: _Part) -> None:
         d_abs = _one_abs(d)
         for I, Q, nonunit_ok, above, img in quotients:
             g_abs = _one_abs(induced_quotient(Q, d))
-            for p in above:
-                up, down = d_abs[p], g_abs[img[p]]
-                if part.instance(nonunit_ok) and up != down:
-                    part.fail(proper[p], d.label, None, f"mod {I.label}: source={up} image={down}")
+            part.instances(len(above), len(above) * nonunit_ok)
+            for p in above if nonunit_ok else ():
+                up, down = d_abs >> p & 1, g_abs >> img[p] & 1
+                if up != down:
+                    detail = f"mod {I.label}: source={bool(up)} image={bool(down)}"
+                    part.fail(proper[p], d.label, None, detail)
 
 
 @_sweep("T-LOC")
@@ -668,16 +691,16 @@ def _t_loc(entry: CatalogEntry, part: _Part) -> None:
     parent = info.parent
     img, _ = _correspondence(L)
     s_mask = sum(1 << s for s in info.set_members)
+    disjoint = sum(1 << p for p, I in enumerate(parent.proper_ideals()) if not I.mask & s_mask)
     for d in standard_expansions(parent):
         ds = induced_localization(L, d)
         compatible = localization_compatibility(L, d)
-        d_abs, ds_abs = _one_abs(d), _one_abs(ds)
-        for p, I in enumerate(parent.proper_ideals()):
-            if I.mask & s_mask:
-                continue
-            if part.instance(compatible and d_abs[p]) and not ds_abs[img[p]]:
+        ds_abs, hyp = _one_abs(ds), _one_abs(d) & disjoint if compatible else 0
+        part.instances(disjoint.bit_count(), hyp.bit_count())
+        for p in _bits(hyp):
+            if not ds_abs >> img[p] & 1:
                 ext = L.ideals()[img[p]]
-                part.fail(I, d.label, None, f"extension {ext.label} fails")
+                part.fail(parent.proper_ideals()[p], d.label, None, f"extension {ext.label} fails")
 
 
 @_sweep("T-PROD")
@@ -687,37 +710,31 @@ def _t_prod(entry: CatalogEntry, part: _Part) -> None:
     if not isinstance(info, ProductOf):
         return
     R = entry.ring
+    proper = R.proper_ideals()
     R1, R2 = info.left, info.right
     top1, top2 = len(R1.ideals()) - 1, len(R2.ideals()) - 1
-    comp, _ = _correspondence(R)
+    _, inv = _correspondence(R)
     for d1 in standard_expansions(R1):
+        left = sum(1 << inv[p1, top2] for p1 in _bits(_primary(d1)))
+        full1 = [p1 for p1 in range(top1) if d1.table[p1] == top1]
         for d2 in standard_expansions(R2):
+            # I1 x R2: I1 delta1-primary; R1 x I2: I2 delta2-primary; else d1(I1), d2(I2) whole
+            components = left | sum(1 << inv[top1, p2] for p2 in _bits(_primary(d2)))
+            components |= sum(1 << inv[p1, p2] for p1 in full1
+                              for p2 in range(top2) if d2.table[p2] == top2)
             dx = induced_product(R, d1, d2)
             one_abs, primary = _one_abs(dx), _primary(dx)
-            for p, I in enumerate(R.proper_ideals()):
-                part.instance(True)
-                p1, p2 = comp[p]
-                s1, s2 = one_abs[p], primary[p]
-                if p2 == top2:
-                    s3 = _primary(d1)[p1]
-                elif p1 == top1:
-                    s3 = _primary(d2)[p2]
-                else:
-                    s3 = d1.table[p1] == top1 and d2.table[p2] == top2
-                if not (s1 == s2 == s3):
-                    part.fail(I, dx.label, None, f"1abs={s1} primary={s2} components={s3}")
-                elif (
-                    entry.provenance == "Z2xZ2"
-                    and d1.label == "id"
-                    and d2.label == "id"
-                    and I.is_zero
-                    and not s1
-                ):
-                    _, wit = one_absorbing_delta_primary_check(I, dx)
-                    part.notes.append(
-                        "true negative: (0)x(0) in Z2xZ2 under prod(id,id) is not "
-                        f"1-absorbing, witness {', '.join(_names(R, wit))}"
-                    )
+            part.instances(len(proper), len(proper))
+            for p in _bits((one_abs ^ primary) | (one_abs ^ components)):
+                s1, s2, s3 = (bool(v >> p & 1) for v in (one_abs, primary, components))
+                part.fail(proper[p], dx.label, None, f"1abs={s1} primary={s2} components={s3}")
+            if (entry.provenance, d1.label, d2.label) == ("Z2xZ2", "id", "id") and not (
+                    one_abs | primary | components) & 1:  # at the zero ideal, position 0
+                _, wit = one_absorbing_delta_primary_check(proper[0], dx)
+                part.notes.append(
+                    "true negative: (0)x(0) in Z2xZ2 under prod(id,id) is not "
+                    f"1-absorbing, witness {', '.join(_names(R, wit))}"
+                )
 
 
 @_standalone("T-PROD-EX")
@@ -760,17 +777,20 @@ def _t_triv(entry: CatalogEntry, part: _Part) -> None:
         for p, q, F in _correspondence(T)[2]
         if base[p].is_proper
     ]
+    pair_qs = sum(1 << q for _, q, _ in pairs)
+    fixed_qs = sum(1 << q for _, q, colon_fixed in pairs if colon_fixed)
     for d in standard_expansions(A):
         dt = induced_trivial_extension(T, d)
         d_abs, dt_abs = _one_abs(d), _one_abs(dt)
+        part.instances(len(pairs), (dt_abs & pair_qs | fixed_qs).bit_count())
         for p, q, colon_fixed in pairs:
-            up, down = dt_abs[q], d_abs[p]
-            part.instance(up or colon_fixed)
+            up, down = dt_abs >> q & 1, d_abs >> p & 1
             if up and not down:
                 detail = f"pair ideal 1abs but {base[p].label} is not"
                 part.fail(T.ideals()[q], dt.label, None, detail)
             if colon_fixed and up != down:
-                part.fail(T.ideals()[q], dt.label, None, f"(F:c)=F but pair={up} base={down}")
+                detail = f"(F:c)=F but pair={bool(up)} base={bool(down)}"
+                part.fail(T.ideals()[q], dt.label, None, detail)
 
 
 @_sweep("T-TRIV-COR")
@@ -784,10 +804,11 @@ def _t_triv_cor(entry: CatalogEntry, part: _Part) -> None:
     for d in standard_expansions(info.base):
         dt = induced_trivial_extension(T, d)
         d_abs, dt_abs = _one_abs(d), _one_abs(dt)
+        part.instances(len(up) - 1, len(up) - 1)
         for p, q in enumerate(up[:-1]):  # I_p x E for each proper I_p
-            part.instance(True)
-            if dt_abs[q] != d_abs[p]:
-                part.fail(T.ideals()[q], dt.label, None, f"pair={dt_abs[q]} base={d_abs[p]}")
+            pair, base = dt_abs >> q & 1, d_abs >> p & 1
+            if pair != base:
+                part.fail(T.ideals()[q], dt.label, None, f"pair={bool(pair)} base={bool(base)}")
 
 
 # ----------------------------------------------------------------------

@@ -93,6 +93,22 @@ def test_quotient_by_a_unit_is_a_caret_diagnostic(capsys):
     ]
 
 
+@pytest.mark.parametrize("argv, message, text, column", [
+    (("classify", "--ring", "", "--delta", "id"), "expected a ring spec", "", 0),
+    (("classify", "--ring", "Z4", "--delta", ""), "expected an expansion spec", "", 0),
+    (("search", "--property", ""), "expected a predicate name", "", 0),
+    (("search", "--property", "prime &"), "expected a predicate name", "prime &", 7),
+    (("search", "--property", "!"), "expected a predicate name", "!", 1),
+])
+def test_empty_input_keeps_its_caret_diagnostic(capsys, argv, message, text, column):
+    """An empty spec, or a query that ends where a predicate name should
+    start, prints the text line and a caret at the missing part, even when
+    the text is empty, and exits 2."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {message}", "  " + text, "  " + " " * column + "^"]
+
+
 def test_classify_bad_delta(capsys):
     code, _, err = run(capsys, "classify", "--ring", "Z4", "--delta", "prod(id,id)")
     assert code == 2

@@ -671,7 +671,8 @@ def test_induced_expansions_share_the_record_of_their_table(request, tier, count
             assert got.table is twin.table and got.verdicts is twin.verdicts, got.label
             for name in ("1abs-delta-primary", "delta-primary"):
                 pass_sets = predicates._PASS_SETS[name][0](R)
-                fresh = tuple(bool(s >> q & 1) for s, q in zip(pass_sets, got.table))
+                bits = (s >> q & 1 for s, q in zip(pass_sets, got.table))
+                fresh = sum(b << p for p, b in enumerate(bits))
                 assert predicates._verdicts(name, R, got) == fresh, (got.label, name)
             seen += 1
     assert seen == count

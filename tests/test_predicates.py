@@ -220,10 +220,15 @@ def test_one_absorbing_specializations_match_scan_on_default_catalog():
     assert ideals == 805
 
 
+def _vector(values) -> int:
+    """The verdict vector of booleans given in lattice order."""
+    return sum(1 << p for p, ok in enumerate(values) if ok)
+
+
 def test_verdict_vectors_match_the_checks_on_default_catalog():
     """For every (ring, expansion) of the default catalog and every check,
-    the verdict vector holds the check's value at each proper ideal in
-    lattice order. Delta-free vectors live on the ring, the rest on the
+    bit p of the verdict vector holds the check's value at the proper ideal
+    at lattice position p. Delta-free vectors live on the ring, the rest on the
     expansion they were built for."""
     pairs = 0
     for entry in build_catalog(CatalogConfig()):
@@ -232,12 +237,33 @@ def test_verdict_vectors_match_the_checks_on_default_catalog():
         for d in entry.expansions:
             for name, check in _CHECKS.items():
                 got = _verdicts(name, R, d)
-                assert got == tuple(check(I, d)[0] for I in proper), (
+                assert got == _vector(check(I, d)[0] for I in proper), (
                     entry.provenance, d.label, name)
                 store = R.cache["verdicts"] if name in DELTA_FREE else d.verdicts
                 assert store[name] is got
             pairs += len(proper)
     assert pairs == 6588
+
+
+@pytest.mark.parametrize("tier", ["catalog16", "catalog_enlarged"])
+def test_verdict_vectors_have_no_bit_at_or_above_the_unit_ideal(request, tier):
+    """Every verdict vector of both tiers, under each attached expansion and
+    under id, rad and full, is an int below 1 << n for the n proper ideals
+    of its ring: a stray high bit, say from ``~``, would be counted by
+    ``bit_count()``. The ideal-wise form is read up to order 12, as T-DEF-EQ
+    reads it."""
+    vectors = 0
+    for entry in request.getfixturevalue(tier):
+        R = entry.ring
+        n = len(R.proper_ideals())
+        names = [*_CHECKS, "idealwise"] if R.order <= 12 else list(_CHECKS)
+        stock = (identity_expansion(R), radical_expansion(R), constant_ring(R))
+        for d in entry.expansions + stock:
+            for name in names:
+                got = _verdicts(name, R, d)
+                assert type(got) is int and 0 <= got < 1 << n, (entry.provenance, d.label, name)
+                vectors += 1
+    assert vectors > 0
 
 
 def test_every_bound_above_i_matches_the_scans_on_default_catalog():
@@ -318,7 +344,7 @@ def assert_checks_match_the_scans(R, expansions):
                 assert check(I, d) == want[name], (R.label, d.label, I.label, name)
                 values[name].append(want[name][0])
         for name in _CHECKS:
-            assert _verdicts(name, R, d) == tuple(values[name]), (R.label, d.label, name)
+            assert _verdicts(name, R, d) == _vector(values[name]), (R.label, d.label, name)
     return len(proper) * len(expansions)
 
 
@@ -396,7 +422,7 @@ def test_verdicts_survive_relabelling(data):
         d, e = family(R), family(S)
         for name in _CHECKS:
             theirs = _verdicts(name, S, e)
-            assert _verdicts(name, R, d) == tuple(theirs[q] for q in image), (
+            assert _verdicts(name, R, d) == _vector(theirs >> q & 1 for q in image), (
                 R.label, family.__name__, name)
         for I in S.proper_ideals():
             assert two_absorbing_delta_primary_check(I, e) == two_absorbing_delta_primary_scan(
@@ -462,8 +488,8 @@ def test_passing_checks_read_cached_masks_and_run_no_scan(catalog16, monkeypatch
             for module, name in SCANS + BUILDERS:
                 m.setattr(module, name, _no_scan)
             for (name, d), values in verdicts.items():
-                for I, ok in zip(proper, values):
-                    if ok:
+                for p, I in enumerate(proper):
+                    if values >> p & 1:
                         assert checks[name](I, d) == (True, None), (name, d.label, I)
                         passing += 1
         assert {k: v for k, v in R.cache.items() if k.endswith("_pass")} == cached

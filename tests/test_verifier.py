@@ -22,7 +22,7 @@ from ringlab.expansions import (
     satisfies_star,
     scaling_check,
 )
-from ringlab.ideals import Ideal, colon, ideal_intersection
+from ringlab.ideals import Ideal, colon, ideal_intersection, ideal_product, is_principal, radical
 from ringlab.predicates import one_absorbing_delta_primary_check
 from ringlab.rings import make_zn
 from ringlab.verifier import (
@@ -214,13 +214,13 @@ def _colon_reference(catalog):
         R = entry.ring
         for d in entry.expansions:
             one_abs, primary = verifier._one_abs(d), verifier._primary(d)
-            for I, ok in zip(R.proper_ideals(), one_abs):
+            for p, I in enumerate(R.proper_ideals()):
                 for a in R.nonunit_list:
                     checked += 1
-                    if not ok or a in I:
+                    if not one_abs >> p & 1 or a in I:
                         continue
                     hits += 1
-                    if not primary[R.lattice_position(colon(I, a).mask)]:
+                    if not primary >> R.lattice_position(colon(I, a).mask) & 1:
                         name = R.element_name(a)
                         failures.append(Witness(
                             entry.provenance, tuple(R.element_name(i) for i in I.members_sorted),
@@ -239,12 +239,13 @@ def test_colon_shortcut_reports_every_failure_of_the_loop(catalog16, monkeypatch
         colons = [[R.lattice_position(colon(I, a).mask) for a in R.nonunit_list if a not in I]
                   for I in R.proper_ideals()]
         for d in entry.expansions:
-            for row, ok in zip(colons, verifier._one_abs(d)):
+            one_abs = verifier._one_abs(d)
+            for p, row in enumerate(colons):
                 for k in row:
-                    if ok:
+                    if one_abs >> p & 1:
                         reach[d, k] = reach.get((d, k), 0) + 1
     d0, k0 = max(reach, key=reach.get)
-    assert verifier._primary(d0)[k0]
+    assert verifier._primary(d0) >> k0 & 1
     before = verify("T-COLON", catalog16)
     assert _colon_reference(catalog16) == (
         before.instances_checked, before.hypothesis_satisfied, []
@@ -253,7 +254,7 @@ def test_colon_shortcut_reports_every_failure_of_the_loop(catalog16, monkeypatch
 
     def cleared(d):
         got = original(d)
-        return got[:k0] + (False,) + got[k0 + 1 :] if d is d0 else got
+        return got & ~(1 << k0) if d is d0 else got
 
     monkeypatch.setattr(verifier, "_primary", cleared)
     report = verify("T-COLON", catalog16)
@@ -282,9 +283,9 @@ def _mono_reference(catalog):
                 d_abs, g_abs = verifier._one_abs(d), verifier._one_abs(g)
                 for p, I in enumerate(R.proper_ideals()):
                     checked += 1
-                    if d_abs[p] and d(I) <= g(I):
+                    if d_abs >> p & 1 and d(I) <= g(I):
                         hits += 1
-                        if not g_abs[p]:
+                        if not g_abs >> p & 1:
                             _, wit = one_absorbing_delta_primary_check(I, g)
                             failures.append(Witness(
                                 entry.provenance, tuple(R.element_name(i) for i in I.members_sorted),
@@ -308,14 +309,14 @@ def test_mono_counts_by_value_as_the_pair_loop_does(catalog16, monkeypatch):
             for p, I in enumerate(entry.ring.proper_ideals()):
                 reach[g, p] = sum(
                     1 for d in entry.expansions
-                    if d is not g and verifier._one_abs(d)[p] and d(I) <= g(I))
+                    if d is not g and verifier._one_abs(d) >> p & 1 and d(I) <= g(I))
     g0, p0 = max(reach, key=reach.get)
-    assert verifier._one_abs(g0)[p0]
+    assert verifier._one_abs(g0) >> p0 & 1
     original = verifier._one_abs
 
     def cleared(d):
         got = original(d)
-        return got[:p0] + (False,) + got[p0 + 1 :] if d is g0 else got
+        return got & ~(1 << p0) if d is g0 else got
 
     cap = reach[g0, p0] // 2
     monkeypatch.setattr(verifier, "_one_abs", cleared)
@@ -343,10 +344,11 @@ def _inter_reference(catalog):
                 for q in range(p + 1, len(proper)):
                     checked += 1
                     J = proper[q]
-                    if preserving and one_abs[p] and one_abs[q] and d(I).mask == d(J).mask:
+                    if (preserving and one_abs >> p & 1 and one_abs >> q & 1
+                            and d(I).mask == d(J).mask):
                         hits += 1
                         K = ideal_intersection(I, J)
-                        if not one_abs[R.lattice_position(K.mask)]:
+                        if not one_abs >> R.lattice_position(K.mask) & 1:
                             failures.append(Witness(
                                 entry.provenance, tuple(R.element_name(i) for i in K.members_sorted),
                                 d.label, None, f"intersection of {I.label} and {J.label}",
@@ -368,7 +370,7 @@ def test_inter_reads_each_meet_off_the_meet_table(catalog16, monkeypatch):
             for p, I in enumerate(proper):
                 for q in range(p + 1, len(proper)):
                     K = ideal_intersection(I, proper[q])
-                    if (one_abs[p] and one_abs[q] and d.table[p] == d.table[q]
+                    if (one_abs >> p & 1 and one_abs >> q & 1 and d.table[p] == d.table[q]
                             and K.mask not in (I.mask, proper[q].mask)):
                         k = entry.ring.lattice_position(K.mask)
                         meets[d, k] = meets.get((d, k), 0) + 1
@@ -377,7 +379,7 @@ def test_inter_reads_each_meet_off_the_meet_table(catalog16, monkeypatch):
 
     def cleared(d):
         got = original(d)
-        return got[:k0] + (False,) + got[k0 + 1 :] if d is d0 else got
+        return got & ~(1 << k0) if d is d0 else got
 
     monkeypatch.setattr(verifier, "_one_abs", cleared)
     report = verify("T-INTER", catalog16)
@@ -402,7 +404,7 @@ def test_sweep_runs_in_the_calling_thread(catalog8, monkeypatch):
 
 def _all_delta_primary(d):
     """A corrupted delta-primary verdict vector: every proper ideal passes."""
-    return (True,) * len(d.ring.proper_ideals())
+    return (1 << len(d.ring.proper_ideals())) - 1
 
 
 def test_mutation_is_caught(catalog8, monkeypatch):
@@ -435,7 +437,8 @@ def test_transfer_sweeps_catch_corrupted_verdicts(catalog16, monkeypatch):
 
     def flipped(d):
         got = one_abs(d)
-        return tuple(not v for v in got) if d.ring.construction is not None else got
+        flip = (1 << len(d.ring.proper_ideals())) - 1
+        return got ^ flip if d.ring.construction is not None else got
 
     monkeypatch.setattr(verifier, "_one_abs", flipped)
     monkeypatch.setattr(verifier, "FAILURE_CAP", 10**6)
@@ -477,7 +480,9 @@ def test_indexed_sweeps_call_no_check(monkeypatch):
 def test_indexed_sweeps_read_their_conclusion_vectors(catalog16, monkeypatch):
     """Flipping one verdict vector at a time refutes the sweep whose
     conclusion it is, with the sweep's own failure detail, so each sweep
-    reads the vector of its conclusion and not that of a stronger check."""
+    reads the vector of its conclusion and not that of a stronger check.
+    Clearing one bit of a conclusion vector makes each sweep rewritten over
+    the vectors report what its per-instance loop reports."""
     verdicts = verifier._verdicts
     conclusions = {
         "T-DEF-EQ": ("idealwise", "elementwise="),
@@ -488,12 +493,149 @@ def test_indexed_sweeps_read_their_conclusion_vectors(catalog16, monkeypatch):
     for tid, (name, detail) in conclusions.items():
         def flipped(which, R, d=None, name=name):
             got = verdicts(which, R, d)
-            return tuple(not v for v in got) if which == name else got
+            return got ^ ((1 << len(R.proper_ideals())) - 1) if which == name else got
 
         monkeypatch.setattr(verifier, "_verdicts", flipped)
         failures = verify(tid, catalog16).conclusion_failures
         assert failures and failures[0].detail.startswith(detail), tid
     monkeypatch.undo()
+
+    # One bit cleared: the conclusion vector at the position k of the ring
+    # where clearing it fails the most expansions. Each sweep then reports
+    # the counts and the failures, in order, of its per-instance loop.
+    monkeypatch.setattr(verifier, "FAILURE_CAP", 10**6)
+    for tid, (name, fails) in ONE_BIT_CLEARS.items():
+        monkeypatch.setattr(verifier, "_verdicts", verdicts)
+        reach = {}
+        for entry in catalog16:
+            R = entry.ring
+            for k, I in enumerate(R.proper_ideals()):
+                reach[R, k] = sum(1 for d in entry.expansions if fails(R, d, I))
+        R0, k0 = max(reach, key=reach.get)
+
+        def cleared(which, R, d=None, name=name, R0=R0, k0=k0):
+            got = verdicts(which, R, d)
+            return got & ~(1 << k0) if which == name and R is R0 else got
+
+        monkeypatch.setattr(verifier, "_verdicts", cleared)
+        report = verify(tid, catalog16)
+        checked, hits, failures = _sweep_reference(tid, catalog16)
+        assert len(failures) >= reach[R0, k0] > 0, tid
+        assert (report.instances_checked, report.hypothesis_satisfied) == (checked, hits), tid
+        assert report.conclusion_failures == tuple(failures), tid
+    monkeypatch.undo()
+
+
+def _at(name, d, I):
+    """The verdict of check ``name`` at I under d, read through the verifier."""
+    return bool(verifier._verdicts(name, I.ring, d) >> I.ring.lattice_position(I.mask) & 1)
+
+
+def _m2(R):
+    return ideal_product(R.jacobson_radical(), R.jacobson_radical())
+
+
+def _sqrt_swaps(d, I):
+    return radical(d(I)) == d(radical(I))
+
+
+def _all_one_absorbing(d):
+    return all(_at("1abs-delta-primary", d, I) for I in d.ring.proper_ideals())
+
+
+# For each sweep rewritten over verdict vectors: the vector whose bit at I is
+# cleared, and when clearing it under d makes an instance fail.
+ONE_BIT_CLEARS = {
+    "T-CHAIN": ("1abs-delta-primary",
+                lambda R, d, I: _at("1abs-prime", d, I) or _at("delta-primary", d, I)),
+    "T-LOCAL": ("delta-primary",
+                lambda R, d, I: not R.is_local() and _at("1abs-delta-primary", d, I)),
+    "T-M2": ("delta-semiprimary", lambda R, d, I: _at("1abs-delta-primary", d, I) and not (
+        R.is_local() and _m2(R) <= I)),
+    "T-CHAINED": ("delta-primary", lambda R, d, I: R.is_chained() and _m2(R) != I
+                  and _at("1abs-delta-primary", d, I)),
+    "T-PMAX": ("delta-primary", lambda R, d, I: R.is_local() and is_principal(R.maximal_ideals()[0])
+               and _at("delta-primary", d, I) and not _m2(R) <= I),
+    "T-SQRT": ("delta-primary", lambda R, d, K: any(
+        radical(I) == K and _sqrt_swaps(d, I) and _at("1abs-delta-primary", d, I)
+        for I in R.proper_ideals())),
+    "T-IDEM": ("1abs-prime", lambda R, d, J: d(J) == J and _at("1abs-delta-primary", d, J)),
+    "T-PRINC": ("1abs-delta-primary", lambda R, d, I: not is_principal(I) and _all_one_absorbing(d)),
+}
+
+
+def _ideal_instance(tid, d, I):
+    """Whether the hypothesis of ``tid`` holds at (I, d), and the failing
+    ideal and detail when the conclusion fails there, else None."""
+    R = d.ring
+    a, b = _at("1abs-delta-primary", d, I), _at("delta-primary", d, I)
+    if tid == "T-CHAIN":
+        prime = _at("1abs-prime", d, I)
+        source = "1abs-prime" if prime else "delta-primary"
+        return prime or b, None if a else (I, f"{source} ideal lost the 1-absorbing form")
+    if tid == "T-M2":
+        ok = _at("delta-semiprimary", d, I) or R.is_local() and _m2(R) <= I
+        return a, None if ok else (I, "neither delta-semiprimary nor M^2 inside I")
+    if tid == "T-CHAINED":
+        return _m2(R) != I, None if a == b else (I, f"chained: 1abs={a} delta-primary={b}")
+    if tid == "T-PMAX":
+        alt = b or _m2(R) <= I
+        if a != alt:
+            return True, (I, f"1abs={a} primary-or-M^2={alt}")
+        if radical(I) <= d(I) and a != b:
+            return True, (I, f"sqrt(I) inside delta(I): 1abs={a} delta-primary={b}")
+        return True, None
+    if tid == "T-SQRT":
+        ok = _at("delta-primary", d, radical(I))
+        return _sqrt_swaps(d, I) and a, None if ok else (I, "sqrt(I) not delta-primary")
+    J = d(I)  # T-IDEM
+    if not (J.is_proper and d(J) == J):
+        return False, None
+    a, prime = _at("1abs-delta-primary", d, J), _at("1abs-prime", d, J)
+    return True, None if a == prime else (J, f"1abs={a} 1abs-prime={prime}")
+
+
+def _delta_instance(tid, d):
+    """The same, for the sweeps with one instance per expansion."""
+    proper = d.ring.proper_ideals()
+    if tid == "T-LOCAL":
+        found = next((I for I in proper if _at("1abs-delta-primary", d, I)
+                      and not _at("delta-primary", d, I)), None)
+        return found is not None, None if d.ring.is_local() else (found, "ring is not local")
+    principal_all = all(_at("1abs-delta-primary", d, I) for I in proper if is_principal(I))
+    bad = next((I for I in proper if not _at("1abs-delta-primary", d, I)), None)
+    if principal_all == (bad is None):
+        return True, None
+    return True, (bad, f"principal={principal_all} all={bad is None}")
+
+
+def _sweep_reference(tid, catalog):
+    """One of the sweeps of ``ONE_BIT_CLEARS`` as a loop over its instances,
+    reading each verdict at an ideal built from the ring: its counts, and
+    its failures in report order."""
+    checked = hits = 0
+    failures = []
+    for entry in sorted(catalog.entries, key=lambda e: e.provenance):
+        R = entry.ring
+        if tid == "T-CHAINED" and not R.is_chained():
+            continue
+        if tid == "T-PMAX" and not (R.is_local() and is_principal(R.maximal_ideals()[0])):
+            continue
+        for d in entry.expansions:
+            if tid in ("T-LOCAL", "T-PRINC"):
+                instances = [_delta_instance(tid, d)]
+            else:
+                instances = [_ideal_instance(tid, d, I) for I in R.proper_ideals()]
+            for hyp, failed in instances:
+                checked += 1
+                if hyp:
+                    hits += 1
+                    if failed is not None:
+                        J, detail = failed
+                        failures.append(Witness(
+                            entry.provenance, tuple(R.element_name(i) for i in J.members_sorted),
+                            d.label, None, detail))
+    return checked, hits, failures
 
 
 def test_witness_to_dict():
