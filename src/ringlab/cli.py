@@ -13,7 +13,7 @@ from .errors import ParseError, RinglabError
 from .ideals import Ideal
 from .predicates import PREDICATE_NAMES, classify
 from .rings import FiniteRing
-from .specparse import parse_expansion, parse_query, parse_ring
+from .specparse import _MAX_ORDER, parse_expansion, parse_query, parse_ring
 from .verifier import THEOREM_IDS, TheoremReport, search_witness, verify
 
 ENV_MAX_ORDER = "RINGLAB_MAX_ORDER"
@@ -50,15 +50,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _default_max_order(value: Optional[int]) -> int:
-    if value is not None:
-        return value
     raw = os.environ.get(ENV_MAX_ORDER)
-    if raw:
+    if value is None and raw:
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError:
             raise RinglabError(f"{ENV_MAX_ORDER} must be an integer, got {raw!r}")
-    return 16
+    if value is not None and value > _MAX_ORDER:
+        raise RinglabError(f"the base ring order budget {value} exceeds {_MAX_ORDER}")
+    return 16 if value is None else value
 
 
 def _emit(lines: list[str], out_path: Optional[str]) -> None:

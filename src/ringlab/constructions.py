@@ -28,6 +28,7 @@ from .rings import (
     _element_index,
     _normalize_table,
     _pair_rows,
+    _per_ring,
     _row_in_range,
 )
 
@@ -243,14 +244,12 @@ class FiniteModule:
             mask = _sum_masks(self, mask, cyclic[_element_index(self, e)])
         return mask
 
+    @_per_ring("submodules")
     def submodules(self) -> tuple[int, ...]:
         """All submodule bitmasks, ordered by cardinality then bitset value:
         the sums of the cyclic submodules, closed as ``all_ideals`` closes
         the principal ideals."""
-        got = self.cache.get("submodules")
-        if got is None:
-            got = self.cache["submodules"] = _sum_closure(self, _cyclic_masks(self))
-        return got
+        return _sum_closure(self, _cyclic_masks(self))
 
     def module_colon(self, fmask: int, c: Union[int, Element]) -> int:
         """Bitmask of (F : c) = {e : c e lies in F}."""
@@ -261,19 +260,15 @@ class FiniteModule:
         return f"FiniteModule({self.spec_label!r} over {self.ring.label}, order={self.order})"
 
 
+@_per_ring("cyclic_masks")
 def _cyclic_masks(E: FiniteModule) -> tuple[int, ...]:
     """For each element e, the mask of the cyclic submodule Re.
 
     Re = {r*e : r in R} is column e of the action table: it holds e = 1*e,
     and r*e + s*e = (r+s)*e and s*(r*e) = (s*r)*e keep it closed, as
-    ``ideals._principal_masks`` reads (x) off a multiplication row. Cached
-    on the module.
+    ``ideals._principal_masks`` reads (x) off a multiplication row.
     """
-    got = E.cache.get("cyclic_masks")
-    if got is None:
-        got = tuple(sum(1 << v for v in set(col)) for col in zip(*E.action))
-        E.cache["cyclic_masks"] = got
-    return got
+    return tuple(sum(1 << v for v in set(col)) for col in zip(*E.action))
 
 
 def regular_module(A: FiniteRing) -> FiniteModule:
@@ -532,9 +527,10 @@ def _preimage_positions(f: RingHom) -> tuple[int, ...]:
     )
 
 
+@_per_ring("correspondence")
 def _correspondence(R: FiniteRing) -> tuple:
-    """How R's construction maps ideals to ideals, as lattice positions,
-    built once per constructed ring. p indexes the source lattice, q R's.
+    """How R's construction maps ideals to ideals, as lattice positions. p
+    indexes the source lattice, q R's.
 
     - Quotient or localization by the projection f: ``(img, pre)``, img[p]
       the position of f(I_p) (f is onto) and pre[q] that of f^-1(J_q).
@@ -545,23 +541,20 @@ def _correspondence(R: FiniteRing) -> tuple:
       and pairs a (p, q, F) per pair ideal J_q = I_p x F, in ``pair_ideals``
       order.
     """
-    got = R.cache.get("correspondence")
-    if got is not None:
-        return got
     info, pos, lattice = R.construction, R.lattice_position, R.ideals()
     if isinstance(info, (QuotientOf, LocalizationOf)):
         f = info.projection.mapping
         # the image mask is the sum of the distinct bits f(a), a in I
         img = tuple(pos(sum({1 << f[a] for a in I.members_sorted})) for I in info.parent.ideals())
-        got = (img, _preimage_positions(info.projection))
-    elif isinstance(info, ProductOf):
+        return img, _preimage_positions(info.projection)
+    if isinstance(info, ProductOf):
         inv = {
             (p1, p2): pos(info.pair_mask(I1.mask, I2.mask))
             for p1, I1 in enumerate(info.left.ideals())
             for p2, I2 in enumerate(info.right.ideals())
         }
-        got = (tuple(sorted(inv, key=inv.__getitem__)), inv)
-    elif isinstance(info, TrivialExtensionOf):
+        return tuple(sorted(inv, key=inv.__getitem__)), inv
+    if isinstance(info, TrivialExtensionOf):
         A, m = info.base, info.module.order
         block = (1 << m) - 1
         env = tuple(
@@ -573,8 +566,5 @@ def _correspondence(R: FiniteRing) -> tuple:
             (A.lattice_position(I.mask), pos(info.pair_mask(I.mask, F)), F)
             for I, F in info.pair_ideals()
         )
-        got = (env, up, pairs)
-    else:
-        raise RingMismatchError(f"{R.label} was not built by a construction")
-    R.cache["correspondence"] = got
-    return got
+        return env, up, pairs
+    raise RingMismatchError(f"{R.label} was not built by a construction")

@@ -36,7 +36,7 @@ from .constructions import (
 from .errors import ExpansionAxiomError, InvariantError, RingMismatchError
 from .ideals import (
     Ideal, _bits, _join_column, _principal_masks, _radical_positions, _sum_masks, generator_list)
-from .rings import FiniteRing, RingHom
+from .rings import FiniteRing, RingHom, _per_ring
 
 
 class ExpansionFunction:
@@ -123,28 +123,26 @@ class ExpansionFunction:
         return f"ExpansionFunction({self.label!r} on {self.ring.label})"
 
 
+@_per_ring("covers")
 def _lattice_covers(R: FiniteRing) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """The lattice masks, and the cover pairs (p, q): I_p inside I_q with no
     ideal strictly between. A table is monotone when it is on every cover pair,
-    since inclusion is the transitive closure of covering. Cached per ring.
+    since inclusion is the transitive closure of covering.
 
     In canonical order a proper subset sits at a lower position, so the
     subsets of I_q are scanned largest first. Each ideal strictly between
     I_p and I_q lies in a cover of I_q found before I_p, so I_p covers
     under I_q exactly when no cover found so far contains it."""
-    got = R.cache.get("covers")
-    if got is None:
-        masks = tuple(I.mask for I in R.ideals())
-        pairs = []
-        for q, mq in enumerate(masks):
-            found: list[int] = []
-            for p in range(q - 1, -1, -1):
-                mp = masks[p]
-                if not mp & ~mq and all(mp & ~c for c in found):
-                    found.append(mp)
-                    pairs.append((p, q))
-        got = R.cache["covers"] = (masks, tuple(pairs))
-    return got
+    masks = tuple(I.mask for I in R.ideals())
+    pairs = []
+    for q, mq in enumerate(masks):
+        found: list[int] = []
+        for p in range(q - 1, -1, -1):
+            mp = masks[p]
+            if not mp & ~mq and all(mp & ~c for c in found):
+                found.append(mp)
+                pairs.append((p, q))
+    return masks, tuple(pairs)
 
 
 def from_rule(R: FiniteRing, rule: Callable[[Ideal], Ideal], label: str) -> ExpansionFunction:
@@ -183,6 +181,7 @@ def constant_ring(R: FiniteRing) -> ExpansionFunction:
     return ExpansionFunction(R, [top] * (top + 1), "full")
 
 
+@_per_ring("std_expansions")
 def standard_expansions(R: FiniteRing) -> tuple[ExpansionFunction, ...]:
     """The stock families on R: one translation I -> I + J per ideal J.
 
@@ -190,18 +189,15 @@ def standard_expansions(R: FiniteRing) -> tuple[ExpansionFunction, ...]:
     J = Jac(R): a finite commutative ring is a product of local rings, and
     there rad(I) = I + Jac(R). The image of (0) is J, so distinct J give
     distinct tables. The order is id, rad when Jac(R) is nonzero, plus:(J)
-    for every other proper J, then full. Cached per ring.
+    for every other proper J, then full.
     """
-    got = R.cache.get("std_expansions")
-    if got is None:
-        jac = _radical_positions(R)[0]
-        out = [identity_expansion(R)]
-        if jac:
-            out.append(radical_expansion(R))
-        out.extend(plus_fixed(R, J) for p, J in enumerate(R.proper_ideals()) if p not in (0, jac))
-        out.append(constant_ring(R))
-        got = R.cache["std_expansions"] = tuple(out)
-    return got
+    jac = _radical_positions(R)[0]
+    out = [identity_expansion(R)]
+    if jac:
+        out.append(radical_expansion(R))
+    out.extend(plus_fixed(R, J) for p, J in enumerate(R.proper_ideals()) if p not in (0, jac))
+    out.append(constant_ring(R))
+    return tuple(out)
 
 
 # ----------------------------------------------------------------------
@@ -220,6 +216,7 @@ def preserves_jacobson(delta: ExpansionFunction) -> bool:
     return delta(jac).mask == jac.mask
 
 
+@_per_ring("scaling")
 def _scaling_table(R: FiniteRing) -> tuple[tuple[int, ...], ...]:
     """Row x holds the lattice position of x*I for each lattice position of I.
 
@@ -227,28 +224,25 @@ def _scaling_table(R: FiniteRing) -> tuple[tuple[int, ...], ...]:
     one row, the same tuple object, computed at the smallest such x: one row
     per principal ideal. x*I is the sum of the principal ideals (x*g) over
     the generators g of I, so each entry is a sum of ``_principal_masks``
-    entries. Cached per ring.
+    entries.
     """
-    table = R.cache.get("scaling")
-    if table is None:
-        pm = _principal_masks(R)
-        ppos = [R.lattice_position(m) for m in pm]
-        gens = [generator_list(I) for I in R.ideals()]
+    pm = _principal_masks(R)
+    ppos = [R.lattice_position(m) for m in pm]
+    gens = [generator_list(I) for I in R.ideals()]
 
-        def scaled(row: tuple[int, ...], gs: tuple[int, ...]) -> int:
-            if len(gs) == 1:
-                return ppos[row[gs[0]]]
-            mask = 1 << R.zero
-            for g in gs:
-                mask = _sum_masks(R, mask, pm[row[g]])
-            return R.lattice_position(mask)
+    def scaled(row: tuple[int, ...], gs: tuple[int, ...]) -> int:
+        if len(gs) == 1:
+            return ppos[row[gs[0]]]
+        mask = 1 << R.zero
+        for g in gs:
+            mask = _sum_masks(R, mask, pm[row[g]])
+        return R.lattice_position(mask)
 
-        rows: dict[int, tuple[int, ...]] = {}
-        for x, row in enumerate(R.mul_table):
-            if pm[x] not in rows:
-                rows[pm[x]] = tuple(scaled(row, gs) for gs in gens)
-        table = R.cache["scaling"] = tuple(rows[m] for m in pm)
-    return table
+    rows: dict[int, tuple[int, ...]] = {}
+    for x, row in enumerate(R.mul_table):
+        if pm[x] not in rows:
+            rows[pm[x]] = tuple(scaled(row, gs) for gs in gens)
+    return tuple(rows[m] for m in pm)
 
 
 def scaling_check(
@@ -284,32 +278,24 @@ def commutes_with_scaling(delta: ExpansionFunction) -> bool:
     return scaling_check(delta)[0]
 
 
+@_per_ring("meet")
 def _meet_table(R: FiniteRing) -> tuple[tuple[int, ...], ...]:
     """meet[p][q] is the lattice position of the intersection of the ideals
-    at positions p and q. Cached per ring."""
-    meet = R.cache.get("meet")
-    if meet is None:
-        masks = [I.mask for I in R.ideals()]
-        pos = R.lattice_position
-        meet = R.cache["meet"] = tuple(
-            tuple(map(pos, [mp & mq for mq in masks])) for mp in masks
-        )
-    return meet
+    at positions p and q."""
+    masks = [I.mask for I in R.ideals()]
+    pos = R.lattice_position
+    return tuple(tuple(map(pos, [mp & mq for mq in masks])) for mp in masks)
 
 
+@_per_ring("crossing_meets")
 def _crossing_meets(R: FiniteRing) -> tuple[tuple[int, int, int], ...]:
-    """(p, q, meet[p][q]) for each pair p < q of incomparable ideals. Cached
-    per ring."""
-    got = R.cache.get("crossing_meets")
-    if got is None:
-        meet = _meet_table(R)
-        got = R.cache["crossing_meets"] = tuple(
-            (p, q, m)
-            for p, row in enumerate(meet)
-            for q, m in enumerate(row[p + 1 :], p + 1)
-            if m != p and m != q
-        )
-    return got
+    """(p, q, meet[p][q]) for each pair p < q of incomparable ideals."""
+    return tuple(
+        (p, q, m)
+        for p, row in enumerate(_meet_table(R))
+        for q, m in enumerate(row[p + 1 :], p + 1)
+        if m != p and m != q
+    )
 
 
 def is_intersection_preserving(delta: ExpansionFunction) -> bool:

@@ -22,7 +22,7 @@ from operator import and_
 from typing import Iterable, Optional, Union
 
 from .errors import ConstructionError, InvariantError, ProperIdealError, RingMismatchError
-from .rings import Element, FiniteRing, _colon_rows, _element_index
+from .rings import Element, FiniteRing, _colon_rows, _element_index, _per_ring
 
 
 class Ideal:
@@ -120,18 +120,15 @@ class Ideal:
 # construction and enumeration
 
 
+@_per_ring("principal_masks")
 def _principal_masks(R: FiniteRing) -> tuple[int, ...]:
     """For each element x, the mask of the principal ideal (x).
 
     The image {x*r : r in R} of row x of the multiplication table already is
     (x): it holds x = x*1, and x*r + x*s = x*(r+s) and s*(x*r) = x*(s*r)
-    keep it closed. Computed once per ring and cached as one tuple.
+    keep it closed.
     """
-    pm = R.cache.get("principal_masks")
-    if pm is None:
-        pm = tuple(sum(1 << v for v in set(row)) for row in R.mul_table)
-        R.cache["principal_masks"] = pm
-    return pm
+    return tuple(sum(1 << v for v in set(row)) for row in R.mul_table)
 
 
 def span(R: FiniteRing, generators: Iterable[Union[int, Element]]) -> Ideal:
@@ -212,21 +209,28 @@ def all_ideals(R: FiniteRing) -> tuple[Ideal, ...]:
     return tuple(Ideal(R, m) for m in _sum_closure(R, _principal_table(R)))
 
 
+@_per_ring("principal_gen")
 def _principal_table(R: FiniteRing) -> dict[int, int]:
     """Each principal ideal's mask, mapped to its smallest generator."""
-    table = R.cache.get("principal_gen")
-    if table is None:
-        table = {}
-        for x, m in enumerate(_principal_masks(R)):
-            table.setdefault(m, x)
-        R.cache["principal_gen"] = table
+    table: dict[int, int] = {}
+    for x, m in enumerate(_principal_masks(R)):
+        table.setdefault(m, x)
     return table
 
 
+@_per_ring("principal_positions")
+def _principal_positions(R: FiniteRing) -> int:
+    """The lattice positions of the proper principal ideals, as one int:
+    every principal ideal's, less the unit ideal's."""
+    top = len(R.proper_ideals())
+    return sum(1 << R.lattice_position(m) for m in _principal_table(R)) ^ 1 << top
+
+
+@_per_ring("principal_colons")
 def _principal_colons(
     R: FiniteRing,
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """(gens, cls, table), built once per ring: gens[j] is the smallest
+    """(gens, cls, table): gens[j] is the smallest
     generator of the j-th principal ideal, in ``_principal_table`` order;
     cls[x] is the index j with (x) = (gens[j]); and table[p][j] is the
     lattice position of (I_p : gens[j]) for the proper ideal I_p.
@@ -237,24 +241,21 @@ def _principal_colons(
     up to order 256 each byte row is translated through I_p's membership
     table, above it each tuple row is mapped (``rings._colon_rows``).
     """
-    val = R.cache.get("principal_colons")
-    if val is None:
-        pt = _principal_table(R)
-        gens = tuple(pt.values())
-        index = {m: j for j, m in enumerate(pt)}
-        cls = tuple(index[m] for m in _principal_masks(R))
-        pos = R.lattice_position
-        proper = R.proper_ideals()
-        if R.order <= 256:
-            rows = [R.cache["mul_bytes"][g] for g in gens]
-            table = tuple(
-                tuple(pos(int(row.translate(tab)[::-1], 2)) for row in rows)
-                for tab in (format(I.mask, "0256b")[::-1].encode() for I in proper))
-        else:
-            rows = [R.mul_table[g] for g in gens]
-            table = tuple(tuple(map(pos, _colon_rows(rows, I.mask))) for I in proper)
-        val = R.cache["principal_colons"] = (gens, cls, table)
-    return val
+    pt = _principal_table(R)
+    gens = tuple(pt.values())
+    index = {m: j for j, m in enumerate(pt)}
+    cls = tuple(index[m] for m in _principal_masks(R))
+    pos = R.lattice_position
+    proper = R.proper_ideals()
+    if R.order <= 256:
+        rows = [R.cache["mul_bytes"][g] for g in gens]
+        table = tuple(
+            tuple(pos(int(row.translate(tab)[::-1], 2)) for row in rows)
+            for tab in (format(I.mask, "0256b")[::-1].encode() for I in proper))
+    else:
+        rows = [R.mul_table[g] for g in gens]
+        table = tuple(tuple(map(pos, _colon_rows(rows, I.mask))) for I in proper)
+    return gens, cls, table
 
 
 def _element_colons(R: FiniteRing, im: int) -> list[int]:
@@ -357,8 +358,9 @@ def _join_column(R: FiniteRing, q: int) -> tuple[int, ...]:
     return tuple(_lsb(u & uq) for u in up)
 
 
+@_per_ring("radical_positions")
 def _radical_positions(R: FiniteRing) -> tuple[int, ...]:
-    """For each lattice position, the position of its radical, built once.
+    """For each lattice position, the position of its radical.
 
     The radical is the meet of the primes above I, every prime of a finite
     commutative ring is maximal, and such a ring is a product of local
@@ -366,21 +368,16 @@ def _radical_positions(R: FiniteRing) -> tuple[int, ...]:
     with Jac(R) the meet of all maximal ideals: the join column at Jac(R).
     The unit ideal lies in no maximal ideal and is its own radical.
     """
-    val = R.cache.get("radical_positions")
-    if val is None:
-        jac = reduce(and_, [M.mask for M in R.maximal_ideals()], (1 << R.order) - 1)
-        val = R.cache["radical_positions"] = _join_column(R, R.lattice_position(jac))
-    return val
+    jac = reduce(and_, [M.mask for M in R.maximal_ideals()], (1 << R.order) - 1)
+    return _join_column(R, R.lattice_position(jac))
 
 
+@_per_ring("jacobson_square")
 def _jacobson_square(R: FiniteRing) -> int:
-    """The mask of Jac(R)^2, built once per ring. On a local ring Jac(R) is
-    the maximal ideal M, so this is also M^2."""
-    val = R.cache.get("jacobson_square")
-    if val is None:
-        jac = R.jacobson_radical()
-        val = R.cache["jacobson_square"] = ideal_product(jac, jac).mask
-    return val
+    """The mask of Jac(R)^2. On a local ring Jac(R) is the maximal ideal M,
+    so this is also M^2."""
+    jac = R.jacobson_radical()
+    return ideal_product(jac, jac).mask
 
 
 def scale(x: Union[int, Element], I: Ideal) -> Ideal:
@@ -447,13 +444,11 @@ def _bounds_containing(R: FiniteRing, mask: int) -> int:
     return sum(1 << q for q, J in enumerate(R.ideals()) if not mask & ~J.mask)
 
 
+@_per_ring("up_sets")
 def _up_sets(R: FiniteRing) -> tuple[int, ...]:
     """UP[q], the positions of the ideals that contain I_q, for each lattice
-    position q, built once."""
-    val = R.cache.get("up_sets")
-    if val is None:
-        val = R.cache["up_sets"] = tuple(_bounds_containing(R, I.mask) for I in R.ideals())
-    return val
+    position q."""
+    return tuple(_bounds_containing(R, I.mask) for I in R.ideals())
 
 
 def _decide(I: Ideal, pass_sets, bound: int, witness) -> tuple[bool, Optional[tuple]]:
@@ -469,17 +464,16 @@ def _decide(I: Ideal, pass_sets, bound: int, witness) -> tuple[bool, Optional[tu
     return got
 
 
+@_per_ring("colon_up_sets")
 def _colon_up_sets(R: FiniteRing) -> tuple[int, ...]:
     """UP with the unit ideal's entry set to every position. (I : x) is the
     unit ideal exactly when x lies in I, so an AND of these entries over
-    colon positions skips the x inside I with no test. Built once."""
-    val = R.cache.get("colon_up_sets")
-    if val is None:
-        up = _up_sets(R)
-        val = R.cache["colon_up_sets"] = up[:-1] + ((1 << len(up)) - 1,)
-    return val
+    colon positions skips the x inside I with no test."""
+    up = _up_sets(R)
+    return up[:-1] + ((1 << len(up)) - 1,)
 
 
+@_per_ring("primary_pass")
 def _primary_pass_sets(R: FiniteRing) -> tuple[int, ...]:
     """{J : V_I inside J} for each proper ideal I, in lattice order.
 
@@ -491,12 +485,8 @@ def _primary_pass_sets(R: FiniteRing) -> tuple[int, ...]:
     and (I : a) = (I : (a)), so one generator per principal ideal is
     enough: one row of ``_principal_colons``.
     """
-    val = R.cache.get("primary_pass")
-    if val is None:
-        up = _colon_up_sets(R)
-        val = R.cache["primary_pass"] = tuple(
-            reduce(and_, {up[k] for k in row}) for row in _principal_colons(R)[2])
-    return val
+    up = _colon_up_sets(R)
+    return tuple(reduce(and_, {up[k] for k in row}) for row in _principal_colons(R)[2])
 
 
 def _pair_primary(I: Ideal, dm: int) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -515,16 +505,13 @@ def is_prime(I: Ideal) -> bool:
     return prime_check(I)[0]
 
 
+@_per_ring("maximal_pass")
 def _maximal_pass_sets(R: FiniteRing) -> tuple[int, ...]:
     """Every bound for a maximal ideal and none for the others. A proper
     ideal is maximal when the unit ideal is the only other ideal above it."""
-    val = R.cache.get("maximal_pass")
-    if val is None:
-        up = _up_sets(R)
-        top = len(up) - 1
-        val = R.cache["maximal_pass"] = tuple(
-            (1 << len(up)) - 1 if up[p] == 1 << p | 1 << top else 0 for p in range(top))
-    return val
+    up = _up_sets(R)
+    top = len(up) - 1
+    return tuple((1 << len(up)) - 1 if up[p] == 1 << p | 1 << top else 0 for p in range(top))
 
 
 def _larger_ideal(R: FiniteRing, im: int, _bound: int) -> tuple[bool, Optional[Ideal]]:

@@ -73,7 +73,7 @@ from .ideals import (
     prime_check,
     radical,
 )
-from .rings import FiniteRing
+from .rings import FiniteRing, _per_ring
 
 PairResult = tuple[bool, Optional[tuple[int, int]]]
 TripleResult = tuple[bool, Optional[tuple[int, int, int]]]
@@ -95,28 +95,26 @@ def _memo(I: Ideal, dm: int, name: str, compute):
 # the 1-absorbing and 2-absorbing pass sets and witness scans
 
 
+@_per_ring("nonunit_products")
 def _nonunit_products(R: FiniteRing) -> dict[int, tuple[tuple[int, int], ...]]:
     """The principal classes of the products of two nonunits, each with its
     pairs (a, b) of nonunit class generators, a <= b, whose product lies in
     it. (a*b) = (a)(b), so the class of a product depends only on the
     classes of its factors, and the keys are the classes (``cls`` of
-    ``_principal_colons``) of the products of two nonunits.
-    Built once per ring."""
-    val = R.cache.get("nonunit_products")
-    if val is None:
-        gens, cls, _ = _principal_colons(R)
-        nu = R.nonunits_mask
-        nus = [g for g in gens if (nu >> g) & 1]
-        mul = R.mul_table
-        val = {}
-        for i, a in enumerate(nus):
-            row = mul[a]
-            for b in nus[i:]:
-                val.setdefault(cls[row[b]], []).append((a, b))
-        val = R.cache["nonunit_products"] = {j: tuple(pairs) for j, pairs in val.items()}
-    return val
+    ``_principal_colons``) of the products of two nonunits."""
+    gens, cls, _ = _principal_colons(R)
+    nu = R.nonunits_mask
+    nus = [g for g in gens if (nu >> g) & 1]
+    mul = R.mul_table
+    val: dict[int, list[tuple[int, int]]] = {}
+    for i, a in enumerate(nus):
+        row = mul[a]
+        for b in nus[i:]:
+            val.setdefault(cls[row[b]], []).append((a, b))
+    return {j: tuple(pairs) for j, pairs in val.items()}
 
 
+@_per_ring("one_absorbing_pass")
 def _one_absorbing_pass_sets(R: FiniteRing) -> tuple[int, ...]:
     """{J : U_I inside J} for each proper ideal I, in lattice order.
 
@@ -130,14 +128,11 @@ def _one_absorbing_pass_sets(R: FiniteRing) -> tuple[int, ...]:
     m = delta(I). The pass set is the AND of UP[(I : v)] over those v, read
     at one generator per principal class of products.
     """
-    val = R.cache.get("one_absorbing_pass")
-    if val is None:
-        up = _colon_up_sets(R)
-        full = up[-1]
-        classes = tuple(_nonunit_products(R))
-        val = R.cache["one_absorbing_pass"] = tuple(
-            reduce(and_, {up[row[j]] for j in classes}, full) for row in _principal_colons(R)[2])
-    return val
+    up = _colon_up_sets(R)
+    full = up[-1]
+    classes = tuple(_nonunit_products(R))
+    return tuple(
+        reduce(and_, {up[row[j]] for j in classes}, full) for row in _principal_colons(R)[2])
 
 
 def _one_absorbing(I: Ideal, dm: int) -> TripleResult:
@@ -194,6 +189,7 @@ def _two_absorbing(R: FiniteRing, im: int, dm: int) -> TripleResult:
     return True, None
 
 
+@_per_ring("two_absorbing_pass")
 def _two_absorbing_pass_sets(R: FiniteRing) -> tuple[int, ...]:
     """The bounds J at which "a*b*c in I forces a*b in I or a*c in J or b*c
     in J" holds, for each proper ideal I, in lattice order.
@@ -206,24 +202,21 @@ def _two_absorbing_pass_sets(R: FiniteRing) -> tuple[int, ...]:
     for all its generators (``_nonunit_products``); K is read from the
     principal colons and a*K from the scaling table.
     """
-    val = R.cache.get("two_absorbing_pass")
-    if val is None:
-        up = _up_sets(R)
-        top = len(up) - 1
-        scaled = _scaling_table(R)
-        groups = [(j, [(scaled[a], scaled[b]) for a, b in pairs])
-                  for j, pairs in _nonunit_products(R).items()]
-        val = []
-        for p, row in enumerate(_principal_colons(R)[2]):
-            s = up[p]
-            for j, pairs in groups:
-                k = row[j]
-                if k != top:  # a*b outside I
-                    for sa, sb in pairs:
-                        s &= up[sa[k]] | up[sb[k]]
-            val.append(s)
-        val = R.cache["two_absorbing_pass"] = tuple(val)
-    return val
+    up = _up_sets(R)
+    top = len(up) - 1
+    scaled = _scaling_table(R)
+    groups = [(j, [(scaled[a], scaled[b]) for a, b in pairs])
+              for j, pairs in _nonunit_products(R).items()]
+    val = []
+    for p, row in enumerate(_principal_colons(R)[2]):
+        s = up[p]
+        for j, pairs in groups:
+            k = row[j]
+            if k != top:  # a*b outside I
+                for sa, sb in pairs:
+                    s &= up[sa[k]] | up[sb[k]]
+        val.append(s)
+    return tuple(val)
 
 
 # ----------------------------------------------------------------------
@@ -241,25 +234,23 @@ def is_delta_primary(I: Ideal, delta: ExpansionFunction) -> bool:
     return delta_primary_check(I, delta)[0]
 
 
+@_per_ring("semiprimary_pass")
 def _semiprimary_pass_sets(R: FiniteRing) -> tuple[int, ...]:
     """The bounds J at which "a*b in I forces a in J or b in J" holds, for
     each proper ideal I, in lattice order: the AND over a of
     UP[(a)] | UP[(I : a)]. For a outside J, every b with a*b in I, that is
     all of (I : a), must lie in J. (I : a) = (I : (a)), so one generator per
     principal ideal is enough: one row of ``_principal_colons``."""
-    val = R.cache.get("semiprimary_pass")
-    if val is None:
-        up = _up_sets(R)
-        pos = R.lattice_position
-        up_gens = [up[pos(m)] for m in _principal_table(R)]
-        val = []
-        for p, row in enumerate(_principal_colons(R)[2]):
-            s = up[p]
-            for up_g, k in zip(up_gens, row):
-                s &= up_g | up[k]
-            val.append(s)
-        val = R.cache["semiprimary_pass"] = tuple(val)
-    return val
+    up = _up_sets(R)
+    pos = R.lattice_position
+    up_gens = [up[pos(m)] for m in _principal_table(R)]
+    val = []
+    for p, row in enumerate(_principal_colons(R)[2]):
+        s = up[p]
+        for up_g, k in zip(up_gens, row):
+            s &= up_g | up[k]
+        val.append(s)
+    return tuple(val)
 
 
 def delta_semiprimary_check(I: Ideal, delta: ExpansionFunction) -> PairResult:
@@ -393,28 +384,26 @@ def idealwise_one_absorbing_check(I: Ideal, delta: ExpansionFunction) -> IdealTr
     return _decide(I, _idealwise_pass_sets, delta(I).mask, _idealwise_witness)
 
 
+@_per_ring("idealwise_pass")
 def _idealwise_pass_sets(R: FiniteRing) -> tuple[int, ...]:
     """{J : W_I inside J} for each proper ideal I, in lattice order, where
     W_I is the union of (I : P) over the distinct products P of two proper
     ideals with P outside I. (I : P) is the meet of (I : g) over the
     generators g of P (``_colon_meet``); it is the unit ideal exactly when P
     lies inside I, where ``_colon_up_sets`` skips it."""
-    val = R.cache.get("idealwise_pass")
-    if val is None:
-        up = _colon_up_sets(R)
-        pos = R.lattice_position
-        proper = R.proper_ideals()
-        products = {_cached_product(R, I1, I2) for i, I1 in enumerate(proper) for I2 in proper[i:]}
-        product_gens = [generator_list(Ideal(R, P)) for P in products]
-        val = []
-        for I in proper:
-            colons = _element_colons(R, I.mask)
-            s = up[-1]
-            for gens in product_gens:
-                s &= up[pos(_colon_meet(colons, gens))]
-            val.append(s)
-        val = R.cache["idealwise_pass"] = tuple(val)
-    return val
+    up = _colon_up_sets(R)
+    pos = R.lattice_position
+    proper = R.proper_ideals()
+    products = {_cached_product(R, I1, I2) for i, I1 in enumerate(proper) for I2 in proper[i:]}
+    product_gens = [generator_list(Ideal(R, P)) for P in products]
+    val = []
+    for I in proper:
+        colons = _element_colons(R, I.mask)
+        s = up[-1]
+        for gens in product_gens:
+            s &= up[pos(_colon_meet(colons, gens))]
+        val.append(s)
+    return tuple(val)
 
 
 def _idealwise_witness(R: FiniteRing, im: int, dm: int) -> IdealTripleResult:

@@ -4,17 +4,47 @@ Elements are the indices 0..order-1. A ring owns two order x order tables
 (addition and multiplication), a zero and a one index, and a human readable
 label. Everything downstream (ideals, expansions, predicates, the verifier)
 works on these indices, so rings built by different constructions are never
-considered equal even when isomorphic.
+considered equal even when isomorphic. Every table derived from a ring alone
+is declared with ``_per_ring`` and kept in the ring's ``cache``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from functools import wraps
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ConstructionError, InvariantError, RingMismatchError, TableError
 
 Table = tuple[tuple[int, ...], ...]
+
+# The build function of every per-ring table, by its key in the ring's ``cache``.
+_PER_RING: dict[str, Callable] = {}
+_MISSING = object()
+
+
+def _per_ring(key: str):
+    """Declare fn(R) a per-ring table: built on first use, through the
+    wrapper's ``__wrapped__`` so that a test can count the builds, kept in
+    R.cache[key], and that same object on every later call. R is a ring, or
+    a ``constructions.FiniteModule`` for a module's tables. Each key has one
+    build function."""
+
+    def declare(build: Callable) -> Callable:
+        if key in _PER_RING:
+            raise InvariantError(f"two per-ring tables share the key {key!r}")
+
+        @wraps(build)
+        def table(R):
+            got = R.cache.get(key, _MISSING)
+            if got is _MISSING:
+                got = R.cache[key] = table.__wrapped__(R)
+            return got
+
+        _PER_RING[key] = table
+        return table
+
+    return declare
 
 
 def _normalize_table(table: Sequence[Sequence[int]], n: int, what: str) -> Table:
@@ -155,13 +185,9 @@ class FiniteRing:
         return acc
 
     @property
+    @_per_ring("neg")
     def neg_table(self) -> tuple[int, ...]:
-        tab = self.cache.get("neg")
-        if tab is None:
-            zero = self.zero
-            tab = tuple(row.index(zero) for row in self.add_table)
-            self.cache["neg"] = tab
-        return tab
+        return tuple(row.index(self.zero) for row in self.add_table)
 
     def element(self, index: int) -> Element:
         return Element(self, _element_index(self, index))
@@ -175,40 +201,27 @@ class FiniteRing:
     # ------------------------------------------------------------------
     # units and structural queries
 
+    @_per_ring("units")
     def units(self) -> frozenset[int]:
         """The set of invertible elements."""
-        val = self.cache.get("units")
-        if val is None:
-            one = self.one
-            val = frozenset(a for a in range(self.order) if one in self.mul_table[a])
-            self.cache["units"] = val
-        return val
+        return frozenset(a for a, row in enumerate(self.mul_table) if self.one in row)
 
+    @_per_ring("nonunits")
     def nonunits(self) -> frozenset[int]:
-        val = self.cache.get("nonunits")
-        if val is None:
-            val = frozenset(range(self.order)) - self.units()
-            self.cache["nonunits"] = val
-        return val
+        return frozenset(range(self.order)) - self.units()
 
     def is_unit(self, a: int) -> bool:
         return a in self.units()
 
     @property
+    @_per_ring("nonunit_list")
     def nonunit_list(self) -> tuple[int, ...]:
-        val = self.cache.get("nonunit_list")
-        if val is None:
-            val = tuple(sorted(self.nonunits()))
-            self.cache["nonunit_list"] = val
-        return val
+        return tuple(sorted(self.nonunits()))
 
     @property
+    @_per_ring("nonunits_mask")
     def nonunits_mask(self) -> int:
-        val = self.cache.get("nonunits_mask")
-        if val is None:
-            val = sum(1 << a for a in self.nonunits())
-            self.cache["nonunits_mask"] = val
-        return val
+        return sum(1 << a for a in self.nonunits())
 
     def nonunits_form_ideal(self) -> bool:
         """Whether the nonunits are closed under addition and ring multiples.
@@ -231,27 +244,21 @@ class FiniteRing:
                     return False
         return True
 
+    @_per_ring("lattice")
     def ideals(self):
         """All ideals in canonical order (cardinality, then bitset value)."""
-        val = self.cache.get("lattice")
-        if val is None:
-            from . import ideals as _ideals
+        from . import ideals as _ideals
 
-            val = _ideals.all_ideals(self)
-            self.cache["lattice"] = val
-        return val
+        return _ideals.all_ideals(self)
 
+    @_per_ring("proper")
     def proper_ideals(self):
         """Every ideal but the unit ideal, in canonical order.
 
         The unit ideal is the only ideal of cardinality n, so it is the last
         one in canonical order.
         """
-        val = self.cache.get("proper")
-        if val is None:
-            val = self.ideals()[:-1]
-            self.cache["proper"] = val
-        return val
+        return self.ideals()[:-1]
 
     def lattice_position(self, mask: int) -> int:
         pos = self.cache.get("lattice_pos")
@@ -274,35 +281,27 @@ class FiniteRing:
     def unit_ideal(self):
         return self.span((self.one,))
 
+    @_per_ring("maximals")
     def maximal_ideals(self):
-        val = self.cache.get("maximals")
-        if val is None:
-            from . import ideals as _ideals
+        from . import ideals as _ideals
 
-            val = tuple(I for I in self.proper_ideals() if _ideals.is_maximal(I))
-            self.cache["maximals"] = val
-        return val
+        return tuple(I for I in self.proper_ideals() if _ideals.is_maximal(I))
 
+    @_per_ring("spectrum")
     def spectrum(self):
         """All prime ideals, in canonical lattice order."""
-        val = self.cache.get("spectrum")
-        if val is None:
-            from . import ideals as _ideals
+        from . import ideals as _ideals
 
-            # I is prime when V_I lies inside I: bit p of pass set p
-            pass_sets = _ideals._primary_pass_sets(self)
-            val = tuple(I for p, I in enumerate(self.proper_ideals()) if (pass_sets[p] >> p) & 1)
-            self.cache["spectrum"] = val
-        return val
+        # I is prime when V_I lies inside I: bit p of pass set p
+        pass_sets = _ideals._primary_pass_sets(self)
+        return tuple(I for p, I in enumerate(self.proper_ideals()) if (pass_sets[p] >> p) & 1)
 
+    @_per_ring("jacobson")
     def jacobson_radical(self):
         """The meet of all maximal ideals: the radical of the zero ideal."""
-        val = self.cache.get("jacobson")
-        if val is None:
-            from . import ideals as _ideals
+        from . import ideals as _ideals
 
-            val = self.cache["jacobson"] = _ideals.radical(self.zero_ideal())
-        return val
+        return _ideals.radical(self.zero_ideal())
 
     def is_local(self) -> bool:
         return len(self.maximal_ideals()) == 1
@@ -310,44 +309,32 @@ class FiniteRing:
     def is_field(self) -> bool:
         return len(self.units()) == self.order - 1
 
+    @_per_ring("chained")
     def is_chained(self) -> bool:
         """Whether the ideal lattice is totally ordered by inclusion."""
-        val = self.cache.get("chained")
-        if val is None:
-            val = True
-            lat = self.ideals()
-            for i in range(len(lat) - 1):
-                a, b = lat[i].mask, lat[i + 1].mask
-                if a & ~b:
-                    val = False
-                    break
-            self.cache["chained"] = val
-        return val
+        lat = self.ideals()
+        return not any(a.mask & ~b.mask for a, b in zip(lat, lat[1:]))
 
+    @_per_ring("arithmetical")
     def is_arithmetical(self) -> bool:
         """Whether the localization at every maximal ideal M is chained. R_M is
         R/K_M with K_M = {x : s*x = 0 for some s outside M} (see ``localize``),
         so it is chained exactly when the ideals of R containing K_M are. The
         annihilators are row 0, the zero ideal's, of the principal colons: s
         and its class generator g have one annihilator and lie in M together."""
-        val = self.cache.get("arithmetical")
-        if val is None:
-            from . import ideals as _ideals
+        from . import ideals as _ideals
 
-            gens, _, table = _ideals._principal_colons(self)
-            masks = [I.mask for I in self.ideals()]
-            val = True
-            for M in self.maximal_ideals():
-                k = 0
-                for g, q in zip(gens, table[0]):
-                    if not (M.mask >> g) & 1:
-                        k |= masks[q]
-                above = [I.mask for I in self.ideals() if not k & ~I.mask]
-                if any(a & ~b for a, b in zip(above, above[1:])):
-                    val = False
-                    break
-            self.cache["arithmetical"] = val
-        return val
+        gens, _, table = _ideals._principal_colons(self)
+        masks = [I.mask for I in self.ideals()]
+        for M in self.maximal_ideals():
+            k = 0
+            for g, q in zip(gens, table[0]):
+                if not (M.mask >> g) & 1:
+                    k |= masks[q]
+            above = [m for m in masks if not k & ~m]
+            if any(a & ~b for a, b in zip(above, above[1:])):
+                return False
+        return True
 
     def __repr__(self) -> str:
         return f"FiniteRing({self.label!r}, order={self.order})"

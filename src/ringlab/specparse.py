@@ -8,7 +8,8 @@ Queries:          1abs-delta-primary & !delta-primary, prime | maximal
 
 Quotients, triv and loc bind tighter than the product separator x, and
 products associate to the left. Anything else fails with a position-tagged
-ParseError.
+ParseError, and so does a ring whose order would exceed ``_MAX_ORDER``,
+found before the ring is built.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ from .expansions import (
     radical_expansion,
 )
 from .rings import FiniteRing, make_poly_quotient, make_zn
+
+# The largest ring order a spec may ask for: Z32xZ32 and Z4^5 have tables of
+# 2^20 entries each. A quotient or localization is no larger than its ring.
+_MAX_ORDER = 1024
 
 
 class _Cursor:
@@ -76,7 +81,10 @@ class _Cursor:
             self.pos += 1
         if self.pos == start:
             raise self.error("expected an integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # more digits than int() converts
+            raise self.error("integer too long", start) from None
 
     def int_list(self) -> list[int]:
         out = [self.integer()]
@@ -100,6 +108,12 @@ class _Cursor:
         while self.pos < len(self.text) and self.text[self.pos] == " ":
             self.pos += 1
 
+    def bound(self, order: int, position: int) -> None:
+        """Reject a ring of this order, to be built at position, if it is
+        above ``_MAX_ORDER``."""
+        if order > _MAX_ORDER:
+            raise self.error(f"ring order {order} exceeds {_MAX_ORDER}", position)
+
 
 # ----------------------------------------------------------------------
 # ring specs
@@ -116,8 +130,12 @@ def parse_ring(text: str) -> FiniteRing:
 
 def _product(cur: _Cursor) -> FiniteRing:
     R = _term(cur)
+    at = cur.pos
     while cur.take("x"):
-        R = make_product(R, _term(cur))
+        S = _term(cur)
+        cur.bound(R.order * S.order, at)
+        R = make_product(R, S)
+        at = cur.pos
     return R
 
 
@@ -133,16 +151,19 @@ def _term(cur: _Cursor) -> FiniteRing:
 
 
 def _atom(cur: _Cursor) -> FiniteRing:
+    at = cur.pos
     if cur.take("triv("):
         A = _product(cur)
         cur.expect(",")
-        if cur.take("reg"):
-            E = regular_module(A)
+        reg = cur.take("reg")
+        if reg:
+            J = A.zero_ideal()
         elif cur.take("quot:("):
-            gens, _ = cur.generators(A)
-            E = quotient_module(A, A.span(gens))
+            J = A.span(cur.generators(A)[0])
         else:
             raise cur.error("expected a module spec, reg or quot:(...)")
+        cur.bound(A.order * (A.order // J.num_elements), at)  # |A| * |A/J|
+        E = regular_module(A) if reg else quotient_module(A, J)
         cur.expect(")")
         return make_trivial_extension(A, E)
     if cur.take("loc("):
@@ -156,12 +177,17 @@ def _atom(cur: _Cursor) -> FiniteRing:
         return localize(R, S).ring
     if cur.take("Z"):
         n = cur.integer()
-        if cur.startswith("[x]/("):
-            cur.expect("[x]/(")
-            coeffs = _poly(cur)
+        cur.bound(n, at)  # the order of Z_n, at most that of Z_n[x]/(f)
+        if cur.take("[x]/("):
+            terms = _poly(cur)
             cur.expect(")")
+            # the order is n^k for f of degree k mod n, above the bound for
+            # every n >= 2 once k reaches the bound's bit length
+            k = max((d for d, c in terms.items() if c % n), default=0) if n > 1 else 0
+            if k >= _MAX_ORDER.bit_length() or n**k > _MAX_ORDER:
+                raise cur.error(f"ring order {n}^{k} exceeds {_MAX_ORDER}", at)
             try:
-                return make_poly_quotient(n, coeffs)
+                return make_poly_quotient(n, [terms.get(d, 0) for d in range(k + 1)])
             except Exception as exc:
                 raise cur.error(str(exc))
         try:
@@ -171,8 +197,8 @@ def _atom(cur: _Cursor) -> FiniteRing:
     raise cur.error("expected a ring spec")
 
 
-def _poly(cur: _Cursor) -> list[int]:
-    """A sum of terms c, x, cx, x^k, cx^k, as low-to-high coefficients."""
+def _poly(cur: _Cursor) -> dict[int, int]:
+    """A sum of terms c, x, cx, x^k, cx^k, as a coefficient by degree."""
     coeffs: dict[int, int] = {}
     while True:
         coef = 1
@@ -190,9 +216,7 @@ def _poly(cur: _Cursor) -> list[int]:
             raise cur.error("expected a polynomial term")
         coeffs[deg] = coeffs.get(deg, 0) + coef
         if not cur.take("+"):
-            break
-    top = max(coeffs)
-    return [coeffs.get(d, 0) for d in range(top + 1)]
+            return coeffs
 
 
 # ----------------------------------------------------------------------

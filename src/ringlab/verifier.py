@@ -50,7 +50,7 @@ from .ideals import (
     _jacobson_square,
     _lsb,
     _principal_colons,
-    _principal_table,
+    _principal_positions,
     _radical_positions,
     _up_sets,
     ideal_intersection,
@@ -205,16 +205,10 @@ def _primary(d: ExpansionFunction) -> int:
 
 
 def _every_proper_one_absorbing(
-    R: FiniteRing, d: ExpansionFunction, principal_only: bool = False
+    R: FiniteRing, d: ExpansionFunction
 ) -> tuple[bool, Optional[Ideal]]:
     proper = R.proper_ideals()
-    among = (1 << len(proper)) - 1
-    if principal_only:  # the principal ideals less R itself, built once per ring
-        among = R.cache.get("principal_positions")
-        if among is None:
-            among = R.cache["principal_positions"] = sum(
-                1 << R.lattice_position(m) for m in _principal_table(R)) ^ 1 << len(proper)
-    missing = among & ~_one_abs(d)
+    missing = (1 << len(proper)) - 1 & ~_one_abs(d)
     return (False, proper[_lsb(missing)]) if missing else (True, None)
 
 
@@ -554,7 +548,7 @@ def _t_princ(entry: CatalogEntry, part: _Part) -> None:
     R = entry.ring
     part.instances(len(entry.expansions), len(entry.expansions))
     for d in entry.expansions:
-        principal_all, _ = _every_proper_one_absorbing(R, d, principal_only=True)
+        principal_all = not _principal_positions(R) & ~_one_abs(d)
         full_all, bad = _every_proper_one_absorbing(R, d)
         if principal_all != full_all:
             part.fail(bad, d.label, None, f"principal={principal_all} all={full_all}")
@@ -565,7 +559,7 @@ def _t_princ(entry: CatalogEntry, part: _Part) -> None:
 
 
 def _char_states(R: FiniteRing, d: ExpansionFunction) -> tuple[bool, bool, bool]:
-    i, _ = _every_proper_one_absorbing(R, d, principal_only=True)
+    i = not _principal_positions(R) & ~_one_abs(d)
     ii, _ = _every_proper_one_absorbing(R, d)
     iii = R.is_local() and _jacobson_square(R) == 1 << R.zero
     return i, ii, iii

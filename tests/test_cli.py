@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -286,3 +287,30 @@ def test_usage_error_is_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--ring", "Z4"])  # missing --delta
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, env, err_lines", [
+    (("classify", "--ring", "Z99999999999", "--delta", "id"), None,
+     ["error: ring order 99999999999 exceeds 1024", "  Z99999999999", "  ^"]),
+    (("classify", "--ring", "Z64xZ64xZ64", "--delta", "id"), None,
+     ["error: ring order 4096 exceeds 1024", "  Z64xZ64xZ64", "     ^"]),
+    (("classify", "--ring", "triv(Z64,reg)", "--delta", "id"), None,
+     ["error: ring order 4096 exceeds 1024", "  triv(Z64,reg)", "  ^"]),
+    (("classify", "--ring", "Z99999999999[x]/(x)", "--delta", "id"), None,
+     ["error: ring order 99999999999 exceeds 1024", "  Z99999999999[x]/(x)", "  ^"]),
+    (("check", "--theorem", "T-CHAIN", "--max-order", "100000"), None,
+     ["error: the base ring order budget 100000 exceeds 1024"]),
+    (("search", "--property", "prime", "--max-order", "1025"), None,
+     ["error: the base ring order budget 1025 exceeds 1024"]),
+    (("check", "--theorem", "T-CHAIN"), "100000",
+     ["error: the base ring order budget 100000 exceeds 1024"]),
+])
+def test_a_ring_too_large_to_build_exits_two_at_once(capsys, monkeypatch, argv, env, err_lines):
+    """A spec or an order budget above 1024 exits 2 with its diagnostic,
+    well within a second, instead of building tables it cannot finish."""
+    if env is not None:
+        monkeypatch.setenv("RINGLAB_MAX_ORDER", env)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err.splitlines()) == (2, "", err_lines)

@@ -501,3 +501,68 @@ def test_nonunits_form_an_ideal_exactly_on_local_rings(request, tier):
         assert R.nonunits_form_ideal() == R.is_local(), entry.provenance
         verdicts.add(R.is_local())
     assert verdicts == {True, False}
+
+
+# ----------------------------------------------------------------------
+# per-ring tables
+
+# The caches keyed by an argument, not per ring, and so not ``_per_ring``
+# tables: lattice positions by mask, the byte rows that validation keeps,
+# quotients by ideal, products by ideal pair, induced expansions by source,
+# expansion records by table, delta-free verdicts by check, and the unused
+# ``predicates._memo``.
+ARGUMENT_KEYED = frozenset({"lattice_pos", "mul_bytes", "quotients", "pairwise_products",
+                            "induced", "expansion_records", "verdicts", "predicates"})
+MODULE_TABLES = frozenset({"submodules", "cyclic_masks"})
+
+
+def test_each_per_ring_table_is_built_once_and_kept(monkeypatch):
+    """On a fresh constructed ring (and its module), every declared table is
+    built once, through its ``__wrapped__``, whatever order the tables are
+    asked for in, and every call returns the object kept in the cache."""
+    import ringlab.verifier  # noqa: F401  every module that declares a table
+
+    assert MODULE_TABLES < set(rings._PER_RING)
+    R = ringlab.parse_ring("triv(Z4,quot:(2))")
+    E = R.construction.module
+    builds = {key: 0 for key in rings._PER_RING}
+    for key, table in rings._PER_RING.items():
+        def counted(owner, key=key, build=table.__wrapped__):
+            builds[key] += owner is R or owner is E
+            return build(owner)
+
+        monkeypatch.setattr(table, "__wrapped__", counted)
+    for key, table in reversed(rings._PER_RING.items()):
+        owner = E if key in MODULE_TABLES else R
+        first = table(owner)
+        assert table(owner) is first is owner.cache[key], key
+    assert builds == {key: 1 for key in rings._PER_RING}
+
+
+def test_per_ring_keys_are_unique_and_every_cache_key_is_declared():
+    """Declaring a second table under a key raises. After the whole suite has
+    run on the default catalog, every key in the cache of every ring reached
+    from it, and of every module, is a ``_per_ring`` key or one of the
+    argument-keyed caches, so a hand-written cache entry fails here."""
+    from ringlab.catalog import CatalogConfig, build_catalog
+    from ringlab.verifier import verify_all
+
+    with pytest.raises(InvariantError, match="'lattice'"):
+        rings._per_ring("lattice")(lambda R: None)
+    assert rings._PER_RING["lattice"] is FiniteRing.ideals
+    catalog = build_catalog(CatalogConfig())
+    verify_all(catalog)
+    todo, seen, keys = [e.ring for e in catalog], set(), set()
+    while todo:
+        owner = todo.pop()
+        if id(owner) in seen:
+            continue
+        seen.add(id(owner))
+        keys |= set(owner.cache)
+        todo.extend(owner.cache.get("quotients", {}).values())
+        info = getattr(owner, "construction", None)  # a module has none
+        if info is not None:  # the parent, factors, base ring or module
+            todo.extend(v for v in vars(info).values() if hasattr(v, "cache"))
+    assert len(seen) > len(catalog)
+    assert keys - ARGUMENT_KEYED <= set(rings._PER_RING), keys - ARGUMENT_KEYED - set(rings._PER_RING)
+    assert {"principal_positions", "correspondence", "submodules", "cyclic_masks"} <= keys

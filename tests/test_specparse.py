@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import ringlab.specparse as specparse
 from ringlab.errors import ParseError
 from ringlab.expansions import (
     identity_expansion,
@@ -213,3 +214,38 @@ def test_query_whitespace_tolerant():
     z12 = make_zn(12)
     for I in z12.proper_ideals():
         assert a.evaluate(I) == b.evaluate(I)
+
+
+@pytest.mark.parametrize("text, position, message", [
+    ("Z99999999999", 0, "ring order 99999999999 exceeds 1024"),
+    ("Z1025", 0, "ring order 1025 exceeds 1024"),
+    ("Z64xZ64xZ64", 3, "ring order 4096 exceeds 1024"),
+    ("Z4xZ64xZ8", 6, "ring order 2048 exceeds 1024"),
+    ("triv(Z64,reg)", 0, "ring order 4096 exceeds 1024"),
+    ("Z2xtriv(Z64,quot:(32))", 3, "ring order 2048 exceeds 1024"),
+    ("loc(triv(Z64,reg),1)", 4, "ring order 4096 exceeds 1024"),
+    ("Z99999999999[x]/(x)", 0, "ring order 99999999999 exceeds 1024"),
+    ("Z2xZ2[x]/(x^999999999999)", 3, r"ring order 2\^999999999999 exceeds 1024"),
+    ("Z3[x]/(x^7+x)", 0, r"ring order 3\^7 exceeds 1024"),
+    ("Z" + "9" * 5000, 1, "integer too long"),
+])
+def test_a_ring_above_the_order_bound_is_rejected_before_it_is_built(text, position, message):
+    """A ring spec whose order exceeds 1024 raises at the atom, the x or the
+    triv( that would build it, before any table of that order is made, and
+    a modulus before its primality test."""
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_ring(text)
+    assert exc.value.position == position
+
+
+def test_the_order_bound_admits_rings_of_its_order(monkeypatch):
+    """Each order is compared with the bound itself: at a bound of 16, every
+    kind of spec of order 16 builds and one of order 32 does not. The
+    degree of f counts modulo p."""
+    monkeypatch.setattr(specparse, "_MAX_ORDER", 16)
+    for ok, too_big in [("Z16", "Z17"), ("Z4xZ4", "Z4xZ8"), ("Z2[x]/(x^4)", "Z2[x]/(x^5)"),
+                        ("triv(Z4,reg)", "triv(Z8,reg)"), ("triv(Z8,quot:(2))", "triv(Z8,quot:(4))"),
+                        ("Z2[x]/(2x^9+x^4)", "Z2[x]/(3x^9+x^4)")]:
+        assert parse_ring(ok).order == 16, ok
+        with pytest.raises(ParseError, match="exceeds 16"):
+            parse_ring(too_big)

@@ -757,3 +757,20 @@ def test_star_and_jac_agree_where_t_char_reads_them(catalog8):
                 assert not verifier._char_states(R, d)[0], (entry.provenance, table)
             seen += 1
     assert (seen, split) == (12668, 1596)
+
+
+def test_t_local_names_the_lowest_ideal_that_is_not_delta_primary(catalog16, monkeypatch):
+    """Two 1-absorbing delta-primary ideals of one expansion on a non-local
+    ring made not delta-primary, by clearing their bits of its delta-primary
+    vector: T-LOCAL fails that expansion once, at the lower of the two."""
+    entry, d, low, high = next(
+        (entry, d, *list(ideals._bits(verifier._one_abs(d)))[:2])
+        for entry in catalog16 if not entry.ring.is_local()
+        for d in entry.expansions if verifier._one_abs(d).bit_count() >= 2)
+    primary = verifier._primary
+    monkeypatch.setattr(verifier, "_primary", lambda e: primary(e) & ~(1 << low | 1 << high)
+                        if e is d else primary(e))
+    failures = verify("T-LOCAL", catalog16).conclusion_failures
+    I = entry.ring.proper_ideals()[low]
+    assert [(w.ring, w.delta, w.ideal) for w in failures] == [
+        (entry.provenance, d.label, tuple(map(entry.ring.element_name, I.members_sorted)))]
