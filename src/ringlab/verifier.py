@@ -624,7 +624,8 @@ def _t_spec(entry: CatalogEntry, part: _Part) -> None:
 
 @_sweep("T-HOM")
 def _t_hom(entry: CatalogEntry, part: _Part) -> None:
-    """Nonunit-preserving delta-gamma homomorphisms transport the property."""
+    """Nonunit-preserving delta-gamma homomorphisms transport the property.
+    Only along such a projection does an instance read the induced expansion."""
     info = entry.ring.construction
     if not isinstance(info, QuotientOf):
         return
@@ -634,7 +635,7 @@ def _t_hom(entry: CatalogEntry, part: _Part) -> None:
     # I contains the kernel exactly when it is the preimage of its image
     above = [p for p in range(len(parent.proper_ideals())) if pre[img[p]] == p]
     for d in standard_expansions(parent):
-        g = induced_quotient(Q, d)
+        g = induced_quotient(Q, d) if nonunit_ok else None
         compatible = nonunit_ok and is_delta_gamma_hom(f, d, g)
         d_abs, g_abs = _one_abs(d), _one_abs(g) if compatible else 0
         hits = g_abs.bit_count() + len(above) * compatible
@@ -652,21 +653,29 @@ def _t_hom(entry: CatalogEntry, part: _Part) -> None:
 
 @_sweep("T-QUOT")
 def _t_quot(entry: CatalogEntry, part: _Part) -> None:
-    """J is 1abs for delta iff J/I is 1abs for the induced quotient expansion."""
+    """J is 1abs for delta iff J/I is 1abs for the induced quotient expansion.
+
+    R/(0) is R under the identity projection: it preserves nonunits, every
+    proper J lies above (0) and the induced expansion has delta's table. So
+    the zero row is read from R: each of its instances holds the hypothesis
+    and none can fail. As in T-HOM, only nonunit-preserving projections
+    induce an expansion.
+    """
     R = entry.ring
     if R.construction is not None:
         return
     proper = R.proper_ideals()
     quotients = []
-    for I in proper:
+    for I in proper[1:]:  # the zero ideal comes first in lattice order
         Q = make_quotient(R, I)
         nonunit_ok, _ = Q.construction.projection.is_nonunit_preserving()
         above = [p for p, J in enumerate(proper) if not I.mask & ~J.mask]
         quotients.append((I, Q, nonunit_ok, above, _correspondence(Q)[0]))
     for d in entry.expansions:
         d_abs = _one_abs(d)
+        part.instances(len(proper), len(proper))  # the zero row
         for I, Q, nonunit_ok, above, img in quotients:
-            g_abs = _one_abs(induced_quotient(Q, d))
+            g_abs = _one_abs(induced_quotient(Q, d)) if nonunit_ok else 0
             part.instances(len(above), len(above) * nonunit_ok)
             for p in above if nonunit_ok else ():
                 up, down = d_abs >> p & 1, g_abs >> img[p] & 1

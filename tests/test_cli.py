@@ -10,6 +10,7 @@ import pytest
 
 import ringlab.cli as cli
 import ringlab.verifier as verifier
+from ringlab.catalog import CatalogConfig, build_catalog
 from ringlab.cli import main
 from ringlab.ideals import span
 from ringlab.specparse import parse_ring
@@ -127,6 +128,22 @@ def test_check_single_json(capsys):
     summary = json.loads(lines[1])["summary"]
     assert summary["conclusion_failures"] == 0
     assert summary["status"] == "ok"
+
+
+def test_quot_at_the_smallest_budget_counts_only_zero_rows(capsys):
+    """At --max-order 3 the bases are Z2 and Z3, each with two stock
+    expansions and (0) as its only proper ideal, so T-QUOT's 4 instances are
+    all zero rows, read from the ring itself."""
+    code, out, _ = run(capsys, "check", "--theorem", "T-QUOT", "--max-order", "3", "--json")
+    assert code == 0
+    report = json.loads(out.splitlines()[0])
+    assert (report["instances_checked"], report["hypothesis_satisfied"]) == (4, 4)
+    assert report["status"] == "verified"
+    bases = [e for e in build_catalog(CatalogConfig(max_order=3)) if e.ring.construction is None]
+    assert [e.ring.label for e in bases] == ["Z2", "Z3"]
+    for e in bases:
+        assert [I.mask for I in e.ring.proper_ideals()] == [1 << e.ring.zero]
+        assert len(e.expansions) == 2
 
 
 def test_check_all_human(capsys):

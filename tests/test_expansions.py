@@ -15,6 +15,7 @@ from ringlab.constructions import (
     ProductOf,
     QuotientOf,
     TrivialExtensionOf,
+    _correspondence,
     localize,
     make_product,
     make_quotient,
@@ -649,19 +650,25 @@ def test_every_catalog_expansion_is_a_stock_translation(request, tier):
     assert induced
 
 
-@pytest.mark.parametrize("tier, count", [("catalog16", 977), ("catalog_enlarged", 1595)])
-def test_induced_expansions_share_the_record_of_their_table(request, tier, count):
-    """Every expansion the six transfer sweeps induce keeps its own label and
-    takes the table and verdicts of the stock expansion with its table on
-    its ring. Its 1-absorbing and delta-primary vectors equal ones read
-    fresh from the ring's pass sets at its table."""
-    catalog = request.getfixturevalue(tier)
+# The configs of the two tiers, for a catalog that no other test has swept.
+TIER_CONFIGS = {
+    "catalog16": CatalogConfig(max_order=16),
+    "catalog_enlarged": CatalogConfig(product_order_limit=64, trivial_extension_limit=128),
+}
+
+
+@pytest.mark.parametrize("tier, count", [("catalog16", 855), ("catalog_enlarged", 1473)])
+def test_induced_expansions_share_the_record_of_their_table(tier, count):
+    """Every expansion the six transfer sweeps induce on a fresh catalog
+    keeps its own label and takes the table and verdicts of the stock
+    expansion with its table on its ring. Its 1-absorbing and delta-primary
+    vectors equal ones read fresh from the ring's pass sets at its table."""
+    catalog = build_catalog.__wrapped__(TIER_CONFIGS[tier])
     for tid in ("T-HOM", "T-QUOT", "T-LOC", "T-PROD", "T-TRIV", "T-TRIV-COR"):
         verify(tid, catalog)
     rings = {id(e.ring): e.ring for e in catalog}
     for R in list(rings.values()):  # T-QUOT's quotients of the base rings
-        if R.construction is None:
-            rings.update((id(Q), Q) for Q in (make_quotient(R, I) for I in R.proper_ideals()))
+        rings.update((id(Q), Q) for Q in R.cache.get("quotients", {}).values())
     seen = 0
     for R in rings.values():
         stock = {d.table: d for d in standard_expansions(R)}
@@ -676,6 +683,57 @@ def test_induced_expansions_share_the_record_of_their_table(request, tier, count
                 assert predicates._verdicts(name, R, got) == fresh, (got.label, name)
             seen += 1
     assert seen == count
+
+
+def test_quotient_sweeps_build_only_what_an_instance_reads():
+    """On a fresh default catalog, T-HOM and T-QUOT build no base ring's
+    quotient by (0), and induce an expansion along each projection that
+    preserves nonunits and along no other: 50 of the 114 (quotient,
+    expansion) pairs induce nothing."""
+    catalog = build_catalog.__wrapped__(TIER_CONFIGS["catalog16"])
+    for tid in ("T-HOM", "T-QUOT"):
+        verify(tid, catalog)
+    bases = [e.ring for e in catalog if e.ring.construction is None]
+    unread = read = 0
+    for R in bases:
+        quotients = R.cache.get("quotients", {})
+        assert 1 << R.zero not in quotients, R.label
+        for Q in quotients.values():
+            pairs = len(standard_expansions(R))
+            if Q.construction.projection.is_nonunit_preserving()[0]:
+                assert len(Q.cache["induced"]) == pairs, Q.label
+                read += pairs
+            else:
+                assert "induced" not in Q.cache, Q.label
+                unread += pairs
+    assert (unread, read) == (50, 64)
+
+
+@pytest.mark.parametrize("tier", ["catalog16", "catalog_enlarged"])
+def test_quotient_by_zero_is_the_ring_itself(request, tier):
+    """T-QUOT reads its zero row from R and no longer builds R/(0), so that
+    row cannot fail in a sweep; this test carries the equivalence instead.
+    R/(0) has R's tables, the identity projection, which preserves nonunits,
+    and the identity correspondence, and each stock expansion of R induces
+    on it its own table and its own verdict vectors."""
+    bases = [e.ring for e in request.getfixturevalue(tier) if e.ring.construction is None]
+    assert len(bases) == 23
+    for R in bases:
+        zero = R.proper_ideals()[0]
+        assert zero.mask == 1 << R.zero, R.label
+        Q0 = make_quotient(R, zero)
+        assert (Q0.add_table, Q0.mul_table) == (R.add_table, R.mul_table), R.label
+        f = Q0.construction.projection
+        assert f.mapping == tuple(range(R.order)), R.label
+        assert f.is_nonunit_preserving() == (True, None), R.label
+        identity = tuple(range(len(R.ideals())))
+        assert _correspondence(Q0) == (identity, identity), R.label
+        for d in standard_expansions(R):
+            g = induced_quotient(Q0, d)
+            assert g.table == d.table, (R.label, d.label)
+            for name in ("1abs-delta-primary", "delta-primary"):
+                want = predicates._verdicts(name, R, d)
+                assert predicates._verdicts(name, Q0, g) == want, (R.label, d.label, name)
 
 
 def test_invalid_tables_raise_on_rings_that_hold_valid_ones(catalog16):
