@@ -16,6 +16,8 @@ off a column of the action table, through ``ideals._sum_masks`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import Optional, Sequence, Union
 
 from .errors import ConstructionError, InvariantError, RingMismatchError, TableError
@@ -51,20 +53,28 @@ class ProductOf:
         return divmod(i, self.right.order)
 
     def pair_mask(self, m1: int, m2: int) -> int:
-        n2 = self.right.order
-        return sum(m2 << (a * n2) for a in range(self.left.order) if (m1 >> a) & 1)
+        return self._pair_masks((m1,), (m2,))[0]
+
+    def _pair_masks(self, masks1: Sequence[int], masks2: Sequence[int]) -> list[int]:
+        """The mask of m1 x m2 for each (m1, m2), row-major: one multiply of m2
+        by spread(m1), the mask with bit a*n2 for each bit a of m1, which is
+        m1's binary digits with n2 - 1 zeros between each two. The shifted
+        copies of m2 do not overlap, since m2 < 2**n2."""
+        zeros = "0" * (self.right.order - 1)
+        return [m2 * s for s in [int(zeros.join(format(m1, "b")), 2) for m1 in masks1]
+                for m2 in masks2]
+
+    def _ideal_pairs(self) -> list[int]:
+        """Every I1 x I2, row-major over the factors' lattices. In rings with
+        identity these are all the ideals of R1 x R2: an ideal holds (a, b)
+        exactly when it holds (a, 0) = (1, 0)(a, b) and (0, b)."""
+        return self._pair_masks(*([I.mask for I in F.ideals()] for F in (self.left, self.right)))
 
     def decompose_mask(self, mask: int) -> tuple[int, int]:
         """Split an ideal mask into its two component ideal masks."""
-        m1 = m2 = 0
         n2 = self.right.order
-        i = mask
-        while i:
-            low = i & -i
-            a, b = divmod(low.bit_length() - 1, n2)
-            m1 |= 1 << a
-            m2 |= 1 << b
-            i ^= low
+        rows = [mask >> (a * n2) & (1 << n2) - 1 for a in range(self.left.order)]
+        m1, m2 = sum(1 << a for a, row in enumerate(rows) if row), reduce(or_, rows)
         if self.pair_mask(m1, m2) != mask:
             raise InvariantError(f"mask {mask:#x} is not a product ideal")
         return m1, m2
@@ -548,11 +558,8 @@ def _correspondence(R: FiniteRing) -> tuple:
         img = tuple(pos(sum({1 << f[a] for a in I.members_sorted})) for I in info.parent.ideals())
         return img, _preimage_positions(info.projection)
     if isinstance(info, ProductOf):
-        inv = {
-            (p1, p2): pos(info.pair_mask(I1.mask, I2.mask))
-            for p1, I1 in enumerate(info.left.ideals())
-            for p2, I2 in enumerate(info.right.ideals())
-        }
+        n2 = len(info.right.ideals())
+        inv = {divmod(k, n2): pos(m) for k, m in enumerate(info._ideal_pairs())}
         return tuple(sorted(inv, key=inv.__getitem__)), inv
     if isinstance(info, TrivialExtensionOf):
         A, m = info.base, info.module.order

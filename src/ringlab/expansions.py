@@ -132,8 +132,16 @@ def _lattice_covers(R: FiniteRing) -> tuple[tuple[int, ...], tuple[tuple[int, in
     In canonical order a proper subset sits at a lower position, so the
     subsets of I_q are scanned largest first. Each ideal strictly between
     I_p and I_q lies in a cover of I_q found before I_p, so I_p covers
-    under I_q exactly when no cover found so far contains it."""
+    under I_q exactly when no cover found so far contains it. On a product,
+    one coordinate covers while the other stays equal."""
     masks = tuple(I.mask for I in R.ideals())
+    info = R.construction
+    if isinstance(info, ProductOf):
+        _, inv = _correspondence(R)
+        (_, c1), (_, c2) = _lattice_covers(info.left), _lattice_covers(info.right)
+        pairs = [(inv[p, x], inv[q, x]) for p, q in c1 for x in range(len(info.right.ideals()))]
+        pairs += [(inv[x, p], inv[x, q]) for p, q in c2 for x in range(len(info.left.ideals()))]
+        return masks, tuple(sorted(pairs, key=lambda pq: (pq[1], -pq[0])))
     pairs = []
     for q, mq in enumerate(masks):
         found: list[int] = []

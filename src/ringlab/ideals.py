@@ -126,9 +126,18 @@ def _principal_masks(R: FiniteRing) -> tuple[int, ...]:
 
     The image {x*r : r in R} of row x of the multiplication table already is
     (x): it holds x = x*1, and x*r + x*s = x*(r+s) and s*(x*r) = x*(s*r)
-    keep it closed.
+    keep it closed. On a product, ((a, b)) = (a) x (b).
     """
+    info = _factors(R)
+    if info is not None:
+        return tuple(info._pair_masks(_principal_masks(info.left), _principal_masks(info.right)))
     return tuple(sum(1 << v for v in set(row)) for row in R.mul_table)
+
+
+def _factors(R: FiniteRing):
+    """R's ``ProductOf`` descriptor, or None when R is no product."""
+    info = R.construction
+    return info if isinstance(info, constructions.ProductOf) else None
 
 
 def span(R: FiniteRing, generators: Iterable[Union[int, Element]]) -> Ideal:
@@ -205,8 +214,12 @@ def _sum_closure(R: FiniteRing, cyclic: Iterable[int]) -> tuple[int, ...]:
 def all_ideals(R: FiniteRing) -> tuple[Ideal, ...]:
     """Every ideal of R, in canonical order (cardinality, then bitset value):
     the sums of the principal ideals, the row images of ``_principal_masks``.
+    A product's are the pairs I1 x I2 of its factors' ideals.
     """
-    return tuple(Ideal(R, m) for m in _sum_closure(R, _principal_table(R)))
+    info = _factors(R)
+    masks = (_sum_closure(R, _principal_table(R)) if info is None
+             else sorted(info._ideal_pairs(), key=lambda m: (m.bit_count(), m)))
+    return tuple(Ideal(R, m) for m in masks)
 
 
 @_per_ring("principal_gen")
@@ -239,7 +252,9 @@ def _principal_colons(
     at table[p][cls[x]] (``_element_colons``). It is the unit ideal exactly
     when x lies in I_p. Only the generators' multiplication rows are read:
     up to order 256 each byte row is translated through I_p's membership
-    table, above it each tuple row is mapped (``rings._colon_rows``).
+    table, above it each tuple row is mapped (``rings._colon_rows``). A
+    product reads its factors' tables at every order, since
+    (I1 x I2 : (a, b)) = (I1 : a) x (I2 : b).
     """
     pt = _principal_table(R)
     gens = tuple(pt.values())
@@ -247,7 +262,16 @@ def _principal_colons(
     cls = tuple(index[m] for m in _principal_masks(R))
     pos = R.lattice_position
     proper = R.proper_ideals()
-    if R.order <= 256:
+    info = _factors(R)
+    if info is not None:
+        comp, inv = constructions._correspondence(R)
+        # each factor's table, with a row of tops for its unit ideal
+        (c1, t1), (c2, t2) = ((c, t + ((len(t),) * len(t[0]),))
+                              for _, c, t in map(_principal_colons, (info.left, info.right)))
+        classes = [(c1[a], c2[b]) for a, b in map(info.decode, gens)]
+        table = tuple(tuple(inv[t1[p1][j1], t2[p2][j2]] for j1, j2 in classes)
+                      for p1, p2 in comp[:-1])
+    elif R.order <= 256:
         rows = [R.cache["mul_bytes"][g] for g in gens]
         table = tuple(
             tuple(pos(int(row.translate(tab)[::-1], 2)) for row in rows)
@@ -447,8 +471,20 @@ def _bounds_containing(R: FiniteRing, mask: int) -> int:
 @_per_ring("up_sets")
 def _up_sets(R: FiniteRing) -> tuple[int, ...]:
     """UP[q], the positions of the ideals that contain I_q, for each lattice
-    position q."""
-    return tuple(_bounds_containing(R, I.mask) for I in R.ideals())
+    position q. On a product, I1 x I2 lies in J1 x J2 exactly when I1 lies
+    in J1 and I2 in J2, so UP is UP1 x UP2: the positions whose first
+    coordinate is in UP1[p1], ANDed with those whose second is in UP2[p2]."""
+    info = _factors(R)
+    if info is None:
+        return tuple(_bounds_containing(R, I.mask) for I in R.ideals())
+    comp, _ = constructions._correspondence(R)
+    above = []
+    for k, F in enumerate((info.left, info.right)):
+        at = [0] * len(F.ideals())  # the positions with coordinate k at each p
+        for q, pq in enumerate(comp):
+            at[pq[k]] |= 1 << q
+        above.append([sum(at[r] for r in _bits(u)) for u in _up_sets(F)])
+    return tuple(above[0][p] & above[1][q] for p, q in comp)
 
 
 def _decide(I: Ideal, pass_sets, bound: int, witness) -> tuple[bool, Optional[tuple]]:
@@ -557,3 +593,8 @@ def is_prime_element(R: FiniteRing, x: Union[int, Element]) -> bool:
         return False
     p = R.lattice_position(_principal_masks(R)[x])
     return bool((_primary_pass_sets(R)[p] >> p) & 1)
+
+
+# ``constructions`` imports this module, so this module imports it last: the
+# product branches above read it at call time, when it is complete.
+from . import constructions  # noqa: E402

@@ -203,8 +203,11 @@ class FiniteRing:
 
     @_per_ring("units")
     def units(self) -> frozenset[int]:
-        """The set of invertible elements."""
-        return frozenset(a for a, row in enumerate(self.mul_table) if self.one in row)
+        """The set of invertible elements: the x with (x) = R."""
+        from . import ideals as _ideals
+
+        full = (1 << self.order) - 1
+        return frozenset(x for x, m in enumerate(_ideals._principal_masks(self)) if m == full)
 
     @_per_ring("nonunits")
     def nonunits(self) -> frozenset[int]:

@@ -31,8 +31,19 @@ from ringlab.constructions import (
     regular_module,
 )
 from ringlab.errors import ConstructionError, RingMismatchError, TableError
-from ringlab.ideals import Ideal, all_ideals, span
-from ringlab.rings import make_zn
+from ringlab.expansions import _lattice_covers
+from ringlab.ideals import (
+    Ideal,
+    _bounds_containing,
+    _principal_colons,
+    _principal_masks,
+    _principal_table,
+    _sum_closure,
+    _up_sets,
+    all_ideals,
+    span,
+)
+from ringlab.rings import _colon_rows, make_zn
 from ringlab.specparse import parse_ring
 
 
@@ -335,6 +346,61 @@ def test_correspondence_matches_the_ideal_maps(request, tier):
                 for I, F in info.pair_ideals()
             )
     assert kinds == {"ProductOf", "QuotientOf", "LocalizationOf", "TrivialExtensionOf"}
+
+
+def _cover_scan(masks):
+    """The cover pairs (p, q) by the scan: the subsets of I_q largest first,
+    each kept unless a cover already found contains it."""
+    pairs = []
+    for q, mq in enumerate(masks):
+        found = []
+        for p in range(q - 1, -1, -1):
+            mp = masks[p]
+            if not mp & ~mq and all(mp & ~c for c in found):
+                found.append(mp)
+                pairs.append((p, q))
+    return tuple(pairs)
+
+
+def test_product_tables_match_their_definitional_routes(request):
+    """Every table that a product reads off its factors against its route on
+    the product's own tables, on every product of both tiers and on Z2^6,
+    Z4xZ4xZ4 and Z2xZ3xZ4: the principal masks are the row images, the
+    lattice is their sum closure in the same order, the principal colons map
+    the generators' rows, the up-sets and cover pairs are scanned from the
+    lattice masks, and the correspondence pairs the factors' ideals entry by
+    entry."""
+    products = [entry.ring for tier in ("catalog16", "catalog_enlarged")
+                for entry in request.getfixturevalue(tier)
+                if isinstance(entry.ring.construction, ProductOf)]
+    products += map(parse_ring, ("Z2xZ2xZ2xZ2xZ2xZ2", "Z4xZ4xZ4", "Z2xZ3xZ4"))
+    for P in products:
+        label = P.label
+        info, rows = P.construction, P.mul_table
+        pm = tuple(sum(1 << v for v in set(row)) for row in rows)
+        assert _principal_masks(P) == pm, label
+        first = {}
+        for x, m in enumerate(pm):
+            first.setdefault(m, x)
+        assert list(_principal_table(P).items()) == list(first.items()), label
+        masks = tuple(I.mask for I in P.ideals())
+        assert masks == _sum_closure(P, pm), label
+        pos = P.lattice_position
+        gens, _, table = _principal_colons(P)
+        assert gens == tuple(first.values()), label
+        colon_rows = [rows[g] for g in gens]
+        assert table == tuple(tuple(map(pos, _colon_rows(colon_rows, m))) for m in masks[:-1]), label
+        assert _up_sets(P) == tuple(_bounds_containing(P, m) for m in masks), label
+        assert _lattice_covers(P) == (masks, _cover_scan(masks)), label
+        R1, R2 = info.left, info.right
+        inv = {
+            (p1, p2): pos(pair_mask_scan(info, I1.mask, I2.mask, R2.order))
+            for p1, I1 in enumerate(R1.ideals())
+            for p2, I2 in enumerate(R2.ideals())
+        }
+        assert _correspondence(P) == (tuple(sorted(inv, key=inv.__getitem__)), inv), label
+        assert list(_correspondence(P)[1]) == list(inv), label
+    assert len(products) == 76 + 139 + 3, len(products)
 
 
 def product_tables_by_entry(R1, R2):

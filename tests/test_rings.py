@@ -566,3 +566,14 @@ def test_per_ring_keys_are_unique_and_every_cache_key_is_declared():
     assert len(seen) > len(catalog)
     assert keys - ARGUMENT_KEYED <= set(rings._PER_RING), keys - ARGUMENT_KEYED - set(rings._PER_RING)
     assert {"principal_positions", "correspondence", "submodules", "cyclic_masks"} <= keys
+
+
+@pytest.mark.parametrize("tier", ["catalog16", "catalog_enlarged"])
+def test_units_are_the_elements_whose_principal_ideal_is_the_ring(request, tier):
+    """units() reads the x with (x) = R off the principal masks, a product's
+    from its factors'. It equals the scan for a row that holds one, on every
+    ring of the tier."""
+    for entry in request.getfixturevalue(tier):
+        R = entry.ring
+        expect = frozenset(a for a, row in enumerate(R.mul_table) if R.one in row)
+        assert R.units() == expect, entry.provenance
