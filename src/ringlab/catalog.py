@@ -85,7 +85,8 @@ def base_rings(config: CatalogConfig) -> tuple[FiniteRing, ...]:
 
 
 def _localization_sets(R: FiniteRing) -> list[MultiplicativeSet]:
-    """Closures of single elements plus prime complements, deduped.
+    """Closures of single elements plus prime complements, closed as they
+    stand, deduped.
 
     Sets of units only are skipped: they localize to a copy of the ring.
     """
@@ -94,10 +95,9 @@ def _localization_sets(R: FiniteRing) -> list[MultiplicativeSet]:
     seen: set[frozenset[int]] = set()
 
     def consider(S: MultiplicativeSet) -> None:
-        key = frozenset(S.members)
-        if key in seen or key <= units:
+        if S.members in seen or S.members <= units:
             return
-        seen.add(key)
+        seen.add(S.members)
         found.append(S)
 
     for x in range(R.order):
@@ -108,13 +108,8 @@ def _localization_sets(R: FiniteRing) -> list[MultiplicativeSet]:
         except ConstructionError:
             continue
     for P in R.spectrum():
-        complement = sorted(set(range(R.order)) - set(P.members))
-        if not complement:
-            continue
-        try:
-            consider(MultiplicativeSet.from_generators(R, complement))
-        except ConstructionError:
-            continue
+        complement = frozenset(range(R.order)) - P.members
+        consider(MultiplicativeSet._built(R, complement, tuple(sorted(complement))))
     return found
 
 

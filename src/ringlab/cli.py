@@ -13,7 +13,7 @@ from .errors import ParseError, RinglabError
 from .ideals import Ideal
 from .predicates import PREDICATE_NAMES, classify
 from .rings import FiniteRing
-from .specparse import _MAX_ORDER, parse_expansion, parse_query, parse_ring
+from .specparse import _MAX_BUDGET, parse_expansion, parse_query, parse_ring
 from .verifier import THEOREM_IDS, TheoremReport, search_witness, verify
 
 ENV_MAX_ORDER = "RINGLAB_MAX_ORDER"
@@ -56,8 +56,8 @@ def _default_max_order(value: Optional[int]) -> int:
             value = int(raw)
         except ValueError:
             raise RinglabError(f"{ENV_MAX_ORDER} must be an integer, got {raw!r}")
-    if value is not None and value > _MAX_ORDER:
-        raise RinglabError(f"the base ring order budget {value} exceeds {_MAX_ORDER}")
+    if value is not None and value > _MAX_BUDGET:
+        raise RinglabError(f"the base ring order budget {value} exceeds {_MAX_BUDGET}")
     return 16 if value is None else value
 
 

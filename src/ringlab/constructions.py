@@ -5,8 +5,17 @@ expansions and the verifier can recover the ingredients. Labels double as
 provenance strings: for catalog-shaped inputs they re-parse to a ring with
 identical tables.
 
-A ``FiniteModule`` is checked and spanned by the ring and ideal code. Its
-addition table goes through ``rings._normalize_table`` and
+The constructors of ``FiniteRing``, ``RingHom``, ``FiniteModule`` and
+``MultiplicativeSet`` prove caller data at run time. What this module builds
+from valid inputs is proven by a named theorem and built by each class's
+``_built``, with the zero and one the construction gives: R1 x R2 and A x E
+(E an A-module) are rings; R/K is a ring and R -> R/K a homomorphism for an
+ideal K, localizations included; A, A/J and E1 x E2 are A-modules; products
+of generators are multiplicatively closed. A test rebuilds each through the
+validating constructors.
+
+A caller's ``FiniteModule`` is checked and spanned by the ring and ideal code.
+Its addition table goes through ``rings._normalize_table`` and
 ``rings._additive_zero``, and its action rows through ``rings._row_in_range``.
 Its span and submodule lattice are sums of cyclic submodules Re, each read
 off a column of the action table, through ``ideals._sum_masks`` and
@@ -21,7 +30,8 @@ from operator import or_
 from typing import Optional, Sequence, Union
 
 from .errors import ConstructionError, InvariantError, RingMismatchError, TableError
-from .ideals import Ideal, _sum_closure, _sum_masks, generator_list, is_ideal_mask
+from .ideals import (
+    Ideal, _lattice_masks, _sum_closure, _sum_masks, generator_list, is_ideal_mask)
 from .rings import (
     Element,
     FiniteRing,
@@ -64,12 +74,6 @@ class ProductOf:
         return [m2 * s for s in [int(zeros.join(format(m1, "b")), 2) for m1 in masks1]
                 for m2 in masks2]
 
-    def _ideal_pairs(self) -> list[int]:
-        """Every I1 x I2, row-major over the factors' lattices. In rings with
-        identity these are all the ideals of R1 x R2: an ideal holds (a, b)
-        exactly when it holds (a, 0) = (1, 0)(a, b) and (0, b)."""
-        return self._pair_masks(*([I.mask for I in F.ideals()] for F in (self.left, self.right)))
-
     def decompose_mask(self, mask: int) -> tuple[int, int]:
         """Split an ideal mask into its two component ideal masks."""
         n2 = self.right.order
@@ -83,15 +87,11 @@ class ProductOf:
 def make_product(R1: FiniteRing, R2: FiniteRing) -> FiniteRing:
     """The componentwise product ring R1 x R2."""
     info = ProductOf(R1, R2)
-    n1, n2 = R1.order, R2.order
     add = _pair_rows(R1.add_table, R2.add_table)
     mul = _pair_rows(R1.mul_table, R2.mul_table)
-    names = tuple(
-        f"({R1.element_name(a)},{R2.element_name(b)})"
-        for a in range(n1)
-        for b in range(n2)
-    )
-    return FiniteRing(add, mul, f"{R1.label}x{R2.label}", construction=info, element_names=names)
+    names = tuple(f"({a},{b})" for a in R1.element_names for b in R2.element_names)
+    zero, one = info.encode(R1.zero, R2.zero), info.encode(R1.one, R2.one)
+    return FiniteRing._built(add, mul, zero, one, f"{R1.label}x{R2.label}", info, names)
 
 
 # ----------------------------------------------------------------------
@@ -107,32 +107,30 @@ class QuotientOf:
     projection: RingHom = field(repr=False)
 
 
-def _coset_partition(R: FiniteRing, imask: int) -> tuple[list[int], list[int]]:
-    """Map each element to the smallest member of its coset, plus the reps."""
-    rep = [-1] * R.order
-    add = R.add_table
-    members = [a for a in range(R.order) if (imask >> a) & 1]
+def _coset_tables(R: FiniteRing, kmask: int) -> tuple:
+    """(cls, reps, add, act, names) modulo the ideal mask kmask: each element's
+    class, the sorted coset leaders (each the smallest member of its coset,
+    met first in ascending order), the classes' addition, the action of each
+    element of R on them (the leaders' rows are the classes' multiplication)
+    and the leaders' names."""
+    members = [a for a in range(R.order) if (kmask >> a) & 1]
+    cls, reps = [-1] * R.order, []
     for a in range(R.order):
-        if rep[a] >= 0:
-            continue
-        coset = sorted(add[a][i] for i in members)
-        lead = coset[0]
-        for c in coset:
-            rep[c] = lead
-    reps = sorted(set(rep))
-    return rep, reps
+        if cls[a] < 0:
+            for c in map(R.add_table[a].__getitem__, members):
+                cls[c] = len(reps)
+            reps.append(a)
+    add = tuple(tuple([cls[row[b]] for b in reps]) for row in map(R.add_table.__getitem__, reps))
+    act = tuple(tuple([cls[row[b]] for b in reps]) for row in R.mul_table)
+    return tuple(cls), reps, add, act, tuple(map(R.element_name, reps))
 
 
 def _coset_ring(R: FiniteRing, kmask: int, label: str) -> tuple[FiniteRing, RingHom]:
     """R modulo an ideal mask, by sorted coset leaders, and the projection."""
-    rep, reps = _coset_partition(R, kmask)
-    index = {r: k for k, r in enumerate(reps)}
-    m = len(reps)
-    add = [[index[rep[R.add_table[reps[i]][reps[j]]]] for j in range(m)] for i in range(m)]
-    mul = [[index[rep[R.mul_table[reps[i]][reps[j]]]] for j in range(m)] for i in range(m)]
-    names = tuple(R.element_name(r) for r in reps)
-    Q = FiniteRing(add, mul, label, element_names=names)
-    return Q, RingHom(R, Q, tuple(index[rep[a]] for a in range(R.order)))
+    cls, reps, add, act, names = _coset_tables(R, kmask)
+    Q = FiniteRing._built(add, tuple(map(act.__getitem__, reps)), cls[R.zero], cls[R.one], label,
+                          None, names)
+    return Q, RingHom._built(R, Q, cls)
 
 
 def make_quotient(R: FiniteRing, I: Ideal) -> FiniteRing:
@@ -148,6 +146,7 @@ def make_quotient(R: FiniteRing, I: Ideal) -> FiniteRing:
     Q = quotients.get(I.mask)
     if Q is not None:
         return Q
+    R.lattice_position(I.mask)  # raises unless I is an ideal, the theorem's hypothesis
     gens = ",".join(str(g) for g in generator_list(I))
     Q, proj = _coset_ring(R, I.mask, f"{R.label}/({gens})")
     Q.construction = QuotientOf(R, I.mask, proj)
@@ -196,6 +195,15 @@ class FiniteModule:
             self.element_names = tuple(str(i) for i in range(self.order))
         self._validate()
         self.cache: dict = {}
+
+    @classmethod
+    def _built(cls, ring: FiniteRing, add: tuple, action: tuple, zero: int, spec_label: str,
+               element_names: tuple[str, ...]) -> FiniteModule:
+        """A module that a construction proves, from tuple rows: not validated."""
+        E = cls.__new__(cls)
+        E.ring, E.order, E.add_table, E.action, E.zero = ring, len(add), add, action, zero
+        E.spec_label, E.element_names, E.cache = spec_label, element_names, {}
+        return E
 
     def _validate(self) -> None:
         m, n = self.order, self.ring.order
@@ -283,36 +291,30 @@ def _cyclic_masks(E: FiniteModule) -> tuple[int, ...]:
 
 def regular_module(A: FiniteRing) -> FiniteModule:
     """A as a module over itself."""
-    return FiniteModule(A, A.add_table, A.mul_table, "reg", element_names=A.element_names)
+    return FiniteModule._built(A, A.add_table, A.mul_table, A.zero, "reg", A.element_names)
 
 
 def quotient_module(A: FiniteRing, J: Ideal) -> FiniteModule:
     """The module A/J with the induced action."""
     if J.ring is not A:
         raise RingMismatchError("ideal belongs to a different ring")
-    rep, reps = _coset_partition(A, J.mask)
-    index = {r: k for k, r in enumerate(reps)}
-    m = len(reps)
-    add = [[index[rep[A.add_table[reps[i]][reps[j]]]] for j in range(m)] for i in range(m)]
-    action = [[index[rep[A.mul_table[r][reps[j]]]] for j in range(m)] for r in range(A.order)]
+    A.lattice_position(J.mask)  # raises unless J is an ideal
+    cls, _, add, action, names = _coset_tables(A, J.mask)
     gens = ",".join(str(g) for g in generator_list(J))
-    names = tuple(A.element_name(r) for r in reps)
-    return FiniteModule(A, add, action, f"quot:({gens})", element_names=names)
+    return FiniteModule._built(A, add, action, cls[A.zero], f"quot:({gens})", names)
 
 
 def module_product(E1: FiniteModule, E2: FiniteModule) -> FiniteModule:
     """The direct product of two modules over the same ring."""
     if E1.ring is not E2.ring:
         raise RingMismatchError("modules live over different rings")
-    m1, m2 = E1.order, E2.order
+    m2 = E2.order
     add = _pair_rows(E1.add_table, E2.add_table)
-    action = [[x * m2 + y for x in row1 for y in row2] for row1, row2 in zip(E1.action, E2.action)]
-    names = tuple(
-        f"({E1.element_name(a)},{E2.element_name(b)})" for a in range(m1) for b in range(m2)
-    )
-    return FiniteModule(
-        E1.ring, add, action, f"({E1.spec_label}x{E2.spec_label})", element_names=names
-    )
+    action = tuple(tuple([x * m2 + y for x in row1 for y in row2])
+                   for row1, row2 in zip(E1.action, E2.action))
+    names = tuple(f"({a},{b})" for a in E1.element_names for b in E2.element_names)
+    label = f"({E1.spec_label}x{E2.spec_label})"
+    return FiniteModule._built(E1.ring, add, action, E1.zero * m2 + E2.zero, label, names)
 
 
 @dataclass
@@ -400,16 +402,14 @@ def make_trivial_extension(A: FiniteRing, E: FiniteModule) -> FiniteRing:
     shifted = [[k * m for k in row] for row in A.mul_table]
     plus = [[tuple(E.add_table[x][w] for x in act) for w in range(m)] for act in E.action]
     col = list(zip(*E.action))
-    mul = [
-        [s + x for s, w in zip(shifted[a], col[e]) for x in plus[a][w]]
+    mul = tuple(
+        tuple([s + x for s, w in zip(shifted[a], col[e]) for x in plus[a][w]])
         for a in range(n)
         for e in range(m)
-    ]
-    names = tuple(
-        f"({A.element_name(a)}|{E.element_name(e)})" for a in range(n) for e in range(m)
     )
-    label = f"triv({A.label},{E.spec_label})"
-    return FiniteRing(add, mul, label, construction=info, element_names=names)
+    names = tuple(f"({a}|{e})" for a in A.element_names for e in E.element_names)
+    zero, one = info.encode(A.zero, E.zero), info.encode(A.one, E.zero)
+    return FiniteRing._built(add, mul, zero, one, f"triv({A.label},{E.spec_label})", info, names)
 
 
 # ----------------------------------------------------------------------
@@ -448,18 +448,26 @@ class MultiplicativeSet:
 
     @classmethod
     def from_generators(cls, R: FiniteRing, gens: Sequence[int]) -> MultiplicativeSet:
+        """The products of the generators, breadth first from one by the steps
+        s -> s*g in O(|S| * |gens|): closed, as s*(g1...gk) is k steps on."""
         _require_elements(R, gens)
-        members = {R.one}
-        stack = [g for g in gens]
-        mul = R.mul_table
-        while stack:
-            s = stack.pop()
-            if s in members:
-                continue
-            members.add(s)
-            for t in list(members):
-                stack.append(mul[s][t])
-        return cls(R, members, generators=tuple(sorted(set(gens))))
+        gens = tuple(sorted(set(gens)))
+        members, todo, mul = {R.one}, [R.one], R.mul_table
+        for s in todo:  # todo grows while it is walked: breadth first
+            for t in map(mul[s].__getitem__, gens):
+                if t not in members:
+                    members.add(t)
+                    todo.append(t)
+        if R.zero in members:
+            return cls(R, members, gens)  # raises, as the set holds zero
+        return cls._built(R, frozenset(members), gens)
+
+    @classmethod
+    def _built(cls, ring: FiniteRing, members: frozenset, generators: tuple) -> MultiplicativeSet:
+        """A set, holding one and not zero, that its construction proves closed."""
+        S = cls.__new__(cls)
+        S.ring, S.members, S.generators = ring, members, generators
+        return S
 
     def __contains__(self, a: int) -> bool:
         return a in self.members
@@ -559,8 +567,8 @@ def _correspondence(R: FiniteRing) -> tuple:
         return img, _preimage_positions(info.projection)
     if isinstance(info, ProductOf):
         n2 = len(info.right.ideals())
-        inv = {divmod(k, n2): pos(m) for k, m in enumerate(info._ideal_pairs())}
-        return tuple(sorted(inv, key=inv.__getitem__)), inv
+        comp = tuple(divmod(k, n2) for k in _lattice_masks(R)[1])
+        return comp, dict(sorted(zip(comp, range(len(comp)))))  # inv, row-major
     if isinstance(info, TrivialExtensionOf):
         A, m = info.base, info.module.order
         block = (1 << m) - 1

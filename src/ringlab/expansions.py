@@ -2,8 +2,8 @@
 
 An expansion assigns to each ideal I an ideal delta(I) with I contained in
 delta(I), monotonely in I. It is stored as a table over the canonical
-lattice and validated on construction. The whole ring is included in the
-domain with delta(R) = R.
+lattice, validated on construction unless it is a stock translation (see
+``_translation``). The whole ring is included in the domain with delta(R) = R.
 
 Families: the identity, the radical, translation by a fixed ideal, and the
 constant-ring map, each a table read off the lattice masks with no ideal
@@ -167,12 +167,20 @@ def from_rule(R: FiniteRing, rule: Callable[[Ideal], Ideal], label: str) -> Expa
 # the four stock families
 
 
+def _translation(R: FiniteRing, table: Sequence[int], label: str) -> ExpansionFunction:
+    """The stock expansion I -> I + J with this table: extensive and monotone
+    by definition, so its record is made first and it is not validated."""
+    table = tuple(table)
+    R.cache.setdefault("expansion_records", {}).setdefault(table, (table, {}))
+    return ExpansionFunction(R, table, label)
+
+
 def identity_expansion(R: FiniteRing) -> ExpansionFunction:
-    return ExpansionFunction(R, range(len(R.ideals())), "id")
+    return _translation(R, range(len(R.ideals())), "id")
 
 
 def radical_expansion(R: FiniteRing) -> ExpansionFunction:
-    return ExpansionFunction(R, _radical_positions(R), "rad")
+    return _translation(R, _radical_positions(R), "rad")
 
 
 def plus_fixed(R: FiniteRing, J: Ideal) -> ExpansionFunction:
@@ -180,13 +188,13 @@ def plus_fixed(R: FiniteRing, J: Ideal) -> ExpansionFunction:
     if J.ring is not R:
         raise RingMismatchError("fixed ideal belongs to a different ring")
     gens = ",".join(str(g) for g in generator_list(J))
-    return ExpansionFunction(R, _join_column(R, R.lattice_position(J.mask)), f"plus:({gens})")
+    return _translation(R, _join_column(R, R.lattice_position(J.mask)), f"plus:({gens})")
 
 
 def constant_ring(R: FiniteRing) -> ExpansionFunction:
     """Every ideal, proper or not, maps to the whole ring."""
     top = len(R.ideals()) - 1
-    return ExpansionFunction(R, [top] * (top + 1), "full")
+    return _translation(R, [top] * (top + 1), "full")
 
 
 @_per_ring("std_expansions")

@@ -212,14 +212,22 @@ def _sum_closure(R: FiniteRing, cyclic: Iterable[int]) -> tuple[int, ...]:
 
 
 def all_ideals(R: FiniteRing) -> tuple[Ideal, ...]:
-    """Every ideal of R, in canonical order (cardinality, then bitset value):
-    the sums of the principal ideals, the row images of ``_principal_masks``.
-    A product's are the pairs I1 x I2 of its factors' ideals.
-    """
+    """Every ideal of R, in canonical order (cardinality, then bitset value),
+    read off ``_lattice_masks``."""
+    masks, order = _lattice_masks(R)
+    return tuple(Ideal(R, masks[k]) for k in order)
+
+
+@_per_ring("lattice_masks")
+def _lattice_masks(R: FiniteRing) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(masks, order), I_q = masks[order[q]]: a ring's sums of principal
+    ideals, or a product's I1 x I2 row-major over its factors' lattices (k
+    pairs the positions divmod(k, |L2|)), which are all its ideals: one that
+    holds (a, b) holds (a, 0) = (1, 0)(a, b) and (0, b)."""
     info = _factors(R)
-    masks = (_sum_closure(R, _principal_table(R)) if info is None
-             else sorted(info._ideal_pairs(), key=lambda m: (m.bit_count(), m)))
-    return tuple(Ideal(R, m) for m in masks)
+    masks = (_sum_closure(R, _principal_table(R)) if info is None else tuple(
+        info._pair_masks(*([I.mask for I in F.ideals()] for F in (info.left, info.right)))))
+    return masks, tuple(sorted(range(len(masks)), key=lambda k: (masks[k].bit_count(), masks[k])))
 
 
 @_per_ring("principal_gen")

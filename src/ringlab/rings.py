@@ -10,6 +10,7 @@ is declared with ``_per_ring`` and kept in the ring's ``cache``.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import wraps
 from typing import Callable, Iterable, Optional, Sequence
@@ -64,14 +65,15 @@ def _normalize_table(table: Sequence[Sequence[int]], n: int, what: str) -> Table
 
 
 def _row_in_range(row: tuple, n: int) -> bool:
-    """Whether every entry is an int in range(n): one bytes() conversion, which
-    rejects non-integers and anything outside 0..255, up to order 256."""
-    if n <= 256:
-        try:
+    """Whether every entry is an int in range(n), by one conversion: bytes()
+    up to order 256, array('q') above; each rejects non-integers."""
+    try:
+        if n <= 256:
             return max(bytes(row)) < n
-        except (TypeError, ValueError):
-            return False
-    return all(isinstance(v, int) and 0 <= v < n for v in row)
+        got = array("q", row)
+        return 0 <= min(got) and max(got) < n
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def _find_identity(table: Table, n: int) -> Optional[int]:
@@ -101,12 +103,13 @@ def _additive_zero(add: Table, what: str) -> int:
 class FiniteRing:
     """A finite commutative ring with identity, order at least 2.
 
-    Construction proves every axiom. Commutativity, both identities and
-    additive inverses are read off the tables. Associativity of both
-    operations and distributivity are proven on an additive generating set G
-    only, by O(order * |G|) row comparisons (see ``_generator_proof``). A
-    table that fails the proof gets the full scan, which reports the first
-    violating element triple.
+    The constructor proves every axiom of caller data at run time.
+    Commutativity, both identities and additive inverses are read off the
+    tables. Associativity of both operations and distributivity are proven
+    on an additive generating set G only, by O(order * |G|) row comparisons
+    (see ``_generator_proof``). A table that fails the proof gets the full
+    scan, which reports the first violating element triple. A library
+    construction's ring is proven by its theorem and built by ``_built``.
     """
 
     def __init__(
@@ -123,8 +126,7 @@ class FiniteRing:
         self.order = n
         self.add_table = _normalize_table(add_table, n, "addition")
         self.mul_table = _normalize_table(mul_table, n, "multiplication")
-        self.label = label
-        self.construction = construction
+        self.label, self.construction, self.cache = label, construction, {}
         if element_names is not None:
             names = tuple(element_names)
             if len(names) != n:
@@ -132,8 +134,19 @@ class FiniteRing:
             self.element_names = names
         else:
             self.element_names = tuple(str(i) for i in range(n))
-        self.cache: dict = {}
         self._validate()
+
+    @classmethod
+    def _built(cls, add: Table, mul: Table, zero: int, one: int, label: str,
+               construction: object, element_names: tuple[str, ...]) -> FiniteRing:
+        """A ring that a construction proves (see ``constructions``), from
+        tuple rows and the zero and one it gives: not normalized or validated."""
+        R = cls.__new__(cls)
+        R.order, R.add_table, R.mul_table, R.zero, R.one = len(add), add, mul, zero, one
+        R.label, R.construction, R.element_names, R.cache = label, construction, element_names, {}
+        if R.order <= 256:
+            R.cache["mul_bytes"] = [bytes(row) for row in mul]
+        return R
 
     # ------------------------------------------------------------------
     # validation
@@ -543,6 +556,13 @@ class RingHom:
                     raise TableError(f"homomorphism value {v} out of range for {codomain.label}")
         self._validate()
 
+    @classmethod
+    def _built(cls, domain: FiniteRing, codomain: FiniteRing, mapping: tuple[int, ...]) -> RingHom:
+        """A homomorphism that its construction proves, R -> R/K: not validated."""
+        f = cls.__new__(cls)
+        f.domain, f.codomain, f.mapping = domain, codomain, mapping
+        return f
+
     def _validate(self) -> None:
         f = self.mapping
         if f[self.domain.one] != self.codomain.one:
@@ -646,12 +666,12 @@ def format_poly(coeffs: Sequence[int]) -> str:
     return "+".join(terms) if terms else "0"
 
 
-def _pair_rows(t1: Sequence[Sequence[int]], t2: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The componentwise table on row-major pairs, one row per comprehension:
-    entry ((a, b), (c, d)) is t1[a][c] * len(t2) + t2[b][d]."""
+def _pair_rows(t1: Sequence[Sequence[int]], t2: Sequence[Sequence[int]]) -> Table:
+    """The componentwise table on row-major pairs, one tuple row per
+    comprehension: entry ((a, b), (c, d)) is t1[a][c] * len(t2) + t2[b][d]."""
     n2 = len(t2)
     shifted = [[k * n2 for k in row1] for row1 in t1]
-    return [[k + v for k in row1 for v in row2] for row1 in shifted for row2 in t2]
+    return tuple(tuple([k + v for k in row1 for v in row2]) for row1 in shifted for row2 in t2)
 
 
 def _digits(m: int, p: int, k: int) -> list[int]:

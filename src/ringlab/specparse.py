@@ -46,6 +46,7 @@ from .rings import FiniteRing, make_poly_quotient, make_zn
 # The largest ring order a spec may ask for: Z32xZ32 and Z4^5 have tables of
 # 2^20 entries each. A quotient or localization is no larger than its ring.
 _MAX_ORDER = 1024
+_MAX_BUDGET = 256  # the largest catalog budget (--max-order) measured to finish: README
 
 
 class _Cursor:

@@ -1,0 +1,75 @@
+"""The large tier, outside Tier-1 (pytest collects only test_*.py files).
+
+``CatalogConfig(max_order=32, product_order_limit=256,
+trivial_extension_limit=512)`` has 834 rings, of order up to 512. Every
+statement report, with ``elapsed`` stripped, must equal
+``tests/golden/check-large.json``, whose summary shows no conclusion failure:
+every statement is a theorem. Then the construction oracle rebuilds every
+constructed ring, projection, module, multiplicative set and stock table of
+the tier through the validating constructors (``construction_oracle``).
+
+Run from the repository root; it writes nothing and exits 1 on a mismatch:
+
+    PYTHONPATH=src python tests/large_tier.py
+
+The golden was recorded from the code as ``json.dumps(reports(catalog),
+indent=0)`` plus a newline.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+import time
+from pathlib import Path
+
+from construction_oracle import assert_catalog
+from ringlab.catalog import CatalogConfig, build_catalog
+from ringlab.verifier import verify_all
+
+CONFIG = CatalogConfig(max_order=32, product_order_limit=256, trivial_extension_limit=512)
+GOLDEN = Path(__file__).resolve().parent / "golden" / "check-large.json"
+
+
+def reports(catalog) -> list[dict]:
+    """The statement reports and the summary, as ``check --theorem all
+    --json`` prints them, with ``elapsed`` stripped and each failure's ideal
+    sorted."""
+    out = []
+    for report in verify_all(catalog):
+        d = report.to_dict()
+        d.pop("elapsed")
+        for failure in d["conclusion_failures"]:
+            failure["ideal"] = sorted(failure["ideal"])
+        out.append(d)
+    failures = sum(len(d["conclusion_failures"]) for d in out)
+    out.append({"summary": {
+        "theorems": len(out),
+        "instances_checked": sum(d["instances_checked"] for d in out),
+        "hypothesis_satisfied": sum(d["hypothesis_satisfied"] for d in out),
+        "conclusion_failures": failures,
+        "status": "ok" if failures == 0 else "failed",
+    }})
+    return out
+
+
+def main() -> int:
+    start = time.perf_counter()
+    catalog = build_catalog(CONFIG)
+    built = time.perf_counter()
+    got = reports(catalog)
+    swept = time.perf_counter()
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for g, w in zip(got, want):
+        if g != w:
+            print("differs from the golden:", json.dumps(g), "expected", json.dumps(w))
+    if got != want or len(got) != len(want):
+        return 1
+    counts = assert_catalog(catalog)
+    print(f"{len(catalog)} rings: built in {built - start:.2f} s, swept in {swept - built:.2f} s,"
+          f" equal to the golden; oracle {dict(counts)} in {time.perf_counter() - swept:.2f} s")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

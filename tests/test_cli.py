@@ -316,15 +316,16 @@ def test_usage_error_is_exit_two(capsys):
     (("classify", "--ring", "Z99999999999[x]/(x)", "--delta", "id"), None,
      ["error: ring order 99999999999 exceeds 1024", "  Z99999999999[x]/(x)", "  ^"]),
     (("check", "--theorem", "T-CHAIN", "--max-order", "100000"), None,
-     ["error: the base ring order budget 100000 exceeds 1024"]),
-    (("search", "--property", "prime", "--max-order", "1025"), None,
-     ["error: the base ring order budget 1025 exceeds 1024"]),
+     ["error: the base ring order budget 100000 exceeds 256"]),
+    (("search", "--property", "prime", "--max-order", "257"), None,
+     ["error: the base ring order budget 257 exceeds 256"]),
     (("check", "--theorem", "T-CHAIN"), "100000",
-     ["error: the base ring order budget 100000 exceeds 1024"]),
+     ["error: the base ring order budget 100000 exceeds 256"]),
 ])
 def test_a_ring_too_large_to_build_exits_two_at_once(capsys, monkeypatch, argv, env, err_lines):
-    """A spec or an order budget above 1024 exits 2 with its diagnostic,
-    well within a second, instead of building tables it cannot finish."""
+    """A spec above order 1024, or an order budget above 256, exits 2 with
+    its diagnostic, well within a second, instead of building tables it
+    cannot finish."""
     if env is not None:
         monkeypatch.setenv("RINGLAB_MAX_ORDER", env)
     start = time.perf_counter()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ringlab
+from construction_oracle import assert_catalog, assert_module, assert_projection, assert_ring
 from ringlab.catalog import CatalogConfig, base_rings, build_catalog
 from ringlab.constructions import (
     FiniteModule,
@@ -30,8 +32,8 @@ from ringlab.constructions import (
     quotient_projection,
     regular_module,
 )
-from ringlab.errors import ConstructionError, RingMismatchError, TableError
-from ringlab.expansions import _lattice_covers
+from ringlab.errors import ConstructionError, ExpansionAxiomError, RingMismatchError, TableError
+from ringlab.expansions import ExpansionFunction, _lattice_covers, from_rule
 from ringlab.ideals import (
     Ideal,
     _bounds_containing,
@@ -43,7 +45,7 @@ from ringlab.ideals import (
     all_ideals,
     span,
 )
-from ringlab.rings import _colon_rows, make_zn
+from ringlab.rings import FiniteRing, RingHom, _colon_rows, make_zn
 from ringlab.specparse import parse_ring
 
 
@@ -463,17 +465,23 @@ def test_row_built_tables_match_the_entry_builders(R1, R2, data):
     shape = data.draw(st.sampled_from(["base", "product", "quotient"]))
     if shape == "product" and R1.order * R2.order <= 16:
         R1 = make_product(R1, R2)
+        assert_ring(R1)
     elif shape == "quotient" and len(R1.proper_ideals()) > 1:
         R1 = make_quotient(R1, data.draw(st.sampled_from(R1.proper_ideals()[1:])))
+        assert_ring(R1)
+        assert_projection(quotient_projection(R1))
     P = make_product(R1, R2)
     assert (P.add_table, P.mul_table) == _tables(*product_tables_by_entry(R1, R2))
+    assert_ring(P)
     modules = [regular_module(R1)] + [quotient_module(R1, J) for J in R1.proper_ideals()[1:]]
     E = data.draw(st.sampled_from(modules))
     E2 = data.draw(st.sampled_from(modules))
     if data.draw(st.booleans()) and R1.order * E.order * E2.order <= 128:
         E = module_product(E, E2)
+    assert_module(E)
     T = make_trivial_extension(R1, E)
     assert (T.add_table, T.mul_table) == _tables(*trivial_extension_tables_by_entry(R1, E))
+    assert_ring(T)
 
 
 # ----------------------------------------------------------------------
@@ -587,3 +595,100 @@ def test_module_rejects_a_non_associative_action(f4):
     action = [ident if r in (f4.one, a) else [0] * 4 for r in range(4)]
     with pytest.raises(TableError, match="action not associative at"):
         FiniteModule(f4, KLEIN, action, "bad")
+
+
+# ----------------------------------------------------------------------
+# constructions carry their proofs: the validating constructors as oracle
+
+
+@pytest.mark.parametrize("tier, counts", [
+    ("catalog16", {"bases": 23, "rings": 167, "projections": 59, "modules": 32, "sets": 275,
+                   "stock tables": 995}),
+    ("catalog_enlarged", {"bases": 23, "rings": 240, "projections": 59, "modules": 42,
+                          "sets": 275, "stock tables": 1680}),
+])
+def test_constructions_match_their_validating_rebuilds(request, tier, counts):
+    """Every constructed ring of the tier, its projection, module and
+    multiplicative set, every set the catalog localizes a base ring at, and
+    every stock table, rebuilt through the public validating path: the same
+    tables, zero, one, names and byte rows (see ``construction_oracle``)."""
+    assert assert_catalog(request.getfixturevalue(tier)) == counts
+
+
+@pytest.mark.parametrize("build", [make_quotient, quotient_module])
+@pytest.mark.parametrize("mask", [0b110, 1 << 12 | 1, 0b10])
+def test_a_coset_construction_rejects_a_mask_that_is_no_ideal(z12, build, mask):
+    """R/K is a ring, and A/J a module, when K and J are ideals: a quotient
+    is no longer validated, so its construction checks that hypothesis."""
+    with pytest.raises(ConstructionError, match=f"^{mask} is not the mask of an ideal of"):
+        build(z12, Ideal(z12, mask))
+
+
+def _count_validations(monkeypatch) -> Counter:
+    calls: Counter = Counter()
+    for cls in (FiniteRing, RingHom, ExpansionFunction):
+        def counted(self, validate=cls._validate, name=cls.__name__):
+            calls[name] += 1
+            return validate(self)
+
+        monkeypatch.setattr(cls, "_validate", counted)
+    return calls
+
+
+def test_a_catalog_build_validates_only_its_base_rings(monkeypatch):
+    """Building the default catalog proves the 23 base rings and nothing
+    else: no projection and no expansion is validated."""
+    calls = _count_validations(monkeypatch)
+    catalog = build_catalog.__wrapped__(CatalogConfig())
+    assert (len(catalog), sum(len(e.expansions) for e in catalog)) == (190, 995)
+    assert (calls["FiniteRing"], calls["RingHom"], calls["ExpansionFunction"]) == (23, 0, 0)
+
+
+def _z2_ring_with_mul(mul):
+    return FiniteRing([[0, 1], [1, 0]], mul, "bad")
+
+
+@pytest.mark.parametrize("build, error, message, validated", [
+    (lambda z: _z2_ring_with_mul([[0, 1], [0, 1]]), TableError,
+     r"multiplication is not commutative, witness \(0, 1\)", "FiniteRing"),
+    (lambda z: _z2_ring_with_mul([[0, 0], [0, 0]]), TableError,
+     "multiplication has no identity element", "FiniteRing"),
+    (lambda z: RingHom(z[4], z[2], [0, 1, 1, 1]), TableError,
+     r"homomorphism is not additive, witness \(1, 1\)", "RingHom"),
+    (lambda z: RingHom(z[2], z[4], [0, 1]), TableError,
+     r"homomorphism is not additive, witness \(1, 1\)", "RingHom"),
+    (lambda z: FiniteModule(z[2], [[0, 1], [1, 0]], [[0, 0], [0, 0]], "bad"), TableError,
+     "module action of one is not the identity", None),
+    (lambda z: MultiplicativeSet(z[12], {1, 2}), ConstructionError,
+     r"set is not multiplicatively closed, witness \(2, 2\)", None),
+    (lambda z: MultiplicativeSet(z[8], {0, 1}), ConstructionError,
+     "multiplicative set contains zero, localization would be the zero ring", None),
+    (lambda z: MultiplicativeSet(z[8], {3}), ConstructionError,
+     "multiplicative set must contain one", None),
+    (lambda z: MultiplicativeSet.from_generators(z[8], (3, 2)), ConstructionError,
+     "multiplicative set contains zero, localization would be the zero ring", None),
+    (lambda z: MultiplicativeSet.from_generators(z[8], (8,)), ConstructionError,
+     "set member 8 is not an element of Z8", None),
+    (lambda z: ExpansionFunction(z[8], (0, 1, 2), "bad"), ExpansionAxiomError,
+     "table length 3 does not match lattice size 4", "ExpansionFunction"),
+    (lambda z: ExpansionFunction(z[8], (0, 1, 2, 7), "bad"), ExpansionAxiomError,
+     r"image 7 at \(1\) is not a lattice position", "ExpansionFunction"),
+    (lambda z: ExpansionFunction(z[8], (0, 0, 2, 3), "bad"), ExpansionAxiomError,
+     r"not extensive at \(4\): image \(0\)", "ExpansionFunction"),
+    (lambda z: ExpansionFunction(z[8], (2, 1, 2, 3), "bad"), ExpansionAxiomError,
+     r"not monotone at pair \(\(0\), \(4\)\)", "ExpansionFunction"),
+    (lambda z: from_rule(z[8], lambda I: z[8].zero_ideal(), "bad"), ExpansionAxiomError,
+     r"not extensive at \(4\): image \(0\)", "ExpansionFunction"),
+])
+def test_the_public_constructors_still_prove_caller_data(monkeypatch, build, error, message,
+                                                           validated):
+    """The constructors and ``from_rule``, given caller data, run their
+    validation and raise what they raised before constructions stopped
+    validating, after the stock expansions of each ring are made."""
+    z = {n: make_zn(n) for n in (2, 4, 8, 12)}
+    for R in z.values():
+        ringlab.standard_expansions(R)
+    calls = _count_validations(monkeypatch)
+    with pytest.raises(error, match=f"^{message}$"):
+        build(z)
+    assert calls == (Counter({validated: 1}) if validated else Counter())

@@ -468,6 +468,32 @@ def test_corrupted_order_257_table_names_its_witness(kind, i, j, v, monkeypatch)
     assert _outcome(add, mul) == got
 
 
+@pytest.mark.parametrize("kind, v, message", [
+    ("add", 1.5, r"addition table entry \[3\]\[5\] = 1.5 is not an integer"),
+    ("add", -1, r"addition table entry \[3\]\[5\] = -1 out of range"),
+    ("mul", 257, r"multiplication table entry \[3\]\[5\] = 257 out of range"),
+    ("mul", 2**64, r"multiplication table entry \[3\]\[5\] = 18446744073709551616 out of range"),
+])
+def test_an_order_257_table_names_its_bad_entry(kind, v, message):
+    """Above order 256 a row is range-checked by one array('q') conversion;
+    a float, a negative entry, n itself or an entry beyond 64 bits falls
+    back to the entry loop, which names the entry."""
+    n = 257
+    add = [[(a + b) % n for b in range(n)] for a in range(n)]
+    mul = [[(a * b) % n for b in range(n)] for a in range(n)]
+    (add if kind == "add" else mul)[3][5] = v
+    with pytest.raises(TableError, match=f"^{message}$"):
+        FiniteRing(add, mul, label="bad")
+
+
+def test_homomorphism_values_above_order_256_are_range_checked():
+    z2, z257 = make_zn(2), make_zn(257)
+    with pytest.raises(TableError, match=r"^homomorphism value 1.0 is not an integer$"):
+        RingHom(z2, z257, [0, 1.0])
+    with pytest.raises(TableError, match=r"^homomorphism value 257 out of range for Z257$"):
+        RingHom(z2, z257, [0, 257])
+
+
 def test_classify_z257_builds_in_well_under_a_second():
     """The order-257 path of ``FiniteRing._validate`` end to end, through the
     CLI: the ring is a field, so its zero ideal is prime and maximal."""

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import random
+import re
 import threading
 from pathlib import Path
 
 import pytest
 
+from construction_oracle import assert_catalog
+import ringlab.catalog as catalog_module
 import ringlab.ideals as ideals
 import ringlab.predicates as predicates
 import ringlab.verifier as verifier
@@ -24,7 +28,7 @@ from ringlab.expansions import (
 )
 from ringlab.ideals import Ideal, colon, ideal_intersection, ideal_product, is_principal, radical
 from ringlab.predicates import one_absorbing_delta_primary_check
-from ringlab.rings import make_zn
+from ringlab.rings import FiniteRing, make_zn
 from ringlab.verifier import (
     THEOREM_IDS,
     TheoremReport,
@@ -173,6 +177,48 @@ def test_statement_results_match_the_golden(catalog16):
     """Instance counts, hypothesis counts, failures and notes of every
     statement on the default catalog, against the recorded golden."""
     _assert_matches_golden(catalog16, GOLDEN)
+
+
+def _relabelled(R: FiniteRing, rng: random.Random) -> FiniteRing:
+    """R with its elements renumbered by a random permutation: element a of R
+    is element perm[a] of the copy, with a's name."""
+    perm = list(range(R.order))
+    rng.shuffle(perm)
+    old = sorted(range(R.order), key=perm.__getitem__)  # old[perm[a]] = a
+    add = [[perm[R.add_table[a][b]] for b in old] for a in old]
+    mul = [[perm[R.mul_table[a][b]] for b in old] for a in old]
+    return FiniteRing(add, mul, R.label, element_names=[R.element_names[a] for a in old])
+
+
+def _modulo_labels(note: str) -> str:
+    """A note with each element index list of a label, such as the (8) of
+    Z16/(8), replaced: those indices change with the labelling."""
+    return re.sub(r"\([0-9,]+\)", "(*)", note)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_relabelled_catalog_gives_the_golden_counts(monkeypatch, seed):
+    """The default catalog built from base rings whose elements are renumbered
+    by a seeded permutation, so that zero and one sit at other indices than
+    0 and 1 in most of them: the constructions take both from their inputs,
+    and the validating constructors find the same (``construction_oracle``).
+    Every statement keeps the golden's instance, hypothesis and failure
+    counts, and T-CHAR its notes up to the indices in labels."""
+    rng = random.Random(seed)
+    bases = tuple(_relabelled(R, rng) for R in catalog_module.base_rings(CatalogConfig()))
+    assert sum(R.zero != 0 for R in bases) > 11 and sum(R.one != 1 for R in bases) > 11
+    monkeypatch.setattr(catalog_module, "base_rings", lambda config: bases)
+    relabelled = build_catalog.__wrapped__(CatalogConfig())
+    assert assert_catalog(relabelled) == {"bases": 23, "rings": 167, "projections": 59,
+                                          "modules": 32, "sets": 275, "stock tables": 995}
+    *golden, _ = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    reports = verify_all(relabelled)
+    assert [(r.theorem_id, r.instances_checked, r.hypothesis_satisfied, len(r.conclusion_failures))
+            for r in reports] == [(g["theorem_id"], g["instances_checked"], g["hypothesis_satisfied"],
+                                   len(g["conclusion_failures"])) for g in golden]
+    char = THEOREM_IDS.index("T-CHAR")
+    assert sorted(map(_modulo_labels, reports[char].notes)) == sorted(
+        map(_modulo_labels, golden[char]["notes"]))
 
 
 def test_enlarged_tier_matches_the_golden(catalog_enlarged):
