@@ -280,7 +280,7 @@ def _principal_colons(
         table = tuple(tuple(inv[t1[p1][j1], t2[p2][j2]] for j1, j2 in classes)
                       for p1, p2 in comp[:-1])
     elif R.order <= 256:
-        rows = [R.cache["mul_bytes"][g] for g in gens]
+        rows = [bytes(R.mul_table[g]) for g in gens]
         table = tuple(
             tuple(pos(int(row.translate(tab)[::-1], 2)) for row in rows)
             for tab in (format(I.mask, "0256b")[::-1].encode() for I in proper))
@@ -329,6 +329,7 @@ def generator_list(I: Ideal) -> tuple[int, ...]:
     if g is not None:
         return (g,)
     R = I.ring
+    R.lattice_position(I.mask)  # raises on a mask that is not an ideal
     pm = _principal_masks(R)
     gens: list[int] = []
     current = 1 << R.zero

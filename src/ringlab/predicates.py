@@ -515,15 +515,17 @@ def _verdicts(name: str, R: FiniteRing, delta: Optional[ExpansionFunction] = Non
 
 def _verdict_bit(name: str):
     """Check ``name`` at I as a function of (I, delta): the bit at I's
-    lattice position of its verdict vector, with no witness scan. An
-    argument that the vector does not cover (an ideal that is not proper, a
-    missing expansion or one on another ring) goes to the check, which
-    raises its own error."""
+    lattice position of its verdict vector, with no witness scan. A missing
+    expansion raises; any other argument that the vector does not cover (an
+    ideal that is not proper, an expansion on another ring) goes to the
+    check, which raises its own error."""
     check = _CHECKS[name]
     needs_delta = name not in DELTA_FREE
 
     def read(I: Ideal, d: Optional[ExpansionFunction]) -> bool:
         R = I.ring
+        if needs_delta and d is None:
+            raise RinglabError(f"predicate {name!r} needs an expansion")
         if not I.is_proper or needs_delta and getattr(d, "ring", None) is not R:
             return check(I, d)[0]
         return bool(_verdicts(name, R, d) >> R.lattice_position(I.mask) & 1)
@@ -539,8 +541,6 @@ PREDICATE_NAMES = tuple(PREDICATES)
 def evaluate_predicate(name: str, I: Ideal, delta: Optional[ExpansionFunction]) -> bool:
     if name not in PREDICATES:
         raise RinglabError(f"unknown predicate {name!r}")
-    if name not in DELTA_FREE and delta is None:
-        raise RinglabError(f"predicate {name!r} needs an expansion")
     return PREDICATES[name](I, delta)
 
 

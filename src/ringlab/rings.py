@@ -144,8 +144,6 @@ class FiniteRing:
         R = cls.__new__(cls)
         R.order, R.add_table, R.mul_table, R.zero, R.one = len(add), add, mul, zero, one
         R.label, R.construction, R.element_names, R.cache = label, construction, element_names, {}
-        if R.order <= 256:
-            R.cache["mul_bytes"] = [bytes(row) for row in mul]
         return R
 
     # ------------------------------------------------------------------
@@ -165,10 +163,8 @@ class FiniteRing:
             raise TableError("zero and one coincide, the zero ring is excluded")
         self.zero, self.one = zero, one
         if n <= 256:
-            # byte rows let translate() compose rows at C speed;
-            # ideals._principal_colons reuses mul's
+            # byte rows let translate() compose rows at C speed
             add, mul = [bytes(row) for row in add], [bytes(row) for row in mul]
-            self.cache["mul_bytes"] = mul
         step = _row_step(n)
         if not _generator_proof(add, mul, zero, step):
             _scan_axioms(add, mul, step)

@@ -29,7 +29,7 @@ from .constructions import (
     quotient_module,
     regular_module,
 )
-from .errors import ConstructionError, ParseError
+from .errors import ConstructionError, ParseError, RinglabError
 from .expansions import (
     ExpansionFunction,
     constant_ring,
@@ -310,6 +310,8 @@ class Query:
         return bool(self.names - DELTA_FREE)
 
     def evaluate(self, I, delta=None) -> bool:
+        if delta is None and self.uses_delta:
+            raise RinglabError(f"query {self.text!r} needs an expansion")
         return self._fn(I, delta)
 
 

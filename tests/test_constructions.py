@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ringlab
+import ringlab.cli as cli
 from construction_oracle import assert_catalog, assert_module, assert_projection, assert_ring
 from ringlab.catalog import CatalogConfig, base_rings, build_catalog
 from ringlab.constructions import (
@@ -33,7 +34,7 @@ from ringlab.constructions import (
     regular_module,
 )
 from ringlab.errors import ConstructionError, ExpansionAxiomError, RingMismatchError, TableError
-from ringlab.expansions import ExpansionFunction, _lattice_covers, from_rule
+from ringlab.expansions import ExpansionFunction, from_rule
 from ringlab.ideals import (
     Ideal,
     _bounds_containing,
@@ -47,6 +48,7 @@ from ringlab.ideals import (
 )
 from ringlab.rings import FiniteRing, RingHom, _colon_rows, make_zn
 from ringlab.specparse import parse_ring
+from ringlab.verifier import verify_all
 
 
 def test_product_structure(z4):
@@ -350,27 +352,13 @@ def test_correspondence_matches_the_ideal_maps(request, tier):
     assert kinds == {"ProductOf", "QuotientOf", "LocalizationOf", "TrivialExtensionOf"}
 
 
-def _cover_scan(masks):
-    """The cover pairs (p, q) by the scan: the subsets of I_q largest first,
-    each kept unless a cover already found contains it."""
-    pairs = []
-    for q, mq in enumerate(masks):
-        found = []
-        for p in range(q - 1, -1, -1):
-            mp = masks[p]
-            if not mp & ~mq and all(mp & ~c for c in found):
-                found.append(mp)
-                pairs.append((p, q))
-    return tuple(pairs)
-
-
 def test_product_tables_match_their_definitional_routes(request):
     """Every table that a product reads off its factors against its route on
     the product's own tables, on every product of both tiers and on Z2^6,
     Z4xZ4xZ4 and Z2xZ3xZ4: the principal masks are the row images, the
     lattice is their sum closure in the same order, the principal colons map
-    the generators' rows, the up-sets and cover pairs are scanned from the
-    lattice masks, and the correspondence pairs the factors' ideals entry by
+    the generators' rows, the up-sets are scanned from the lattice masks,
+    and the correspondence pairs the factors' ideals entry by
     entry."""
     products = [entry.ring for tier in ("catalog16", "catalog_enlarged")
                 for entry in request.getfixturevalue(tier)
@@ -393,7 +381,6 @@ def test_product_tables_match_their_definitional_routes(request):
         colon_rows = [rows[g] for g in gens]
         assert table == tuple(tuple(map(pos, _colon_rows(colon_rows, m))) for m in masks[:-1]), label
         assert _up_sets(P) == tuple(_bounds_containing(P, m) for m in masks), label
-        assert _lattice_covers(P) == (masks, _cover_scan(masks)), label
         R1, R2 = info.left, info.right
         inv = {
             (p1, p2): pos(pair_mask_scan(info, I1.mask, I2.mask, R2.order))
@@ -611,7 +598,7 @@ def test_constructions_match_their_validating_rebuilds(request, tier, counts):
     """Every constructed ring of the tier, its projection, module and
     multiplicative set, every set the catalog localizes a base ring at, and
     every stock table, rebuilt through the public validating path: the same
-    tables, zero, one, names and byte rows (see ``construction_oracle``)."""
+    tables, zero, one and names (see ``construction_oracle``)."""
     assert assert_catalog(request.getfixturevalue(tier)) == counts
 
 
@@ -642,6 +629,31 @@ def test_a_catalog_build_validates_only_its_base_rings(monkeypatch):
     catalog = build_catalog.__wrapped__(CatalogConfig())
     assert (len(catalog), sum(len(e.expansions) for e in catalog)) == (190, 995)
     assert (calls["FiniteRing"], calls["RingHom"], calls["ExpansionFunction"]) == (23, 0, 0)
+
+
+def test_only_caller_expansions_are_validated(monkeypatch, capsys):
+    """Expansion validation runs on caller data only: never in a default
+    build, in the whole suite only on T-PROD-EX's two ``from_rule`` tables
+    and their induced product, and never when classifying each stock
+    expansion of each catalog ring from its specs."""
+    validated: list = []
+
+    def counted(self, validate=ExpansionFunction._validate):
+        validated.append(self.ring.label)
+        return validate(self)
+
+    monkeypatch.setattr(ExpansionFunction, "_validate", counted)
+    catalog = build_catalog.__wrapped__(CatalogConfig())
+    assert validated == []
+    verify_all(catalog)
+    assert validated == ["Z4", "Z9", "Z4xZ9"]
+    validated.clear()
+    for entry in catalog:
+        for d in entry.expansions:
+            assert cli.main(["classify", "--ring", entry.provenance, "--delta", d.label,
+                             "--json"]) == 0, (entry.provenance, d.label)
+            capsys.readouterr()
+    assert validated == []
 
 
 def _z2_ring_with_mul(mul):

@@ -25,7 +25,6 @@ from ringlab.constructions import (
 from ringlab.errors import ExpansionAxiomError, RingMismatchError
 from ringlab.expansions import (
     ExpansionFunction,
-    _lattice_covers,
     commutes_with_scaling,
     constant_ring,
     delta_gamma_hom_check,
@@ -838,30 +837,10 @@ def monotone_by_pair_scan(R, table) -> str:
     return "ok"
 
 
-@pytest.mark.parametrize("tier", ["catalog16", "catalog_enlarged"])
-def test_cover_pairs_match_their_definition(request, tier):
-    """I_p is covered by I_q when I_p is strictly inside I_q and no ideal lies
-    strictly between them."""
-    for entry in request.getfixturevalue(tier):
-        masks, covers = _lattice_covers(entry.ring)
-        assert masks == tuple(I.mask for I in entry.ring.ideals())
-
-        def below(a, b):
-            return a != b and not a & ~b
-
-        expect = {
-            (p, q)
-            for p, a in enumerate(masks)
-            for q, b in enumerate(masks)
-            if below(a, b) and not any(below(a, c) and below(c, b) for c in masks)
-        }
-        assert set(covers) == expect and len(covers) == len(expect), entry.provenance
-
-
-def test_cover_check_matches_the_pair_scan(catalog16):
+def test_validator_matches_the_pair_scan(catalog16):
     """Seeded random extensive tables, eight per ring of the default catalog:
-    the cover check accepts and rejects exactly as the pair scan does, with
-    the same first failing pair."""
+    the validator accepts and rejects exactly as ``monotone_by_pair_scan``
+    does, with the same first failing pair in the same message."""
     rng = random.Random(3)
     outcomes = {"ok": 0, "bad": 0}
     for entry in catalog16:

@@ -53,6 +53,7 @@ from ringlab.constructions import (
     regular_module,
 )
 from ringlab.rings import FiniteRing, make_zn
+from ringlab.specparse import parse_query
 from test_constructions import SMALL_BASES
 
 
@@ -614,9 +615,19 @@ def test_evaluate_predicate_rejects_an_unknown_name_with_a_ringlab_error(z4):
         evaluate_predicate("nope", span(z4, [2]), None)
 
 
-def test_evaluate_predicate_without_an_expansion_is_a_ringlab_error(z4):
-    with pytest.raises(RinglabError, match="predicate 'delta-primary' needs an expansion"):
-        evaluate_predicate("delta-primary", span(z4, [2]), None)
+def test_evaluate_predicate_without_an_expansion_is_a_ringlab_error(z4, z12):
+    """So is the ``PREDICATES`` entry of a delta predicate, and a query that
+    names one, even where ``&`` would short-circuit; a delta-free query
+    needs no expansion."""
+    for call in (lambda: evaluate_predicate("delta-primary", span(z4, [2]), None),
+                 lambda: PREDICATES["delta-primary"](span(z4, [2]), None)):
+        with pytest.raises(RinglabError, match="^predicate 'delta-primary' needs an expansion$"):
+            call()
+    I = span(z12, [4])
+    for text in ("delta-primary", "prime & delta-primary"):
+        with pytest.raises(RinglabError, match=f"^query '{text}' needs an expansion$"):
+            parse_query(text).evaluate(I)
+    assert parse_query("prime").evaluate(I) is False
 
 
 def test_evaluate_predicate_keeps_the_checks_errors(z4, z8):

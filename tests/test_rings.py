@@ -444,7 +444,7 @@ def test_order_above_256_is_proven_on_tuple_rows():
     """Above order 256 a byte cannot hold an index, so the generator proof
     composes tuple rows. Z257 builds by the proof alone."""
     z257 = make_zn(257)
-    assert z257.order == 257 and "mul_bytes" not in z257.cache
+    assert z257.order == 257
     assert len(z257.ideals()) == 2
 
 
@@ -533,11 +533,10 @@ def test_nonunits_form_an_ideal_exactly_on_local_rings(request, tier):
 # per-ring tables
 
 # The caches keyed by an argument, not per ring, and so not ``_per_ring``
-# tables: lattice positions by mask, the byte rows that validation keeps,
-# quotients by ideal, products by ideal pair, induced expansions by source,
-# expansion records by table, delta-free verdicts by check, and the unused
-# ``predicates._memo``.
-ARGUMENT_KEYED = frozenset({"lattice_pos", "mul_bytes", "quotients", "pairwise_products",
+# tables: lattice positions by mask, quotients by ideal, products by ideal
+# pair, induced expansions by source, expansion records by table,
+# delta-free verdicts by check, and the unused ``predicates._memo``.
+ARGUMENT_KEYED = frozenset({"lattice_pos", "quotients", "pairwise_products",
                             "induced", "expansion_records", "verdicts", "predicates"})
 MODULE_TABLES = frozenset({"submodules", "cyclic_masks"})
 
