@@ -8,9 +8,9 @@ carries a provenance string that re-parses to a ring with identical tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .constructions import (
     MultiplicativeSet,
@@ -30,18 +30,15 @@ _PRIME_POWERS = ((2, 2), (2, 3), (3, 2), (2, 4))  # (p, k) with k >= 2, ordered 
 
 @dataclass(frozen=True)
 class CatalogConfig:
-    """Generation knobs. The defaults are the default tier: 190 rings of
-    order at most 64, with 995 expansions."""
+    """The three order budgets of a catalog. ``max_order`` bounds the base
+    rings (``check --max-order``); ``product_order_limit`` and
+    ``trivial_extension_limit`` bound the orders of products and trivial
+    extensions. The defaults are the default tier: 190 rings of order at
+    most 64, with 995 expansions."""
 
     max_order: int = 16
-    families: tuple[str, ...] = ("zn", "galois", "chained")
-    include_products: bool = True
-    include_quotients: bool = True
-    include_trivial_extensions: bool = True
-    include_localizations: bool = True
     product_order_limit: int = 36
     trivial_extension_limit: int = 64
-    max_entries: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,6 @@ class CatalogEntry:
 @dataclass(frozen=True)
 class Catalog:
     entries: tuple[CatalogEntry, ...]
-    notices: tuple[str, ...] = field(default_factory=tuple)
 
     def __iter__(self) -> Iterator[CatalogEntry]:
         return iter(self.entries)
@@ -68,19 +64,11 @@ class Catalog:
 
 def base_rings(config: CatalogConfig) -> tuple[FiniteRing, ...]:
     """The base layer: Z_n, fields F_{p^k}, and chained Z_p[x]/(x^k)."""
-    out: list[FiniteRing] = []
-    if "zn" in config.families:
-        for n in range(2, config.max_order + 1):
-            out.append(make_zn(n))
-    if "galois" in config.families:
-        for p, k in sorted(_PRIME_POWERS, key=lambda pk: pk[0] ** pk[1]):
-            if p**k <= config.max_order:
-                out.append(make_galois_field(p, k))
-    if "chained" in config.families:
-        for p, k in sorted(_PRIME_POWERS, key=lambda pk: pk[0] ** pk[1]):
-            if p**k <= config.max_order:
-                # x^k as a low-to-high coefficient list
-                out.append(make_poly_quotient(p, [0] * k + [1]))
+    out = [make_zn(n) for n in range(2, config.max_order + 1)]
+    prime_powers = [(p, k) for p, k in _PRIME_POWERS if p**k <= config.max_order]
+    out.extend(make_galois_field(p, k) for p, k in prime_powers)
+    # x^k as a low-to-high coefficient list
+    out.extend(make_poly_quotient(p, [0] * k + [1]) for p, k in prime_powers)
     return tuple(out)
 
 
@@ -131,40 +119,28 @@ def build_catalog(config: CatalogConfig = CatalogConfig()) -> Catalog:
         raise ConstructionError("max_order must be at least 2")
     bases = base_rings(config)
     rings: list[FiniteRing] = list(bases)
-    notices: list[str] = []
-
-    if config.include_products:
-        for i, R1 in enumerate(bases):
-            for R2 in bases[i:]:
-                if R1.order * R2.order <= config.product_order_limit:
-                    rings.append(make_product(R1, R2))
-    if config.include_quotients:
-        for R in bases:
-            for I in R.proper_ideals():
-                if I.num_elements > 1:
-                    rings.append(make_quotient(R, I))
-    if config.include_trivial_extensions:
-        for A in bases:
-            if A.order * A.order <= config.trivial_extension_limit:
-                rings.append(make_trivial_extension(A, regular_module(A)))
-            for J in A.proper_ideals():
-                if J.num_elements > 1:
-                    carrier = A.order * (A.order // J.num_elements)
-                    if carrier <= config.trivial_extension_limit:
-                        rings.append(make_trivial_extension(A, quotient_module(A, J)))
-    if config.include_localizations:
-        for R in bases:
-            for S in _localization_sets(R):
-                rings.append(localize(R, S).ring)
-
-    if config.max_entries is not None and len(rings) > config.max_entries:
-        notices.append(
-            f"catalog truncated to {config.max_entries} of {len(rings)} candidate entries"
-        )
-        rings = rings[: config.max_entries]
+    for i, R1 in enumerate(bases):
+        for R2 in bases[i:]:
+            if R1.order * R2.order <= config.product_order_limit:
+                rings.append(make_product(R1, R2))
+    for R in bases:
+        for I in R.proper_ideals():
+            if I.num_elements > 1:
+                rings.append(make_quotient(R, I))
+    for A in bases:
+        if A.order * A.order <= config.trivial_extension_limit:
+            rings.append(make_trivial_extension(A, regular_module(A)))
+        for J in A.proper_ideals():
+            if J.num_elements > 1:
+                carrier = A.order * (A.order // J.num_elements)
+                if carrier <= config.trivial_extension_limit:
+                    rings.append(make_trivial_extension(A, quotient_module(A, J)))
+    for R in bases:
+        for S in _localization_sets(R):
+            rings.append(localize(R, S).ring)
 
     labels = [R.label for R in rings]
     if len(set(labels)) != len(labels):
         raise InvariantError("catalog provenance strings must be unique")
     entries = tuple(CatalogEntry(R, R.label, standard_expansions(R)) for R in rings)
-    return Catalog(entries, tuple(notices))
+    return Catalog(entries)

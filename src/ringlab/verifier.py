@@ -150,7 +150,9 @@ class TheoremReport:
 
 @dataclass(slots=True)
 class _Part:
-    """Per-entry accumulator, merged deterministically afterwards."""
+    """The accumulator of one statement's sweep: counts, the first
+    ``FAILURE_CAP`` failures and the number dropped past them, and notes.
+    ``provenance`` names the entry being swept, for its witnesses."""
 
     provenance: str
     checked: int = 0
@@ -213,21 +215,11 @@ def _every_proper_one_absorbing(
 
 
 _SWEEPS: dict[str, Callable[[CatalogEntry, _Part], None]] = {}
-_STANDALONE: dict[str, Callable[[_Part], None]] = {}
-_FINALIZERS: dict[str, Callable[[int, int], Optional[str]]] = {}
 
 
 def _sweep(tid: str):
     def register(fn):
         _SWEEPS[tid] = fn
-        return fn
-
-    return register
-
-
-def _standalone(tid: str):
-    def register(fn):
-        _STANDALONE[tid] = fn
         return fn
 
     return register
@@ -366,19 +358,6 @@ def _t_xm(entry: CatalogEntry, part: _Part) -> None:
                     part.fail(xM, d.label, wit, f"x={R.element_name(x)}")
                 elif is_delta_primary(xM, d):
                     part.fail(xM, d.label, (x,), "xM is delta-primary")
-
-
-def _finalize_xm(checked: int, hits: int) -> Optional[str]:
-    if hits == 0:
-        return (
-            "no instance satisfied the hypotheses at this scale: in a finite "
-            "local ring a prime element generates the maximal ideal, so "
-            "delta(xM) strictly below M with x inside it is impossible"
-        )
-    return None
-
-
-_FINALIZERS["T-XM"] = _finalize_xm
 
 
 @_sweep("T-COLON")
@@ -589,7 +568,7 @@ def _t_char(entry: CatalogEntry, part: _Part) -> None:
 def _t_char_cor(entry: CatalogEntry, part: _Part) -> None:
     """The identity-expansion specialization of the characterization."""
     R = entry.ring
-    d = entry.expansions[0]  # the catalog puts id first on every ring
+    d = standard_expansions(R)[0]  # the identity expansion
     part.instance(True)
     i, ii, iii = _char_states(R, d)
     if not (i == ii == iii):
@@ -740,7 +719,6 @@ def _t_prod(entry: CatalogEntry, part: _Part) -> None:
                 )
 
 
-@_standalone("T-PROD-EX")
 def _t_prod_ex(part: _Part) -> None:
     """Fixed product example: components 1abs, intersection not."""
     R1, R2 = make_zn(4), make_zn(9)
@@ -820,51 +798,39 @@ def _t_triv_cor(entry: CatalogEntry, part: _Part) -> None:
 
 def verify(theorem_id: str, catalog: Catalog) -> TheoremReport:
     """Run one statement check over the catalog, in the calling thread, and
-    report the outcome."""
+    report the outcome.
+
+    One accumulator walks the entries in provenance order, so the failures,
+    the notes and the truncation count do not depend on the catalog's entry
+    order. T-PROD-EX checks its fixed example and reads no entry."""
     if theorem_id not in THEOREM_IDS:
         raise UnknownTheoremError(f"unknown theorem id {theorem_id!r}")
     start = perf_counter()
-    parts: list[_Part]
-    if theorem_id in _STANDALONE:
-        part = _Part("Z4xZ9")
-        _STANDALONE[theorem_id](part)
-        parts = [part]
+    part = _Part("Z4xZ9")  # T-PROD-EX's ring; a sweep names each entry
+    if theorem_id == "T-PROD-EX":
+        _t_prod_ex(part)
     else:
-        fn = _SWEEPS[theorem_id]
-        parts = []
-        for entry in catalog.entries:
-            part = _Part(entry.provenance)
-            fn(entry, part)
-            parts.append(part)
-        parts.sort(key=lambda p: p.provenance)
-
-    checked = sum(p.checked for p in parts)
-    hits = sum(p.hits for p in parts)
-    failures: list[Witness] = []
-    dropped = 0
-    notes: list[str] = [f"catalog: {n}" for n in catalog.notices]
-    for p in parts:
-        for w in p.failures:
-            if len(failures) < FAILURE_CAP:
-                failures.append(w)
-            else:
-                dropped += 1
-        dropped += p.dropped
-        notes.extend(p.notes)
-    if dropped:
-        notes.append(f"conclusion failures truncated to {FAILURE_CAP} of {FAILURE_CAP + dropped}")
-    finalize = _FINALIZERS.get(theorem_id)
-    if finalize is not None:
-        extra = finalize(checked, hits)
-        if extra:
-            notes.append(extra)
+        sweep = _SWEEPS[theorem_id]
+        for entry in sorted(catalog.entries, key=lambda e: e.provenance):
+            part.provenance = entry.provenance
+            sweep(entry, part)
+    if part.dropped:
+        part.notes.append(
+            f"conclusion failures truncated to {FAILURE_CAP} of {FAILURE_CAP + part.dropped}"
+        )
+    if theorem_id == "T-XM" and part.hits == 0:
+        part.notes.append(
+            "no instance satisfied the hypotheses at this scale: in a finite "
+            "local ring a prime element generates the maximal ideal, so "
+            "delta(xM) strictly below M with x inside it is impossible"
+        )
     return TheoremReport(
         theorem_id=theorem_id,
-        instances_checked=checked,
-        hypothesis_satisfied=hits,
-        conclusion_failures=tuple(failures),
+        instances_checked=part.checked,
+        hypothesis_satisfied=part.hits,
+        conclusion_failures=tuple(part.failures),
         elapsed=perf_counter() - start,
-        notes=tuple(notes),
+        notes=tuple(part.notes),
     )
 
 
@@ -907,5 +873,5 @@ def search_witness(query, catalog: Catalog) -> list[Witness]:
     return out
 
 
-if set(THEOREM_IDS) != set(_SWEEPS) | set(_STANDALONE):
+if set(THEOREM_IDS) != set(_SWEEPS) | {"T-PROD-EX"}:
     raise InvariantError("statement registry out of sync")

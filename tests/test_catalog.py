@@ -91,26 +91,6 @@ def test_product_order_limit():
             assert entry.ring.order <= 16
 
 
-def test_families_filter():
-    config = CatalogConfig(
-        max_order=8,
-        families=("zn",),
-        include_products=False,
-        include_quotients=False,
-        include_trivial_extensions=False,
-        include_localizations=False,
-    )
-    cat = build_catalog(config)
-    assert [e.provenance for e in cat] == ["Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8"]
-
-
-def test_max_entries_truncation():
-    config = CatalogConfig(max_order=8, max_entries=5)
-    cat = build_catalog(config)
-    assert len(cat) == 5
-    assert any("truncated" in n for n in cat.notices)
-
-
 def test_rejects_tiny_max_order():
     with pytest.raises(ConstructionError):
         build_catalog(CatalogConfig(max_order=1))

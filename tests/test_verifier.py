@@ -19,12 +19,14 @@ from ringlab.catalog import Catalog, CatalogConfig, CatalogEntry, build_catalog
 from ringlab.errors import UnknownTheoremError
 from ringlab.expansions import (
     ExpansionFunction,
+    constant_ring,
     from_rule,
     identity_expansion,
     is_intersection_preserving,
     preserves_jacobson,
     satisfies_star,
     scaling_check,
+    standard_expansions,
 )
 from ringlab.ideals import Ideal, colon, ideal_intersection, ideal_product, is_principal, radical
 from ringlab.predicates import one_absorbing_delta_primary_check
@@ -475,6 +477,29 @@ def test_failure_cap(catalog8, monkeypatch):
     assert any("truncated" in n for n in r.notes)
 
 
+def test_reports_do_not_depend_on_entry_order(catalog16, monkeypatch):
+    """The default catalog reversed, and shuffled with a seed, gives every
+    statement's report of the forward catalog, notes included. With every
+    delta-primary verdict corrupted, some statements fail in several entries
+    and the failure cap truncates them, so the first failures kept and the
+    truncation count must not depend on the order either."""
+    monkeypatch.setattr(verifier, "_primary", _all_delta_primary)
+    monkeypatch.setattr(verifier, "FAILURE_CAP", 10**6)
+    spread, cap = ("T-CHAIN", "T-ARITH", "T-PROD"), 5
+    for r in verify_all(catalog16, spread):
+        assert len(r.conclusion_failures) > cap, r.theorem_id
+        assert len({w.ring for w in r.conclusion_failures}) >= 3, r.theorem_id
+    monkeypatch.setattr(verifier, "FAILURE_CAP", cap)
+    forward = [strip_elapsed(r) for r in verify_all(catalog16)]
+    truncated = {r["theorem_id"] for r in forward
+                 if any(n.startswith("conclusion failures truncated") for n in r["notes"])}
+    assert set(spread) <= truncated
+    shuffled = list(catalog16.entries)
+    random.Random(2024).shuffle(shuffled)
+    for entries in (catalog16.entries[::-1], tuple(shuffled)):
+        assert [strip_elapsed(r) for r in verify_all(Catalog(entries))] == forward
+
+
 def test_transfer_sweeps_catch_corrupted_verdicts(catalog16, monkeypatch):
     """Flipping every 1-absorbing verdict on the constructed rings refutes
     each transfer sweep through each of its conclusions, so each one reads
@@ -738,12 +763,6 @@ def test_search_witness_deterministic(catalog8):
     assert a == b
 
 
-def test_catalog_notices_surface_in_reports():
-    cat = build_catalog(CatalogConfig(max_order=8, max_entries=4))
-    r = verify("T-CHAIN", cat)
-    assert any(n.startswith("catalog:") for n in r.notes)
-
-
 def test_t_char_on_an_expansion_that_keeps_jac_and_breaks_star():
     """A one-entry catalog: Z6 with id and an expansion that keeps
     Jac(Z6) = (0) but sends the proper ideal (3) to the ring. T-CHAR counts
@@ -757,6 +776,18 @@ def test_t_char_on_an_expansion_that_keeps_jac_and_breaks_star():
     report = verify("T-CHAR", catalog)
     assert (report.instances_checked, report.hypothesis_satisfied) == (2, 1)
     assert report.conclusion_failures == () and report.notes == ()
+
+
+def test_char_cor_reads_the_rings_own_identity_expansion():
+    """T-CHAR-COR takes id from the ring, not from the entry's first
+    expansion: an entry with no expansions, or with ``full`` first, gives
+    the report of Z8's stock entry."""
+    R = make_zn(8)
+    want = strip_elapsed(verify("T-CHAR-COR", Catalog((CatalogEntry(R, "Z8", standard_expansions(R)),))))
+    assert (want["status"], want["instances_checked"], want["hypothesis_satisfied"]) == ("verified", 1, 1)
+    for expansions in ((), (constant_ring(R), identity_expansion(R))):
+        catalog = Catalog((CatalogEntry(R, "Z8", expansions),))
+        assert strip_elapsed(verify("T-CHAR-COR", catalog)) == want
 
 
 def _all_expansion_tables(R):
