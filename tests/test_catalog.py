@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -89,6 +90,20 @@ def test_product_order_limit():
     for entry in cat:
         if isinstance(entry.ring.construction, ProductOf):
             assert entry.ring.order <= 16
+
+
+def test_trivial_extension_limit(catalog16):
+    cat = build_catalog(CatalogConfig(max_order=16, trivial_extension_limit=16))
+    kept = [e.ring.order for e in cat if isinstance(e.ring.construction, TrivialExtensionOf)]
+    stock = [e.ring.order for e in catalog16 if isinstance(e.ring.construction, TrivialExtensionOf)]
+    assert kept and all(order <= 16 for order in kept)
+    assert len(kept) < len(stock)
+    assert len(cat) - len(kept) == len(catalog16) - len(stock)
+
+
+def test_config_is_the_three_order_budgets():
+    names = tuple(f.name for f in dataclasses.fields(CatalogConfig))
+    assert names == ("max_order", "product_order_limit", "trivial_extension_limit")
 
 
 def test_rejects_tiny_max_order():
