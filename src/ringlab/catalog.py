@@ -8,7 +8,6 @@ carries a provenance string that re-parses to a ring with identical tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -23,37 +22,41 @@ from .constructions import (
 )
 from .errors import ConstructionError, InvariantError
 from .expansions import ExpansionFunction, standard_expansions
-from .rings import FiniteRing, make_galois_field, make_poly_quotient, make_zn
+from .rings import FiniteRing, _Record, make_galois_field, make_poly_quotient, make_zn
 
 _PRIME_POWERS = ((2, 2), (2, 3), (3, 2), (2, 4))  # (p, k) with k >= 2, ordered by p**k
 
 
-@dataclass(frozen=True)
-class CatalogConfig:
+class CatalogConfig(_Record):
     """The three order budgets of a catalog. ``max_order`` bounds the base
     rings (``check --max-order``); ``product_order_limit`` and
     ``trivial_extension_limit`` bound the orders of products and trivial
     extensions. The defaults are the default tier: 190 rings of order at
     most 64, with 995 expansions."""
 
-    max_order: int = 16
-    product_order_limit: int = 36
-    trivial_extension_limit: int = 64
+    __slots__ = ("max_order", "product_order_limit", "trivial_extension_limit")
+
+    def __init__(self, max_order: int = 16, product_order_limit: int = 36,
+                 trivial_extension_limit: int = 64) -> None:
+        super().__init__(max_order, product_order_limit, trivial_extension_limit)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(_Record):
     """One ring with its provenance string and its stock expansions, the
     tuple ``standard_expansions(ring)`` itself."""
 
-    ring: FiniteRing
-    provenance: str
-    expansions: tuple[ExpansionFunction, ...]
+    __slots__ = ("ring", "provenance", "expansions")
+
+    def __init__(self, ring: FiniteRing, provenance: str,
+                 expansions: tuple[ExpansionFunction, ...]) -> None:
+        super().__init__(ring, provenance, expansions)
 
 
-@dataclass(frozen=True)
-class Catalog:
-    entries: tuple[CatalogEntry, ...]
+class Catalog(_Record):
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[CatalogEntry, ...]) -> None:
+        super().__init__(entries)
 
     def __iter__(self) -> Iterator[CatalogEntry]:
         return iter(self.entries)

@@ -24,7 +24,6 @@ off a column of the action table, through ``ideals._sum_masks`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
 from typing import Optional, Sequence, Union
@@ -49,12 +48,11 @@ from .rings import (
 # products
 
 
-@dataclass
 class ProductOf:
     """Descriptor for a product ring, with row-major pair encoding."""
 
-    left: FiniteRing
-    right: FiniteRing
+    def __init__(self, left: FiniteRing, right: FiniteRing) -> None:
+        self.left, self.right = left, right
 
     def encode(self, a: int, b: int) -> int:
         return a * self.right.order + b
@@ -98,13 +96,11 @@ def make_product(R1: FiniteRing, R2: FiniteRing) -> FiniteRing:
 # quotients
 
 
-@dataclass
 class QuotientOf:
     """Descriptor for a quotient ring R/I."""
 
-    parent: FiniteRing
-    ideal_mask: int
-    projection: RingHom = field(repr=False)
+    def __init__(self, parent: FiniteRing, ideal_mask: int, projection: RingHom) -> None:
+        self.parent, self.ideal_mask, self.projection = parent, ideal_mask, projection
 
 
 def _coset_tables(R: FiniteRing, kmask: int) -> tuple:
@@ -317,12 +313,11 @@ def module_product(E1: FiniteModule, E2: FiniteModule) -> FiniteModule:
     return FiniteModule._built(E1.ring, add, action, E1.zero * m2 + E2.zero, label, names)
 
 
-@dataclass
 class TrivialExtensionOf:
     """Descriptor for A extended by the module E, row-major pair encoding."""
 
-    base: FiniteRing
-    module: FiniteModule
+    def __init__(self, base: FiniteRing, module: FiniteModule) -> None:
+        self.base, self.module = base, module
 
     def encode(self, a: int, e: int) -> int:
         return a * self.module.order + e
@@ -476,25 +471,22 @@ class MultiplicativeSet:
         return f"MultiplicativeSet({self.ring.label}, {sorted(self.members)})"
 
 
-@dataclass
 class LocalizationOf:
     """Descriptor for a localization, realized as a quotient."""
 
-    parent: FiniteRing
-    set_members: tuple[int, ...]
-    set_generators: tuple[int, ...]
-    projection: RingHom = field(repr=False)
-    kernel_mask: int = 0
+    def __init__(self, parent: FiniteRing, set_members: tuple[int, ...],
+                 set_generators: tuple[int, ...], projection: RingHom,
+                 kernel_mask: int = 0) -> None:
+        self.parent, self.set_members, self.set_generators = parent, set_members, set_generators
+        self.projection, self.kernel_mask = projection, kernel_mask
 
 
-@dataclass
 class Localization:
     """The localized ring together with the canonical map and its kernel."""
 
-    ring: FiniteRing
-    projection: RingHom
-    kernel: Ideal
-    sset: MultiplicativeSet
+    def __init__(self, ring: FiniteRing, projection: RingHom, kernel: Ideal,
+                 sset: MultiplicativeSet) -> None:
+        self.ring, self.projection, self.kernel, self.sset = ring, projection, kernel, sset
 
     def extend_ideal(self, I: Ideal) -> Ideal:
         return self.projection.image_ideal(I)

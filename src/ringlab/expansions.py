@@ -194,8 +194,9 @@ def satisfies_star(delta: ExpansionFunction) -> bool:
 
 
 def preserves_jacobson(delta: ExpansionFunction) -> bool:
-    jac = delta.ring.jacobson_radical()
-    return delta(jac).mask == jac.mask
+    """δ(Jac) = Jac, one table entry: Jac(R) is the radical of (0), position 0."""
+    j = _radical_positions(delta.ring)[0]
+    return delta.table[j] == j
 
 
 @_per_ring("scaling")

@@ -43,7 +43,6 @@ oracles for the test suite, read their colons off the same table
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 from typing import Optional
@@ -544,13 +543,14 @@ def evaluate_predicate(name: str, I: Ideal, delta: Optional[ExpansionFunction]) 
     return PREDICATES[name](I, delta)
 
 
-@dataclass
 class ClassifyRow:
     """One proper ideal with its full predicate profile."""
 
-    ideal: Ideal
-    values: dict[str, bool]
-    witnesses: dict[str, object]
+    __slots__ = ("ideal", "values", "witnesses")
+
+    def __init__(self, ideal: Ideal, values: dict[str, bool],
+                 witnesses: dict[str, object]) -> None:
+        self.ideal, self.values, self.witnesses = ideal, values, witnesses
 
 
 def classify(R: FiniteRing, delta: ExpansionFunction) -> list[ClassifyRow]:

@@ -11,7 +11,6 @@ is declared with ``_per_ring`` and kept in the ring's ``cache``.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import wraps
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -475,12 +474,46 @@ def _first_diff(x: Sequence[int], y: Sequence[int]) -> int:
     raise InvariantError("byte strings do not differ")
 
 
-@dataclass(frozen=True)
-class Element:
+class _Record:
+    """An immutable record whose fields are its ``__slots__``, each set once
+    by ``__init__``. Equality (same class, equal fields), hash and repr read
+    the fields in order; the methods are written out, not generated."""
+
+    __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Element(_Record):
     """An element of a specific ring. Cross-ring arithmetic is rejected."""
 
-    ring: FiniteRing
-    index: int
+    __slots__ = ("ring", "index")
+
+    def __init__(self, ring: FiniteRing, index: int) -> None:
+        super().__init__(ring, index)
 
     def _same_ring(self, other: Element) -> None:
         if not isinstance(other, Element):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Optional
 
@@ -66,7 +65,7 @@ from .predicates import (
     is_delta_primary,
     one_absorbing_delta_primary_check,
 )
-from .rings import FiniteRing, make_zn
+from .rings import FiniteRing, _Record, make_zn
 
 FAILURE_CAP = 50
 
@@ -100,15 +99,14 @@ THEOREM_IDS = (
 )
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Record):
     """One conclusion failure: where, under which expansion, and why."""
 
-    ring: str
-    ideal: tuple[str, ...]
-    delta: str
-    elements: Optional[tuple[str, ...]]
-    detail: str = ""
+    __slots__ = ("ring", "ideal", "delta", "elements", "detail")
+
+    def __init__(self, ring: str, ideal: tuple[str, ...], delta: str,
+                 elements: Optional[tuple[str, ...]], detail: str = "") -> None:
+        super().__init__(ring, ideal, delta, elements, detail)
 
     def to_dict(self) -> dict:
         return {
@@ -120,14 +118,15 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class TheoremReport:
-    theorem_id: str
-    instances_checked: int
-    hypothesis_satisfied: int
-    conclusion_failures: tuple[Witness, ...]
-    elapsed: float
-    notes: tuple[str, ...] = ()
+class TheoremReport(_Record):
+    __slots__ = ("theorem_id", "instances_checked", "hypothesis_satisfied",
+                 "conclusion_failures", "elapsed", "notes")
+
+    def __init__(self, theorem_id: str, instances_checked: int, hypothesis_satisfied: int,
+                 conclusion_failures: tuple[Witness, ...], elapsed: float,
+                 notes: tuple[str, ...] = ()) -> None:
+        super().__init__(theorem_id, instances_checked, hypothesis_satisfied,
+                         conclusion_failures, elapsed, notes)
 
     @property
     def status(self) -> str:
@@ -148,18 +147,17 @@ class TheoremReport:
         return json.dumps(self.to_dict(), separators=(",", ":"))
 
 
-@dataclass(slots=True)
 class _Part:
     """The accumulator of one statement's sweep: counts, the first
     ``FAILURE_CAP`` failures and the number dropped past them, and notes.
     ``provenance`` names the entry being swept, for its witnesses."""
 
-    provenance: str
-    checked: int = 0
-    hits: int = 0
-    failures: list[Witness] = field(default_factory=list)
-    dropped: int = 0
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("provenance", "checked", "hits", "failures", "dropped", "notes")
+
+    def __init__(self, provenance: str) -> None:
+        self.provenance, self.checked, self.hits, self.dropped = provenance, 0, 0, 0
+        self.failures: list[Witness] = []
+        self.notes: list[str] = []
 
     def instance(self, hypothesis: bool) -> bool:
         self.checked += 1

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -102,8 +101,28 @@ def test_trivial_extension_limit(catalog16):
 
 
 def test_config_is_the_three_order_budgets():
-    names = tuple(f.name for f in dataclasses.fields(CatalogConfig))
-    assert names == ("max_order", "product_order_limit", "trivial_extension_limit")
+    assert CatalogConfig.__slots__ == ("max_order", "product_order_limit", "trivial_extension_limit")
+
+
+def test_config_is_an_immutable_value():
+    """Defaults, keywords and repr; equal configs are equal, hash alike and
+    so share one ``build_catalog`` object; no field can be assigned."""
+    default = CatalogConfig()
+    assert (default.max_order, default.product_order_limit, default.trivial_extension_limit) == (16, 36, 64)
+    config = CatalogConfig(max_order=3, trivial_extension_limit=16)
+    assert (config.max_order, config.product_order_limit, config.trivial_extension_limit) == (3, 36, 16)
+    assert repr(config) == "CatalogConfig(max_order=3, product_order_limit=36, trivial_extension_limit=16)"
+    same = CatalogConfig(3, 36, 16)
+    assert same == config and hash(same) == hash(config) and same is not config
+    assert config != CatalogConfig(max_order=3) and config != (3, 36, 16)
+    assert build_catalog(same) is build_catalog(config)
+    with pytest.raises(AttributeError):
+        config.max_order = 4
+    with pytest.raises(AttributeError):
+        del config.max_order
+    with pytest.raises(AttributeError):
+        config.families = ()
+    assert config.max_order == 3
 
 
 def test_rejects_tiny_max_order():

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -304,6 +308,46 @@ def test_usage_error_is_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--ring", "Z4"])  # missing --delta
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "ringlab classify: error: the following arguments are required: --delta"
+
+
+@pytest.mark.parametrize("argv, last_line", [
+    ((), "ringlab: error: the following arguments are required: command"),
+    # argparse words the choices itself, and its wording has moved between
+    # patch releases, so the line is pinned only up to "invalid choice:".
+    (("nope",), "ringlab: error: argument command: invalid choice:"),
+])
+def test_usage_paths_exit_two_with_the_argparse_line(capsys, argv, last_line):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.splitlines()[-1].startswith(last_line)
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
+    assert out.startswith("usage: ringlab ") and "{classify,check,search}" in out
+
+
+def test_importing_the_cli_generates_no_code():
+    """``import ringlab.cli`` loads neither ``dataclasses`` nor ``inspect``:
+    the record classes are written out, so no class body or decorator
+    compiles methods at import. The modules are compared before and after
+    the import, so what ``site`` loads does not count."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = ("import sys; before = set(sys.modules); import ringlab.cli; "
+              "print(sorted(set(sys.modules) - before))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    added = ast.literal_eval(done.stdout)
+    assert "ringlab.cli" in added
+    assert not {"dataclasses", "inspect"} & set(added), added
 
 
 @pytest.mark.parametrize("argv, env, err_lines", [

@@ -170,6 +170,34 @@ def test_star_and_jacobson(z8):
     assert preserves_jacobson(d_id)
 
 
+def _fixes_jacobson(d) -> bool:
+    """δ(Jac) = Jac by definition: Jac(R) is the meet of the maximal ideals."""
+    R = d.ring
+    jac = (1 << R.order) - 1
+    for M in R.maximal_ideals():
+        jac &= M.mask
+    return d(Ideal(R, jac)).mask == jac
+
+
+def test_preserves_jacobson_matches_the_definition(catalog16, catalog_enlarged):
+    """The one table entry agrees with δ(Jac) = Jac on every stock expansion
+    of both tiers, which hold both verdicts, and on Z8 expansions from
+    ``from_rule``: one that moves Jac = (2) to the ring, one that moves only
+    (0) and so fixes Jac."""
+    stock = _catalog_expansions(catalog16) + _catalog_expansions(catalog_enlarged)
+    assert len(stock) == 2675
+    verdicts = [preserves_jacobson(d) for d in stock]
+    assert verdicts == [_fixes_jacobson(d) for d in stock]
+    assert True in verdicts and False in verdicts
+    z8 = make_zn(8)
+    moves = from_rule(z8, lambda I: I if I.num_elements <= 2 else z8.unit_ideal(), "jac->R")
+    fixes = from_rule(z8, lambda I: I if I.num_elements > 1 else span(z8, [4]), "0->(4)")
+    assert [z8.ideals()[q].label for q in moves.table] == ["(0)", "(4)", "(1)", "(1)"]
+    assert [z8.ideals()[q].label for q in fixes.table] == ["(4)", "(4)", "(2)", "(1)"]
+    assert (preserves_jacobson(moves), _fixes_jacobson(moves)) == (False, False)
+    assert (preserves_jacobson(fixes), _fixes_jacobson(fixes)) == (True, True)
+
+
 def test_satisfies_star_matches_the_scan(catalog16):
     """Condition (*) against its definition on every attached expansion, and
     on a Z6 expansion that sends only the maximal ideal (2) to the ring."""

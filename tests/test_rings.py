@@ -214,6 +214,20 @@ def test_element_wrapper(z12):
     assert b.is_unit is False
 
 
+def test_elements_compare_by_ring_identity_and_index(z12):
+    """Equal when the ring is the same object and the index is equal; the
+    hash is that of (ring, index); an element cannot be changed."""
+    a, twin = z12.element(7), rings.Element(z12, 7)
+    assert a == twin and hash(a) == hash(twin) == hash((z12, 7))
+    assert a != z12.element(8) and a != 7
+    other = rings.make_zn(12)
+    assert a != rings.Element(other, 7)
+    assert len({a, twin, z12.element(8), rings.Element(other, 7)}) == 3
+    with pytest.raises(AttributeError):
+        a.index = 8
+    assert a.index == 7 and repr(a) == "<7 in Z12>"
+
+
 def test_lattice_position_roundtrip(z12):
     for I in z12.ideals():
         assert z12.ideals()[z12.lattice_position(I.mask)].mask == I.mask

@@ -719,6 +719,31 @@ def test_witness_to_dict():
     assert w2.to_dict()["elements"] is None
 
 
+def test_witness_and_report_are_immutable_and_serialize_as_before():
+    w = Witness("Z8", ("0", "4"), "rad", ("2", "2", "2"), "why")
+    r = TheoremReport("T-CHAIN", 5, 3, (w,), 0.1234567, ("a note",))
+    assert w == Witness(ring="Z8", ideal=("0", "4"), delta="rad", elements=("2", "2", "2"),
+                        detail="why")
+    assert hash(w) == hash(Witness("Z8", ("0", "4"), "rad", ("2", "2", "2"), "why"))
+    assert TheoremReport("T-CHAIN", 0, 0, (), 0.0).notes == ()
+    for record, field in ((w, "ring"), (w, "detail"), (r, "elapsed"), (r, "conclusion_failures")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert r.status == "refuted" and r.elapsed == 0.1234567
+    assert r.to_dict() == {
+        "theorem_id": "T-CHAIN", "status": "refuted", "instances_checked": 5,
+        "hypothesis_satisfied": 3,
+        "conclusion_failures": [{"ring": "Z8", "ideal": ["0", "4"], "delta": "rad",
+                                 "elements": ["2", "2", "2"], "detail": "why"}],
+        "notes": ["a note"], "elapsed": 0.123457,
+    }
+    assert r.to_json() == (
+        '{"theorem_id":"T-CHAIN","status":"refuted","instances_checked":5,'
+        '"hypothesis_satisfied":3,"conclusion_failures":[{"ring":"Z8","ideal":["0","4"],'
+        '"delta":"rad","elements":["2","2","2"],"detail":"why"}],"notes":["a note"],'
+        '"elapsed":0.123457}')
+
+
 def test_prod_ex_standalone(catalog8):
     r = verify("T-PROD-EX", catalog8)
     assert r.instances_checked == 3
