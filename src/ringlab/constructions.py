@@ -417,6 +417,18 @@ def _require_elements(R: FiniteRing, items) -> None:
             raise ConstructionError(f"set member {a!r} is not an element of {R.label}")
 
 
+def _products(R: FiniteRing, gens: Sequence[int]) -> set[int]:
+    """The products of the generators, breadth first from one by the steps
+    s -> s*g in O(|S| * |gens|): closed, as s*(g1...gk) is k steps on."""
+    members, todo, mul = {R.one}, [R.one], R.mul_table
+    for s in todo:  # todo grows while it is walked: breadth first
+        for t in map(mul[s].__getitem__, gens):
+            if t not in members:
+                members.add(t)
+                todo.append(t)
+    return members
+
+
 class MultiplicativeSet:
     """A multiplicatively closed subset containing one and excluding zero."""
 
@@ -440,19 +452,18 @@ class MultiplicativeSet:
             self.generators = tuple(sorted(self.members))
         else:
             self.generators = tuple(generators)
+            _require_elements(ring, self.generators)
+            if _products(ring, self.generators) != self.members:
+                raise ConstructionError(
+                    f"generators {list(self.generators)} do not generate the set "
+                    f"{sorted(self.members)}")
 
     @classmethod
     def from_generators(cls, R: FiniteRing, gens: Sequence[int]) -> MultiplicativeSet:
-        """The products of the generators, breadth first from one by the steps
-        s -> s*g in O(|S| * |gens|): closed, as s*(g1...gk) is k steps on."""
+        """The products of the generators (``_products``)."""
         _require_elements(R, gens)
         gens = tuple(sorted(set(gens)))
-        members, todo, mul = {R.one}, [R.one], R.mul_table
-        for s in todo:  # todo grows while it is walked: breadth first
-            for t in map(mul[s].__getitem__, gens):
-                if t not in members:
-                    members.add(t)
-                    todo.append(t)
+        members = _products(R, gens)
         if R.zero in members:
             return cls(R, members, gens)  # raises, as the set holds zero
         return cls._built(R, frozenset(members), gens)
@@ -487,12 +498,6 @@ class Localization:
     def __init__(self, ring: FiniteRing, projection: RingHom, kernel: Ideal,
                  sset: MultiplicativeSet) -> None:
         self.ring, self.projection, self.kernel, self.sset = ring, projection, kernel, sset
-
-    def extend_ideal(self, I: Ideal) -> Ideal:
-        return self.projection.image_ideal(I)
-
-    def misses_set(self, I: Ideal) -> bool:
-        return not any(s in I for s in self.sset.members)
 
 
 def localize(R: FiniteRing, S: MultiplicativeSet) -> Localization:

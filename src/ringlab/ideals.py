@@ -17,11 +17,11 @@ goes, with its cyclic submodules Re in place of the principal ideals.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 from operator import and_
 from typing import Iterable, Optional, Union
 
-from .errors import ConstructionError, InvariantError, ProperIdealError, RingMismatchError
+from .errors import ConstructionError, ProperIdealError, RingMismatchError
 from .rings import Element, FiniteRing, _colon_rows, _element_index, _per_ring
 
 
@@ -56,10 +56,6 @@ class Ideal:
     @property
     def is_zero(self) -> bool:
         return self._card == 1
-
-    @property
-    def sort_key(self) -> tuple[int, int]:
-        return (self._card, self.mask)
 
     def __contains__(self, a: Union[int, Element]) -> bool:
         try:
@@ -429,6 +425,15 @@ def scale(x: Union[int, Element], I: Ideal) -> Ideal:
 # classical predicates, each with a lexicographically minimal witness
 
 
+@cache
+def _predicates():
+    """The ``predicates`` module, whose table of checks decides the checks
+    below. It imports this module, so it is reached at call time."""
+    from . import predicates
+
+    return predicates
+
+
 def _lsb(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
@@ -496,19 +501,6 @@ def _up_sets(R: FiniteRing) -> tuple[int, ...]:
     return tuple(above[0][p] & above[1][q] for p, q in comp)
 
 
-def _decide(I: Ideal, pass_sets, bound: int, witness) -> tuple[bool, Optional[tuple]]:
-    """A check at I with the bound mask ``bound``: the bit of I's pass set
-    in ``pass_sets(R)``, and on a failure the first witness that
-    ``witness(R, I.mask, bound)`` finds."""
-    R = I.ring
-    if (pass_sets(R)[R.lattice_position(I.mask)] >> R.lattice_position(bound)) & 1:
-        return True, None
-    got = witness(R, I.mask, bound)
-    if got[0]:
-        raise InvariantError("the pass set fails a bound that the witness scan passes")
-    return got
-
-
 @_per_ring("colon_up_sets")
 def _colon_up_sets(R: FiniteRing) -> tuple[int, ...]:
     """UP with the unit ideal's entry set to every position. (I : x) is the
@@ -534,16 +526,9 @@ def _primary_pass_sets(R: FiniteRing) -> tuple[int, ...]:
     return tuple(reduce(and_, {up[k] for k in row}) for row in _principal_colons(R)[2])
 
 
-def _pair_primary(I: Ideal, dm: int) -> tuple[bool, Optional[tuple[int, int]]]:
-    """a*b in I forces a in I or b in dm: one bit of I's pass set. Only a
-    failure runs the pair scan, for its minimal witness."""
-    return _decide(I, _primary_pass_sets, dm, lambda R, im, m: _pair_kernel(R, im, m, im))
-
-
 def prime_check(I: Ideal) -> tuple[bool, Optional[tuple[int, int]]]:
     """a*b in I forces a in I or b in I: the pair-primary test at I itself."""
-    _require_proper(I, "is_prime")
-    return _pair_primary(I, I.mask)
+    return _predicates()._check("prime", I)
 
 
 def is_prime(I: Ideal) -> bool:
@@ -570,8 +555,7 @@ def _larger_ideal(R: FiniteRing, im: int, _bound: int) -> tuple[bool, Optional[I
 def maximal_check(I: Ideal) -> tuple[bool, Optional[Ideal]]:
     """No proper ideal strictly between I and the ring; the witness is the
     first proper ideal strictly above I."""
-    _require_proper(I, "is_maximal")
-    return _decide(I, _maximal_pass_sets, I.mask, _larger_ideal)
+    return _predicates()._check("maximal", I)
 
 
 def is_maximal(I: Ideal) -> bool:
@@ -581,8 +565,7 @@ def is_maximal(I: Ideal) -> bool:
 def primary_check(I: Ideal) -> tuple[bool, Optional[tuple[int, int]]]:
     """a*b in I forces a in I or b in the radical: the pair-primary test at
     rad(I)."""
-    _require_proper(I, "is_primary")
-    return _pair_primary(I, radical(I).mask)
+    return _predicates()._check("primary", I)
 
 
 def is_primary(I: Ideal) -> bool:
@@ -595,13 +578,13 @@ def is_radical_ideal(I: Ideal) -> bool:
 
 def is_prime_element(R: FiniteRing, x: Union[int, Element]) -> bool:
     """Nonzero x whose principal ideal is proper and prime. (x) is proper
-    exactly when x is a nonunit; it is prime when V_(x) lies inside (x),
-    which bit (x) of its primary pass set records."""
+    exactly when x is a nonunit; it is prime when bit (x) of the "prime"
+    verdict vector is set."""
     x = _element_index(R, x)
     if x == R.zero or x in R.units():
         return False
-    p = R.lattice_position(_principal_masks(R)[x])
-    return bool((_primary_pass_sets(R)[p] >> p) & 1)
+    prime = _predicates()._verdicts("prime", R)
+    return bool(prime >> R.lattice_position(_principal_masks(R)[x]) & 1)
 
 
 # ``constructions`` imports this module, so this module imports it last: the

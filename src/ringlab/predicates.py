@@ -30,12 +30,17 @@ principal classes, never over elements.
   (``_two_absorbing_pass_sets``, ``_semiprimary_pass_sets``,
   ``_idealwise_pass_sets``).
 
-A check reads one bit (``ideals._decide``) and runs its scan only on a
-failure, to find the minimal witness. ``_verdicts`` reads one check's bits
-at every proper ideal into an int, its verdict vector, which the sweeps
-combine bitwise and count by popcount, and ``PREDICATES``, the functions
-behind ``search`` queries, read the bit at I's lattice position from it,
-with no witness scan. The witness scans, ``ideals.colon``,
+``_PASS_SETS`` is the one table of checks: each row pairs a check with its
+pass sets, its bound (I, rad(I) or delta(I)), its witness scan and the name
+its ProperIdealError gives. ``_verdicts`` reads a row's pass sets at its
+bounds into an int over the proper ideals, the check's verdict vector,
+which the sweeps combine bitwise and count by popcount. Every check, the
+three in ``ideals`` as well, is one call of ``_check``: it reads the bit of
+the vector at I's lattice position and runs the row's witness scan only
+when that bit is 0, for the minimal witness. ``PREDICATES``, the functions
+behind ``search`` queries, read the same bit with no witness scan, and so
+do ``FiniteRing.maximal_ideals``, ``FiniteRing.spectrum`` and
+``ideals.is_prime_element``. The witness scans, ``ideals.colon``,
 ``ideals.ideal_colon`` and the definitional ``*_scan`` functions, kept as
 oracles for the test suite, read their colons off the same table
 (``ideals._element_colons``).
@@ -47,18 +52,17 @@ from functools import reduce
 from operator import and_
 from typing import Optional
 
-from .errors import RinglabError
+from .errors import InvariantError, RingMismatchError, RinglabError
 from .expansions import ExpansionFunction, _scaling_table
 from .ideals import (
     Ideal,
     _colon_meet,
     _colon_up_sets,
-    _decide,
     _element_colons,
+    _larger_ideal,
     _lsb,
     _maximal_pass_sets,
     _pair_kernel,
-    _pair_primary,
     _primary_pass_sets,
     _principal_colons,
     _principal_table,
@@ -70,7 +74,6 @@ from .ideals import (
     maximal_check,
     primary_check,
     prime_check,
-    radical,
 )
 from .rings import FiniteRing, _per_ring
 
@@ -132,13 +135,6 @@ def _one_absorbing_pass_sets(R: FiniteRing) -> tuple[int, ...]:
     classes = tuple(_nonunit_products(R))
     return tuple(
         reduce(and_, {up[row[j]] for j in classes}, full) for row in _principal_colons(R)[2])
-
-
-def _one_absorbing(I: Ideal, dm: int) -> TripleResult:
-    """a*b*c in I forces a*b in I or c in dm, over nonunit triples: one bit
-    of I's pass set. Only a failure runs the pair scan, for its minimal
-    witness."""
-    return _decide(I, _one_absorbing_pass_sets, dm, _one_absorbing_witness)
 
 
 def _one_absorbing_witness(R: FiniteRing, im: int, dm: int) -> TripleResult:
@@ -225,8 +221,7 @@ def _two_absorbing_pass_sets(R: FiniteRing) -> tuple[int, ...]:
 def delta_primary_check(I: Ideal, delta: ExpansionFunction) -> PairResult:
     """a*b in I forces a in I or b in delta(I), over all ring elements: the
     pair-primary test at delta(I)."""
-    _require_proper(I, "is_delta_primary")
-    return _pair_primary(I, delta(I).mask)
+    return _check("delta-primary", I, delta)
 
 
 def is_delta_primary(I: Ideal, delta: ExpansionFunction) -> bool:
@@ -254,9 +249,7 @@ def _semiprimary_pass_sets(R: FiniteRing) -> tuple[int, ...]:
 
 def delta_semiprimary_check(I: Ideal, delta: ExpansionFunction) -> PairResult:
     """a*b in I forces a in delta(I) or b in delta(I)."""
-    _require_proper(I, "is_delta_semiprimary")
-    return _decide(I, _semiprimary_pass_sets, delta(I).mask,
-                   lambda R, im, dm: _pair_kernel(R, im, dm, dm))
+    return _check("delta-semiprimary", I, delta)
 
 
 def is_delta_semiprimary(I: Ideal, delta: ExpansionFunction) -> bool:
@@ -269,8 +262,7 @@ def is_delta_semiprimary(I: Ideal, delta: ExpansionFunction) -> bool:
 
 def one_absorbing_delta_primary_check(I: Ideal, delta: ExpansionFunction) -> TripleResult:
     """a*b*c in I forces a*b in I or c in delta(I), over nonunit triples."""
-    _require_proper(I, "is_one_absorbing_delta_primary")
-    return _one_absorbing(I, delta(I).mask)
+    return _check("1abs-delta-primary", I, delta)
 
 
 def is_one_absorbing_delta_primary(I: Ideal, delta: ExpansionFunction) -> bool:
@@ -299,8 +291,7 @@ def one_absorbing_delta_primary_scan(I: Ideal, delta: ExpansionFunction) -> Trip
 
 def one_absorbing_prime_check(I: Ideal) -> TripleResult:
     """a*b*c in I forces a*b in I or c in I: the 1-absorbing test at I."""
-    _require_proper(I, "is_one_absorbing_prime")
-    return _one_absorbing(I, I.mask)
+    return _check("1abs-prime", I)
 
 
 def is_one_absorbing_prime(I: Ideal) -> bool:
@@ -310,8 +301,7 @@ def is_one_absorbing_prime(I: Ideal) -> bool:
 def one_absorbing_primary_check(I: Ideal) -> TripleResult:
     """a*b*c in I forces a*b in I or c in the radical of I: the 1-absorbing
     test at rad(I)."""
-    _require_proper(I, "is_one_absorbing_primary")
-    return _one_absorbing(I, radical(I).mask)
+    return _check("1abs-primary", I)
 
 
 def is_one_absorbing_primary(I: Ideal) -> bool:
@@ -325,8 +315,7 @@ def is_one_absorbing_primary(I: Ideal) -> bool:
 def two_absorbing_check(I: Ideal) -> TripleResult:
     """a*b*c in I forces a*b in I or a*c in I or b*c in I: the 2-absorbing
     test at I."""
-    _require_proper(I, "is_two_absorbing")
-    return _decide(I, _two_absorbing_pass_sets, I.mask, _two_absorbing)
+    return _check("2abs", I)
 
 
 def is_two_absorbing(I: Ideal) -> bool:
@@ -336,8 +325,7 @@ def is_two_absorbing(I: Ideal) -> bool:
 def two_absorbing_delta_primary_check(I: Ideal, delta: ExpansionFunction) -> TripleResult:
     """a*b*c in I forces a*b in I or a*c in delta(I) or b*c in delta(I),
     over all element triples."""
-    _require_proper(I, "is_two_absorbing_delta_primary")
-    return _decide(I, _two_absorbing_pass_sets, delta(I).mask, _two_absorbing)
+    return _check("2abs-delta-primary", I, delta)
 
 
 def is_two_absorbing_delta_primary(I: Ideal, delta: ExpansionFunction) -> bool:
@@ -379,8 +367,7 @@ def idealwise_one_absorbing_check(I: Ideal, delta: ExpansionFunction) -> IdealTr
     (I1, I2, (I : I1*I2)) for the first such pair whose colon leaves
     delta(I).
     """
-    _require_proper(I, "idealwise_one_absorbing_check")
-    return _decide(I, _idealwise_pass_sets, delta(I).mask, _idealwise_witness)
+    return _check("idealwise", I, delta)
 
 
 @_per_ring("idealwise_pass")
@@ -467,30 +454,38 @@ _CHECKS = {
 }
 
 
-DELTA_FREE = frozenset({"prime", "maximal", "primary", "2abs", "1abs-prime", "1abs-primary"})
-
-
 # The lattice positions of the bounds I, rad(I) and delta(I) at the proper
-# ideals, and each check by name, with the ideal-wise form that T-DEF-EQ
-# compares: (its pass sets, its bounds).
+# ideals.
 _OWN, _RAD, _DELTA = (
     lambda R, d: range(len(R.proper_ideals())),
     lambda R, d: _radical_positions(R),
     lambda R, d: d.table,
 )
+
+# The one table of checks: each check by name, and the ideal-wise form that
+# T-DEF-EQ compares, as (its pass sets, its witness scan, its bound, the
+# name its ProperIdealError gives). A witness scan takes R and the masks of
+# I and of the bound. The checks of one conclusion shape share the first two.
+_PRIMARY = (_primary_pass_sets, lambda R, im, bm: _pair_kernel(R, im, bm, im))
+_ONE_ABS = (_one_absorbing_pass_sets, _one_absorbing_witness)
+_TWO_ABS = (_two_absorbing_pass_sets, _two_absorbing)
 _PASS_SETS = {
-    "prime": (_primary_pass_sets, _OWN),
-    "maximal": (_maximal_pass_sets, _OWN),
-    "primary": (_primary_pass_sets, _RAD),
-    "2abs": (_two_absorbing_pass_sets, _OWN),
-    "1abs-prime": (_one_absorbing_pass_sets, _OWN),
-    "1abs-primary": (_one_absorbing_pass_sets, _RAD),
-    "delta-primary": (_primary_pass_sets, _DELTA),
-    "delta-semiprimary": (_semiprimary_pass_sets, _DELTA),
-    "1abs-delta-primary": (_one_absorbing_pass_sets, _DELTA),
-    "2abs-delta-primary": (_two_absorbing_pass_sets, _DELTA),
-    "idealwise": (_idealwise_pass_sets, _DELTA),
+    "prime": (*_PRIMARY, _OWN, "is_prime"),
+    "maximal": (_maximal_pass_sets, _larger_ideal, _OWN, "is_maximal"),
+    "primary": (*_PRIMARY, _RAD, "is_primary"),
+    "2abs": (*_TWO_ABS, _OWN, "is_two_absorbing"),
+    "1abs-prime": (*_ONE_ABS, _OWN, "is_one_absorbing_prime"),
+    "1abs-primary": (*_ONE_ABS, _RAD, "is_one_absorbing_primary"),
+    "delta-primary": (*_PRIMARY, _DELTA, "is_delta_primary"),
+    "delta-semiprimary": (_semiprimary_pass_sets, lambda R, im, bm: _pair_kernel(R, im, bm, bm),
+                          _DELTA, "is_delta_semiprimary"),
+    "1abs-delta-primary": (*_ONE_ABS, _DELTA, "is_one_absorbing_delta_primary"),
+    "2abs-delta-primary": (*_TWO_ABS, _DELTA, "is_two_absorbing_delta_primary"),
+    "idealwise": (_idealwise_pass_sets, _idealwise_witness, _DELTA,
+                  "idealwise_one_absorbing_check"),
 }
+
+DELTA_FREE = frozenset(name for name, row in _PASS_SETS.items() if row[2] is not _DELTA)
 
 
 def _verdicts(name: str, R: FiniteRing, delta: Optional[ExpansionFunction] = None) -> int:
@@ -498,36 +493,50 @@ def _verdicts(name: str, R: FiniteRing, delta: Optional[ExpansionFunction] = Non
     check holds at the proper ideal at lattice position p, and no bit at or
     above the unit ideal's position is set.
 
-    Read bit by bit from the pass sets, once, and kept in the expansion's
-    ``verdicts`` (one dict per table on R), or on R for the delta-free
-    checks, so a sweep combines ints instead of calling the check per
-    instance. ``name`` is a check or "idealwise".
+    Read bit by bit from the pass sets at the bounds, once, and kept in the
+    expansion's ``verdicts`` (one dict per table on R), or on R for the
+    delta-free checks, so a sweep combines ints instead of calling the check
+    per instance. ``name`` is a check or "idealwise".
     """
-    store = R.cache.setdefault("verdicts", {}) if name in DELTA_FREE else delta.verdicts
+    pass_sets, _, bounds, _ = _PASS_SETS[name]
+    store = delta.verdicts if bounds is _DELTA else R.cache.setdefault("verdicts", {})
     got = store.get(name)
     if got is None:
-        pass_sets, bounds = _PASS_SETS[name]
         got = store[name] = sum(
             (s >> q & 1) << p for p, (s, q) in enumerate(zip(pass_sets(R), bounds(R, delta))))
     return got
 
 
+def _check(name: str, I: Ideal, delta: Optional[ExpansionFunction] = None,
+           scan: bool = True) -> tuple[bool, Optional[tuple]]:
+    """Check ``name`` at I: the bit of its verdict vector at I's lattice
+    position. Only a failure runs the row's witness scan at I's bound, for
+    the minimal witness, and only when ``scan`` is set: a failure without
+    it is (False, None). delta must be an expansion on I's ring."""
+    _, witness, bounds, what = _PASS_SETS[name]
+    _require_proper(I, what)
+    R = I.ring
+    if bounds is _DELTA and delta.ring is not R:
+        raise RingMismatchError("ideal belongs to a different ring")
+    p = R.lattice_position(I.mask)
+    if _verdicts(name, R, delta) >> p & 1:
+        return True, None
+    if not scan:
+        return False, None
+    got = witness(R, I.mask, R.ideals()[bounds(R, delta)[p]].mask)
+    if got[0]:
+        raise InvariantError("the pass set fails a bound that the witness scan passes")
+    return got
+
+
 def _verdict_bit(name: str):
-    """Check ``name`` at I as a function of (I, delta): the bit at I's
-    lattice position of its verdict vector, with no witness scan. A missing
-    expansion raises; any other argument that the vector does not cover (an
-    ideal that is not proper, an expansion on another ring) goes to the
-    check, which raises its own error."""
-    check = _CHECKS[name]
-    needs_delta = name not in DELTA_FREE
+    """Check ``name`` at I as a function of (I, delta): its verdict bit,
+    with no witness scan. A missing expansion raises."""
 
     def read(I: Ideal, d: Optional[ExpansionFunction]) -> bool:
-        R = I.ring
-        if needs_delta and d is None:
+        if d is None and name not in DELTA_FREE:
             raise RinglabError(f"predicate {name!r} needs an expansion")
-        if not I.is_proper or needs_delta and getattr(d, "ring", None) is not R:
-            return check(I, d)[0]
-        return bool(_verdicts(name, R, d) >> R.lattice_position(I.mask) & 1)
+        return _check(name, I, d, scan=False)[0]
 
     return read
 

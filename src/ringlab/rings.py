@@ -294,18 +294,19 @@ class FiniteRing:
 
     @_per_ring("maximals")
     def maximal_ideals(self):
-        from . import ideals as _ideals
+        """All maximal ideals, in canonical lattice order."""
+        from .predicates import _verdicts
 
-        return tuple(I for I in self.proper_ideals() if _ideals.is_maximal(I))
+        maximal = _verdicts("maximal", self)
+        return tuple(I for p, I in enumerate(self.proper_ideals()) if maximal >> p & 1)
 
     @_per_ring("spectrum")
     def spectrum(self):
         """All prime ideals, in canonical lattice order."""
-        from . import ideals as _ideals
+        from .predicates import _verdicts
 
-        # I is prime when V_I lies inside I: bit p of pass set p
-        pass_sets = _ideals._primary_pass_sets(self)
-        return tuple(I for p, I in enumerate(self.proper_ideals()) if (pass_sets[p] >> p) & 1)
+        prime = _verdicts("prime", self)
+        return tuple(I for p, I in enumerate(self.proper_ideals()) if prime >> p & 1)
 
     @_per_ring("jacobson")
     def jacobson_radical(self):
@@ -649,10 +650,6 @@ class RingHom:
 
     def __repr__(self) -> str:
         return f"RingHom({self.domain.label} -> {self.codomain.label})"
-
-
-def identity_hom(R: FiniteRing) -> RingHom:
-    return RingHom(R, R, tuple(range(R.order)))
 
 
 # ----------------------------------------------------------------------

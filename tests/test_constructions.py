@@ -238,6 +238,22 @@ def test_multiplicative_set_rejects_non_elements():
             MultiplicativeSet.from_generators(z2, gens)
 
 
+def test_multiplicative_set_checks_the_generators_it_is_given(z12):
+    """Generators given with the members must be elements whose products
+    are exactly the members, as ``from_generators`` computes them; the
+    localization's label is made from them. (5) generates {1, 5}, not
+    {1, 3, 9}, and 99 is no element of Z12."""
+    with pytest.raises(ConstructionError,
+                       match=r"^generators \[5\] do not generate the set \[1, 3, 9\]$"):
+        MultiplicativeSet(z12, {1, 3, 9}, generators=(5,))
+    with pytest.raises(ConstructionError, match="^set member 99 is not an element of Z12$"):
+        MultiplicativeSet(z12, {1, 5, 7, 11}, generators=(99,))
+    S = MultiplicativeSet(z12, {1, 5, 7, 11}, generators=(5, 7))
+    assert S.generators == (5, 7)
+    assert localize(z12, S).ring.label == "loc(Z12,5,7)"
+    assert MultiplicativeSet(z12, {1, 3, 9}, generators=(3,)).members == {1, 3, 9}
+
+
 def test_localize_z12_at_3(z12):
     S = MultiplicativeSet.from_generators(z12, [3])
     loc = localize(z12, S)

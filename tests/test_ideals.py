@@ -411,6 +411,43 @@ def test_radical_matches_the_power_scan(request, tier, count):
     assert seen == count
 
 
+def prime_scan(R, im):
+    """The definitional prime test of the ideal mask im: no a, b outside
+    it have a*b inside it."""
+    outside = [a for a in range(R.order) if not (im >> a) & 1]
+    mul = R.mul_table
+    return not any((im >> mul[a][b]) & 1 for a in outside for b in outside)
+
+
+@pytest.mark.parametrize("tier, count", [("catalog16", (296, 296, 812)),
+                                         ("catalog_enlarged", (461, 461, 2006))])
+def test_maximal_ideals_spectrum_and_prime_elements_match_their_definitions(
+        request, tier, count):
+    """On every ring of both tiers, ``maximal_ideals()`` holds the proper
+    ideals with no proper ideal strictly above them, and ``spectrum()`` those
+    that pass the element pair scan, both in lattice order; and
+    ``is_prime_element`` holds at the nonzero nonunits x whose spanned ideal
+    (x) passes that scan. The counts are of maximal ideals, prime ideals and
+    prime elements."""
+    seen = [0, 0, 0]
+    for entry in request.getfixturevalue(tier):
+        R = entry.ring
+        proper = R.proper_ideals()
+        prime = {I.mask: prime_scan(R, I.mask) for I in proper}
+        maximal = tuple(I for I in proper if not any(I < J for J in proper))
+        spectrum = tuple(I for I in proper if prime[I.mask])
+        assert R.maximal_ideals() == maximal, entry.provenance
+        assert R.spectrum() == spectrum, entry.provenance
+        elements = 0
+        for x, row in enumerate(R.mul_table):
+            want = x != R.zero and R.one not in row and prime[span(R, [x]).mask]
+            assert is_prime_element(R, x) == want, (entry.provenance, x)
+            elements += want
+        for k, n in enumerate((len(maximal), len(spectrum), elements)):
+            seen[k] += n
+    assert tuple(seen) == count
+
+
 def closure_product(I, J):
     """The products a*b of members, closed under addition: the definitional
     product ideal, the oracle for ``ideal_product``."""

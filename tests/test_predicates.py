@@ -268,15 +268,18 @@ def test_verdict_vectors_have_no_bit_at_or_above_the_unit_ideal(request, tier):
 
 
 def test_every_bound_above_i_matches_the_scans_on_default_catalog():
-    """The 2-absorbing delta-primary, delta-semiprimary and delta-primary
-    checks with every lattice position J that contains I as the bound, not
-    only I, rad(I) and delta(I): values and witnesses against the
-    all-element pair scans, and bit J of I's pass set against the value, on
-    every proper ideal of the default catalog."""
+    """The 2-absorbing, pair-semiprimary and pair-primary conditions with
+    every lattice position J that contains I as the bound, not only I,
+    rad(I) and delta(I): the witness scans behind the 2-absorbing
+    delta-primary, delta-semiprimary and delta-primary checks, values and
+    witnesses, against the all-element pair scans, and bit J of I's pass set
+    against the value, on every proper ideal of the default catalog. A check
+    reads its bound off an expansion on I's ring, so the scans and the bits
+    are read here directly, at bounds that no expansion need reach."""
     kinds = (
-        (two_absorbing_delta_primary_check, predicates._two_absorbing_pass_sets),
-        (delta_semiprimary_check, predicates._semiprimary_pass_sets),
-        (delta_primary_check, ideals._primary_pass_sets),
+        (predicates._two_absorbing, predicates._two_absorbing_pass_sets),
+        (lambda R, im, jm: ideals._pair_kernel(R, im, jm, jm), predicates._semiprimary_pass_sets),
+        (lambda R, im, jm: ideals._pair_kernel(R, im, jm, im), ideals._primary_pass_sets),
     )
     pairs = 0
     for entry in build_catalog(CatalogConfig()):
@@ -285,15 +288,14 @@ def test_every_bound_above_i_matches_the_scans_on_default_catalog():
             for q, J in enumerate(R.ideals()):
                 if I.mask & ~J.mask:
                     continue
-                at_bound = lambda _: J  # noqa: E731
                 want = (
-                    two_absorbing_delta_primary_scan(I, at_bound),
+                    two_absorbing_delta_primary_scan(I, lambda _: J),
                     definitional_pair_scan(I, J.mask, J.mask),
                     definitional_pair_scan(I, J.mask, I.mask),
                 )
-                for (check, pass_sets), scan in zip(kinds, want):
-                    assert check(I, at_bound) == scan, (entry.provenance, I, J, check.__name__)
-                    assert (pass_sets(R)[p] >> q) & 1 == scan[0], (entry.provenance, I, J)
+                for k, ((witness, pass_sets), scan) in enumerate(zip(kinds, want)):
+                    assert witness(R, I.mask, J.mask) == scan, (entry.provenance, I, J, k)
+                    assert (pass_sets(R)[p] >> q) & 1 == scan[0], (entry.provenance, I, J, k)
                 pairs += 1
     assert pairs == 3217
 
@@ -441,7 +443,8 @@ def _no_scan(*args):
 
 
 # What a check may run besides reading a pass set: the witness scans, and
-# the pieces the pass-set builders are made of.
+# the pieces the pass-set builders are made of. The check table holds its
+# witness scans itself, so ``_without_scans`` patches its rows as well.
 SCANS = (
     (ideals, "_pair_kernel"), (predicates, "_pair_kernel"), (ideals, "_larger_ideal"),
     (predicates, "_one_absorbing_witness"), (predicates, "_two_absorbing"),
@@ -455,20 +458,28 @@ BUILDERS = (
 )
 
 
+def _without_scans(patch):
+    """Every row of the check table with a witness scan that raises, set
+    through ``patch`` (a monkeypatch or its context)."""
+    for name, (pass_sets, _, bound, what) in predicates._PASS_SETS.items():
+        patch.setitem(predicates._PASS_SETS, name, (pass_sets, _no_scan, bound, what))
+
+
 def test_passing_checks_read_cached_masks_and_run_no_scan(catalog16, monkeypatch):
-    """On Z8 at (2), id and rad agree and both read the one 1-absorbing pass
-    set cached on the ring. Over the default catalog, under every attached
-    expansion and id, rad and full, every check that passes, and the
-    ideal-wise form, reads its ring's cached pass set and runs no witness
-    scan and no builder, and no ring gains a "predicates" cache entry."""
+    """On Z8 at (2), id and rad agree, and each builds its verdict vector
+    from the one 1-absorbing pass set cached on the ring. Over the default
+    catalog, under every attached expansion and id, rad and full, every
+    check that passes, and the ideal-wise form, reads its ring's cached pass
+    set and runs no witness scan and no builder, and no ring gains a
+    "predicates" cache entry."""
     R = make_zn(8)
     d1, d2 = identity_expansion(R), radical_expansion(R)
     I = span(R, [2])
     assert d1 != d2 and d1(I) == d2(I)
     read = []
-    pass_sets = predicates._one_absorbing_pass_sets
-    monkeypatch.setattr(predicates, "_one_absorbing_pass_sets",
-                        lambda ring: read.append(pass_sets(ring)) or read[-1])
+    pass_sets, _, bound, what = predicates._PASS_SETS["1abs-delta-primary"]
+    monkeypatch.setitem(predicates._PASS_SETS, "1abs-delta-primary", (
+        lambda ring: read.append(pass_sets(ring)) or read[-1], _no_scan, bound, what))
     monkeypatch.setattr(predicates, "_one_absorbing_witness", _no_scan)
     assert one_absorbing_delta_primary_check(I, d1) == (True, None)
     assert one_absorbing_delta_primary_check(I, d2) == (True, None)
@@ -488,6 +499,7 @@ def test_passing_checks_read_cached_masks_and_run_no_scan(catalog16, monkeypatch
         with monkeypatch.context() as m:
             for module, name in SCANS + BUILDERS:
                 m.setattr(module, name, _no_scan)
+            _without_scans(m)
             for (name, d), values in verdicts.items():
                 for p, I in enumerate(proper):
                     if values >> p & 1:
@@ -645,15 +657,23 @@ def test_evaluate_predicate_keeps_the_checks_errors(z4, z8):
 def test_predicates_read_verdict_bits_and_run_no_scan(catalog16, monkeypatch):
     """Every entry of PREDICATES, the functions behind ``search``, equals its
     check at every proper ideal of the default catalog under every attached
-    expansion, and runs no witness scan, on a failure either."""
+    expansion, and runs no witness scan, on a failure either. The checks
+    themselves run one witness scan per failure and none on a pass."""
     checks = [(name, _CHECKS[name], PREDICATES[name]) for name in PREDICATE_NAMES]
     expected = {}
-    for entry in catalog16:
-        for d in entry.expansions:
-            for I in entry.ring.proper_ideals():
-                expected[d, I.mask] = [check(I, d)[0] for _, check, _ in checks]
+    scans = []
+    with monkeypatch.context() as m:
+        for name, (pass_sets, witness, bound, what) in predicates._PASS_SETS.items():
+            m.setitem(predicates._PASS_SETS, name, (
+                pass_sets, lambda *a, w=witness: scans.append(1) or w(*a), bound, what))
+        for entry in catalog16:
+            for d in entry.expansions:
+                for I in entry.ring.proper_ideals():
+                    expected[d, I.mask] = [check(I, d)[0] for _, check, _ in checks]
+    assert len(scans) == sum(row.count(False) for row in expected.values())
     for module, name in SCANS:
         monkeypatch.setattr(module, name, _no_scan)
+    _without_scans(monkeypatch)
     failing = 0
     for entry in catalog16:
         for d in entry.expansions:
