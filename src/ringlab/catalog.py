@@ -20,7 +20,7 @@ from .constructions import (
     quotient_module,
     regular_module,
 )
-from .errors import ConstructionError, InvariantError
+from .errors import ConstructionError, InvariantError, RingMismatchError
 from .expansions import ExpansionFunction, standard_expansions
 from .rings import FiniteRing, _Record, make_galois_field, make_poly_quotient, make_zn
 
@@ -42,13 +42,17 @@ class CatalogConfig(_Record):
 
 
 class CatalogEntry(_Record):
-    """One ring with its provenance string and its stock expansions, the
-    tuple ``standard_expansions(ring)`` itself."""
+    """One ring with its provenance string and the expansions that every
+    sweep reads for it, on the ring itself and as the source of the rings
+    built from it. ``build_catalog`` attaches ``standard_expansions(ring)``
+    itself; an expansion of another ring raises ``RingMismatchError``."""
 
     __slots__ = ("ring", "provenance", "expansions")
 
     def __init__(self, ring: FiniteRing, provenance: str,
                  expansions: tuple[ExpansionFunction, ...]) -> None:
+        if any(d.ring is not ring for d in expansions):
+            raise RingMismatchError(f"an expansion of entry {provenance} lives on another ring")
         super().__init__(ring, provenance, expansions)
 
 

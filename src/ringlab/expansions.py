@@ -120,11 +120,13 @@ class ExpansionFunction:
 
 
 def from_rule(R: FiniteRing, rule: Callable[[Ideal], Ideal], label: str) -> ExpansionFunction:
-    """Build and validate an expansion from an ideal-to-ideal callable."""
-    lattice = R.ideals()
+    """Build and validate an expansion from an ideal-to-ideal callable. A
+    value that is not an ``Ideal`` of R raises ``RingMismatchError``."""
     table = []
-    for I in lattice:
+    for I in R.ideals():
         J = rule(I)
+        if not isinstance(J, Ideal) or J.ring is not R:
+            raise RingMismatchError(f"rule value at {I.label} is not an ideal of {R.label}")
         table.append(R.lattice_position(J.mask))
     return ExpansionFunction(R, table, label)
 

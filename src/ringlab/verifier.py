@@ -41,7 +41,6 @@ from .expansions import (
     preserves_jacobson,
     satisfies_star,
     scaling_check,
-    standard_expansions,
 )
 from .ideals import (
     Ideal,
@@ -150,12 +149,14 @@ class TheoremReport(_Record):
 class _Part:
     """The accumulator of one statement's sweep: counts, the first
     ``FAILURE_CAP`` failures and the number dropped past them, and notes.
-    ``provenance`` names the entry being swept, for its witnesses."""
+    ``provenance`` names the entry being swept, for its witnesses, and
+    ``sources`` maps each catalog ring, by id, to its entry's expansions."""
 
-    __slots__ = ("provenance", "checked", "hits", "failures", "dropped", "notes")
+    __slots__ = ("provenance", "sources", "checked", "hits", "failures", "dropped", "notes")
 
-    def __init__(self, provenance: str) -> None:
-        self.provenance, self.checked, self.hits, self.dropped = provenance, 0, 0, 0
+    def __init__(self, provenance: str, sources: dict[int, tuple[ExpansionFunction, ...]]) -> None:
+        self.provenance, self.sources, self.checked, self.hits, self.dropped = (
+            provenance, sources, 0, 0, 0)
         self.failures: list[Witness] = []
         self.notes: list[str] = []
 
@@ -202,14 +203,6 @@ def _one_abs(d: ExpansionFunction) -> int:
 
 def _primary(d: ExpansionFunction) -> int:
     return _verdicts("delta-primary", d.ring, d)
-
-
-def _every_proper_one_absorbing(
-    R: FiniteRing, d: ExpansionFunction
-) -> tuple[bool, Optional[Ideal]]:
-    proper = R.proper_ideals()
-    missing = (1 << len(proper)) - 1 & ~_one_abs(d)
-    return (False, proper[_lsb(missing)]) if missing else (True, None)
 
 
 _SWEEPS: dict[str, Callable[[CatalogEntry, _Part], None]] = {}
@@ -523,21 +516,22 @@ def _t_inter(entry: CatalogEntry, part: _Part) -> None:
 def _t_princ(entry: CatalogEntry, part: _Part) -> None:
     """All principal proper ideals 1abs iff all proper ideals 1abs."""
     R = entry.ring
+    proper = R.proper_ideals()
     part.instances(len(entry.expansions), len(entry.expansions))
     for d in entry.expansions:
-        principal_all = not _principal_positions(R) & ~_one_abs(d)
-        full_all, bad = _every_proper_one_absorbing(R, d)
-        if principal_all != full_all:
-            part.fail(bad, d.label, None, f"principal={principal_all} all={full_all}")
+        missing = (1 << len(proper)) - 1 & ~_one_abs(d)  # the proper ideals not 1abs
+        if missing and not _principal_positions(R) & missing:  # principal ideals are proper
+            part.fail(proper[_lsb(missing)], d.label, None, "principal=True all=False")
 
 
 # ----------------------------------------------------------------------
 # the characterization suite
 
 
-def _char_states(R: FiniteRing, d: ExpansionFunction) -> tuple[bool, bool, bool]:
-    i = not _principal_positions(R) & ~_one_abs(d)
-    ii, _ = _every_proper_one_absorbing(R, d)
+def _char_states(R: FiniteRing, one_abs: int) -> tuple[bool, bool, bool]:
+    """T-CHAR's (i), (ii) and (iii) on R, read off the 1-absorbing vector ``one_abs``."""
+    i = not _principal_positions(R) & ~one_abs
+    ii = not (1 << len(R.proper_ideals())) - 1 & ~one_abs
     iii = R.is_local() and _jacobson_square(R) == 1 << R.zero
     return i, ii, iii
 
@@ -547,7 +541,7 @@ def _t_char(entry: CatalogEntry, part: _Part) -> None:
     """Square-zero-radical local characterization under the delta conditions."""
     R = entry.ring
     for d in entry.expansions:
-        i, ii, iii = _char_states(R, d)
+        i, ii, iii = _char_states(R, _one_abs(d))
         if iii and not (i and ii):
             part.fail(None, d.label, None, f"(iii) holds but i={i} ii={ii}", ring=R)
         star_jac = satisfies_star(d) and preserves_jacobson(d)
@@ -564,13 +558,13 @@ def _t_char(entry: CatalogEntry, part: _Part) -> None:
 
 @_sweep("T-CHAR-COR")
 def _t_char_cor(entry: CatalogEntry, part: _Part) -> None:
-    """The identity-expansion specialization of the characterization."""
+    """The identity-expansion specialization of the characterization. Under id,
+    1-absorbing delta-primary is 1-absorbing prime, a vector kept on the ring."""
     R = entry.ring
-    d = standard_expansions(R)[0]  # the identity expansion
     part.instance(True)
-    i, ii, iii = _char_states(R, d)
+    i, ii, iii = _char_states(R, _verdicts("1abs-prime", R))
     if not (i == ii == iii):
-        part.fail(None, d.label, None, f"i={i} ii={ii} iii={iii}", ring=R)
+        part.fail(None, "id", None, f"i={i} ii={ii} iii={iii}", ring=R)
 
 
 @_sweep("T-SPEC")
@@ -580,7 +574,7 @@ def _t_spec(entry: CatalogEntry, part: _Part) -> None:
     if not R.is_local():
         return
     M = R.maximal_ideals()[0]
-    lattice = R.ideals()
+    lattice, proper = R.ideals(), R.proper_ideals()
     spec_masks = {P.mask for P in R.spectrum()}
     for d in entry.expansions:
         d0 = lattice[d.table[0]]  # the zero ideal comes first in lattice order
@@ -588,9 +582,9 @@ def _t_spec(entry: CatalogEntry, part: _Part) -> None:
         case2 = spec_masks == {d0.mask, M.mask} and _cached_product(R, d0, M) == 1 << R.zero
         hyp = (case1 or case2) and is_prime_expansion(d)
         if part.instance(hyp):
-            ok, bad = _every_proper_one_absorbing(R, d)
-            if not ok:
-                part.fail(bad, d.label, None, "not every proper ideal is 1abs")
+            missing = (1 << len(proper)) - 1 & ~_one_abs(d)
+            if missing:
+                part.fail(proper[_lsb(missing)], d.label, None, "not every proper ideal is 1abs")
 
 
 # ----------------------------------------------------------------------
@@ -602,7 +596,9 @@ def _t_spec(entry: CatalogEntry, part: _Part) -> None:
 @_sweep("T-HOM")
 def _t_hom(entry: CatalogEntry, part: _Part) -> None:
     """Nonunit-preserving delta-gamma homomorphisms transport the property.
-    Only along such a projection does an instance read the induced expansion."""
+    Only along such a projection does an instance read the induced expansion.
+    With gamma induced from delta the delta-gamma test always holds, as
+    delta(f^-1 J) contains ker f, but like every hypothesis it is computed."""
     info = entry.ring.construction
     if not isinstance(info, QuotientOf):
         return
@@ -611,7 +607,7 @@ def _t_hom(entry: CatalogEntry, part: _Part) -> None:
     nonunit_ok, _ = f.is_nonunit_preserving()
     # I contains the kernel exactly when it is the preimage of its image
     above = [p for p in range(len(parent.proper_ideals())) if pre[img[p]] == p]
-    for d in standard_expansions(parent):
+    for d in part.sources.get(id(parent), ()):
         g = induced_quotient(Q, d) if nonunit_ok else None
         compatible = nonunit_ok and is_delta_gamma_hom(f, d, g)
         d_abs, g_abs = _one_abs(d), _one_abs(g) if compatible else 0
@@ -672,7 +668,7 @@ def _t_loc(entry: CatalogEntry, part: _Part) -> None:
     img, _ = _correspondence(L)
     s_mask = sum(1 << s for s in info.set_members)
     disjoint = sum(1 << p for p, I in enumerate(parent.proper_ideals()) if not I.mask & s_mask)
-    for d in standard_expansions(parent):
+    for d in part.sources.get(id(parent), ()):
         ds = induced_localization(L, d)
         compatible = localization_compatibility(L, d)
         ds_abs, hyp = _one_abs(ds), _one_abs(d) & disjoint if compatible else 0
@@ -694,10 +690,10 @@ def _t_prod(entry: CatalogEntry, part: _Part) -> None:
     R1, R2 = info.left, info.right
     top1, top2 = len(R1.ideals()) - 1, len(R2.ideals()) - 1
     _, inv = _correspondence(R)
-    for d1 in standard_expansions(R1):
+    for d1 in part.sources.get(id(R1), ()):
         left = sum(1 << inv[p1, top2] for p1 in _bits(_primary(d1)))
         full1 = [p1 for p1 in range(top1) if d1.table[p1] == top1]
-        for d2 in standard_expansions(R2):
+        for d2 in part.sources.get(id(R2), ()):
             # I1 x R2: I1 delta1-primary; R1 x I2: I2 delta2-primary; else d1(I1), d2(I2) whole
             components = left | sum(1 << inv[top1, p2] for p2 in _bits(_primary(d2)))
             components |= sum(1 << inv[p1, p2] for p1 in full1
@@ -758,7 +754,7 @@ def _t_triv(entry: CatalogEntry, part: _Part) -> None:
     ]
     pair_qs = sum(1 << q for _, q, _ in pairs)
     fixed_qs = sum(1 << q for _, q, colon_fixed in pairs if colon_fixed)
-    for d in standard_expansions(A):
+    for d in part.sources.get(id(A), ()):
         dt = induced_trivial_extension(T, d)
         d_abs, dt_abs = _one_abs(d), _one_abs(dt)
         part.instances(len(pairs), (dt_abs & pair_qs | fixed_qs).bit_count())
@@ -780,7 +776,7 @@ def _t_triv_cor(entry: CatalogEntry, part: _Part) -> None:
         return
     T = entry.ring
     _, up, _ = _correspondence(T)
-    for d in standard_expansions(info.base):
+    for d in part.sources.get(id(info.base), ()):
         dt = induced_trivial_extension(T, d)
         d_abs, dt_abs = _one_abs(d), _one_abs(dt)
         part.instances(len(up) - 1, len(up) - 1)
@@ -800,16 +796,19 @@ def verify(theorem_id: str, catalog: Catalog) -> TheoremReport:
 
     One accumulator walks the entries in provenance order, so the failures,
     the notes and the truncation count do not depend on the catalog's entry
-    order. T-PROD-EX checks its fixed example and reads no entry."""
+    order. A transfer sweep reads a parent's, a factor's or a base's
+    expansions from its entry, the last in that order; a ring with no entry
+    gives none. T-PROD-EX checks its fixed example and reads no entry."""
     if theorem_id not in THEOREM_IDS:
         raise UnknownTheoremError(f"unknown theorem id {theorem_id!r}")
     start = perf_counter()
-    part = _Part("Z4xZ9")  # T-PROD-EX's ring; a sweep names each entry
+    entries = sorted(catalog.entries, key=lambda e: e.provenance)
+    part = _Part("Z4xZ9", {id(e.ring): e.expansions for e in entries})  # T-PROD-EX's ring
     if theorem_id == "T-PROD-EX":
         _t_prod_ex(part)
     else:
         sweep = _SWEEPS[theorem_id]
-        for entry in sorted(catalog.entries, key=lambda e: e.provenance):
+        for entry in entries:
             part.provenance = entry.provenance
             sweep(entry, part)
     if part.dropped:

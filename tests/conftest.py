@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from expansion_tables import with_every_expansion
 from ringlab.catalog import CatalogConfig, build_catalog
 from ringlab.rings import make_galois_field, make_poly_quotient, make_zn
 
@@ -27,6 +28,14 @@ def catalog12():
 @pytest.fixture(scope="session")
 def catalog8():
     return build_catalog(CatalogConfig(max_order=8))
+
+
+@pytest.fixture(scope="session")
+def catalog_every_expansion():
+    """The default catalog built afresh, so that the other catalogs' rings
+    keep their caches, with each base entry carrying every extensive
+    monotone table on its ring: 995 stock expansions and 172 others."""
+    return with_every_expansion(build_catalog.__wrapped__(CatalogConfig()))
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,9 @@ import pytest
 
 from ringlab.catalog import CatalogConfig, CatalogEntry, base_rings, build_catalog
 from ringlab.constructions import LocalizationOf, ProductOf, QuotientOf, TrivialExtensionOf
-from ringlab.errors import ConstructionError
+from ringlab.errors import ConstructionError, RingMismatchError
+from ringlab.expansions import identity_expansion, standard_expansions
+from ringlab.rings import make_zn
 from ringlab.specparse import parse_ring
 
 
@@ -137,6 +139,18 @@ def test_entries_expose_ring_and_expansions(catalog8):
     assert entry.expansions
     labels = [d.label for d in entry.expansions]
     assert labels[0] == "id"
+
+
+def test_an_entry_rejects_expansions_of_another_ring():
+    """Z8 with Z9's stock expansions, or with one expansion of a twin of Z8
+    that has equal tables, is refused when the entry is built, before any
+    sweep reads the expansions at Z8's lattice positions."""
+    z8, z9, twin = make_zn(8), make_zn(9), make_zn(8)
+    for expansions in (standard_expansions(z9), (identity_expansion(z8), identity_expansion(twin))):
+        with pytest.raises(RingMismatchError, match="^an expansion of entry Z8 lives on another ring$"):
+            CatalogEntry(z8, "Z8", expansions)
+    assert CatalogEntry(z8, "Z8", ()).expansions == ()
+    assert CatalogEntry(z8, "Z8", standard_expansions(z8)).expansions == standard_expansions(z8)
 
 
 def test_quotients_skip_trivial(catalog16):

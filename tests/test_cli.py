@@ -233,7 +233,7 @@ def test_members_print_in_index_order(capsys):
     assert "Z4xZ4  {" + ",".join(expected) + "}  -" in out.splitlines()
 
     R = parse_ring("Z4xZ4")
-    part = verifier._Part("Z4xZ4")
+    part = verifier._Part("Z4xZ4", {})
     part.fail(span(R, [R.element_names.index("(2,2)")]), "id")
     assert list(part.failures[0].ideal) == expected
 

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from expansion_tables import entry_expansions
 import ringlab.expansions as expansions
 import ringlab.predicates as predicates
 from ringlab.catalog import CatalogConfig, build_catalog
@@ -108,6 +109,18 @@ def test_wrong_ring_rejected(z12, z8):
     d = identity_expansion(z12)
     with pytest.raises(RingMismatchError):
         d(span(z8, [2]))
+
+
+def test_from_rule_rejects_a_value_that_is_not_an_ideal_of_its_ring(z4):
+    """Z2's zero ideal has Z4's zero mask, which names an ideal of Z4: a rule
+    that returns it, or an ideal of a twin of Z4 with equal tables, or a
+    bare mask, is refused at the ideal it was given."""
+    z2, twin = make_zn(2), make_zn(4)
+    assert twin.mul_table == z4.mul_table and twin is not z4
+    for value in (lambda I: z2.zero_ideal(), lambda I: Ideal(twin, I.mask), lambda I: I.mask):
+        with pytest.raises(RingMismatchError, match=r"^rule value at \(0\) is not an ideal of Z4$"):
+            from_rule(z4, lambda I, value=value: value(I) if I.is_zero else I, "x")
+    assert from_rule(z4, lambda I: I, "x").table == identity_expansion(z4).table
 
 
 def test_standard_expansions_dedup(z8, f4):
@@ -297,6 +310,25 @@ def test_delta_gamma_hom(z12):
     ok2, wit2 = delta_gamma_hom_check(proj, d, g_id)
     assert not ok2
     assert wit2 is not None
+
+
+def test_an_induced_quotient_expansion_is_always_delta_gamma(catalog_every_expansion):
+    """T-HOM's delta-gamma hypothesis holds for every extensive delta on R and
+    the gamma it induces on any quotient R/I, along the projection f:
+    delta(f^-1 J) contains f^-1 J, hence ker f, so f^-1(f(delta(f^-1 J))),
+    which is delta(f^-1 J) + ker f, is delta(f^-1 J). Checked for every
+    extensive monotone table on each base ring and each of its quotients in
+    the default catalog, whether or not the projection preserves nonunits."""
+    sources = entry_expansions(catalog_every_expansion)
+    pairs = 0
+    for entry in catalog_every_expansion:
+        info = entry.ring.construction
+        if isinstance(info, QuotientOf):
+            for d in sources[id(info.parent)]:
+                g = induced_quotient(entry.ring, d)
+                assert delta_gamma_hom_check(info.projection, d, g) == (True, None), g.label
+                pairs += 1
+    assert pairs == 624
 
 
 def test_induced_product_upstairs(z4):
@@ -548,7 +580,7 @@ def test_transfer_sweeps_build_no_ideals(catalog16, monkeypatch):
 
 
 def test_char_cor_builds_no_expansion(catalog8, monkeypatch):
-    """T-CHAR-COR takes each entry's own id expansion."""
+    """T-CHAR-COR reads id off the ring, as its 1-absorbing prime vector."""
     verify("T-CHAR-COR", catalog8)
     built = _count_expansions_built(monkeypatch)
     report = verify("T-CHAR-COR", catalog8)
@@ -628,30 +660,37 @@ def trivial_extension_rule(T, delta):
     return rule
 
 
-def _induced_with_rules(R):
-    """Every expansion that the transfer sweeps induce on R from the stock
-    expansions of its parent or factors, with its oracle rule."""
+def _induced_with_rules(R, sources):
+    """Every expansion that the transfer sweeps induce on R from the
+    expansions that ``sources`` gives its parent, factors or base, with its
+    oracle rule."""
     info = R.construction
     if isinstance(info, ProductOf):
-        for d1 in standard_expansions(info.left):
-            for d2 in standard_expansions(info.right):
+        for d1 in sources[id(info.left)]:
+            for d2 in sources[id(info.right)]:
                 yield induced_product(R, d1, d2), product_rule(R, d1, d2)
     elif isinstance(info, QuotientOf):
-        for d in standard_expansions(info.parent):
+        for d in sources[id(info.parent)]:
             yield induced_quotient(R, d), projection_rule(info.projection, d)
     elif isinstance(info, LocalizationOf):
-        for d in standard_expansions(info.parent):
+        for d in sources[id(info.parent)]:
             yield induced_localization(R, d), projection_rule(info.projection, d)
     elif isinstance(info, TrivialExtensionOf):
-        for d in standard_expansions(info.base):
+        for d in sources[id(info.base)]:
             yield induced_trivial_extension(R, d), trivial_extension_rule(R, d)
 
 
-@pytest.mark.parametrize("tier, count", [("catalog16", 905), ("catalog_enlarged", 1523)])
+@pytest.mark.parametrize("tier, count", [
+    ("catalog16", 905), ("catalog_enlarged", 1523), ("catalog_every_expansion", 3448)])
 def test_induced_tables_match_their_rules(request, tier, count):
+    """Each induced table equals ``from_rule`` of the rule that defines it,
+    from the stock expansions of both tiers and from every extensive
+    monotone table on the bases, which are not translations."""
     seen = 0
-    for entry in request.getfixturevalue(tier):
-        for got, rule in _induced_with_rules(entry.ring):
+    catalog = request.getfixturevalue(tier)
+    sources = entry_expansions(catalog)
+    for entry in catalog:
+        for got, rule in _induced_with_rules(entry.ring, sources):
             want = from_rule(entry.ring, rule, got.label)
             assert got.table == want.table, (entry.provenance, got.label)
             seen += 1
@@ -665,13 +704,15 @@ def test_every_catalog_expansion_is_a_stock_translation(request, tier):
     table. The catalog attaches only stock expansions because of this; a
     stock family that is not a translation would fail here."""
     induced = 0
-    for entry in request.getfixturevalue(tier):
+    catalog = request.getfixturevalue(tier)
+    sources = entry_expansions(catalog)
+    for entry in catalog:
         R = entry.ring
         rad = radical_expansion(R).table
         assert rad == plus_fixed(R, R.jacobson_radical()).table, entry.provenance
         stock = {d.table for d in standard_expansions(R)}
         assert len(stock) == len(standard_expansions(R)) == len(R.ideals()), entry.provenance
-        for got, _ in _induced_with_rules(R):
+        for got, _ in _induced_with_rules(R, sources):
             assert got.table in stock, (entry.provenance, got.label)
             induced += 1
     assert induced

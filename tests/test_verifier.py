@@ -11,11 +11,13 @@ from pathlib import Path
 import pytest
 
 from construction_oracle import assert_catalog
+from expansion_tables import all_expansion_tables, entry_expansions
 import ringlab.catalog as catalog_module
 import ringlab.ideals as ideals
 import ringlab.predicates as predicates
 import ringlab.verifier as verifier
 from ringlab.catalog import Catalog, CatalogConfig, CatalogEntry, build_catalog
+from ringlab.constructions import LocalizationOf, ProductOf, TrivialExtensionOf
 from ringlab.errors import UnknownTheoremError
 from ringlab.expansions import (
     ExpansionFunction,
@@ -23,6 +25,7 @@ from ringlab.expansions import (
     from_rule,
     identity_expansion,
     is_intersection_preserving,
+    localization_compatibility,
     preserves_jacobson,
     satisfies_star,
     scaling_check,
@@ -803,33 +806,21 @@ def test_t_char_on_an_expansion_that_keeps_jac_and_breaks_star():
     assert report.conclusion_failures == () and report.notes == ()
 
 
-def test_char_cor_reads_the_rings_own_identity_expansion():
-    """T-CHAR-COR takes id from the ring, not from the entry's first
-    expansion: an entry with no expansions, or with ``full`` first, gives
-    the report of Z8's stock entry."""
+def test_char_cor_reads_the_rings_own_identity_expansion(catalog16):
+    """T-CHAR-COR reads id off the ring, as its 1-absorbing prime vector,
+    and not from the entry's first expansion: an entry with no expansions,
+    or with ``full`` first, gives the report of Z8's stock entry. Under id,
+    delta(I) = I, so that vector is the 1-absorbing vector of id on every
+    ring of the default catalog."""
+    for entry in catalog16:
+        R, d = entry.ring, identity_expansion(entry.ring)
+        assert predicates._verdicts("1abs-prime", R) == verifier._one_abs(d), entry.provenance
     R = make_zn(8)
     want = strip_elapsed(verify("T-CHAR-COR", Catalog((CatalogEntry(R, "Z8", standard_expansions(R)),))))
     assert (want["status"], want["instances_checked"], want["hypothesis_satisfied"]) == ("verified", 1, 1)
     for expansions in ((), (constant_ring(R), identity_expansion(R))):
         catalog = Catalog((CatalogEntry(R, "Z8", expansions),))
         assert strip_elapsed(verify("T-CHAR-COR", catalog)) == want
-
-
-def _all_expansion_tables(R):
-    """Every extensive monotone table on R's lattice, by backtracking."""
-    masks = [I.mask for I in R.ideals()]
-
-    def extend(table):
-        p = len(table)
-        if p == len(masks):
-            yield tuple(table)
-            return
-        for q in range(p, len(masks)):
-            if not masks[p] & ~masks[q] and all(
-                    not masks[table[r]] & ~masks[q] for r in range(p) if not masks[r] & ~masks[p]):
-                yield from extend(table + [q])
-
-    return extend([])
 
 
 def test_star_and_jac_agree_where_t_char_reads_them(catalog8):
@@ -849,16 +840,71 @@ def test_star_and_jac_agree_where_t_char_reads_them(catalog8):
         R = entry.ring
         if len(R.ideals()) > 9:
             continue
-        for table in _all_expansion_tables(R):
+        for table in all_expansion_tables(R):
             d = ExpansionFunction(R, table, "t")
             star, jac = satisfies_star(d), preserves_jacobson(d)
             assert jac or not star, (entry.provenance, table)
             if jac and not star:
                 split += 1
                 assert not scaling_check(d)[0], (entry.provenance, table)
-                assert not verifier._char_states(R, d)[0], (entry.provenance, table)
+                one_abs = verifier._one_abs(d)
+                assert not verifier._char_states(R, one_abs)[0], (entry.provenance, table)
             seen += 1
     assert (seen, split) == (12668, 1596)
+
+
+TRANSFER = ("T-HOM", "T-LOC", "T-PROD", "T-TRIV", "T-TRIV-COR")
+
+
+def _counts(reports, ids=TRANSFER):
+    return {r.theorem_id: (r.instances_checked, r.hypothesis_satisfied)
+            for r in reports if r.theorem_id in ids}
+
+
+def test_non_translation_expansions_reach_every_sweep(catalog_every_expansion):
+    """Every base entry also carries the 172 extensive monotone tables on
+    its ring that are not stock translations. All 26 statements still hold,
+    and the five transfer sweeps that take their sources from the parent,
+    a factor or the base count the instances of those expansions too: with
+    stock expansions only they count T-HOM (340, 217), T-LOC (362, 201),
+    T-PROD 3652, T-TRIV (796, 652) and T-TRIV-COR 374. On these sources
+    T-LOC's compatibility hypothesis fails for 323 of the 673
+    (localization, expansion) pairs, where on the stock catalog it never
+    does."""
+    catalog = catalog_every_expansion
+    assert sum(len(e.expansions) for e in catalog) == 995 + 172
+    reports = verify_all(catalog)
+    assert [(r.theorem_id, r.conclusion_failures) for r in reports] == [
+        (tid, ()) for tid in THEOREM_IDS]
+    assert _counts(reports) == {"T-HOM": (2144, 1458), "T-LOC": (1962, 467),
+                                "T-PROD": (14133, 14133), "T-TRIV": (4304, 3312),
+                                "T-TRIV-COR": (2025, 2025)}
+    sources = entry_expansions(catalog)
+    compatible = [localization_compatibility(e.ring, d) for e in catalog
+                  if isinstance(e.ring.construction, LocalizationOf)
+                  for d in sources[id(e.ring.construction.parent)]]
+    assert (compatible.count(False), len(compatible)) == (323, 673)
+
+
+def test_a_source_ring_with_no_entry_adds_no_instances(catalog8):
+    """The catalog is the sweep domain of the transfer statements too: with
+    the base entries left out, the five sweeps that read a source ring's
+    expansions count no instance, and with each base carrying id alone
+    they count one source expansion per ring (a pair per product)."""
+    constructed = tuple(e for e in catalog8 if e.ring.construction is not None)
+    assert _counts(verify_all(Catalog(constructed), TRANSFER)) == {tid: (0, 0) for tid in TRANSFER}
+    bases = tuple(CatalogEntry(e.ring, e.provenance, e.expansions[:1])
+                  for e in catalog8 if e.ring.construction is None)
+    assert all(e.expansions[0].label == "id" for e in bases)
+    counts = _counts(verify_all(Catalog(bases + constructed), TRANSFER))
+    products = sum(len(e.ring.proper_ideals()) for e in constructed
+                   if isinstance(e.ring.construction, ProductOf))
+    extended = sum(len(e.ring.construction.base.proper_ideals()) for e in constructed
+                   if isinstance(e.ring.construction, TrivialExtensionOf))
+    assert counts["T-PROD"] == (products, products)
+    assert counts["T-TRIV-COR"] == (extended, extended)
+    stock = _counts(verify_all(catalog8, TRANSFER))
+    assert all(0 < counts[tid][0] < stock[tid][0] for tid in TRANSFER)
 
 
 def test_t_local_names_the_lowest_ideal_that_is_not_delta_primary(catalog16, monkeypatch):
@@ -873,6 +919,39 @@ def test_t_local_names_the_lowest_ideal_that_is_not_delta_primary(catalog16, mon
     monkeypatch.setattr(verifier, "_primary", lambda e: primary(e) & ~(1 << low | 1 << high)
                         if e is d else primary(e))
     failures = verify("T-LOCAL", catalog16).conclusion_failures
+    I = entry.ring.proper_ideals()[low]
+    assert [(w.ring, w.delta, w.ideal) for w in failures] == [
+        (entry.provenance, d.label, tuple(map(entry.ring.element_name, I.members_sorted)))]
+
+
+@pytest.mark.parametrize("tid", ["T-PRINC", "T-SPEC"])
+def test_princ_and_spec_name_the_lowest_ideal_missing_from_the_one_absorbing_vector(
+        catalog16, monkeypatch, tid):
+    """Two bits cleared from the 1-absorbing vector of one expansion whose
+    instance holds the hypothesis and under which every proper ideal is
+    1-absorbing: T-PRINC (at two ideals that are not principal) and T-SPEC
+    fail that expansion once, at the lower of the two."""
+    one_abs = verifier._one_abs
+    candidates = [(e.provenance, d.label) for e in catalog16 for d in e.expansions]
+    if tid == "T-SPEC":  # the instances that hold its hypothesis all fail here
+        monkeypatch.setattr(verifier, "_one_abs", lambda e: 0)
+        candidates = [(w.ring, w.delta) for w in verify(tid, catalog16).conclusion_failures]
+        monkeypatch.undo()
+    entries = {e.provenance: e for e in catalog16}
+
+    def pick():
+        for ring, label in candidates:
+            entry = entries[ring]
+            proper = entry.ring.proper_ideals()
+            d = next(d for d in entry.expansions if d.label == label)
+            positions = [p for p, I in enumerate(proper) if tid == "T-SPEC" or not is_principal(I)]
+            if len(positions) >= 2 and one_abs(d) == (1 << len(proper)) - 1:
+                return entry, d, positions[0], positions[1]
+
+    entry, d, low, high = pick()
+    monkeypatch.setattr(verifier, "_one_abs", lambda e: one_abs(e) & ~(1 << low | 1 << high)
+                        if e is d else one_abs(e))
+    failures = verify(tid, catalog16).conclusion_failures
     I = entry.ring.proper_ideals()[low]
     assert [(w.ring, w.delta, w.ideal) for w in failures] == [
         (entry.provenance, d.label, tuple(map(entry.ring.element_name, I.members_sorted)))]
