@@ -33,22 +33,23 @@ principal classes, never over elements.
 ``_PASS_SETS`` is the one table of checks: each row pairs a check with its
 pass sets, its bound (I, rad(I) or delta(I)), its witness scan and the name
 its ProperIdealError gives. ``_verdicts`` reads a row's pass sets at its
-bounds into an int over the proper ideals, the check's verdict vector,
-which the sweeps combine bitwise and count by popcount. Every check, the
-three in ``ideals`` as well, is one call of ``_check``: it reads the bit of
-the vector at I's lattice position and runs the row's witness scan only
-when that bit is 0, for the minimal witness. ``PREDICATES``, the functions
-behind ``search`` queries, read the same bit with no witness scan, and so
-do ``FiniteRing.maximal_ideals``, ``FiniteRing.spectrum`` and
-``ideals.is_prime_element``. The witness scans, ``ideals.colon``,
-``ideals.ideal_colon`` and the definitional ``*_scan`` functions, kept as
-oracles for the test suite, read their colons off the same table
+bounds into an int over the proper ideals, the check's verdict vector: the
+one way to evaluate a check over a ring. The sweeps combine the vectors
+bitwise and count them by popcount, ``classify`` reads each of the ten once
+per (ring, delta), and a ``search`` query is a bitwise formula over them;
+``FiniteRing.maximal_ideals``, ``FiniteRing.spectrum`` and
+``ideals.is_prime_element`` read them too. At one ideal, ``PREDICATES``
+reads the bit at I's lattice position, and every check (``_check``, the
+three in ``ideals`` as well) runs the row's witness scan only where that
+bit is 0, for the minimal witness: no scan runs on a pass. The witness
+scans, ``ideals.colon``, ``ideals.ideal_colon`` and the definitional
+``*_scan`` oracles of the test suite read their colons off one table
 (``ideals._element_colons``).
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import partial, reduce
 from operator import and_
 from typing import Optional
 
@@ -437,23 +438,6 @@ def _cached_product(R: FiniteRing, I: Ideal, J: Ideal) -> int:
 # ----------------------------------------------------------------------
 # named registry and the classification matrix
 
-# Every check by name, in column order. The entries look the checks up by
-# their module-global names at call time, so a wrapper installed on this
-# module (a profiler or tracer) sees every call.
-_CHECKS = {
-    "prime": lambda I, d: prime_check(I),
-    "maximal": lambda I, d: maximal_check(I),
-    "primary": lambda I, d: primary_check(I),
-    "2abs": lambda I, d: two_absorbing_check(I),
-    "1abs-prime": lambda I, d: one_absorbing_prime_check(I),
-    "1abs-primary": lambda I, d: one_absorbing_primary_check(I),
-    "delta-primary": lambda I, d: delta_primary_check(I, d),
-    "delta-semiprimary": lambda I, d: delta_semiprimary_check(I, d),
-    "1abs-delta-primary": lambda I, d: one_absorbing_delta_primary_check(I, d),
-    "2abs-delta-primary": lambda I, d: two_absorbing_delta_primary_check(I, d),
-}
-
-
 # The lattice positions of the bounds I, rad(I) and delta(I) at the proper
 # ideals.
 _OWN, _RAD, _DELTA = (
@@ -507,41 +491,47 @@ def _verdicts(name: str, R: FiniteRing, delta: Optional[ExpansionFunction] = Non
     return got
 
 
-def _check(name: str, I: Ideal, delta: Optional[ExpansionFunction] = None,
-           scan: bool = True) -> tuple[bool, Optional[tuple]]:
+def _position(I: Ideal, delta: Optional[ExpansionFunction], what: str) -> int:
+    """I's lattice position, once I is proper (else a ProperIdealError
+    naming ``what``) and delta, if given, is an expansion on I's ring."""
+    _require_proper(I, what)
+    if delta is not None and delta.ring is not I.ring:
+        raise RingMismatchError("ideal belongs to a different ring")
+    return I.ring.lattice_position(I.mask)
+
+
+def _read(name: str, I: Ideal, delta: Optional[ExpansionFunction]) -> tuple[int, int]:
+    """I's lattice position and the bit there of check ``name``'s verdict
+    vector; a check that reads delta(I) needs an expansion on I's ring."""
+    bounds, what = _PASS_SETS[name][2:]
+    if bounds is _DELTA and delta is None:
+        raise RinglabError(f"predicate {name!r} needs an expansion")
+    p = _position(I, delta if bounds is _DELTA else None, what)
+    return p, _verdicts(name, I.ring, delta) >> p & 1
+
+
+def _check(name: str, I: Ideal, delta: Optional[ExpansionFunction] = None) -> tuple[bool, object]:
     """Check ``name`` at I: the bit of its verdict vector at I's lattice
     position. Only a failure runs the row's witness scan at I's bound, for
-    the minimal witness, and only when ``scan`` is set: a failure without
-    it is (False, None). delta must be an expansion on I's ring."""
-    _, witness, bounds, what = _PASS_SETS[name]
-    _require_proper(I, what)
-    R = I.ring
-    if bounds is _DELTA and delta.ring is not R:
-        raise RingMismatchError("ideal belongs to a different ring")
-    p = R.lattice_position(I.mask)
-    if _verdicts(name, R, delta) >> p & 1:
+    the minimal witness."""
+    p, ok = _read(name, I, delta)
+    if ok:
         return True, None
-    if not scan:
-        return False, None
+    _, witness, bounds, _ = _PASS_SETS[name]
+    R = I.ring
     got = witness(R, I.mask, R.ideals()[bounds(R, delta)[p]].mask)
     if got[0]:
         raise InvariantError("the pass set fails a bound that the witness scan passes")
     return got
 
 
-def _verdict_bit(name: str):
-    """Check ``name`` at I as a function of (I, delta): its verdict bit,
-    with no witness scan. A missing expansion raises."""
-
-    def read(I: Ideal, d: Optional[ExpansionFunction]) -> bool:
-        if d is None and name not in DELTA_FREE:
-            raise RinglabError(f"predicate {name!r} needs an expansion")
-        return _check(name, I, d, scan=False)[0]
-
-    return read
+def _bit(name: str, I: Ideal, delta: Optional[ExpansionFunction] = None) -> bool:
+    """Check ``name`` at I without its witness: the bit alone."""
+    return bool(_read(name, I, delta)[1])
 
 
-PREDICATES = {name: _verdict_bit(name) for name in _CHECKS}
+# Every check by name, in column order, as a function of (I, delta).
+PREDICATES = {name: partial(_bit, name) for name in _PASS_SETS if name != "idealwise"}
 
 PREDICATE_NAMES = tuple(PREDICATES)
 
@@ -550,6 +540,15 @@ def evaluate_predicate(name: str, I: Ideal, delta: Optional[ExpansionFunction]) 
     if name not in PREDICATES:
         raise RinglabError(f"unknown predicate {name!r}")
     return PREDICATES[name](I, delta)
+
+
+def _witness(name: str, I: Ideal, delta: ExpansionFunction) -> object:
+    """The witness of check ``name`` failing at I, from its public function
+    x_check, named by the row's is_x (this module imports the three from
+    ``ideals`` for it). It is looked up at call time, so that a wrapper
+    installed here (a profiler or tracer) sees the scan."""
+    check = globals()[_PASS_SETS[name][3][len("is_"):] + "_check"]
+    return (check(I) if name in DELTA_FREE else check(I, delta))[1]
 
 
 class ClassifyRow:
@@ -565,18 +564,18 @@ class ClassifyRow:
 def classify(R: FiniteRing, delta: ExpansionFunction) -> list[ClassifyRow]:
     """The predicate matrix over every proper ideal, in canonical order.
 
-    Witnesses are recorded for failing predicates: element pairs or triples
-    for the scan-based ones, and a strictly larger proper ideal for
-    maximality.
+    Each check's verdict vector is read once, and a row's values are its
+    bits. Only a failing (ideal, check) runs a witness scan, through the
+    check: element pairs or triples for the scan-based checks, and a
+    strictly larger proper ideal for maximality.
     """
+    if delta.ring is not R:
+        raise RingMismatchError("expansion belongs to a different ring")
+    vectors = [(name, _verdicts(name, R, delta)) for name in PREDICATE_NAMES]
     rows = []
-    for I in R.proper_ideals():
-        values: dict[str, bool] = {}
-        witnesses: dict[str, object] = {}
-        for name, check in _CHECKS.items():
-            ok, wit = check(I, delta)
-            values[name] = ok
-            if not ok and wit is not None:
-                witnesses[name] = wit
+    for p, I in enumerate(R.proper_ideals()):
+        values = {name: bool(v >> p & 1) for name, v in vectors}
+        witnesses = {name: _witness(name, I, delta) for name, ok in values.items() if not ok}
         rows.append(ClassifyRow(I, values, witnesses))
     return rows
+

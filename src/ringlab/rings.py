@@ -116,7 +116,7 @@ class FiniteRing:
         add_table: Sequence[Sequence[int]],
         mul_table: Sequence[Sequence[int]],
         label: str,
-        construction: object = None,
+        *,
         element_names: Optional[Sequence[str]] = None,
     ):
         n = len(add_table)
@@ -125,7 +125,7 @@ class FiniteRing:
         self.order = n
         self.add_table = _normalize_table(add_table, n, "addition")
         self.mul_table = _normalize_table(mul_table, n, "multiplication")
-        self.label, self.construction, self.cache = label, construction, {}
+        self.label, self.construction, self.cache = label, None, {}
         if element_names is not None:
             names = tuple(element_names)
             if len(names) != n:

@@ -14,6 +14,8 @@ found before the ring is built.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_, or_
 from typing import Callable, Optional
 
 from .constructions import (
@@ -41,6 +43,7 @@ from .expansions import (
     plus_fixed,
     radical_expansion,
 )
+from .predicates import DELTA_FREE, PREDICATES, _position, _verdicts
 from .rings import FiniteRing, make_poly_quotient, make_zn
 
 # The largest ring order a spec may ask for: Z32xZ32 and Z4^5 have tables of
@@ -179,7 +182,9 @@ def _atom(cur: _Cursor) -> FiniteRing:
     if cur.take("Z"):
         n = cur.integer()
         cur.bound(n, at)  # the order of Z_n, at most that of Z_n[x]/(f)
-        if cur.take("[x]/("):
+        try:  # a ConstructionError is the spec's fault, at the end of the atom
+            if not cur.take("[x]/("):
+                return make_zn(n)
             terms = _poly(cur)
             cur.expect(")")
             # the order is n^k for f of degree k mod n, above the bound for
@@ -187,13 +192,8 @@ def _atom(cur: _Cursor) -> FiniteRing:
             k = max((d for d, c in terms.items() if c % n), default=0) if n > 1 else 0
             if k >= _MAX_ORDER.bit_length() or n**k > _MAX_ORDER:
                 raise cur.error(f"ring order {n}^{k} exceeds {_MAX_ORDER}", at)
-            try:
-                return make_poly_quotient(n, [terms.get(d, 0) for d in range(k + 1)])
-            except Exception as exc:
-                raise cur.error(str(exc))
-        try:
-            return make_zn(n)
-        except Exception as exc:
+            return make_poly_quotient(n, [terms.get(d, 0) for d in range(k + 1)])
+        except ConstructionError as exc:
             raise cur.error(str(exc))
     raise cur.error("expected a ring spec")
 
@@ -296,29 +296,25 @@ def _expansion(cur: _Cursor, R: FiniteRing) -> ExpansionFunction:
 
 
 class Query:
-    """A parsed boolean combination of predicate names."""
+    """A parsed boolean combination of predicate names. ``verdicts(R, delta)``
+    is its verdict vector over R's proper ideals, from the checks' vectors:
+    a name is its vector, & and | are bitwise, ! is masked to the proper
+    ideals."""
 
-    def __init__(self, fn: Callable, names: frozenset[str], text: str):
-        self._fn = fn
-        self.names = names
-        self.text = text
-
-    @property
-    def uses_delta(self) -> bool:
-        from .predicates import DELTA_FREE
-
-        return bool(self.names - DELTA_FREE)
+    def __init__(self, verdicts: Callable, names: frozenset[str], text: str):
+        self.verdicts, self.names, self.text = verdicts, names, text
+        self.uses_delta = bool(names - DELTA_FREE)
 
     def evaluate(self, I, delta=None) -> bool:
+        """The query at the proper ideal I: the bit of its vector at I."""
         if delta is None and self.uses_delta:
             raise RinglabError(f"query {self.text!r} needs an expansion")
-        return self._fn(I, delta)
+        p = _position(I, delta if self.uses_delta else None, f"query {self.text!r}")
+        return bool(self.verdicts(I.ring, delta) >> p & 1)
 
 
 def parse_query(text: str) -> Query:
     """Parse a boolean predicate query with &, |, ! and parentheses."""
-    from .predicates import PREDICATES
-
     cur = _Cursor(text)
     names: set[str] = set()
 
@@ -326,7 +322,7 @@ def parse_query(text: str) -> Query:
         cur.skip_spaces()
         if cur.take("!"):
             inner = primary()
-            return lambda I, d: not inner(I, d)
+            return lambda R, d: ~inner(R, d) & ((1 << len(R.proper_ideals())) - 1)
         if cur.take("("):
             inner = disjunction()
             cur.skip_spaces()
@@ -340,33 +336,23 @@ def parse_query(text: str) -> Query:
             cur.pos = start
             raise cur.error(f"unknown predicate {name!r}" if name else "expected a predicate name")
         names.add(name)
-        pred = PREDICATES[name]
-        return lambda I, d: pred(I, d)
+        return lambda R, d: _verdicts(name, R, d)
 
-    def conjunction() -> Callable:
-        parts = [primary()]
-        while True:
+    def chain(operand: Callable[[], Callable], token: str, combine) -> Callable:
+        """One or more operands joined by token, combined bitwise."""
+        parts = [operand()]
+        cur.skip_spaces()
+        while cur.take(token):
+            parts.append(operand())
             cur.skip_spaces()
-            if not cur.take("&"):
-                break
-            parts.append(primary())
-        if len(parts) == 1:
-            return parts[0]
-        return lambda I, d: all(p(I, d) for p in parts)
+        return lambda R, d: reduce(combine, [p(R, d) for p in parts])
 
     def disjunction() -> Callable:
-        parts = [conjunction()]
-        while True:
-            cur.skip_spaces()
-            if not cur.take("|"):
-                break
-            parts.append(conjunction())
-        if len(parts) == 1:
-            return parts[0]
-        return lambda I, d: any(p(I, d) for p in parts)
+        """Conjunctions joined by |, each primaries joined by &."""
+        return chain(lambda: chain(primary, "&", and_), "|", or_)
 
-    fn = disjunction()
+    verdicts = disjunction()
     cur.skip_spaces()
     if cur.pos != len(text):
         raise cur.error("unexpected trailing input")
-    return Query(fn, frozenset(names), text)
+    return Query(verdicts, frozenset(names), text)

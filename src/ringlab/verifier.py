@@ -65,6 +65,7 @@ from .predicates import (
     one_absorbing_delta_primary_check,
 )
 from .rings import FiniteRing, _Record, make_zn
+from .specparse import Query, parse_query
 
 FAILURE_CAP = 50
 
@@ -846,27 +847,21 @@ def verify_all(
 def search_witness(query, catalog: Catalog) -> list[Witness]:
     """All (ring, ideal, delta) triples in the catalog matching a parsed query.
 
-    Accepts a Query or a query string. Delta-free queries sweep (ring, ideal)
-    pairs once and record the delta column as "-".
+    Accepts a Query or a query string. The matches are the set bits of the
+    query's verdict vector on each (ring, expansion) pair, or on each ring,
+    with "-" as its delta column, for a delta-free query.
     """
-    from .specparse import Query, parse_query
-
     if not isinstance(query, Query):
         query = parse_query(query)
     out: list[Witness] = []
     for entry in catalog:
         R = entry.ring
-        if query.uses_delta:
-            for d in entry.expansions:
-                for I in R.proper_ideals():
-                    if query.evaluate(I, d):
-                        out.append(
-                            Witness(entry.provenance, _names(R, I.members_sorted), d.label, None, "")
-                        )
-        else:
-            for I in R.proper_ideals():
-                if query.evaluate(I, None):
-                    out.append(Witness(entry.provenance, _names(R, I.members_sorted), "-", None, ""))
+        proper = R.proper_ideals()
+        for d in entry.expansions if query.uses_delta else (None,):
+            label = "-" if d is None else d.label
+            for p in _bits(query.verdicts(R, d)):
+                out.append(Witness(entry.provenance, _names(R, proper[p].members_sorted), label,
+                                   None, ""))
     return out
 
 

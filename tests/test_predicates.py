@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -16,9 +18,16 @@ from ringlab.expansions import (
 )
 import ringlab.ideals as ideals
 import ringlab.predicates as predicates
-from ringlab.ideals import ideal_colon, ideal_product, primary_check, prime_check, radical, span
+from ringlab.ideals import (
+    ideal_colon,
+    ideal_product,
+    maximal_check,
+    primary_check,
+    prime_check,
+    radical,
+    span,
+)
 from ringlab.predicates import (
-    _CHECKS,
     DELTA_FREE,
     PREDICATE_NAMES,
     PREDICATES,
@@ -55,6 +64,21 @@ from ringlab.constructions import (
 from ringlab.rings import FiniteRing, make_zn
 from ringlab.specparse import parse_query
 from test_constructions import SMALL_BASES
+
+# Each check's public function, by name in column order, as a function of
+# (I, delta): the oracle tests below call the checks through these.
+CHECKS = {
+    "prime": lambda I, d: prime_check(I),
+    "maximal": lambda I, d: maximal_check(I),
+    "primary": lambda I, d: primary_check(I),
+    "2abs": lambda I, d: two_absorbing_check(I),
+    "1abs-prime": lambda I, d: one_absorbing_prime_check(I),
+    "1abs-primary": lambda I, d: one_absorbing_primary_check(I),
+    "delta-primary": lambda I, d: delta_primary_check(I, d),
+    "delta-semiprimary": lambda I, d: delta_semiprimary_check(I, d),
+    "1abs-delta-primary": lambda I, d: one_absorbing_delta_primary_check(I, d),
+    "2abs-delta-primary": lambda I, d: two_absorbing_delta_primary_check(I, d),
+}
 
 
 def definitional_pair_scan(I, dm, skip):
@@ -236,7 +260,7 @@ def test_verdict_vectors_match_the_checks_on_default_catalog():
         R = entry.ring
         proper = R.proper_ideals()
         for d in entry.expansions:
-            for name, check in _CHECKS.items():
+            for name, check in CHECKS.items():
                 got = _verdicts(name, R, d)
                 assert got == _vector(check(I, d)[0] for I in proper), (
                     entry.provenance, d.label, name)
@@ -257,7 +281,7 @@ def test_verdict_vectors_have_no_bit_at_or_above_the_unit_ideal(request, tier):
     for entry in request.getfixturevalue(tier):
         R = entry.ring
         n = len(R.proper_ideals())
-        names = [*_CHECKS, "idealwise"] if R.order <= 12 else list(_CHECKS)
+        names = [*CHECKS, "idealwise"] if R.order <= 12 else list(CHECKS)
         stock = (identity_expansion(R), radical_expansion(R), constant_ring(R))
         for d in entry.expansions + stock:
             for name in names:
@@ -327,7 +351,7 @@ def assert_checks_match_the_scans(R, expansions):
         return scans[p, q]
 
     for d in expansions:
-        values = {name: [] for name in _CHECKS}
+        values = {name: [] for name in CHECKS}
         for p, I in enumerate(proper):
             own, at_rad, at_delta = against(p, p), against(p, rad[p]), against(p, d.table[p])
             above = next((J for J in proper[p + 1:] if not I.mask & ~J.mask), None)
@@ -343,24 +367,50 @@ def assert_checks_match_the_scans(R, expansions):
                 "1abs-delta-primary": at_delta[2],
                 "2abs-delta-primary": at_delta[3],
             }
-            for name, check in _CHECKS.items():
+            for name, check in CHECKS.items():
                 assert check(I, d) == want[name], (R.label, d.label, I.label, name)
                 values[name].append(want[name][0])
-        for name in _CHECKS:
+        for name in CHECKS:
             assert _verdicts(name, R, d) == _vector(values[name]), (R.label, d.label, name)
     return len(proper) * len(expansions)
 
 
+def _added_by_the_enlarged_tier(catalog16, catalog_enlarged):
+    """The entries of the enlarged tier whose ring the default tier lacks.
+    Every other entry has the tables, and the expansion labels and tables,
+    of the default entry of its provenance, whose checks see the same
+    inputs."""
+    default = {entry.provenance: entry for entry in catalog16}
+    added = []
+    for entry in catalog_enlarged:
+        same = default.get(entry.provenance)
+        if same is None:
+            added.append(entry)
+            continue
+        R, S = entry.ring, same.ring
+        assert (R.add_table, R.mul_table) == (S.add_table, S.mul_table), entry.provenance
+        assert [(d.label, d.table) for d in entry.expansions] == [
+            (d.label, d.table) for d in same.expansions], entry.provenance
+    return added
+
+
 @pytest.mark.parametrize("tier", ["catalog16", "catalog_enlarged", "z262"])
-def test_all_checks_match_the_definitional_scans(request, tier):
+def test_all_checks_match_the_definitional_scans(request, catalog16, tier):
     """Every proper ideal of both tiers, under each attached expansion and
     under id, rad and full; and Z262 = Z2 x Z131 under id, rad and full, the
     one ring above order 256 where checks fail, so its witness scans read
-    colons the table built from tuple rows."""
-    rings = ([(make_zn(262), ())] if tier == "z262" else
-             [(entry.ring, entry.expansions) for entry in request.getfixturevalue(tier)])
+    colons the table built from tuple rows. The enlarged tier checks only
+    the 73 rings it adds to the default tier's 190."""
+    if tier == "z262":
+        entries = [(make_zn(262), ())]
+    elif tier == "catalog16":
+        entries = [(entry.ring, entry.expansions) for entry in catalog16]
+    else:
+        added = _added_by_the_enlarged_tier(catalog16, request.getfixturevalue(tier))
+        assert len(added) == 73
+        entries = [(entry.ring, entry.expansions) for entry in added]
     pairs = 0
-    for R, attached in rings:
+    for R, attached in entries:
         stock = (identity_expansion(R), radical_expansion(R), constant_ring(R))
         pairs += assert_checks_match_the_scans(R, attached + stock)
     assert pairs == {"catalog16": 6588 + 3 * 805, "z262": 3 * 3}.get(tier, pairs)
@@ -423,7 +473,7 @@ def test_verdicts_survive_relabelling(data):
     ]
     for family in (identity_expansion, radical_expansion, constant_ring):
         d, e = family(R), family(S)
-        for name in _CHECKS:
+        for name in CHECKS:
             theirs = _verdicts(name, S, e)
             assert _verdicts(name, R, d) == _vector(theirs >> q & 1 for q in image), (
                 R.label, family.__name__, name)
@@ -486,14 +536,14 @@ def test_passing_checks_read_cached_masks_and_run_no_scan(catalog16, monkeypatch
     assert len(read) == 2 and read[0] is read[1] is R.cache["one_absorbing_pass"]
     monkeypatch.undo()
 
-    checks = dict(_CHECKS, idealwise=idealwise_one_absorbing_check)
+    checks = dict(CHECKS, idealwise=idealwise_one_absorbing_check)
     passing = 0
     for entry in catalog16:
         R = entry.ring
         proper = R.proper_ideals()
         expansions = entry.expansions + (
             identity_expansion(R), radical_expansion(R), constant_ring(R))
-        names = checks if R.order <= 12 else _CHECKS
+        names = checks if R.order <= 12 else CHECKS
         verdicts = {(name, d): _verdicts(name, R, d) for name in names for d in expansions}
         cached = {k: v for k, v in R.cache.items() if k.endswith("_pass")}
         with monkeypatch.context() as m:
@@ -643,15 +693,22 @@ def test_evaluate_predicate_without_an_expansion_is_a_ringlab_error(z4, z12):
 
 
 def test_evaluate_predicate_keeps_the_checks_errors(z4, z8):
-    """The bit reader hands what its vectors do not cover to the check: a
-    unit ideal raises the check's own ProperIdealError, and an expansion on
-    another ring a RingMismatchError."""
+    """A bit reader runs the check's argument checks before it reads the
+    bit: a unit ideal raises the check's own ProperIdealError, and an
+    expansion on another ring a RingMismatchError. A query reads its bit
+    after the same checks, and a delta-free one ignores the expansion."""
     with pytest.raises(ProperIdealError, match="is_delta_primary needs a proper ideal"):
         evaluate_predicate("delta-primary", z4.unit_ideal(), identity_expansion(z4))
     with pytest.raises(ProperIdealError, match="is_prime needs a proper ideal"):
         evaluate_predicate("prime", z4.unit_ideal(), None)
     with pytest.raises(RingMismatchError):
         evaluate_predicate("delta-primary", span(z4, [2]), identity_expansion(z8))
+    text = "prime | maximal"
+    with pytest.raises(ProperIdealError, match=rf"^query {re.escape(repr(text))} needs a proper"):
+        parse_query(text).evaluate(z4.unit_ideal())
+    with pytest.raises(RingMismatchError):
+        parse_query("!delta-primary").evaluate(span(z4, [2]), identity_expansion(z8))
+    assert parse_query("!prime").evaluate(span(z4, [0]), identity_expansion(z8)) is True
 
 
 def test_predicates_read_verdict_bits_and_run_no_scan(catalog16, monkeypatch):
@@ -659,7 +716,7 @@ def test_predicates_read_verdict_bits_and_run_no_scan(catalog16, monkeypatch):
     check at every proper ideal of the default catalog under every attached
     expansion, and runs no witness scan, on a failure either. The checks
     themselves run one witness scan per failure and none on a pass."""
-    checks = [(name, _CHECKS[name], PREDICATES[name]) for name in PREDICATE_NAMES]
+    checks = [(name, CHECKS[name], PREDICATES[name]) for name in PREDICATE_NAMES]
     expected = {}
     scans = []
     with monkeypatch.context() as m:
@@ -728,6 +785,36 @@ def test_classify_shape(z36):
     assert by_label["(6)"].values["2abs-delta-primary"] is True
     assert by_label["(6)"].values["1abs-delta-primary"] is False
     assert by_label["(6)"].witnesses["1abs-delta-primary"] == (2, 2, 3)
+
+
+def test_classify_reads_the_vectors_and_scans_only_the_failures(catalog16, monkeypatch):
+    """Over the default catalog under every attached expansion, each
+    classify row equals the ten checks at its ideal, values and witnesses,
+    and classify runs exactly one witness scan per failing (ideal, check),
+    at that ideal, and none on a pass."""
+    assert tuple(CHECKS) == PREDICATE_NAMES
+    want, failing = [], []
+    for entry in catalog16:
+        for d in entry.expansions:
+            for I in entry.ring.proper_ideals():
+                got = {name: check(I, d) for name, check in CHECKS.items()}
+                want.append((I, {name: ok for name, (ok, _) in got.items()},
+                             {name: wit for name, (ok, wit) in got.items() if not ok}))
+                failing += [(name, I.mask) for name, (ok, _) in got.items() if not ok]
+    scans = []
+    for name, (pass_sets, witness, bound, what) in predicates._PASS_SETS.items():
+        monkeypatch.setitem(predicates._PASS_SETS, name, (
+            pass_sets, lambda R, im, bm, w=witness, n=name: scans.append((n, im)) or w(R, im, bm),
+            bound, what))
+    rows = [row for entry in catalog16 for d in entry.expansions
+            for row in classify(entry.ring, d)]
+    assert [(row.ideal, row.values, row.witnesses) for row in rows] == want
+    assert scans == failing and len(failing) > 0
+
+
+def test_classify_rejects_an_expansion_of_another_ring(z4, z8):
+    with pytest.raises(RingMismatchError):
+        classify(z4, identity_expansion(z8))
 
 
 def test_memoization_returns_same_result(monkeypatch):

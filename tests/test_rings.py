@@ -203,6 +203,23 @@ def test_validation_rejects_noncommutative_mul():
         FiniteRing(add, mul, label="bad")
 
 
+def test_the_validating_constructor_takes_no_construction_descriptor(z4):
+    """A descriptor is the proof of a library construction, so only
+    ``FiniteRing._built`` attaches one: a caller's ring has none, and the
+    keyword, or a fourth positional argument, is a TypeError. Z4 under a
+    ProductOf(Z2, Z2) descriptor would read a lattice off factors it does
+    not have."""
+    from ringlab.constructions import ProductOf
+
+    z2 = make_zn(2)
+    R = FiniteRing(z4.add_table, z4.mul_table, "Z4")
+    assert R.construction is None and len(R.ideals()) == 3
+    with pytest.raises(TypeError):
+        FiniteRing(z4.add_table, z4.mul_table, "fake", construction=ProductOf(z2, z2))
+    with pytest.raises(TypeError):
+        FiniteRing(z4.add_table, z4.mul_table, "fake", ProductOf(z2, z2))
+
+
 def test_element_wrapper(z12):
     a = z12.element(7)
     b = z12.element(8)

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+import ringlab.predicates as predicates
 import ringlab.specparse as specparse
-from ringlab.errors import ParseError
+from ringlab.errors import InvariantError, ParseError
 from ringlab.expansions import (
     identity_expansion,
     induced_trivial_extension,
@@ -16,6 +17,7 @@ from ringlab.ideals import span
 from ringlab.predicates import DELTA_FREE
 from ringlab.rings import make_zn
 from ringlab.specparse import Query, parse_expansion, parse_query, parse_ring
+from ringlab.verifier import search_witness
 
 
 def test_parse_zn():
@@ -188,6 +190,42 @@ def test_parse_query_operators():
         assert q_paren.evaluate(I) == ((not (p or m)) and t)
 
 
+# Each query with the same formula over one bit reader, written with
+# Python's and, or and not.
+PER_IDEAL = {
+    "!(prime | maximal) & 2abs": lambda b: not (b("prime") or b("maximal")) and b("2abs"),
+    "1abs-delta-primary & !delta-primary":
+        lambda b: b("1abs-delta-primary") and not b("delta-primary"),
+    "!(delta-semiprimary & prime) | 2abs-delta-primary & !1abs-primary":
+        lambda b: not (b("delta-semiprimary") and b("prime"))
+        or (b("2abs-delta-primary") and not b("1abs-primary")),
+}
+
+
+@pytest.mark.parametrize("text", PER_IDEAL)
+def test_query_vectors_match_a_per_ideal_evaluation(catalog16, text):
+    """Over the default catalog, a query's vector holds no bit outside the
+    proper ideals, ``Query.evaluate`` at each proper ideal equals the
+    formula over the bits that ``predicates._check`` reads there, and
+    ``search_witness`` lists exactly the ideals where it holds, in catalog
+    and lattice order. A delta-free query is read once per ring."""
+    q = parse_query(text)
+    want = []
+    for entry in catalog16:
+        R = entry.ring
+        proper = R.proper_ideals()
+        for d in entry.expansions if q.uses_delta else (None,):
+            assert 0 <= q.verdicts(R, d) < 1 << len(proper), (entry.provenance, text)
+            for I in proper:
+                value = PER_IDEAL[text](lambda name: predicates._check(name, I, d)[0])
+                assert q.evaluate(I, d) is value, (entry.provenance, text, I.label)
+                if value:
+                    names = tuple(R.element_name(a) for a in I.members_sorted)
+                    want.append((entry.provenance, names, "-" if d is None else d.label))
+    got = [(w.ring, w.ideal, w.delta) for w in search_witness(q, catalog16)]
+    assert got == want and len(want) > 0
+
+
 def test_query_delta_free_flag():
     assert not parse_query("prime & !maximal").uses_delta
     assert parse_query("prime & delta-semiprimary").uses_delta
@@ -249,3 +287,29 @@ def test_the_order_bound_admits_rings_of_its_order(monkeypatch):
         assert parse_ring(ok).order == 16, ok
         with pytest.raises(ParseError, match="exceeds 16"):
             parse_ring(too_big)
+
+
+@pytest.mark.parametrize("text, position, message", [
+    ("Z0", 2, "make_zn needs a modulus of at least 2, got 0"),
+    ("Z1", 2, "make_zn needs a modulus of at least 2, got 1"),
+    ("Z4[x]/(x^2+1)", 13, "polynomial quotient needs a prime modulus, got 4"),
+    ("Z3[x]/(2x^2+1)", 14, r"polynomial modulus must be monic, got 2x\^2\+1"),
+    ("Z3[x]/(1)", 9, "polynomial modulus must have degree at least 1"),
+])
+def test_a_ring_that_cannot_be_built_is_a_parse_error_at_its_atom(text, position, message):
+    with pytest.raises(ParseError, match=f"^{message} at position {position} in ") as exc:
+        parse_ring(text)
+    assert exc.value.position == position
+
+
+@pytest.mark.parametrize("text, builder", [("Z4", "make_zn"),
+                                           ("Z2[x]/(x^2)", "make_poly_quotient")])
+def test_a_library_error_inside_a_ring_atom_is_not_a_parse_error(monkeypatch, text, builder):
+    """Only a ConstructionError is the spec's fault; any other error from
+    the builder propagates as it is."""
+    def broken(*args):
+        raise InvariantError("bug")
+
+    monkeypatch.setattr(specparse, builder, broken)
+    with pytest.raises(InvariantError, match="^bug$"):
+        parse_ring(text)
