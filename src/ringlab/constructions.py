@@ -36,6 +36,7 @@ from .rings import (
     FiniteRing,
     RingHom,
     _additive_zero,
+    _colon_rows,
     _element_index,
     _normalize_table,
     _pair_rows,
@@ -48,17 +49,18 @@ from .rings import (
 # products
 
 
-class ProductOf:
-    """Descriptor for a product ring, with row-major pair encoding."""
+class _PairEncoding:
+    """Row-major pairs of a ring of n1 elements and a space of n2: (a, b) is
+    index a*n2 + b, so the mask of a set of pairs is n1 rows of n2 bits."""
 
-    def __init__(self, left: FiniteRing, right: FiniteRing) -> None:
-        self.left, self.right = left, right
+    def __init__(self, n1: int, n2: int) -> None:
+        self._n1, self._n2 = n1, n2
 
     def encode(self, a: int, b: int) -> int:
-        return a * self.right.order + b
+        return a * self._n2 + b
 
     def decode(self, i: int) -> tuple[int, int]:
-        return divmod(i, self.right.order)
+        return divmod(i, self._n2)
 
     def pair_mask(self, m1: int, m2: int) -> int:
         return self._pair_masks((m1,), (m2,))[0]
@@ -68,15 +70,29 @@ class ProductOf:
         by spread(m1), the mask with bit a*n2 for each bit a of m1, which is
         m1's binary digits with n2 - 1 zeros between each two. The shifted
         copies of m2 do not overlap, since m2 < 2**n2."""
-        zeros = "0" * (self.right.order - 1)
+        zeros = "0" * (self._n2 - 1)
         return [m2 * s for s in [int(zeros.join(format(m1, "b")), 2) for m1 in masks1]
                 for m2 in masks2]
 
+    def _split(self, mask: int) -> tuple[int, int]:
+        """The two coordinate masks of a set of pairs: the a whose row holds
+        a pair, and the union of the rows. Their pair mask is the smallest
+        one that contains the set, and equals it when the set is a pair."""
+        n2 = self._n2
+        rows = [mask >> (a * n2) & (1 << n2) - 1 for a in range(self._n1)]
+        return sum(1 << a for a, row in enumerate(rows) if row), reduce(or_, rows)
+
+
+class ProductOf(_PairEncoding):
+    """Descriptor for a product ring, with row-major pair encoding."""
+
+    def __init__(self, left: FiniteRing, right: FiniteRing) -> None:
+        super().__init__(left.order, right.order)
+        self.left, self.right = left, right
+
     def decompose_mask(self, mask: int) -> tuple[int, int]:
         """Split an ideal mask into its two component ideal masks."""
-        n2 = self.right.order
-        rows = [mask >> (a * n2) & (1 << n2) - 1 for a in range(self.left.order)]
-        m1, m2 = sum(1 << a for a, row in enumerate(rows) if row), reduce(or_, rows)
+        m1, m2 = self._split(mask)
         if self.pair_mask(m1, m2) != mask:
             raise InvariantError(f"mask {mask:#x} is not a product ideal")
         return m1, m2
@@ -97,10 +113,13 @@ def make_product(R1: FiniteRing, R2: FiniteRing) -> FiniteRing:
 
 
 class QuotientOf:
-    """Descriptor for a quotient ring R/I."""
+    """Descriptor for a quotient ring R/I. generators is the string of I's
+    ``generator_list``, as the quotient's label and induced labels print it."""
 
-    def __init__(self, parent: FiniteRing, ideal_mask: int, projection: RingHom) -> None:
+    def __init__(self, parent: FiniteRing, ideal_mask: int, projection: RingHom,
+                 generators: str) -> None:
         self.parent, self.ideal_mask, self.projection = parent, ideal_mask, projection
+        self.generators = generators
 
 
 def _coset_tables(R: FiniteRing, kmask: int) -> tuple:
@@ -145,7 +164,7 @@ def make_quotient(R: FiniteRing, I: Ideal) -> FiniteRing:
     R.lattice_position(I.mask)  # raises unless I is an ideal, the theorem's hypothesis
     gens = ",".join(str(g) for g in generator_list(I))
     Q, proj = _coset_ring(R, I.mask, f"{R.label}/({gens})")
-    Q.construction = QuotientOf(R, I.mask, proj)
+    Q.construction = QuotientOf(R, I.mask, proj, gens)
     quotients[I.mask] = Q
     return Q
 
@@ -266,9 +285,8 @@ class FiniteModule:
         return _sum_closure(self, _cyclic_masks(self))
 
     def module_colon(self, fmask: int, c: Union[int, Element]) -> int:
-        """Bitmask of (F : c) = {e : c e lies in F}."""
-        row = self.action[_element_index(self.ring, c)]
-        return sum(1 << e for e in range(self.order) if (fmask >> row[e]) & 1)
+        """Bitmask of (F : c) = {e : c e lies in F}, from c's action row."""
+        return _colon_rows((self.action[_element_index(self.ring, c)],), fmask)[0]
 
     def __repr__(self) -> str:
         return f"FiniteModule({self.spec_label!r} over {self.ring.label}, order={self.order})"
@@ -313,67 +331,35 @@ def module_product(E1: FiniteModule, E2: FiniteModule) -> FiniteModule:
     return FiniteModule._built(E1.ring, add, action, E1.zero * m2 + E2.zero, label, names)
 
 
-class TrivialExtensionOf:
+class TrivialExtensionOf(_PairEncoding):
     """Descriptor for A extended by the module E, row-major pair encoding."""
 
     def __init__(self, base: FiniteRing, module: FiniteModule) -> None:
+        super().__init__(base.order, module.order)
         self.base, self.module = base, module
-
-    def encode(self, a: int, e: int) -> int:
-        return a * self.module.order + e
-
-    def decode(self, i: int) -> tuple[int, int]:
-        return divmod(i, self.module.order)
-
-    def pair_mask(self, imask: int, fmask: int) -> int:
-        m = self.module.order
-        return sum(fmask << (a * m) for a in range(self.base.order) if (imask >> a) & 1)
 
     def split_pair_mask(self, mask: int) -> Optional[tuple[int, int]]:
         """Recover (I, F) masks when the mask has pair form, else None."""
-        m = self.module.order
-        imask = 0
-        for a in range(self.base.order):
-            if (mask >> (a * m + self.module.zero)) & 1:
-                imask |= 1 << a
-        fmask = 0
-        for e in range(m):
-            if (mask >> (self.base.zero * m + e)) & 1:
-                fmask |= 1 << e
-        if self.pair_mask(imask, fmask) == mask:
-            return imask, fmask
-        return None
+        imask, fmask = self._split(mask)
+        return (imask, fmask) if self.pair_mask(imask, fmask) == mask else None
 
     def pair_envelope(self, mask: int) -> tuple[int, int]:
-        """The smallest enveloping pair (I, F) with I E inside F."""
-        m = self.module.order
-        imask = 0
-        emask = 0
-        i = mask
-        while i:
-            low = i & -i
-            a, e = divmod(low.bit_length() - 1, m)
-            imask |= 1 << a
-            emask |= 1 << e
-            i ^= low
-        gens = [e for e in range(m) if (emask >> e) & 1]
-        for a in range(self.base.order):
+        """The smallest enveloping pair (I, F) with I E inside F: I holds the
+        base coordinates, F is spanned by the module coordinates and I E."""
+        imask, emask = self._split(mask)
+        gens = [e for e in range(self._n2) if (emask >> e) & 1]
+        for a in range(self._n1):
             if (imask >> a) & 1:
-                row = self.module.action[a]
-                gens.extend(row[e] for e in range(m))
-        fmask = self.module.span(gens)
-        return imask, fmask
+                gens.extend(self.module.action[a])
+        return imask, self.module.span(gens)
 
     def is_ideal_pair(self, I: Ideal, fmask: int) -> bool:
-        """Whether I E lies inside F, making I with F an ideal pair."""
+        """Whether I E lies inside F, making I with F an ideal pair: the
+        colon (F : a) is all of E for every a in I."""
         if I.ring is not self.base:
             raise RingMismatchError("ideal belongs to a different ring")
-        for a in I.members_sorted:
-            row = self.module.action[a]
-            for e in range(self.module.order):
-                if not (fmask >> row[e]) & 1:
-                    return False
-        return True
+        full = (1 << self._n2) - 1
+        return all(self.module.module_colon(fmask, a) == full for a in I.members_sorted)
 
     def pair_ideals(self) -> tuple[tuple[Ideal, int], ...]:
         """All (I, F) pairs that form ideals of the extension."""
@@ -567,12 +553,8 @@ def _correspondence(R: FiniteRing) -> tuple:
         comp = tuple(divmod(k, n2) for k in _lattice_masks(R)[1])
         return comp, dict(sorted(zip(comp, range(len(comp)))))  # inv, row-major
     if isinstance(info, TrivialExtensionOf):
-        A, m = info.base, info.module.order
-        block = (1 << m) - 1
-        env = tuple(
-            A.lattice_position(sum(1 << a for a in range(A.order) if (J.mask >> (a * m)) & block))
-            for J in lattice
-        )
+        A, block = info.base, (1 << info.module.order) - 1
+        env = tuple(A.lattice_position(info._split(J.mask)[0]) for J in lattice)
         up = tuple(pos(info.pair_mask(I.mask, block)) for I in A.ideals())
         pairs = tuple(
             (A.lattice_position(I.mask), pos(info.pair_mask(I.mask, F)), F)

@@ -20,7 +20,9 @@ carries a translation to a translation: the product of I -> I + J1 and
 I -> I + J2 is I -> I + J1 x J2, a quotient or localization along f gives
 I -> I + f(J), and a trivial extension by E gives I -> I + J x E. So an
 expansion induced from stock ones has the table of a stock expansion of
-the constructed ring.
+the constructed ring. Each ``induced_*`` call returns a new expansion,
+equal by table to an earlier one; a table the ring already holds takes its
+record (see ``ExpansionFunction``), so it is validated once per ring.
 """
 
 from __future__ import annotations
@@ -337,22 +339,6 @@ def is_delta_gamma_hom(
 # transfer along constructions
 
 
-def _induced(
-    target: FiniteRing, sources: tuple, build: Callable[[], ExpansionFunction]
-) -> ExpansionFunction:
-    """Build an induced expansion once per target ring and source expansions.
-
-    Expansions compare by table alone, so the key holds each source's label
-    next to its table: equal tables with different labels stay apart.
-    """
-    memo = target.cache.setdefault("induced", {})
-    key = tuple((d.label, d.table) for d in sources)
-    got = memo.get(key)
-    if got is None:
-        got = memo[key] = build()
-    return got
-
-
 def induced_product(
     P: FiniteRing, d1: ExpansionFunction, d2: ExpansionFunction
 ) -> ExpansionFunction:
@@ -364,17 +350,14 @@ def induced_product(
     if d1.ring is not info.left or d2.ring is not info.right:
         raise RingMismatchError("component expansions do not match the factors")
     comp, inv = _correspondence(P)
-    return _induced(P, (d1, d2), lambda: ExpansionFunction(
-        P, [inv[d1.table[p1], d2.table[p2]] for p1, p2 in comp], f"prod({d1.label},{d2.label})"))
+    return ExpansionFunction(
+        P, [inv[d1.table[p1], d2.table[p2]] for p1, p2 in comp], f"prod({d1.label},{d2.label})")
 
 
-def _projected(
-    R: FiniteRing, delta: ExpansionFunction, label: Callable[[], str]
-) -> ExpansionFunction:
+def _projected(R: FiniteRing, delta: ExpansionFunction, label: str) -> ExpansionFunction:
     """J maps to f(delta(f^-1(J))) along the projection f onto R."""
     img, pre = _correspondence(R)
-    return _induced(R, (delta,), lambda: ExpansionFunction(
-        R, [img[delta.table[p]] for p in pre], label()))
+    return ExpansionFunction(R, [img[delta.table[p]] for p in pre], label)
 
 
 def induced_quotient(Q: FiniteRing, delta: ExpansionFunction) -> ExpansionFunction:
@@ -385,12 +368,7 @@ def induced_quotient(Q: FiniteRing, delta: ExpansionFunction) -> ExpansionFuncti
         raise RingMismatchError(f"{Q.label} was not built as a quotient")
     if delta.ring is not info.parent:
         raise RingMismatchError("expansion does not live on the quotient parent")
-
-    def label() -> str:
-        gens = ",".join(str(g) for g in generator_list(Ideal(info.parent, info.ideal_mask)))
-        return f"bar({delta.label},({gens}))"
-
-    return _projected(Q, delta, label)
+    return _projected(Q, delta, f"bar({delta.label},({info.generators}))")
 
 
 def induced_localization(L: FiniteRing, delta: ExpansionFunction) -> ExpansionFunction:
@@ -402,7 +380,7 @@ def induced_localization(L: FiniteRing, delta: ExpansionFunction) -> ExpansionFu
     if delta.ring is not info.parent:
         raise RingMismatchError("expansion does not live on the localization parent")
     gens = ",".join(str(g) for g in info.set_generators)
-    return _projected(L, delta, lambda: f"loc({delta.label},{gens})")
+    return _projected(L, delta, f"loc({delta.label},{gens})")
 
 
 def induced_trivial_extension(T: FiniteRing, delta: ExpansionFunction) -> ExpansionFunction:
@@ -418,8 +396,7 @@ def induced_trivial_extension(T: FiniteRing, delta: ExpansionFunction) -> Expans
     if delta.ring is not info.base:
         raise RingMismatchError("expansion does not live on the extension base")
     env, up, _ = _correspondence(T)
-    return _induced(T, (delta,), lambda: ExpansionFunction(
-        T, [up[delta.table[p]] for p in env], f"triv({delta.label})"))
+    return ExpansionFunction(T, [up[delta.table[p]] for p in env], f"triv({delta.label})")
 
 
 def localization_compatibility(L: FiniteRing, delta: ExpansionFunction) -> bool:

@@ -55,24 +55,29 @@ def _normalize_table(table: Sequence[Sequence[int]], n: int, what: str) -> Table
         if len(row) != n:
             raise TableError(f"{what} table row {i} has length {len(row)}, expected {n}")
         if not _row_in_range(row, n):
-            for j, v in enumerate(row):
-                if not isinstance(v, int):
-                    raise TableError(f"{what} table entry [{i}][{j}] = {v!r} is not an integer")
-                if not 0 <= v < n:
-                    raise TableError(f"{what} table entry [{i}][{j}] = {v} out of range")
+            _reject_entry(row, n, lambda j: f"{what} table entry [{i}][{j}] = ")
     return rows
 
 
 def _row_in_range(row: tuple, n: int) -> bool:
-    """Whether every entry is an int in range(n), by one conversion: bytes()
-    up to order 256, array('q') above; each rejects non-integers."""
+    """Whether every entry is an int in range(n), at every order by one
+    array('Q') conversion, which rejects non-integers, negative ints and
+    ints beyond 64 bits, and the row's max."""
     try:
-        if n <= 256:
-            return max(bytes(row)) < n
-        got = array("q", row)
-        return 0 <= min(got) and max(got) < n
-    except (TypeError, ValueError, OverflowError):
+        array("Q", row)
+    except (TypeError, OverflowError):
         return False
+    return max(row, default=0) < n
+
+
+def _reject_entry(row: tuple, n: int, where: Callable[[int], str], suffix: str = "") -> None:
+    """Raise TableError at the first entry of a row that ``_row_in_range``
+    rejects, where(j) naming entry j."""
+    for j, v in enumerate(row):
+        if not isinstance(v, int):
+            raise TableError(f"{where(j)}{v!r} is not an integer")
+        if not 0 <= v < n:
+            raise TableError(f"{where(j)}{v} out of range{suffix}")
 
 
 def _find_identity(table: Table, n: int) -> Optional[int]:
@@ -185,11 +190,15 @@ class FiniteRing:
         return self.add_table[a][self.neg_table[b]]
 
     def pow(self, a: int, k: int) -> int:
+        """a**k by square-and-multiply: O(log k) table reads, as the
+        multiplication is associative."""
         if k < 0:
             raise ValueError("negative exponents are not defined in a ring")
-        acc = self.one
-        for _ in range(k):
-            acc = self.mul_table[acc][a]
+        acc, mul = self.one, self.mul_table
+        while k:
+            if k & 1:
+                acc = mul[acc][a]
+            a, k = mul[a][a], k >> 1
         return acc
 
     @property
@@ -235,25 +244,13 @@ class FiniteRing:
         return sum(1 << a for a in self.nonunits())
 
     def nonunits_form_ideal(self) -> bool:
-        """Whether the nonunits are closed under addition and ring multiples.
+        """Whether the nonunits are closed under addition and ring multiples,
+        by the definitional ideal scan: an independent route to locality,
+        kept separate from the maximal-ideal count so the two can be
+        cross-checked."""
+        from .ideals import is_ideal_mask
 
-        This is an independent route to locality, kept separate from the
-        maximal-ideal count so the two can be cross-checked.
-        """
-        nus = self.nonunit_list
-        numask = self.nonunits_mask
-        add, mul = self.add_table, self.mul_table
-        for a in nus:
-            arow = add[a]
-            for b in nus:
-                if not (numask >> arow[b]) & 1:
-                    return False
-        for a in nus:
-            mrow = mul[a]
-            for r in range(self.order):
-                if not (numask >> mrow[r]) & 1:
-                    return False
-        return True
+        return is_ideal_mask(self, self.nonunits_mask)
 
     @_per_ring("lattice")
     def ideals(self):
@@ -271,13 +268,15 @@ class FiniteRing:
         """
         return self.ideals()[:-1]
 
+    @_per_ring("lattice_pos")
+    def _lattice_positions(self) -> dict[int, int]:
+        """The lattice position of each ideal mask."""
+        return {I.mask: k for k, I in enumerate(self.ideals())}
+
     def lattice_position(self, mask: int) -> int:
-        pos = self.cache.get("lattice_pos")
-        if pos is None:
-            pos = {I.mask: k for k, I in enumerate(self.ideals())}
-            self.cache["lattice_pos"] = pos
+        # the kept table read straight from the cache, as this lookup is hot
         try:
-            return pos[mask]
+            return (self.cache.get("lattice_pos") or self._lattice_positions())[mask]
         except KeyError:
             raise ConstructionError(f"{mask!r} is not the mask of an ideal of {self!r}") from None
 
@@ -579,11 +578,8 @@ class RingHom:
         if len(self.mapping) != domain.order:
             raise TableError("homomorphism table length must equal the domain order")
         if not _row_in_range(self.mapping, codomain.order):
-            for v in self.mapping:
-                if not isinstance(v, int):
-                    raise TableError(f"homomorphism value {v!r} is not an integer")
-                if not 0 <= v < codomain.order:
-                    raise TableError(f"homomorphism value {v} out of range for {codomain.label}")
+            _reject_entry(self.mapping, codomain.order, lambda j: "homomorphism value ",
+                          f" for {codomain.label}")
         self._validate()
 
     @classmethod
@@ -616,11 +612,7 @@ class RingHom:
         return len(set(self.mapping)) == self.codomain.order
 
     def kernel(self):
-        from .ideals import Ideal
-
-        zero = self.codomain.zero
-        mask = sum(1 << a for a, v in enumerate(self.mapping) if v == zero)
-        return Ideal(self.domain, mask)
+        return self.preimage_ideal(self.codomain.zero_ideal())
 
     def image_ideal(self, I):
         """The image of an ideal, spanned in the codomain.

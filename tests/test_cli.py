@@ -365,11 +365,17 @@ def test_importing_the_cli_generates_no_code():
      ["error: the base ring order budget 257 exceeds 256"]),
     (("check", "--theorem", "T-CHAIN"), "100000",
      ["error: the base ring order budget 100000 exceeds 256"]),
+    (("check", "--theorem", "T-CHAIN", "--max-order", "1"), None,
+     ["error: max_order must be at least 2"]),
+    (("search", "--property", "prime", "--max-order", "-3"), None,
+     ["error: max_order must be at least 2"]),
+    (("check", "--theorem", "T-CHAIN"), "0",
+     ["error: max_order must be at least 2"]),
 ])
 def test_a_ring_too_large_to_build_exits_two_at_once(capsys, monkeypatch, argv, env, err_lines):
     """A spec above order 1024, or an order budget above 256, exits 2 with
     its diagnostic, well within a second, instead of building tables it
-    cannot finish."""
+    cannot finish. A budget below 2, which admits no ring, exits 2 too."""
     if env is not None:
         monkeypatch.setenv("RINGLAB_MAX_ORDER", env)
     start = time.perf_counter()

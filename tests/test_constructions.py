@@ -44,6 +44,7 @@ from ringlab.ideals import (
     _sum_closure,
     _up_sets,
     all_ideals,
+    is_ideal_mask,
     span,
 )
 from ringlab.rings import FiniteRing, RingHom, _colon_rows, make_zn
@@ -195,8 +196,6 @@ def test_trivial_extension_pair_ideals(z4):
     info = T.construction
     pairs = info.pair_ideals()
     # every pair I x F with I E inside F really is an ideal mask
-    from ringlab.ideals import is_ideal_mask
-
     for I, fmask in pairs:
         assert is_ideal_mask(T, info.pair_mask(I.mask, fmask))
     # and conversely, every ideal of pair shape appears
@@ -214,6 +213,45 @@ def test_pair_envelope(z4):
         imask, fmask = info.pair_envelope(J.mask)
         assert J.mask & ~info.pair_mask(imask, fmask) == 0
         assert info.is_ideal_pair(Ideal(z4, imask), fmask)
+
+
+@pytest.mark.parametrize("tier", ["catalog16", "catalog_enlarged"])
+def test_pair_encoding_matches_the_scans_on_every_construction(request, tier):
+    """The row-major pair encoding that products and trivial extensions
+    share, against definitional scans on every one of both tiers: each
+    pair mask is the set of encoded pairs; a product ideal, and a pair ideal
+    of an extension (a product of an ideal and a submodule that the ideal
+    scan accepts), splits into its parts; every other ideal of an extension
+    has no split; and the pair envelope of an ideal is the smallest pair
+    ideal that contains it."""
+    seen = Counter()
+    for entry in request.getfixturevalue(tier):
+        R, info = entry.ring, entry.ring.construction
+        if isinstance(info, ProductOf):
+            seen["product"] += 1
+            for I1 in info.left.ideals():
+                for I2 in info.right.ideals():
+                    mask = pair_mask_scan(info, I1.mask, I2.mask, info.right.order)
+                    assert info.pair_mask(I1.mask, I2.mask) == mask, R.label
+                    assert info.decompose_mask(mask) == (I1.mask, I2.mask), R.label
+        elif isinstance(info, TrivialExtensionOf):
+            seen["trivial extension"] += 1
+            A, E = info.base, info.module
+            pairs = {}
+            for I in A.ideals():
+                for F in E.submodules():
+                    mask = pair_mask_scan(info, I.mask, F, E.order)
+                    assert info.pair_mask(I.mask, F) == mask, R.label
+                    if is_ideal_mask(R, mask):
+                        pairs[mask] = (I.mask, F)
+            assert list(pairs.values()) == [(I.mask, F) for I, F in info.pair_ideals()], R.label
+            for J in R.ideals():
+                assert info.split_pair_mask(J.mask) == pairs.get(J.mask), (R.label, J.label)
+                above = [m for m in pairs if not J.mask & ~m]
+                smallest = min(above, key=int.bit_count)
+                assert all(not smallest & ~m for m in above), (R.label, J.label)
+                assert info.pair_envelope(J.mask) == pairs[smallest], (R.label, J.label)
+    assert seen["product"] and seen["trivial extension"], seen
 
 
 def test_multiplicative_set_validation(z12):

@@ -539,16 +539,31 @@ def test_catalog_builds_each_stock_expansion_once(monkeypatch):
     assert all(e.expansions is standard_expansions(e.ring) for e in cat)
 
 
-def test_transfer_sweeps_build_each_induced_expansion_once(catalog8, monkeypatch):
-    """The transfer sweeps induce what they test on first use, through the
-    per-ring memo of ``_induced``: a second run builds no expansion."""
+def test_transfer_sweeps_validate_each_induced_table_once(catalog8, monkeypatch):
+    """The transfer sweeps induce what they test on each run, and each ring
+    keeps one record per validated table: a second run validates no table
+    and adds no record, though it builds its induced expansions again."""
     sweeps = ("T-HOM", "T-QUOT", "T-LOC", "T-PROD", "T-TRIV", "T-TRIV-COR")
     for tid in sweeps:
         verify(tid, catalog8)
+
+    def record_count() -> int:
+        rings = {id(e.ring): e.ring for e in catalog8}
+        for R in list(rings.values()):
+            rings.update((id(Q), Q) for Q in R.cache.get("quotients", {}).values())
+        return sum(len(R.cache.get("expansion_records", ())) for R in rings.values())
+
+    records = record_count()
+    validated = []
+    original = ExpansionFunction._validate
+    monkeypatch.setattr(ExpansionFunction, "_validate",
+                        lambda self: validated.append(self.label) or original(self))
     built = _count_expansions_built(monkeypatch)
     for tid in sweeps:
         verify(tid, catalog8)
-    assert built == []
+    assert validated == []
+    assert record_count() == records
+    assert any(label.startswith(("prod(", "bar(", "loc(", "triv(")) for _, label in built)
 
 
 def test_transfer_sweeps_build_no_ideals(catalog16, monkeypatch):
@@ -589,7 +604,7 @@ def test_char_cor_builds_no_expansion(catalog8, monkeypatch):
     assert all(e.expansions[0].label == "id" for e in catalog8)
 
 
-def test_induced_expansions_are_built_once_per_label(z4):
+def test_induced_expansions_keep_the_label_of_their_source(z4):
     z9 = make_zn(9)
     P = make_product(z4, z9)
     Q = make_quotient(z4, span(z4, [2]))
@@ -607,13 +622,10 @@ def test_induced_expansions_are_built_once_per_label(z4):
     ]
     for induce, label in cases:
         first = induce(d)
-        assert induce(d) is first
         other = induce(twin)
-        assert other is not first
-        assert other == first
+        assert other == first == induce(d)
         assert first.label == label.format("id")
         assert other.label == label.format("twin")
-        assert induce(twin) is other
 
 
 def test_quotients_are_built_once(z12, catalog16):
@@ -725,23 +737,39 @@ TIER_CONFIGS = {
 }
 
 
+def _collect_induced(monkeypatch) -> list:
+    """Record every expansion that the verifier's sweeps induce, by wrapping
+    the four ``induced_*`` functions where the verifier imports them."""
+    import ringlab.verifier as verifier
+
+    induced = []
+    for name in ("induced_product", "induced_quotient", "induced_localization",
+                 "induced_trivial_extension"):
+        def collecting(*args, _original=getattr(verifier, name)):
+            got = _original(*args)
+            induced.append(got)
+            return got
+
+        monkeypatch.setattr(verifier, name, collecting)
+    return induced
+
+
 @pytest.mark.parametrize("tier, count", [("catalog16", 855), ("catalog_enlarged", 1473)])
-def test_induced_expansions_share_the_record_of_their_table(tier, count):
+def test_induced_expansions_share_the_record_of_their_table(tier, count, monkeypatch):
     """Every expansion the six transfer sweeps induce on a fresh catalog
     keeps its own label and takes the table and verdicts of the stock
     expansion with its table on its ring. Its 1-absorbing and delta-primary
     vectors equal ones read fresh from the ring's pass sets at its table."""
+    induced = _collect_induced(monkeypatch)
     catalog = build_catalog.__wrapped__(TIER_CONFIGS[tier])
     for tid in ("T-HOM", "T-QUOT", "T-LOC", "T-PROD", "T-TRIV", "T-TRIV-COR"):
         verify(tid, catalog)
-    rings = {id(e.ring): e.ring for e in catalog}
-    for R in list(rings.values()):  # T-QUOT's quotients of the base rings
-        rings.update((id(Q), Q) for Q in R.cache.get("quotients", {}).values())
-    seen = 0
-    for R in rings.values():
-        stock = {d.table: d for d in standard_expansions(R)}
-        for got in R.cache.get("induced", {}).values():
-            twin = stock[got.table]
+    seen = set()
+    for got in induced:
+        R = got.ring
+        if (id(R), got.label) not in seen:
+            seen.add((id(R), got.label))
+            twin = {d.table: d for d in standard_expansions(R)}[got.table]
             assert got.label.startswith(("prod(", "bar(", "loc(", "triv(")), got.label
             assert got.table is twin.table and got.verdicts is twin.verdicts, got.label
             for name in ("1abs-delta-primary", "delta-primary"):
@@ -749,18 +777,21 @@ def test_induced_expansions_share_the_record_of_their_table(tier, count):
                 bits = (s >> q & 1 for s, q in zip(pass_sets, got.table))
                 fresh = sum(b << p for p, b in enumerate(bits))
                 assert predicates._verdicts(name, R, got) == fresh, (got.label, name)
-            seen += 1
-    assert seen == count
+    assert len(seen) == count
 
 
-def test_quotient_sweeps_build_only_what_an_instance_reads():
+def test_quotient_sweeps_build_only_what_an_instance_reads(monkeypatch):
     """On a fresh default catalog, T-HOM and T-QUOT build no base ring's
     quotient by (0), and induce an expansion along each projection that
     preserves nonunits and along no other: 50 of the 114 (quotient,
     expansion) pairs induce nothing."""
+    induced = _collect_induced(monkeypatch)
     catalog = build_catalog.__wrapped__(TIER_CONFIGS["catalog16"])
     for tid in ("T-HOM", "T-QUOT"):
         verify(tid, catalog)
+    sources: dict[int, set] = {}
+    for got in induced:
+        sources.setdefault(id(got.ring), set()).add(got.label)
     bases = [e.ring for e in catalog if e.ring.construction is None]
     unread = read = 0
     for R in bases:
@@ -769,10 +800,10 @@ def test_quotient_sweeps_build_only_what_an_instance_reads():
         for Q in quotients.values():
             pairs = len(standard_expansions(R))
             if Q.construction.projection.is_nonunit_preserving()[0]:
-                assert len(Q.cache["induced"]) == pairs, Q.label
+                assert len(sources[id(Q)]) == pairs, Q.label
                 read += pairs
             else:
-                assert "induced" not in Q.cache, Q.label
+                assert id(Q) not in sources, Q.label
                 unread += pairs
     assert (unread, read) == (50, 64)
 

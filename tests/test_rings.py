@@ -231,6 +231,24 @@ def test_element_wrapper(z12):
     assert b.is_unit is False
 
 
+@pytest.mark.parametrize("spec", ["Z12", "Z2[x]/(x^3)", "Z4xZ9", "triv(Z4,reg)"])
+def test_pow_is_repeated_multiplication_in_logarithmic_time(spec):
+    """pow by square-and-multiply equals one times a, k times over, for k
+    up to 63, returns at once at k = 10**18, and rejects a negative k."""
+    R = ringlab.parse_ring(spec)
+    for a in range(R.order):
+        acc = R.one
+        for k in range(64):
+            assert R.pow(a, k) == acc, (spec, a, k)
+            acc = R.mul(acc, a)
+    for a in range(R.order):
+        # x**(10**18) = x**(2**18 * odd): a table walk would never return
+        assert R.pow(a, 10**18) == R.pow(R.pow(a, 5**18), 2**18), (spec, a)
+    assert (R.element(R.order - 1) ** 10**18).ring is R
+    with pytest.raises(ValueError, match="negative exponents"):
+        R.pow(1, -1)
+
+
 def test_elements_compare_by_ring_identity_and_index(z12):
     """Equal when the ring is the same object and the index is equal; the
     hash is that of (ring, index); an element cannot be changed."""
@@ -499,22 +517,36 @@ def test_corrupted_order_257_table_names_its_witness(kind, i, j, v, monkeypatch)
     assert _outcome(add, mul) == got
 
 
-@pytest.mark.parametrize("kind, v, message", [
+BAD_ENTRIES = [
     ("add", 1.5, r"addition table entry \[3\]\[5\] = 1.5 is not an integer"),
     ("add", -1, r"addition table entry \[3\]\[5\] = -1 out of range"),
     ("mul", 257, r"multiplication table entry \[3\]\[5\] = 257 out of range"),
     ("mul", 2**64, r"multiplication table entry \[3\]\[5\] = 18446744073709551616 out of range"),
-])
-def test_an_order_257_table_names_its_bad_entry(kind, v, message):
-    """Above order 256 a row is range-checked by one array('q') conversion;
-    a float, a negative entry, n itself or an entry beyond 64 bits falls
-    back to the entry loop, which names the entry."""
-    n = 257
+]
+
+
+def _with_bad_entry(n, kind, v):
     add = [[(a + b) % n for b in range(n)] for a in range(n)]
     mul = [[(a * b) % n for b in range(n)] for a in range(n)]
     (add if kind == "add" else mul)[3][5] = v
+    return add, mul
+
+
+@pytest.mark.parametrize("kind, v, message", BAD_ENTRIES)
+def test_an_order_257_table_names_its_bad_entry(kind, v, message):
+    """At every order a row is range-checked by one array('Q') conversion
+    and its max; a float, a negative entry, n itself or an entry beyond 64
+    bits falls back to the entry loop, which names the entry."""
     with pytest.raises(TableError, match=f"^{message}$"):
-        FiniteRing(add, mul, label="bad")
+        FiniteRing(*_with_bad_entry(257, kind, v), label="bad")
+
+
+def test_a_small_table_names_its_bad_entry_as_order_257_does():
+    """The same one conversion at order 7, with no path of its own below
+    order 256: each bad entry of the order-257 test, and 7 itself."""
+    for kind, v, message in [*BAD_ENTRIES, ("mul", 7, BAD_ENTRIES[2][2].replace("257", "7"))]:
+        with pytest.raises(TableError, match=f"^{message}$"):
+            FiniteRing(*_with_bad_entry(7, kind, v), label="bad")
 
 
 def test_homomorphism_values_above_order_256_are_range_checked():
@@ -564,11 +596,10 @@ def test_nonunits_form_an_ideal_exactly_on_local_rings(request, tier):
 # per-ring tables
 
 # The caches keyed by an argument, not per ring, and so not ``_per_ring``
-# tables: lattice positions by mask, quotients by ideal, products by ideal
-# pair, induced expansions by source, expansion records by table,
-# delta-free verdicts by check, and the unused ``predicates._memo``.
-ARGUMENT_KEYED = frozenset({"lattice_pos", "quotients", "pairwise_products",
-                            "induced", "expansion_records", "verdicts", "predicates"})
+# tables: quotients by ideal, products by ideal pair, expansion records by
+# table, delta-free verdicts by check, and the unused ``predicates._memo``.
+ARGUMENT_KEYED = frozenset({"quotients", "pairwise_products", "expansion_records", "verdicts",
+                            "predicates"})
 MODULE_TABLES = frozenset({"submodules", "cyclic_masks"})
 
 
