@@ -362,12 +362,16 @@ class TrivialExtensionOf(_PairEncoding):
         return all(self.module.module_colon(fmask, a) == full for a in I.members_sorted)
 
     def pair_ideals(self) -> tuple[tuple[Ideal, int], ...]:
-        """All (I, F) pairs that form ideals of the extension."""
+        """All (I, F) pairs that form ideals of the extension: I E, the
+        union of the action rows of I's elements, lies inside F."""
+        rows = [sum(1 << e for e in set(row)) for row in self.module.action]
+        submodules = self.module.submodules()
         out = []
         for I in self.base.ideals():
-            for fmask in self.module.submodules():
-                if self.is_ideal_pair(I, fmask):
-                    out.append((I, fmask))
+            ie = 0
+            for a in I.members_sorted:
+                ie |= rows[a]
+            out.extend((I, fmask) for fmask in submodules if not ie & ~fmask)
         return tuple(out)
 
 

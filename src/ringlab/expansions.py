@@ -58,13 +58,13 @@ class ExpansionFunction:
         ints: the ring keeps one (table, verdicts) record per validated
         table, which every expansion with that table takes, keeping its own
         label. (0, 1.0, 2) equals (0, 1, 2) but is no table, so it is
-        validated and rejected."""
+        validated and rejected; the record's own tuple needs no type scan."""
         self.ring = ring
         self.label = label
         self.table = tuple(table)
         records = ring.cache.setdefault("expansion_records", {})
         record = records.get(self.table)
-        if record is None or set(map(type, self.table)) != {int}:
+        if record is None or record[0] is not self.table and set(map(type, self.table)) != {int}:
             self._validate()
             record = records.setdefault(self.table, (self.table, {}))
         self.table, self.verdicts = record
@@ -141,8 +141,17 @@ def _translation(R: FiniteRing, table: Sequence[int], label: str) -> ExpansionFu
     """The stock expansion I -> I + J with this table: extensive and monotone
     by definition, so its record is made first and it is not validated."""
     table = tuple(table)
-    R.cache.setdefault("expansion_records", {}).setdefault(table, (table, {}))
-    return ExpansionFunction(R, table, label)
+    record = R.cache.setdefault("expansion_records", {}).setdefault(table, (table, {}))
+    return ExpansionFunction(R, record[0], label)
+
+
+def _of_positions(R: FiniteRing, table: Sequence[int], label: str) -> ExpansionFunction:
+    """An expansion whose table the library read off lattice positions, so
+    of ints: built on the record's own tuple when R holds an equal table,
+    which skips the type scan, and validated when R holds none."""
+    table = tuple(table)
+    record = R.cache.get("expansion_records", {}).get(table)
+    return ExpansionFunction(R, table if record is None else record[0], label)
 
 
 def identity_expansion(R: FiniteRing) -> ExpansionFunction:
@@ -270,7 +279,7 @@ def _meet_table(R: FiniteRing) -> tuple[tuple[int, ...], ...]:
     """meet[p][q] is the lattice position of the intersection of the ideals
     at positions p and q."""
     masks = [I.mask for I in R.ideals()]
-    pos = R.lattice_position
+    pos = R._lattice_positions().__getitem__  # an intersection of ideals is one
     return tuple(tuple(map(pos, [mp & mq for mq in masks])) for mp in masks)
 
 
@@ -350,14 +359,14 @@ def induced_product(
     if d1.ring is not info.left or d2.ring is not info.right:
         raise RingMismatchError("component expansions do not match the factors")
     comp, inv = _correspondence(P)
-    return ExpansionFunction(
+    return _of_positions(
         P, [inv[d1.table[p1], d2.table[p2]] for p1, p2 in comp], f"prod({d1.label},{d2.label})")
 
 
 def _projected(R: FiniteRing, delta: ExpansionFunction, label: str) -> ExpansionFunction:
     """J maps to f(delta(f^-1(J))) along the projection f onto R."""
     img, pre = _correspondence(R)
-    return ExpansionFunction(R, [img[delta.table[p]] for p in pre], label)
+    return _of_positions(R, [img[delta.table[p]] for p in pre], label)
 
 
 def induced_quotient(Q: FiniteRing, delta: ExpansionFunction) -> ExpansionFunction:
@@ -396,7 +405,7 @@ def induced_trivial_extension(T: FiniteRing, delta: ExpansionFunction) -> Expans
     if delta.ring is not info.base:
         raise RingMismatchError("expansion does not live on the extension base")
     env, up, _ = _correspondence(T)
-    return ExpansionFunction(T, [up[delta.table[p]] for p in env], f"triv({delta.label})")
+    return _of_positions(T, [up[delta.table[p]] for p in env], f"triv({delta.label})")
 
 
 def localization_compatibility(L: FiniteRing, delta: ExpansionFunction) -> bool:

@@ -34,7 +34,10 @@ principal classes, never over elements.
 pass sets, its bound (I, rad(I) or delta(I)), its witness scan and the name
 its ProperIdealError gives. ``_verdicts`` reads a row's pass sets at its
 bounds into an int over the proper ideals, the check's verdict vector: the
-one way to evaluate a check over a ring. The sweeps combine the vectors
+one way to evaluate a check over a ring. One kernel, ``_fill``, builds the
+vectors of checks that share a bound in one pass over a table's proper
+positions: the four read at delta(I) together, on the first read of any
+of them, and every other check alone. The sweeps combine the vectors
 bitwise and count them by popcount, ``classify`` reads each of the ten once
 per (ring, delta), and a ``search`` query is a bitwise formula over them;
 ``FiniteRing.maximal_ideals``, ``FiniteRing.spectrum`` and
@@ -471,24 +474,51 @@ _PASS_SETS = {
 
 DELTA_FREE = frozenset(name for name, row in _PASS_SETS.items() if row[2] is not _DELTA)
 
+# The checks that ``_fill`` builds together: every one read at delta(I)
+# but the ideal-wise form, whose pass sets need the pairwise products that
+# only T-DEF-EQ and ``classify`` read.
+_FUSED = tuple(name for name in _PASS_SETS if name not in DELTA_FREE and name != "idealwise")
 
-def _verdicts(name: str, R: FiniteRing, delta: Optional[ExpansionFunction] = None) -> int:
+
+def _verdicts(name: str, R: FiniteRing, delta: Optional[ExpansionFunction] = None,
+              alone: bool = False) -> int:
     """The verdict vector of check ``name`` on R: bit p is set when the
     check holds at the proper ideal at lattice position p, and no bit at or
     above the unit ideal's position is set.
 
-    Read bit by bit from the pass sets at the bounds, once, and kept in the
-    expansion's ``verdicts`` (one dict per table on R), or on R for the
-    delta-free checks, so a sweep combines ints instead of calling the check
-    per instance. ``name`` is a check or "idealwise".
+    Kept in the expansion's ``verdicts`` (one dict per table on R), or on R
+    for the delta-free checks, so a sweep combines ints instead of calling
+    the check per instance, and a hit is one dict lookup. A miss builds the
+    vectors of every check in ``_FUSED`` at once when ``name`` is one of
+    them, unless ``alone`` asks for its own only: a check at one ideal and
+    a search query read only the checks they name, and the others' pass
+    sets would cost them more than one pass saves. ``name`` is a check or
+    "idealwise".
     """
-    pass_sets, _, bounds, _ = _PASS_SETS[name]
-    store = delta.verdicts if bounds is _DELTA else R.cache.setdefault("verdicts", {})
+    store = R.cache.setdefault("verdicts", {}) if name in DELTA_FREE else delta.verdicts
     got = store.get(name)
     if got is None:
-        got = store[name] = sum(
-            (s >> q & 1) << p for p, (s, q) in enumerate(zip(pass_sets(R), bounds(R, delta))))
+        _fill(store, _FUSED if name in _FUSED and not alone else (name,), R, delta)
+        got = store[name]
     return got
+
+
+def _fill(store: dict, names: tuple[str, ...], R: FiniteRing,
+          delta: Optional[ExpansionFunction]) -> None:
+    """The verdict vectors of the checks ``names``, which share one bound,
+    in one pass over R's proper positions: bit p of each is bit q of its
+    pass set at p, where q is the position of the bound at I_p."""
+    rows, vectors = [], []
+    for name in names:
+        rows.append((len(rows), _PASS_SETS[name][0](R)))
+        vectors.append(0)
+    for p, q in zip(range(len(rows[0][1])), _PASS_SETS[names[0]][2](R, delta)):
+        bit = 1 << p
+        for i, sets in rows:
+            if sets[p] >> q & 1:
+                vectors[i] |= bit
+    for name, vector in zip(names, vectors):
+        store[name] = vector
 
 
 def _position(I: Ideal, delta: Optional[ExpansionFunction], what: str) -> int:
@@ -502,12 +532,13 @@ def _position(I: Ideal, delta: Optional[ExpansionFunction], what: str) -> int:
 
 def _read(name: str, I: Ideal, delta: Optional[ExpansionFunction]) -> tuple[int, int]:
     """I's lattice position and the bit there of check ``name``'s verdict
-    vector; a check that reads delta(I) needs an expansion on I's ring."""
+    vector, built alone if missing; a check that reads delta(I) needs an
+    expansion on I's ring."""
     bounds, what = _PASS_SETS[name][2:]
     if bounds is _DELTA and delta is None:
         raise RinglabError(f"predicate {name!r} needs an expansion")
     p = _position(I, delta if bounds is _DELTA else None, what)
-    return p, _verdicts(name, I.ring, delta) >> p & 1
+    return p, _verdicts(name, I.ring, delta, alone=True) >> p & 1
 
 
 def _check(name: str, I: Ideal, delta: Optional[ExpansionFunction] = None) -> tuple[bool, object]:

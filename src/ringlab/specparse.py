@@ -336,7 +336,7 @@ def parse_query(text: str) -> Query:
             cur.pos = start
             raise cur.error(f"unknown predicate {name!r}" if name else "expected a predicate name")
         names.add(name)
-        return lambda R, d: _verdicts(name, R, d)
+        return lambda R, d: _verdicts(name, R, d, alone=True)
 
     def chain(operand: Callable[[], Callable], token: str, combine) -> Callable:
         """One or more operands joined by token, combined bitwise."""

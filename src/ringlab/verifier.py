@@ -312,7 +312,8 @@ def _t_semi(entry: CatalogEntry, part: _Part) -> None:
     proper = R.proper_ideals()
     rpos = _radical_positions(R)
     for d in entry.expansions:
-        hyp = sum(1 << p for p in _bits(_one_abs(d)) if rpos[d.table[p]] == d.table[p])
+        t = d.table
+        hyp = sum(1 << p for p in _bits(_one_abs(d)) if rpos[t[p]] == t[p])
         part.instances(len(proper), hyp.bit_count())
         for p in _bits(hyp & ~_verdicts("delta-semiprimary", R, d)):
             part.fail(proper[p], d.label, None, "not delta-semiprimary")
@@ -484,8 +485,7 @@ def _t_idem(entry: CatalogEntry, part: _Part) -> None:
     prime = _verdicts("1abs-prime", R)
     for d in entry.expansions:
         t, one_abs = d.table, _one_abs(d)
-        fixed = sum(1 << q for q in range(n) if t[q] == q)  # proper values that delta fixes
-        hits = [t[p] for p in range(n) if fixed >> t[p] & 1]
+        hits = [q for q in t[:n] if q < n and t[q] == q]  # proper values that delta fixes
         part.instances(n, len(hits))
         for q in hits:
             if (one_abs ^ prime) >> q & 1:
@@ -518,10 +518,11 @@ def _t_princ(entry: CatalogEntry, part: _Part) -> None:
     """All principal proper ideals 1abs iff all proper ideals 1abs."""
     R = entry.ring
     proper = R.proper_ideals()
+    full, principal = (1 << len(proper)) - 1, _principal_positions(R)  # principal ideals are proper
     part.instances(len(entry.expansions), len(entry.expansions))
     for d in entry.expansions:
-        missing = (1 << len(proper)) - 1 & ~_one_abs(d)  # the proper ideals not 1abs
-        if missing and not _principal_positions(R) & missing:  # principal ideals are proper
+        missing = full & ~_one_abs(d)  # the proper ideals not 1abs
+        if missing and not principal & missing:
             part.fail(proper[_lsb(missing)], d.label, None, "principal=True all=False")
 
 
@@ -529,20 +530,22 @@ def _t_princ(entry: CatalogEntry, part: _Part) -> None:
 # the characterization suite
 
 
-def _char_states(R: FiniteRing, one_abs: int) -> tuple[bool, bool, bool]:
-    """T-CHAR's (i), (ii) and (iii) on R, read off the 1-absorbing vector ``one_abs``."""
-    i = not _principal_positions(R) & ~one_abs
-    ii = not (1 << len(R.proper_ideals())) - 1 & ~one_abs
+def _char_states(R: FiniteRing) -> Callable[[int], tuple[bool, bool, bool]]:
+    """T-CHAR's (i), (ii) and (iii) on R as a function of a 1-absorbing
+    vector: (i) and (ii) ask that it hold every principal and every proper
+    position, and (iii) does not read it."""
+    full, principal = (1 << len(R.proper_ideals())) - 1, _principal_positions(R)
     iii = R.is_local() and _jacobson_square(R) == 1 << R.zero
-    return i, ii, iii
+    return lambda one_abs: (not principal & ~one_abs, not full & ~one_abs, iii)
 
 
 @_sweep("T-CHAR")
 def _t_char(entry: CatalogEntry, part: _Part) -> None:
     """Square-zero-radical local characterization under the delta conditions."""
     R = entry.ring
+    states = _char_states(R)
     for d in entry.expansions:
-        i, ii, iii = _char_states(R, _one_abs(d))
+        i, ii, iii = states(_one_abs(d))
         if iii and not (i and ii):
             part.fail(None, d.label, None, f"(iii) holds but i={i} ii={ii}", ring=R)
         star_jac = satisfies_star(d) and preserves_jacobson(d)
@@ -563,7 +566,7 @@ def _t_char_cor(entry: CatalogEntry, part: _Part) -> None:
     1-absorbing delta-primary is 1-absorbing prime, a vector kept on the ring."""
     R = entry.ring
     part.instance(True)
-    i, ii, iii = _char_states(R, _verdicts("1abs-prime", R))
+    i, ii, iii = _char_states(R)(_verdicts("1abs-prime", R))
     if not (i == ii == iii):
         part.fail(None, "id", None, f"i={i} ii={ii} iii={iii}", ring=R)
 
@@ -790,6 +793,18 @@ def _t_triv_cor(entry: CatalogEntry, part: _Part) -> None:
 # ----------------------------------------------------------------------
 # driver
 
+# The catalog last swept, its entries in provenance order and its rings'
+# expansions by id, so that the 26 calls of a suite sort the catalog once.
+_swept: tuple = (None, [], {})
+
+
+def _sweep_order(catalog: Catalog) -> tuple[list[CatalogEntry], dict]:
+    global _swept
+    if _swept[0] is not catalog:
+        entries = sorted(catalog.entries, key=lambda e: e.provenance)
+        _swept = (catalog, entries, {id(e.ring): e.expansions for e in entries})
+    return _swept[1:]
+
 
 def verify(theorem_id: str, catalog: Catalog) -> TheoremReport:
     """Run one statement check over the catalog, in the calling thread, and
@@ -803,8 +818,8 @@ def verify(theorem_id: str, catalog: Catalog) -> TheoremReport:
     if theorem_id not in THEOREM_IDS:
         raise UnknownTheoremError(f"unknown theorem id {theorem_id!r}")
     start = perf_counter()
-    entries = sorted(catalog.entries, key=lambda e: e.provenance)
-    part = _Part("Z4xZ9", {id(e.ring): e.expansions for e in entries})  # T-PROD-EX's ring
+    entries, sources = _sweep_order(catalog)
+    part = _Part("Z4xZ9", sources)  # T-PROD-EX's ring
     if theorem_id == "T-PROD-EX":
         _t_prod_ex(part)
     else:

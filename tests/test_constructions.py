@@ -215,6 +215,27 @@ def test_pair_envelope(z4):
         assert info.is_ideal_pair(Ideal(z4, imask), fmask)
 
 
+@pytest.mark.parametrize("tier, extensions", [("catalog16", 32), ("catalog_enlarged", 42)])
+def test_pair_ideals_are_the_ideal_pairs(request, tier, extensions):
+    """``pair_ideals``, which tests I E inside F with one mask per base
+    ideal, lists the (I, F) that ``is_ideal_pair`` accepts, in base lattice
+    then submodule order, on every trivial extension of both tiers. Their
+    bases are principal ideal rings, so one more extension has a base whose
+    maximal ideal needs two generators: Z2 extended by Z2 x Z2."""
+    z2 = make_zn(2)
+    A = make_trivial_extension(z2, module_product(regular_module(z2), regular_module(z2)))
+    rings = [entry.ring for entry in request.getfixturevalue(tier)]
+    seen = 0
+    for R in rings + [make_trivial_extension(A, regular_module(A))]:
+        info = R.construction
+        if isinstance(info, TrivialExtensionOf):
+            want = tuple((I, F) for I in info.base.ideals() for F in info.module.submodules()
+                         if info.is_ideal_pair(I, F))
+            assert info.pair_ideals() == want, R.label
+            seen += 1
+    assert seen == extensions + 1
+
+
 @pytest.mark.parametrize("tier", ["catalog16", "catalog_enlarged"])
 def test_pair_encoding_matches_the_scans_on_every_construction(request, tier):
     """The row-major pair encoding that products and trivial extensions

@@ -566,6 +566,33 @@ def test_transfer_sweeps_validate_each_induced_table_once(catalog8, monkeypatch)
     assert any(label.startswith(("prod(", "bar(", "loc(", "triv(")) for _, label in built)
 
 
+def test_induced_expansions_take_their_record_without_the_type_scan(catalog8, monkeypatch):
+    """An induced table is read off lattice positions, so once its ring holds
+    an equal table, a transfer sweep builds the induced expansion on that
+    record's own tuple, whose entries the constructor does not scan. A
+    caller's table is still scanned: (0, 1.0, 2) equals the identity table
+    that Z4 holds, and is rejected."""
+    sweeps = ("T-HOM", "T-QUOT", "T-LOC", "T-PROD", "T-TRIV", "T-TRIV-COR")
+    for tid in sweeps:
+        verify(tid, catalog8)
+    own = []
+    original = ExpansionFunction.__init__
+
+    def spy(self, ring, table, label):
+        own.append(table is ring.cache["expansion_records"][tuple(table)][0])
+        original(self, ring, table, label)
+
+    monkeypatch.setattr(ExpansionFunction, "__init__", spy)
+    for tid in sweeps:
+        verify(tid, catalog8)
+    monkeypatch.undo()
+    assert len(own) > 100 and all(own)
+    z4 = make_zn(4)
+    assert identity_expansion(z4).table == (0, 1, 2)
+    with pytest.raises(ExpansionAxiomError, match=r"^image 1\.0 at \S+ is not a lattice position"):
+        ExpansionFunction(z4, (0, 1.0, 2), "bad")
+
+
 def test_transfer_sweeps_build_no_ideals(catalog16, monkeypatch):
     """Warm transfer sweeps read positions only: no ideal is built, mapped
     along a projection, split into factors or paired with a submodule."""

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import re
+from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -289,6 +291,64 @@ def test_verdict_vectors_have_no_bit_at_or_above_the_unit_ideal(request, tier):
                 assert type(got) is int and 0 <= got < 1 << n, (entry.provenance, d.label, name)
                 vectors += 1
     assert vectors > 0
+
+
+def _definition(name, R, d) -> int:
+    """Check ``name``'s verdict vector read from its row: bit p is bit b_p
+    of the pass set s_p, where b_p is the position of I_p's bound."""
+    pass_sets, _, bounds, _ = predicates._PASS_SETS[name]
+    return sum((s >> b & 1) << p for p, (s, b) in enumerate(zip(pass_sets(R), bounds(R, d))))
+
+
+@pytest.mark.parametrize("tier, tables", [
+    ("catalog16", 995), ("catalog_enlarged", 1680), ("catalog_every_expansion", 172)])
+def test_the_verdict_kernel_builds_what_the_pass_sets_define(request, tier, tables):
+    """Every vector the kernel builds, on every (ring, expansion) of both
+    tiers and on the 172 non-stock tables that the every-expansion catalog
+    gives its bases, equals the sum over the proper ideals of its pass set's
+    bit at the bound. The ideal-wise form is read up to order 12, as T-DEF-EQ
+    reads it. The first read of any delta-bounded vector builds all four,
+    so reading them in any of the 24 orders fills a fresh expansion's dict
+    (one that ``_verdicts`` reads the table and the dict of) with the same
+    four vectors."""
+    seen = 0
+    for entry in request.getfixturevalue(tier):
+        R = entry.ring
+        names = [*CHECKS, "idealwise"] if R.order <= 12 else list(CHECKS)
+        expansions = entry.expansions
+        if tier == "catalog_every_expansion":
+            expansions = expansions[len(standard_expansions(R)):]
+        for d in expansions:
+            want = {name: _definition(name, R, d) for name in names}
+            for name in names:
+                assert _verdicts(name, R, d) == want[name], (entry.provenance, d.label, name)
+            group = {name: want[name] for name in predicates._FUSED}
+            for order in permutations(group):
+                fresh = SimpleNamespace(table=d.table, verdicts={})
+                assert _verdicts(order[0], R, fresh) == group[order[0]]
+                assert fresh.verdicts == group, (entry.provenance, d.label, order)
+                assert [_verdicts(name, R, fresh) for name in order] == [group[n] for n in order]
+                assert fresh.verdicts == group
+            seen += 1
+    assert seen == tables
+
+
+def test_a_check_at_one_ideal_and_a_query_build_their_own_vectors_alone():
+    """On a new table a check at one ideal builds its own vector and pass
+    sets only, and a search query builds the vectors it names; the first
+    vector read of another delta-bounded check then builds all four, with
+    their pass sets."""
+    R = make_zn(8)
+    d, e = plus_fixed(R, span(R, [4])), plus_fixed(R, span(R, [2]))
+    assert is_one_absorbing_delta_primary(span(R, [2]), d)
+    others = {"primary_pass", "semiprimary_pass", "two_absorbing_pass"}
+    assert set(d.verdicts) == {"1abs-delta-primary"}
+    assert "one_absorbing_pass" in R.cache and not others & set(R.cache)
+    parse_query("1abs-delta-primary & !delta-primary").verdicts(R, e)
+    assert set(e.verdicts) == {"1abs-delta-primary", "delta-primary"}
+    assert "semiprimary_pass" not in R.cache and "two_absorbing_pass" not in R.cache
+    assert _verdicts("delta-semiprimary", R, d) == _definition("delta-semiprimary", R, d)
+    assert set(d.verdicts) == set(predicates._FUSED) and others <= set(R.cache)
 
 
 def test_every_bound_above_i_matches_the_scans_on_default_catalog():

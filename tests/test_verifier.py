@@ -848,7 +848,7 @@ def test_star_and_jac_agree_where_t_char_reads_them(catalog8):
                 split += 1
                 assert not scaling_check(d)[0], (entry.provenance, table)
                 one_abs = verifier._one_abs(d)
-                assert not verifier._char_states(R, one_abs)[0], (entry.provenance, table)
+                assert not verifier._char_states(R)(one_abs)[0], (entry.provenance, table)
             seen += 1
     assert (seen, split) == (12668, 1596)
 
