@@ -2,27 +2,29 @@
 
 An expansion assigns to each ideal I an ideal delta(I) with I contained in
 delta(I), monotonely in I. It is stored as a table over the canonical
-lattice, validated on construction unless it is a stock translation (see
-``_translation``): monotonicity is checked on every pair I_p inside I_q, as
-the definition states, and the check keeps no table of its own. The whole
-ring is included in the domain with delta(R) = R.
+lattice. The constructor validates a caller's table: monotonicity is
+checked on every pair I_p inside I_q, as the definition states, and the
+check keeps no table of its own. A table the library proves, stock or
+induced, is built by ``ExpansionFunction._built`` and not validated. Either
+way the expansion takes its ring's one record of the table. The whole ring
+is included in the domain with delta(R) = R.
 
 Families: the identity, the radical, translation by a fixed ideal, and the
 constant-ring map, each a table read off the lattice masks with no ideal
 built (``from_rule``, which maps ideals through a callable, is for
 hand-written expansions). All four are translations I -> I + J (see
-``standard_expansions``). Expansions also transfer along the standard
-constructions (products, quotients, localizations, trivial extensions).
-An induced table is read off the construction's ideal correspondence, the
-lattice-position maps of ``constructions._correspondence``: one lookup per
-ideal of the constructed ring, with no ideal built. Each construction
-carries a translation to a translation: the product of I -> I + J1 and
-I -> I + J2 is I -> I + J1 x J2, a quotient or localization along f gives
-I -> I + f(J), and a trivial extension by E gives I -> I + J x E. So an
-expansion induced from stock ones has the table of a stock expansion of
-the constructed ring. Each ``induced_*`` call returns a new expansion,
-equal by table to an earlier one; a table the ring already holds takes its
-record (see ``ExpansionFunction``), so it is validated once per ring.
+``standard_expansions``), extensive and monotone by definition. Expansions
+also transfer along the standard constructions (products, quotients,
+localizations, trivial extensions). An induced table is read off the
+construction's ideal correspondence, the lattice-position maps of
+``constructions._correspondence``: one lookup per ideal of the constructed
+ring, with no ideal built, and extensive and monotone as its source is.
+Each construction carries a translation to a translation: the product of
+I -> I + J1 and I -> I + J2 is I -> I + J1 x J2, a quotient or localization
+along f gives I -> I + f(J), and a trivial extension by E gives
+I -> I + J x E. So an expansion induced from stock ones has the table of a
+stock expansion of the constructed ring. Each ``induced_*`` call returns a
+new expansion on its ring's record of its table.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .rings import FiniteRing, RingHom, _per_ring
 
 
 class ExpansionFunction:
-    """A validated expansion of ideals, as a table over the lattice."""
+    """An expansion of ideals, as a table over the lattice."""
 
     # Check name -> verdict vector, an int with bit p set where the check
     # holds at proper ideal p, made by ``predicates._verdicts`` on first
@@ -54,20 +56,23 @@ class ExpansionFunction:
     verdicts: dict
 
     def __init__(self, ring: FiniteRing, table: Sequence[int], label: str):
-        """Validate the table, unless the ring already holds an equal one of
-        ints: the ring keeps one (table, verdicts) record per validated
-        table, which every expansion with that table takes, keeping its own
-        label. (0, 1.0, 2) equals (0, 1, 2) but is no table, so it is
-        validated and rejected; the record's own tuple needs no type scan."""
+        """Validate a caller's table, then take the ring's record of it: the
+        ring keeps one (table, verdicts) record per table, which every
+        expansion with that table takes, keeping its own label."""
         self.ring = ring
         self.label = label
         self.table = tuple(table)
-        records = ring.cache.setdefault("expansion_records", {})
-        record = records.get(self.table)
-        if record is None or record[0] is not self.table and set(map(type, self.table)) != {int}:
-            self._validate()
-            record = records.setdefault(self.table, (self.table, {}))
-        self.table, self.verdicts = record
+        self._validate()
+        self.table, self.verdicts = _record(ring, self.table)
+
+    @classmethod
+    def _built(cls, ring: FiniteRing, table: Sequence[int], label: str) -> ExpansionFunction:
+        """A stock or induced expansion, whose table the library proves
+        extensive and monotone: not validated."""
+        d = cls.__new__(cls)
+        d.ring, d.label = ring, label
+        d.table, d.verdicts = _record(ring, tuple(table))
+        return d
 
     def _validate(self) -> None:
         """The two axioms on caller data: each image a lattice position
@@ -133,33 +138,25 @@ def from_rule(R: FiniteRing, rule: Callable[[Ideal], Ideal], label: str) -> Expa
     return ExpansionFunction(R, table, label)
 
 
+def _record(R: FiniteRing, table: tuple[int, ...]) -> tuple[tuple[int, ...], dict]:
+    """R's one (table, verdicts) record of ``table``, made on first use."""
+    return R.cache.setdefault("expansion_records", {}).setdefault(table, (table, {}))
+
+
 # ----------------------------------------------------------------------
 # the four stock families
 
 
-def _translation(R: FiniteRing, table: Sequence[int], label: str) -> ExpansionFunction:
-    """The stock expansion I -> I + J with this table: extensive and monotone
-    by definition, so its record is made first and it is not validated."""
-    table = tuple(table)
-    record = R.cache.setdefault("expansion_records", {}).setdefault(table, (table, {}))
-    return ExpansionFunction(R, record[0], label)
-
-
-def _of_positions(R: FiniteRing, table: Sequence[int], label: str) -> ExpansionFunction:
-    """An expansion whose table the library read off lattice positions, so
-    of ints: built on the record's own tuple when R holds an equal table,
-    which skips the type scan, and validated when R holds none."""
-    table = tuple(table)
-    record = R.cache.get("expansion_records", {}).get(table)
-    return ExpansionFunction(R, table if record is None else record[0], label)
-
-
+# Kept on R for the delta-free checks, which read id and rad (``predicates``):
+# two tables, as rad's reads the maximal ideals, a vector in id's record.
+@_per_ring("identity")
 def identity_expansion(R: FiniteRing) -> ExpansionFunction:
-    return _translation(R, range(len(R.ideals())), "id")
+    return ExpansionFunction._built(R, range(len(R.ideals())), "id")
 
 
+@_per_ring("radical")
 def radical_expansion(R: FiniteRing) -> ExpansionFunction:
-    return _translation(R, _radical_positions(R), "rad")
+    return ExpansionFunction._built(R, _radical_positions(R), "rad")
 
 
 def plus_fixed(R: FiniteRing, J: Ideal) -> ExpansionFunction:
@@ -167,13 +164,14 @@ def plus_fixed(R: FiniteRing, J: Ideal) -> ExpansionFunction:
     if J.ring is not R:
         raise RingMismatchError("fixed ideal belongs to a different ring")
     gens = ",".join(str(g) for g in generator_list(J))
-    return _translation(R, _join_column(R, R.lattice_position(J.mask)), f"plus:({gens})")
+    table = _join_column(R, R.lattice_position(J.mask))
+    return ExpansionFunction._built(R, table, f"plus:({gens})")
 
 
 def constant_ring(R: FiniteRing) -> ExpansionFunction:
     """Every ideal, proper or not, maps to the whole ring."""
     top = len(R.ideals()) - 1
-    return _translation(R, [top] * (top + 1), "full")
+    return ExpansionFunction._built(R, [top] * (top + 1), "full")
 
 
 @_per_ring("std_expansions")
@@ -359,14 +357,14 @@ def induced_product(
     if d1.ring is not info.left or d2.ring is not info.right:
         raise RingMismatchError("component expansions do not match the factors")
     comp, inv = _correspondence(P)
-    return _of_positions(
+    return ExpansionFunction._built(
         P, [inv[d1.table[p1], d2.table[p2]] for p1, p2 in comp], f"prod({d1.label},{d2.label})")
 
 
 def _projected(R: FiniteRing, delta: ExpansionFunction, label: str) -> ExpansionFunction:
     """J maps to f(delta(f^-1(J))) along the projection f onto R."""
     img, pre = _correspondence(R)
-    return _of_positions(R, [img[delta.table[p]] for p in pre], label)
+    return ExpansionFunction._built(R, [img[delta.table[p]] for p in pre], label)
 
 
 def induced_quotient(Q: FiniteRing, delta: ExpansionFunction) -> ExpansionFunction:
@@ -405,7 +403,7 @@ def induced_trivial_extension(T: FiniteRing, delta: ExpansionFunction) -> Expans
     if delta.ring is not info.base:
         raise RingMismatchError("expansion does not live on the extension base")
     env, up, _ = _correspondence(T)
-    return _of_positions(T, [up[delta.table[p]] for p in env], f"triv({delta.label})")
+    return ExpansionFunction._built(T, [up[delta.table[p]] for p in env], f"triv({delta.label})")
 
 
 def localization_compatibility(L: FiniteRing, delta: ExpansionFunction) -> bool:

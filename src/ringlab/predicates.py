@@ -30,16 +30,17 @@ principal classes, never over elements.
   (``_two_absorbing_pass_sets``, ``_semiprimary_pass_sets``,
   ``_idealwise_pass_sets``).
 
-``_PASS_SETS`` is the one table of checks: each row pairs a check with its
-pass sets, its bound (I, rad(I) or delta(I)), its witness scan and the name
-its ProperIdealError gives. ``_verdicts`` reads a row's pass sets at its
-bounds into an int over the proper ideals, the check's verdict vector: the
+``_PASS_SETS`` holds each check read at delta(I), with its pass sets and
+witness scan, and ``_STOCK`` each delta-free check as one of them read at
+delta = id or rad (prime is delta-primary at id, primary is it at rad).
+``_verdicts`` reads a check's pass sets at an expansion's table into an int
+over the proper ideals, its verdict vector, kept in the table's record: the
 one way to evaluate a check over a ring. One kernel, ``_fill``, builds the
-vectors of checks that share a bound in one pass over a table's proper
-positions: the four read at delta(I) together, on the first read of any
-of them, and every other check alone. The sweeps combine the vectors
-bitwise and count them by popcount, ``classify`` reads each of the ten once
-per (ring, delta), and a ``search`` query is a bitwise formula over them;
+vectors of the four checks read at delta(I) in one pass over a table's
+proper positions, on the first read of any of them, and every other check
+alone. The sweeps combine the vectors bitwise and count them by popcount,
+``classify`` reads each of the ten once per (ring, delta), and a
+``search`` query is a bitwise formula over them;
 ``FiniteRing.maximal_ideals``, ``FiniteRing.spectrum`` and
 ``ideals.is_prime_element`` read them too. At one ideal, ``PREDICATES``
 reads the bit at I's lattice position, and every check (``_check``, the
@@ -57,7 +58,7 @@ from operator import and_
 from typing import Optional
 
 from .errors import InvariantError, RingMismatchError, RinglabError
-from .expansions import ExpansionFunction, _scaling_table
+from .expansions import ExpansionFunction, _scaling_table, identity_expansion, radical_expansion
 from .ideals import (
     Ideal,
     _colon_meet,
@@ -70,7 +71,6 @@ from .ideals import (
     _primary_pass_sets,
     _principal_colons,
     _principal_table,
-    _radical_positions,
     _require_proper,
     _up_sets,
     generator_list,
@@ -441,43 +441,41 @@ def _cached_product(R: FiniteRing, I: Ideal, J: Ideal) -> int:
 # ----------------------------------------------------------------------
 # named registry and the classification matrix
 
-# The lattice positions of the bounds I, rad(I) and delta(I) at the proper
-# ideals.
-_OWN, _RAD, _DELTA = (
-    lambda R, d: range(len(R.proper_ideals())),
-    lambda R, d: _radical_positions(R),
-    lambda R, d: d.table,
-)
-
-# The one table of checks: each check by name, and the ideal-wise form that
-# T-DEF-EQ compares, as (its pass sets, its witness scan, its bound, the
-# name its ProperIdealError gives). A witness scan takes R and the masks of
-# I and of the bound. The checks of one conclusion shape share the first two.
-_PRIMARY = (_primary_pass_sets, lambda R, im, bm: _pair_kernel(R, im, bm, im))
-_ONE_ABS = (_one_absorbing_pass_sets, _one_absorbing_witness)
-_TWO_ABS = (_two_absorbing_pass_sets, _two_absorbing)
+# Every check read at delta(I), and the ideal-wise form that T-DEF-EQ
+# compares, as (its pass sets, its witness scan, which takes R and the masks
+# of I and of the bound, the name its ProperIdealError gives). Maximal holds
+# at every bound or none, so no expansion changes its vector.
 _PASS_SETS = {
-    "prime": (*_PRIMARY, _OWN, "is_prime"),
-    "maximal": (_maximal_pass_sets, _larger_ideal, _OWN, "is_maximal"),
-    "primary": (*_PRIMARY, _RAD, "is_primary"),
-    "2abs": (*_TWO_ABS, _OWN, "is_two_absorbing"),
-    "1abs-prime": (*_ONE_ABS, _OWN, "is_one_absorbing_prime"),
-    "1abs-primary": (*_ONE_ABS, _RAD, "is_one_absorbing_primary"),
-    "delta-primary": (*_PRIMARY, _DELTA, "is_delta_primary"),
+    "maximal": (_maximal_pass_sets, _larger_ideal, "is_maximal"),
+    "delta-primary": (_primary_pass_sets, lambda R, im, bm: _pair_kernel(R, im, bm, im),
+                      "is_delta_primary"),
     "delta-semiprimary": (_semiprimary_pass_sets, lambda R, im, bm: _pair_kernel(R, im, bm, bm),
-                          _DELTA, "is_delta_semiprimary"),
-    "1abs-delta-primary": (*_ONE_ABS, _DELTA, "is_one_absorbing_delta_primary"),
-    "2abs-delta-primary": (*_TWO_ABS, _DELTA, "is_two_absorbing_delta_primary"),
-    "idealwise": (_idealwise_pass_sets, _idealwise_witness, _DELTA,
-                  "idealwise_one_absorbing_check"),
+                          "is_delta_semiprimary"),
+    "1abs-delta-primary": (_one_absorbing_pass_sets, _one_absorbing_witness,
+                           "is_one_absorbing_delta_primary"),
+    "2abs-delta-primary": (_two_absorbing_pass_sets, _two_absorbing,
+                           "is_two_absorbing_delta_primary"),
+    "idealwise": (_idealwise_pass_sets, _idealwise_witness, "idealwise_one_absorbing_check"),
 }
 
-DELTA_FREE = frozenset(name for name, row in _PASS_SETS.items() if row[2] is not _DELTA)
+# Every check that takes no expansion, as (the check it is read as, the
+# stock expansion it is read at, whose delta(I) is I or rad(I), the name its
+# ProperIdealError gives). Both read one vector in that expansion's record.
+_STOCK = {
+    "prime": ("delta-primary", identity_expansion, "is_prime"),
+    "maximal": ("maximal", identity_expansion, "is_maximal"),
+    "primary": ("delta-primary", radical_expansion, "is_primary"),
+    "2abs": ("2abs-delta-primary", identity_expansion, "is_two_absorbing"),
+    "1abs-prime": ("1abs-delta-primary", identity_expansion, "is_one_absorbing_prime"),
+    "1abs-primary": ("1abs-delta-primary", radical_expansion, "is_one_absorbing_primary"),
+}
 
-# The checks that ``_fill`` builds together: every one read at delta(I)
-# but the ideal-wise form, whose pass sets need the pairwise products that
-# only T-DEF-EQ and ``classify`` read.
-_FUSED = tuple(name for name in _PASS_SETS if name not in DELTA_FREE and name != "idealwise")
+DELTA_FREE = frozenset(_STOCK)
+
+# The checks that ``_fill`` builds together: every row but maximal, which a ring
+# reads alone for its radicals, and the ideal-wise form, whose pass sets need
+# the pairwise products that only T-DEF-EQ and ``classify`` read.
+_FUSED = tuple(name for name in _PASS_SETS if name not in ("maximal", "idealwise"))
 
 
 def _verdicts(name: str, R: FiniteRing, delta: Optional[ExpansionFunction] = None,
@@ -486,33 +484,35 @@ def _verdicts(name: str, R: FiniteRing, delta: Optional[ExpansionFunction] = Non
     check holds at the proper ideal at lattice position p, and no bit at or
     above the unit ideal's position is set.
 
-    Kept in the expansion's ``verdicts`` (one dict per table on R), or on R
-    for the delta-free checks, so a sweep combines ints instead of calling
-    the check per instance, and a hit is one dict lookup. A miss builds the
-    vectors of every check in ``_FUSED`` at once when ``name`` is one of
-    them, unless ``alone`` asks for its own only: a check at one ideal and
-    a search query read only the checks they name, and the others' pass
-    sets would cost them more than one pass saves. ``name`` is a check or
-    "idealwise".
+    Kept in the verdicts of the expansion it is read at, delta or, for a
+    delta-free check, id or rad, so a sweep combines ints instead of
+    calling the check per instance, and a hit is one dict lookup. A miss
+    builds the vectors of every check in ``_FUSED`` at once when the check
+    read is one of them, unless ``alone`` asks for its own only: a check at
+    one ideal and a search query read only the checks they name, and the
+    others' pass sets would cost them more than one pass saves. ``name`` is
+    a check or "idealwise".
     """
-    store = R.cache.setdefault("verdicts", {}) if name in DELTA_FREE else delta.verdicts
+    stock = _STOCK.get(name)
+    if stock is not None:
+        name, delta = stock[0], stock[1](R)
+    store = delta.verdicts
     got = store.get(name)
     if got is None:
-        _fill(store, _FUSED if name in _FUSED and not alone else (name,), R, delta)
+        _fill(store, _FUSED if name in _FUSED and not alone else (name,), R, delta.table)
         got = store[name]
     return got
 
 
-def _fill(store: dict, names: tuple[str, ...], R: FiniteRing,
-          delta: Optional[ExpansionFunction]) -> None:
-    """The verdict vectors of the checks ``names``, which share one bound,
-    in one pass over R's proper positions: bit p of each is bit q of its
-    pass set at p, where q is the position of the bound at I_p."""
+def _fill(store: dict, names: tuple[str, ...], R: FiniteRing, table: tuple[int, ...]) -> None:
+    """The verdict vectors of the checks ``names`` at an expansion's
+    ``table``, in one pass over R's proper positions: bit p of each is bit
+    q of its pass set at p, where q = table[p] is the position of delta(I_p)."""
     rows, vectors = [], []
     for name in names:
         rows.append((len(rows), _PASS_SETS[name][0](R)))
         vectors.append(0)
-    for p, q in zip(range(len(rows[0][1])), _PASS_SETS[names[0]][2](R, delta)):
+    for p, q in zip(range(len(rows[0][1])), table):
         bit = 1 << p
         for i, sets in rows:
             if sets[p] >> q & 1:
@@ -534,23 +534,24 @@ def _read(name: str, I: Ideal, delta: Optional[ExpansionFunction]) -> tuple[int,
     """I's lattice position and the bit there of check ``name``'s verdict
     vector, built alone if missing; a check that reads delta(I) needs an
     expansion on I's ring."""
-    bounds, what = _PASS_SETS[name][2:]
-    if bounds is _DELTA and delta is None:
+    stock = _STOCK.get(name)
+    if stock is None and delta is None:
         raise RinglabError(f"predicate {name!r} needs an expansion")
-    p = _position(I, delta if bounds is _DELTA else None, what)
+    p = _position(I, delta if stock is None else None, (stock or _PASS_SETS[name])[2])
     return p, _verdicts(name, I.ring, delta, alone=True) >> p & 1
 
 
 def _check(name: str, I: Ideal, delta: Optional[ExpansionFunction] = None) -> tuple[bool, object]:
     """Check ``name`` at I: the bit of its verdict vector at I's lattice
-    position. Only a failure runs the row's witness scan at I's bound, for
-    the minimal witness."""
+    position. Only a failure runs the witness scan of the check it is read
+    as, at I's bound, for the minimal witness."""
     p, ok = _read(name, I, delta)
     if ok:
         return True, None
-    _, witness, bounds, _ = _PASS_SETS[name]
-    R = I.ring
-    got = witness(R, I.mask, R.ideals()[bounds(R, delta)[p]].mask)
+    R, stock = I.ring, _STOCK.get(name)
+    if stock is not None:
+        name, delta = stock[0], stock[1](R)
+    got = _PASS_SETS[name][1](R, I.mask, R.ideals()[delta.table[p]].mask)
     if got[0]:
         raise InvariantError("the pass set fails a bound that the witness scan passes")
     return got
@@ -562,7 +563,7 @@ def _bit(name: str, I: Ideal, delta: Optional[ExpansionFunction] = None) -> bool
 
 
 # Every check by name, in column order, as a function of (I, delta).
-PREDICATES = {name: partial(_bit, name) for name in _PASS_SETS if name != "idealwise"}
+PREDICATES = {name: partial(_bit, name) for name in (*_STOCK, *_PASS_SETS) if name != "idealwise"}
 
 PREDICATE_NAMES = tuple(PREDICATES)
 
@@ -578,7 +579,7 @@ def _witness(name: str, I: Ideal, delta: ExpansionFunction) -> object:
     x_check, named by the row's is_x (this module imports the three from
     ``ideals`` for it). It is looked up at call time, so that a wrapper
     installed here (a profiler or tracer) sees the scan."""
-    check = globals()[_PASS_SETS[name][3][len("is_"):] + "_check"]
+    check = globals()[(_STOCK.get(name) or _PASS_SETS[name])[2][len("is_"):] + "_check"]
     return (check(I) if name in DELTA_FREE else check(I, delta))[1]
 
 

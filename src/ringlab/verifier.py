@@ -563,7 +563,7 @@ def _t_char(entry: CatalogEntry, part: _Part) -> None:
 @_sweep("T-CHAR-COR")
 def _t_char_cor(entry: CatalogEntry, part: _Part) -> None:
     """The identity-expansion specialization of the characterization. Under id,
-    1-absorbing delta-primary is 1-absorbing prime, a vector kept on the ring."""
+    1-absorbing delta-primary is 1-absorbing prime, read at the ring's own id."""
     R = entry.ring
     part.instance(True)
     i, ii, iii = _char_states(R)(_verdicts("1abs-prime", R))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -515,17 +516,24 @@ def test_proper_ideals_drop_only_the_unit_ideal(catalog16):
 
 
 def _count_expansions_built(monkeypatch) -> list:
-    """Record (ring, label) for every ExpansionFunction constructed."""
+    """Record (ring, label) for every ExpansionFunction constructed, through
+    the constructor or through ``_built``."""
     built = []
-    original = ExpansionFunction.__init__
+    original, built_by = ExpansionFunction.__init__, ExpansionFunction._built
 
     def counting(self, ring, table, label):
         built.append((ring.label, label))
         original(self, ring, table, label)
 
+    def counting_built(cls, ring, table, label):
+        built.append((ring.label, label))
+        return built_by(ring, table, label)
+
     monkeypatch.setattr(ExpansionFunction, "__init__", counting)
+    monkeypatch.setattr(ExpansionFunction, "_built", classmethod(counting_built))
     identity_expansion(make_zn(2))
-    assert built == [("Z2", "id")]
+    ExpansionFunction(make_zn(2), (0, 1), "caller")
+    assert built == [("Z2", "id"), ("Z2", "caller")]
     built.clear()
     return built
 
@@ -539,13 +547,18 @@ def test_catalog_builds_each_stock_expansion_once(monkeypatch):
     assert all(e.expansions is standard_expansions(e.ring) for e in cat)
 
 
-def test_transfer_sweeps_validate_each_induced_table_once(catalog8, monkeypatch):
-    """The transfer sweeps induce what they test on each run, and each ring
-    keeps one record per validated table: a second run validates no table
-    and adds no record, though it builds its induced expansions again."""
+def test_transfer_sweeps_validate_no_induced_table(catalog8, monkeypatch):
+    """The transfer sweeps induce what they test on each run and validate
+    none of it, and each ring keeps one record per table: a second run adds
+    no record, though it builds its induced expansions again."""
     sweeps = ("T-HOM", "T-QUOT", "T-LOC", "T-PROD", "T-TRIV", "T-TRIV-COR")
+    validated = []
+    original = ExpansionFunction._validate
+    monkeypatch.setattr(ExpansionFunction, "_validate",
+                        lambda self: validated.append(self.label) or original(self))
     for tid in sweeps:
         verify(tid, catalog8)
+    assert validated == []
 
     def record_count() -> int:
         rings = {id(e.ring): e.ring for e in catalog8}
@@ -554,43 +567,13 @@ def test_transfer_sweeps_validate_each_induced_table_once(catalog8, monkeypatch)
         return sum(len(R.cache.get("expansion_records", ())) for R in rings.values())
 
     records = record_count()
-    validated = []
-    original = ExpansionFunction._validate
-    monkeypatch.setattr(ExpansionFunction, "_validate",
-                        lambda self: validated.append(self.label) or original(self))
     built = _count_expansions_built(monkeypatch)
+    validated.clear()
     for tid in sweeps:
         verify(tid, catalog8)
     assert validated == []
     assert record_count() == records
     assert any(label.startswith(("prod(", "bar(", "loc(", "triv(")) for _, label in built)
-
-
-def test_induced_expansions_take_their_record_without_the_type_scan(catalog8, monkeypatch):
-    """An induced table is read off lattice positions, so once its ring holds
-    an equal table, a transfer sweep builds the induced expansion on that
-    record's own tuple, whose entries the constructor does not scan. A
-    caller's table is still scanned: (0, 1.0, 2) equals the identity table
-    that Z4 holds, and is rejected."""
-    sweeps = ("T-HOM", "T-QUOT", "T-LOC", "T-PROD", "T-TRIV", "T-TRIV-COR")
-    for tid in sweeps:
-        verify(tid, catalog8)
-    own = []
-    original = ExpansionFunction.__init__
-
-    def spy(self, ring, table, label):
-        own.append(table is ring.cache["expansion_records"][tuple(table)][0])
-        original(self, ring, table, label)
-
-    monkeypatch.setattr(ExpansionFunction, "__init__", spy)
-    for tid in sweeps:
-        verify(tid, catalog8)
-    monkeypatch.undo()
-    assert len(own) > 100 and all(own)
-    z4 = make_zn(4)
-    assert identity_expansion(z4).table == (0, 1, 2)
-    with pytest.raises(ExpansionAxiomError, match=r"^image 1\.0 at \S+ is not a lattice position"):
-        ExpansionFunction(z4, (0, 1.0, 2), "bad")
 
 
 def test_transfer_sweeps_build_no_ideals(catalog16, monkeypatch):
@@ -781,6 +764,22 @@ def _collect_induced(monkeypatch) -> list:
     return induced
 
 
+def test_induced_tables_pass_the_validator(catalog_every_expansion, monkeypatch):
+    """The ``induced_*`` functions build through ``_built``, which validates
+    nothing: a table induced from an expansion is extensive and monotone by
+    its construction. The validator is the oracle for that. It accepts every
+    expansion that the six transfer sweeps induce on the every-expansion
+    catalog, 3,078 of them from its 172 non-stock tables, and T-PROD-EX's
+    induced product of its two ``from_rule`` tables."""
+    induced = _collect_induced(monkeypatch)
+    for tid in ("T-HOM", "T-QUOT", "T-LOC", "T-PROD", "T-TRIV", "T-TRIV-COR", "T-PROD-EX"):
+        verify(tid, catalog_every_expansion)
+    for d in induced:
+        d._validate()
+    assert sum(bool(re.search(r"[(,]t\d+[,)]", d.label)) for d in induced) == 3078
+    assert [d.label for d in induced if "rad+(2)" in d.label] == ["prod(rad+(2),rad+(2))"]
+
+
 @pytest.mark.parametrize("tier, count", [("catalog16", 855), ("catalog_enlarged", 1473)])
 def test_induced_expansions_share_the_record_of_their_table(tier, count, monkeypatch):
     """Every expansion the six transfer sweeps induce on a fresh catalog
@@ -895,6 +894,9 @@ def test_invalid_tables_raise_on_rings_that_hold_valid_ones(catalog16):
     twin = ExpansionFunction(z4, (False, True, 2), "bools")
     assert twin.table is d.table and twin.verdicts is d.verdicts
     assert ExpansionFunction(z4, [0, 1, 2], "again").table is d.table
+    # a float equals an int but is no lattice position, a recorded table or not
+    with pytest.raises(ExpansionAxiomError, match=r"^image 1\.0 at \S+ is not a lattice position"):
+        ExpansionFunction(z4, (0, 1.0, 2), "bad")
 
 
 def delta_gamma_hom_scan(f, delta, gamma):

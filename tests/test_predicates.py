@@ -83,6 +83,18 @@ CHECKS = {
 }
 
 
+# Each delta-free check as the check read at delta(I) that it is, and the
+# stock expansion it is that at: delta(I) = I under id, rad(I) under rad.
+READ_AT = {
+    "prime": ("delta-primary", "id"),
+    "maximal": ("maximal", "id"),
+    "primary": ("delta-primary", "rad"),
+    "2abs": ("2abs-delta-primary", "id"),
+    "1abs-prime": ("1abs-delta-primary", "id"),
+    "1abs-primary": ("1abs-delta-primary", "rad"),
+}
+
+
 def definitional_pair_scan(I, dm, skip):
     """a*b in I forces a in skip or b in dm, by a plain double loop over all
     elements: the oracle for the pair kernel behind the prime, primary,
@@ -255,21 +267,31 @@ def _vector(values) -> int:
 def test_verdict_vectors_match_the_checks_on_default_catalog():
     """For every (ring, expansion) of the default catalog and every check,
     bit p of the verdict vector holds the check's value at the proper ideal
-    at lattice position p. Delta-free vectors live on the ring, the rest on the
-    expansion they were built for."""
-    pairs = 0
+    at lattice position p. Each vector lives in the record it is read at. A
+    delta-free vector is the very int that its check read at delta(I) holds
+    in id's record or in rad's, which is id's where Jac(R) = 0, and no
+    record holds a vector under a delta-free check's own name."""
+    assert DELTA_FREE == set(READ_AT)
+    pairs = jac_zero = 0
     for entry in build_catalog(CatalogConfig()):
         R = entry.ring
         proper = R.proper_ideals()
+        stock = {"id": identity_expansion(R), "rad": radical_expansion(R)}
+        shared = stock["rad"].verdicts is stock["id"].verdicts
+        assert shared == (R.jacobson_radical().mask == 1 << R.zero), entry.provenance
+        jac_zero += shared
         for d in entry.expansions:
             for name, check in CHECKS.items():
                 got = _verdicts(name, R, d)
                 assert got == _vector(check(I, d)[0] for I in proper), (
                     entry.provenance, d.label, name)
-                store = R.cache["verdicts"] if name in DELTA_FREE else d.verdicts
-                assert store[name] is got
+                row, at = READ_AT.get(name, (name, None))
+                assert (d if at is None else stock[at]).verdicts[row] is got, (
+                    entry.provenance, d.label, name)
             pairs += len(proper)
-    assert pairs == 6588
+        for d in (*stock.values(), *entry.expansions):
+            assert set(d.verdicts) <= set(predicates._PASS_SETS), entry.provenance
+    assert pairs == 6588 and 0 < jac_zero < 190
 
 
 @pytest.mark.parametrize("tier", ["catalog16", "catalog_enlarged"])
@@ -294,10 +316,17 @@ def test_verdict_vectors_have_no_bit_at_or_above_the_unit_ideal(request, tier):
 
 
 def _definition(name, R, d) -> int:
-    """Check ``name``'s verdict vector read from its row: bit p is bit b_p
-    of the pass set s_p, where b_p is the position of I_p's bound."""
-    pass_sets, _, bounds, _ = predicates._PASS_SETS[name]
-    return sum((s >> b & 1) << p for p, (s, b) in enumerate(zip(pass_sets(R), bounds(R, d))))
+    """Check ``name``'s verdict vector read from the pass sets of the check
+    it is read as: bit p is bit b_p of the pass set s_p, where b_p is the
+    position of I_p's bound, delta(I_p), or I_p or rad(I_p) for a
+    delta-free check."""
+    row, at = READ_AT.get(name, (name, None))
+    if at is None:
+        bounds = d.table
+    else:
+        bounds = range(len(R.ideals())) if at == "id" else ideals._radical_positions(R)
+    pass_sets = predicates._PASS_SETS[row][0](R)
+    return sum((s >> b & 1) << p for p, (s, b) in enumerate(zip(pass_sets, bounds)))
 
 
 @pytest.mark.parametrize("tier, tables", [
@@ -571,8 +600,8 @@ BUILDERS = (
 def _without_scans(patch):
     """Every row of the check table with a witness scan that raises, set
     through ``patch`` (a monkeypatch or its context)."""
-    for name, (pass_sets, _, bound, what) in predicates._PASS_SETS.items():
-        patch.setitem(predicates._PASS_SETS, name, (pass_sets, _no_scan, bound, what))
+    for name, (pass_sets, _, what) in predicates._PASS_SETS.items():
+        patch.setitem(predicates._PASS_SETS, name, (pass_sets, _no_scan, what))
 
 
 def test_passing_checks_read_cached_masks_and_run_no_scan(catalog16, monkeypatch):
@@ -587,9 +616,9 @@ def test_passing_checks_read_cached_masks_and_run_no_scan(catalog16, monkeypatch
     I = span(R, [2])
     assert d1 != d2 and d1(I) == d2(I)
     read = []
-    pass_sets, _, bound, what = predicates._PASS_SETS["1abs-delta-primary"]
+    pass_sets, _, what = predicates._PASS_SETS["1abs-delta-primary"]
     monkeypatch.setitem(predicates._PASS_SETS, "1abs-delta-primary", (
-        lambda ring: read.append(pass_sets(ring)) or read[-1], _no_scan, bound, what))
+        lambda ring: read.append(pass_sets(ring)) or read[-1], _no_scan, what))
     monkeypatch.setattr(predicates, "_one_absorbing_witness", _no_scan)
     assert one_absorbing_delta_primary_check(I, d1) == (True, None)
     assert one_absorbing_delta_primary_check(I, d2) == (True, None)
@@ -780,9 +809,9 @@ def test_predicates_read_verdict_bits_and_run_no_scan(catalog16, monkeypatch):
     expected = {}
     scans = []
     with monkeypatch.context() as m:
-        for name, (pass_sets, witness, bound, what) in predicates._PASS_SETS.items():
+        for name, (pass_sets, witness, what) in predicates._PASS_SETS.items():
             m.setitem(predicates._PASS_SETS, name, (
-                pass_sets, lambda *a, w=witness: scans.append(1) or w(*a), bound, what))
+                pass_sets, lambda *a, w=witness: scans.append(1) or w(*a), what))
         for entry in catalog16:
             for d in entry.expansions:
                 for I in entry.ring.proper_ideals():
@@ -851,7 +880,8 @@ def test_classify_reads_the_vectors_and_scans_only_the_failures(catalog16, monke
     """Over the default catalog under every attached expansion, each
     classify row equals the ten checks at its ideal, values and witnesses,
     and classify runs exactly one witness scan per failing (ideal, check),
-    at that ideal, and none on a pass."""
+    at that ideal, and none on a pass: the scan of the check that a
+    delta-free check is read as."""
     assert tuple(CHECKS) == PREDICATE_NAMES
     want, failing = [], []
     for entry in catalog16:
@@ -860,12 +890,13 @@ def test_classify_reads_the_vectors_and_scans_only_the_failures(catalog16, monke
                 got = {name: check(I, d) for name, check in CHECKS.items()}
                 want.append((I, {name: ok for name, (ok, _) in got.items()},
                              {name: wit for name, (ok, wit) in got.items() if not ok}))
-                failing += [(name, I.mask) for name, (ok, _) in got.items() if not ok]
+                failing += [(READ_AT.get(name, (name,))[0], I.mask)
+                            for name, (ok, _) in got.items() if not ok]
     scans = []
-    for name, (pass_sets, witness, bound, what) in predicates._PASS_SETS.items():
+    for name, (pass_sets, witness, what) in predicates._PASS_SETS.items():
         monkeypatch.setitem(predicates._PASS_SETS, name, (
             pass_sets, lambda R, im, bm, w=witness, n=name: scans.append((n, im)) or w(R, im, bm),
-            bound, what))
+            what))
     rows = [row for entry in catalog16 for d in entry.expansions
             for row in classify(entry.ring, d)]
     assert [(row.ideal, row.values, row.witnesses) for row in rows] == want

@@ -597,9 +597,8 @@ def test_nonunits_form_an_ideal_exactly_on_local_rings(request, tier):
 
 # The caches keyed by an argument, not per ring, and so not ``_per_ring``
 # tables: quotients by ideal, products by ideal pair, expansion records by
-# table, delta-free verdicts by check, and the unused ``predicates._memo``.
-ARGUMENT_KEYED = frozenset({"quotients", "pairwise_products", "expansion_records", "verdicts",
-                            "predicates"})
+# table, and the unused ``predicates._memo``.
+ARGUMENT_KEYED = frozenset({"quotients", "pairwise_products", "expansion_records", "predicates"})
 MODULE_TABLES = frozenset({"submodules", "cyclic_masks"})
 
 
