@@ -476,10 +476,9 @@ class LocalizationOf:
     """Descriptor for a localization, realized as a quotient."""
 
     def __init__(self, parent: FiniteRing, set_members: tuple[int, ...],
-                 set_generators: tuple[int, ...], projection: RingHom,
-                 kernel_mask: int = 0) -> None:
+                 set_generators: tuple[int, ...], projection: RingHom) -> None:
         self.parent, self.set_members, self.set_generators = parent, set_members, set_generators
-        self.projection, self.kernel_mask = projection, kernel_mask
+        self.projection = projection
 
 
 class Localization:
@@ -512,7 +511,7 @@ def localize(R: FiniteRing, S: MultiplicativeSet) -> Localization:
         raise InvariantError(f"S-torsion of {R.label} failed the ideal scan")
     gens = ",".join(str(g) for g in S.generators)
     L, proj = _coset_ring(R, kmask, f"loc({R.label},{gens})")
-    L.construction = LocalizationOf(R, tuple(smembers), tuple(S.generators), proj, kmask)
+    L.construction = LocalizationOf(R, tuple(smembers), tuple(S.generators), proj)
     for s in smembers:
         if not L.is_unit(proj(s)):
             raise InvariantError("localized image of the multiplicative set is not a unit")

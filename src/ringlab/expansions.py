@@ -41,8 +41,8 @@ from .constructions import (
 )
 from .errors import ExpansionAxiomError, RingMismatchError
 from .ideals import (
-    Ideal, _bits, _join_column, _principal_masks, _radical_positions, _sum_masks, _up_sets,
-    generator_list)
+    Ideal, _bits, _join_column, _principal_masks, _principal_table, _radical_positions,
+    _sum_masks, _up_sets, generator_list)
 from .rings import FiniteRing, RingHom, _per_ring
 
 
@@ -248,19 +248,18 @@ def scaling_check(
     the characterization results and are skipped. The witness is the first
     failing pair, x ascending and I in canonical lattice order. Both sides
     are compared as lattice positions read from the ring's scaling table.
-    Associates share a row, so each row is tested once, at its smallest x,
-    which is where the ascending scan would first fail on it.
+    Associates share a row, so each row is tested once, at the smallest
+    generator of its principal ideal, which is where the ascending scan
+    would first fail on it; those generators come in ascending order.
     """
     R = delta.ring
     lattice = R.ideals()
     zero = R.lattice_position(1 << R.zero)
     table = delta.table
     proper = range(len(lattice) - 1)
-    seen: set[int] = set()
-    for x, row in enumerate(_scaling_table(R)):
-        if id(row) in seen:
-            continue
-        seen.add(id(row))
+    rows = _scaling_table(R)
+    for x in _principal_table(R).values():
+        row = rows[x]
         for p in proper:
             xp = row[p]
             if xp != zero and table[xp] != row[table[p]]:

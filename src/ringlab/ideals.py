@@ -403,10 +403,10 @@ def _radical_positions(R: FiniteRing) -> tuple[int, ...]:
 
 @_per_ring("jacobson_square")
 def _jacobson_square(R: FiniteRing) -> int:
-    """The mask of Jac(R)^2. On a local ring Jac(R) is the maximal ideal M,
-    so this is also M^2."""
+    """The lattice position of Jac(R)^2. On a local ring Jac(R) is the
+    maximal ideal M, so this is also M^2."""
     jac = R.jacobson_radical()
-    return ideal_product(jac, jac).mask
+    return R.lattice_position(ideal_product(jac, jac).mask)
 
 
 def scale(x: Union[int, Element], I: Ideal) -> Ideal:

@@ -380,12 +380,13 @@ def _idealwise_pass_sets(R: FiniteRing) -> tuple[int, ...]:
     W_I is the union of (I : P) over the distinct products P of two proper
     ideals with P outside I. (I : P) is the meet of (I : g) over the
     generators g of P (``_colon_meet``); it is the unit ideal exactly when P
-    lies inside I, where ``_colon_up_sets`` skips it."""
+    lies inside I, where ``_colon_up_sets`` skips it. The products are
+    formed here with ``ideal_product``, once per ring, as the table is."""
     up = _colon_up_sets(R)
     pos = R.lattice_position
     proper = R.proper_ideals()
-    products = {_cached_product(R, I1, I2) for i, I1 in enumerate(proper) for I2 in proper[i:]}
-    product_gens = [generator_list(Ideal(R, P)) for P in products]
+    products = {ideal_product(I1, I2) for i, I1 in enumerate(proper) for I2 in proper[i:]}
+    product_gens = [generator_list(P) for P in products]
     val = []
     for I in proper:
         colons = _element_colons(R, I.mask)
@@ -403,9 +404,9 @@ def _idealwise_witness(R: FiniteRing, im: int, dm: int) -> IdealTripleResult:
     proper = R.proper_ideals()
     for I1 in proper:
         for I2 in proper:
-            P12 = _cached_product(R, I1, I2)
-            if P12 & ~im:
-                K = _colon_meet(colons, generator_list(Ideal(R, P12)))
+            P12 = ideal_product(I1, I2)
+            if P12.mask & ~im:
+                K = _colon_meet(colons, generator_list(P12))
                 if K & ~dm:
                     return False, (I1, I2, Ideal(R, K))
     return True, None
@@ -419,23 +420,13 @@ def idealwise_one_absorbing_scan(I: Ideal, delta: ExpansionFunction) -> IdealTri
     proper = R.proper_ideals()
     for I1 in proper:
         for I2 in proper:
-            P12 = _cached_product(R, I1, I2)
-            p12_inside = not (P12 & ~I.mask)
+            P12 = ideal_product(I1, I2)
+            p12_inside = not (P12.mask & ~I.mask)
             for I3 in proper:
-                P123 = _cached_product(R, Ideal(R, P12), I3)
-                if not (P123 & ~I.mask) and not p12_inside and (I3.mask & ~dm):
+                P123 = ideal_product(P12, I3)
+                if not (P123.mask & ~I.mask) and not p12_inside and (I3.mask & ~dm):
                     return False, (I1, I2, I3)
     return True, None
-
-
-def _cached_product(R: FiniteRing, I: Ideal, J: Ideal) -> int:
-    cache = R.cache.setdefault("pairwise_products", {})
-    key = (I.mask, J.mask) if I.mask <= J.mask else (J.mask, I.mask)
-    got = cache.get(key)
-    if got is None:
-        got = ideal_product(I, J).mask
-        cache[key] = got
-    return got
 
 
 # ----------------------------------------------------------------------
@@ -473,8 +464,8 @@ _STOCK = {
 DELTA_FREE = frozenset(_STOCK)
 
 # The checks that ``_fill`` builds together: every row but maximal, which a ring
-# reads alone for its radicals, and the ideal-wise form, whose pass sets need
-# the pairwise products that only T-DEF-EQ and ``classify`` read.
+# reads alone for its radicals, and the ideal-wise form, whose pass sets form
+# the product of every pair of proper ideals and which only T-DEF-EQ reads.
 _FUSED = tuple(name for name in _PASS_SETS if name not in ("maximal", "idealwise"))
 
 

@@ -596,9 +596,9 @@ def test_nonunits_form_an_ideal_exactly_on_local_rings(request, tier):
 # per-ring tables
 
 # The caches keyed by an argument, not per ring, and so not ``_per_ring``
-# tables: quotients by ideal, products by ideal pair, expansion records by
-# table, and the unused ``predicates._memo``.
-ARGUMENT_KEYED = frozenset({"quotients", "pairwise_products", "expansion_records", "predicates"})
+# tables: quotients by ideal, expansion records by table, and the unused
+# ``predicates._memo``.
+ARGUMENT_KEYED = frozenset({"quotients", "expansion_records", "predicates"})
 MODULE_TABLES = frozenset({"submodules", "cyclic_masks"})
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from construction_oracle import assert_catalog
 from expansion_tables import all_expansion_tables, entry_expansions
+from test_ideals import closure_product
 import ringlab.catalog as catalog_module
 import ringlab.ideals as ideals
 import ringlab.predicates as predicates
@@ -51,9 +52,17 @@ def strip_elapsed(report: TheoremReport) -> dict:
 
 
 def test_theorem_id_listing():
+    """The statement ids are the sweeps' registration order, pinned here in
+    full: T-PROD-EX sits between T-PROD and T-TRIV."""
     assert len(THEOREM_IDS) == 26
     assert len(set(THEOREM_IDS)) == 26
     assert THEOREM_IDS[0] == "T-DEF-EQ"
+    assert THEOREM_IDS == (
+        "T-DEF-EQ", "T-CHAIN", "T-MONO", "T-2ABS", "T-SEMI", "T-LOCAL", "T-XM", "T-COLON",
+        "T-M2", "T-CHAINED", "T-ARITH", "T-PMAX", "T-SQRT", "T-IDEM", "T-INTER", "T-PRINC",
+        "T-CHAR", "T-CHAR-COR", "T-SPEC", "T-HOM", "T-QUOT", "T-LOC", "T-PROD", "T-PROD-EX",
+        "T-TRIV", "T-TRIV-COR",
+    )
 
 
 def test_unknown_id_rejected(catalog8):
@@ -112,9 +121,9 @@ def test_jobs_independence(catalog8):
 def test_radical_sweeps_build_no_ideals(catalog16, monkeypatch):
     """Warm T-SQRT, T-SEMI and T-PMAX read radicals as lattice positions, and
     T-PMAX reads M^2 from the per-ring square. Warm T-XM reads x*M from the
-    scaling table and T-SPEC reads delta(0) at lattice position 0 and
-    delta(0)*M from the pairwise product cache. None of them builds an
-    ideal."""
+    scaling table and T-SPEC reads delta(0) at lattice position 0 and tests
+    it against the position of (0 : M), which it reads off the zero ideal's
+    colons. None of them builds an ideal."""
     sweeps = ("T-SQRT", "T-SEMI", "T-PMAX", "T-XM", "T-SPEC")
     cold = {tid: strip_elapsed(verify(tid, catalog16)) for tid in sweeps}
     built = []
@@ -137,11 +146,11 @@ SQUARE_READERS = ("T-M2", "T-CHAINED", "T-ARITH", "T-PMAX", "T-CHAR", "T-CHAR-CO
 
 
 def test_square_sweeps_make_no_products(catalog16, monkeypatch):
-    """Warm sweeps that read M^2 or Jac^2 take it from the mask cached per
-    ring, and T-SPEC takes delta(0)*M from the pairwise product cache: none
-    makes an ``ideal_product`` call."""
-    for tid in SQUARE_READERS:
-        verify(tid, catalog16)
+    """Warm sweeps that read M^2 or Jac^2 take its lattice position from the
+    per-ring square, and T-SPEC tests delta(0) against (0 : M), so it forms
+    no product cold or warm: none makes an ``ideal_product`` call. The cold
+    T-SPEC run sweeps a freshly built catalog, whose rings hold no table."""
+    fresh = build_catalog.__wrapped__(CatalogConfig())
     calls = []
     original = ideals.ideal_product
 
@@ -151,13 +160,38 @@ def test_square_sweeps_make_no_products(catalog16, monkeypatch):
 
     monkeypatch.setattr(ideals, "ideal_product", counting)
     monkeypatch.setattr(predicates, "ideal_product", counting)
+    assert strip_elapsed(verify("T-SPEC", fresh)) == strip_elapsed(verify("T-SPEC", catalog16))
+    assert calls == [], "T-SPEC, cold"
+    for tid in SQUARE_READERS:
+        verify(tid, catalog16)
+    calls.clear()
     for tid in SQUARE_READERS:
         verify(tid, catalog16)
         assert calls == [], tid
     for entry in catalog16:
-        entry.ring.cache.pop("pairwise_products", None)
-    verify("T-SPEC", catalog16)
-    assert calls, "the counter sees the products a cold cache makes"
+        entry.ring.cache.pop("jacobson_square", None)
+    verify("T-M2", catalog16)
+    assert calls, "the counter sees the products a cold square makes"
+
+
+@pytest.mark.parametrize("tier, local", [("catalog16", 98), ("catalog_enlarged", 104)])
+def test_spec_reads_products_with_m_off_the_annihilator(request, tier, local):
+    """T-SPEC reads delta(0)*M = 0 as delta(0) inside (0 : M). On every local
+    ring of both tiers and at every ideal J, bit ``_annihilator(R, M)`` of
+    UP[J] is set exactly when the closure product J*M is the zero ideal. A
+    colon read at one generator of M alone disagrees on some of them."""
+    rings = 0
+    for entry in request.getfixturevalue(tier):
+        R = entry.ring
+        if not R.is_local():
+            continue
+        rings += 1
+        M = R.maximal_ideals()[0]
+        ann = verifier._annihilator(R, M)
+        for J, up in zip(R.ideals(), ideals._up_sets(R)):
+            assert bool(up >> ann & 1) == (closure_product(J, M) == 1 << R.zero), (
+                entry.provenance, J.label)
+    assert rings == local
 
 
 ROOT = Path(__file__).resolve().parents[1]
