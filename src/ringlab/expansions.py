@@ -29,6 +29,8 @@ new expansion on its ring's record of its table.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_
 from typing import Callable, Optional, Sequence
 
 from .constructions import (
@@ -41,8 +43,8 @@ from .constructions import (
 )
 from .errors import ExpansionAxiomError, RingMismatchError
 from .ideals import (
-    Ideal, _bits, _join_column, _principal_masks, _principal_table, _radical_positions,
-    _sum_masks, _up_sets, generator_list)
+    Ideal, _bits, _join_column, _lsb, _principal_masks, _principal_table, _radical_positions,
+    _up_sets, generator_list)
 from .rings import FiniteRing, RingHom, _per_ring
 
 
@@ -216,27 +218,22 @@ def _scaling_table(R: FiniteRing) -> tuple[tuple[int, ...], ...]:
 
     x*I = (x)*I, so elements that generate the same principal ideal share
     one row, the same tuple object, computed at the smallest such x: one row
-    per principal ideal. x*I is the sum of the principal ideals (x*g) over
-    the generators g of I, so each entry is a sum of ``_principal_masks``
-    entries.
+    per ``_principal_table`` class. x*I is the sum of the (x*g) over the
+    generators g of I: the position of one (x*g), or the join of several,
+    the lowest bit of the AND of their UP sets.
     """
     pm = _principal_masks(R)
-    ppos = [R.lattice_position(m) for m in pm]
+    ppos, up = list(map(R._lattice_positions().__getitem__, pm)), _up_sets(R)
     gens = [generator_list(I) for I in R.ideals()]
 
     def scaled(row: tuple[int, ...], gs: tuple[int, ...]) -> int:
         if len(gs) == 1:
             return ppos[row[gs[0]]]
-        mask = 1 << R.zero
-        for g in gs:
-            mask = _sum_masks(R, mask, pm[row[g]])
-        return R.lattice_position(mask)
+        return _lsb(reduce(and_, [up[ppos[row[g]]] for g in gs]))
 
-    rows: dict[int, tuple[int, ...]] = {}
-    for x, row in enumerate(R.mul_table):
-        if pm[x] not in rows:
-            rows[pm[x]] = tuple(scaled(row, gs) for gs in gens)
-    return tuple(rows[m] for m in pm)
+    rows = {m: tuple([scaled(R.mul_table[x], gs) for gs in gens])
+            for m, x in _principal_table(R).items()}
+    return tuple(map(rows.__getitem__, pm))
 
 
 def scaling_check(

@@ -12,7 +12,8 @@ Ideals are the submodules of the regular module, and submodules are built
 by the same code: ``_sum_masks`` adds two masks and ``_sum_closure`` closes
 a set of cyclic masks under pairwise sums. Both read only ``add_table`` and
 ``order``, so ``constructions.FiniteModule`` passes itself where a ring
-goes, with its cyclic submodules Re in place of the principal ideals.
+goes, with its cyclic submodules Re in place of the principal ideals. Once
+a ring's lattice exists, the library's own sums are joins of positions.
 """
 
 from __future__ import annotations
@@ -298,13 +299,6 @@ def _element_colons(R: FiniteRing, im: int) -> list[int]:
     return [masks[j] for j in cls]
 
 
-def _colon_meet(colons: list[int], gens: Iterable[int]) -> int:
-    """The mask of (I : P) from I's element colons and generators of P: x*P
-    lies in I exactly when x*g does for each generator g, so (I : P) is the
-    meet of the (I : g)."""
-    return reduce(and_, [colons[g] for g in gens])
-
-
 def principal_generator(I: Ideal) -> Optional[int]:
     """The smallest x with (x) = I, or None when I is not principal."""
     return _principal_table(I.ring).get(I.mask)
@@ -315,7 +309,9 @@ def is_principal(I: Ideal) -> bool:
 
 
 def generator_list(I: Ideal) -> tuple[int, ...]:
-    """A small generating set, chosen greedily over ascending indices.
+    """A small generating set, chosen greedily: each next generator x is
+    the smallest member outside the ideal spanned so far, whose sum with (x)
+    is their join, the lowest bit of the AND of their UP sets.
 
     Principal ideals come back as their single smallest generator, and the
     zero ideal as (zero,), so the result is never empty and always re-spans
@@ -326,17 +322,12 @@ def generator_list(I: Ideal) -> tuple[int, ...]:
         return (g,)
     R = I.ring
     R.lattice_position(I.mask)  # raises on a mask that is not an ideal
-    pm = _principal_masks(R)
-    gens: list[int] = []
-    current = 1 << R.zero
-    for x in I.members_sorted:
-        if (current >> x) & 1:
-            continue
-        gens.append(x)
-        current = _sum_masks(R, current, pm[x])
-        if current == I.mask:
-            break
-    return tuple(gens) if gens else (R.zero,)
+    lattice, up, pos, pm = R.ideals(), _up_sets(R), R._lattice_positions(), _principal_masks(R)
+    gens, current, rest = [], 0, I.mask  # current starts at the zero ideal's position
+    while rest := rest & ~lattice[current].mask:
+        gens.append(_lsb(rest))
+        current = _lsb(up[current] & up[pos[pm[gens[-1]]]])
+    return tuple(gens)
 
 
 # ----------------------------------------------------------------------
@@ -366,10 +357,13 @@ def colon(I: Ideal, d: Union[int, Element]) -> Ideal:
 
 
 def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
-    """The ideal colon (I : J) = {x : x*J lies in I}."""
+    """The ideal colon (I : J) = {x : x*J lies in I}: x*J lies in I exactly
+    when x*g does for each generator g of J, so (I : J) is the meet of the
+    element colons (I : g)."""
     if J.ring is not I.ring:
         raise RingMismatchError("ideals belong to different rings")
-    return Ideal(I.ring, _colon_meet(_element_colons(I.ring, I.mask), generator_list(J)))
+    colons = _element_colons(I.ring, I.mask)
+    return Ideal(I.ring, reduce(and_, [colons[g] for g in generator_list(J)]))
 
 
 def radical(I: Ideal) -> Ideal:
@@ -403,10 +397,13 @@ def _radical_positions(R: FiniteRing) -> tuple[int, ...]:
 
 @_per_ring("jacobson_square")
 def _jacobson_square(R: FiniteRing) -> int:
-    """The lattice position of Jac(R)^2. On a local ring Jac(R) is the
-    maximal ideal M, so this is also M^2."""
-    jac = R.jacobson_radical()
-    return R.lattice_position(ideal_product(jac, jac).mask)
+    """The lattice position of Jac(R)^2: the join of g*Jac(R) over the
+    generators g of Jac(R), each read off the scaling table. On a local ring
+    Jac(R) is the maximal ideal M, so this is also M^2."""
+    from .expansions import _scaling_table  # which imports this module
+
+    j, rows, up = _radical_positions(R)[0], _scaling_table(R), _up_sets(R)
+    return _lsb(reduce(and_, [up[rows[g][j]] for g in generator_list(R.ideals()[j])]))
 
 
 def scale(x: Union[int, Element], I: Ideal) -> Ideal:

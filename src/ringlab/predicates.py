@@ -58,10 +58,10 @@ from operator import and_
 from typing import Optional
 
 from .errors import InvariantError, RingMismatchError, RinglabError
-from .expansions import ExpansionFunction, _scaling_table, identity_expansion, radical_expansion
+from .expansions import (
+    ExpansionFunction, _meet_table, _scaling_table, identity_expansion, radical_expansion)
 from .ideals import (
     Ideal,
-    _colon_meet,
     _colon_up_sets,
     _element_colons,
     _larger_ideal,
@@ -378,21 +378,25 @@ def idealwise_one_absorbing_check(I: Ideal, delta: ExpansionFunction) -> IdealTr
 def _idealwise_pass_sets(R: FiniteRing) -> tuple[int, ...]:
     """{J : W_I inside J} for each proper ideal I, in lattice order, where
     W_I is the union of (I : P) over the distinct products P of two proper
-    ideals with P outside I. (I : P) is the meet of (I : g) over the
-    generators g of P (``_colon_meet``); it is the unit ideal exactly when P
-    lies inside I, where ``_colon_up_sets`` skips it. The products are
-    formed here with ``ideal_product``, once per ring, as the table is."""
-    up = _colon_up_sets(R)
-    pos = R.lattice_position
-    proper = R.proper_ideals()
-    products = {ideal_product(I1, I2) for i, I1 in enumerate(proper) for I2 in proper[i:]}
-    product_gens = [generator_list(P) for P in products]
+    ideals with P outside I. x*I1*I2 lies in I exactly when each x*g*h does,
+    for g and h generators of I1 and I2, so (I : P) is the meet of I's
+    ``_principal_colons`` row at the classes of the g*h, which key P: no
+    product is formed. It is the unit ideal exactly when P lies inside I,
+    where ``_colon_up_sets`` skips it."""
+    up, meet = _colon_up_sets(R), _meet_table(R)
+    _, cls, table = _principal_colons(R)
+    gens = [generator_list(I) for I in R.proper_ideals()]
+    keys = {frozenset([cls[R.mul_table[g][h]] for g in g1 for h in g2])
+            for i, g1 in enumerate(gens) for g2 in gens[i:]}
+    top = len(up) - 1  # the unit ideal, below which every meet lies
     val = []
-    for I in proper:
-        colons = _element_colons(R, I.mask)
-        s = up[-1]
-        for gens in product_gens:
-            s &= up[pos(_colon_meet(colons, gens))]
+    for row in table:
+        s = up[top]
+        for key in keys:
+            k = top
+            for j in key:
+                k = meet[k][row[j]]
+            s &= up[k]
         val.append(s)
     return tuple(val)
 
@@ -406,7 +410,7 @@ def _idealwise_witness(R: FiniteRing, im: int, dm: int) -> IdealTripleResult:
         for I2 in proper:
             P12 = ideal_product(I1, I2)
             if P12.mask & ~im:
-                K = _colon_meet(colons, generator_list(P12))
+                K = reduce(and_, [colons[g] for g in generator_list(P12)])
                 if K & ~dm:
                     return False, (I1, I2, Ideal(R, K))
     return True, None

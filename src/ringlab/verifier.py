@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from functools import reduce
 from time import perf_counter
 from typing import Callable, Optional
 
@@ -45,8 +46,6 @@ from .expansions import (
 from .ideals import (
     Ideal,
     _bits,
-    _colon_meet,
-    _element_colons,
     _jacobson_square,
     _lsb,
     _principal_colons,
@@ -547,9 +546,11 @@ def _t_char_cor(entry: CatalogEntry, part: _Part) -> None:
 
 
 def _annihilator(R: FiniteRing, I: Ideal) -> int:
-    """The lattice position of (0 : I): the meet of the zero ideal's colons
-    at I's generators, read without building an ideal."""
-    return R.lattice_position(_colon_meet(_element_colons(R, 1 << R.zero), generator_list(I)))
+    """The lattice position of (0 : I): the meet of the zero ideal's
+    ``_principal_colons`` row at the classes of I's generators, read off
+    the meet table without building an ideal."""
+    (_, cls, table), meet = _principal_colons(R), _meet_table(R)
+    return reduce(lambda a, b: meet[a][b], [table[0][cls[g]] for g in generator_list(I)])
 
 
 @_sweep("T-SPEC")

@@ -10,7 +10,10 @@ the tier through the validating constructors (``construction_oracle``).
 Last, the lattice of every product ring of the tier, and of Z4^5 (order
 1024, 243 ideals), which a product reads off its factors' lattices, must
 equal the sums of its principal ideals, each read straight from a row of
-its multiplication table (``product_lattices``).
+its multiplication table (``product_lattices``). And on every ring of the
+tier, ``generator_list`` must return the generators of its greedy walk with
+the sums formed as masks, and each principal ideal's scaling row must hold
+the positions of ``scale`` (``lattice_oracle``): both read joins.
 
 Run from the repository root; it writes nothing and exits 1 on a mismatch:
 
@@ -28,9 +31,10 @@ import time
 from pathlib import Path
 
 from construction_oracle import assert_catalog
+from lattice_oracle import scaling_differences, walk_differences
 from ringlab.catalog import CatalogConfig, build_catalog
 from ringlab.constructions import ProductOf
-from ringlab.ideals import _sum_closure
+from ringlab.ideals import _principal_table, _sum_closure
 from ringlab.specparse import parse_ring
 from ringlab.verifier import verify_all
 
@@ -73,6 +77,19 @@ def product_lattices(catalog) -> int:
     return len(rings)
 
 
+def lattice_reads(catalog) -> tuple[int, int]:
+    """Check every ring's generator walk and scaling rows against
+    ``lattice_oracle``. Returns the numbers of ideals and rows checked."""
+    ideals = rows = 0
+    for entry in catalog:
+        R = entry.ring
+        if walk_differences(R) or scaling_differences(R):
+            raise AssertionError(f"the generator walk or scaling rows of {R.label} differ")
+        ideals += len(R.ideals())
+        rows += len(_principal_table(R))
+    return ideals, rows
+
+
 def main() -> int:
     start = time.perf_counter()
     catalog = build_catalog(CONFIG)
@@ -88,10 +105,13 @@ def main() -> int:
     counts = assert_catalog(catalog)
     checked = time.perf_counter()
     products = product_lattices(catalog)
+    closed = time.perf_counter()
+    ideals, rows = lattice_reads(catalog)
     print(f"{len(catalog)} rings: built in {built - start:.2f} s, swept in {swept - built:.2f} s,"
           f" equal to the golden; oracle {dict(counts)} in {checked - swept:.2f} s;"
           f" {products} product lattices equal their principal closures in"
-          f" {time.perf_counter() - checked:.2f} s")
+          f" {closed - checked:.2f} s; generator walks of {ideals} ideals and"
+          f" {rows} scaling rows equal lattice_oracle in {time.perf_counter() - closed:.2f} s")
     return 0
 
 

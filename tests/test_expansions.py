@@ -8,6 +8,7 @@ import re
 import pytest
 
 from expansion_tables import entry_expansions
+from lattice_oracle import scaling_differences
 import ringlab.expansions as expansions
 import ringlab.predicates as predicates
 from ringlab.catalog import CatalogConfig, build_catalog
@@ -454,6 +455,15 @@ def test_scaling_table_matches_scale(catalog16):
             for x in range(R.order)
         )
         assert expansions._scaling_table(R) == want, entry.provenance
+
+
+def test_scaling_rows_match_scale_on_the_enlarged_tier(catalog_enlarged):
+    """On the enlarged tier, where more entries are joins over several
+    generators, each principal ideal's row, read at its smallest generator,
+    agrees with ``scale`` at every lattice ideal. Associates share that row
+    (``test_associates_share_one_scaling_row``)."""
+    for entry in catalog_enlarged:
+        assert scaling_differences(entry.ring) == [], entry.provenance
 
 
 def test_associates_share_one_scaling_row(request):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lattice_oracle import walk_differences
 from ringlab.errors import ConstructionError, ProperIdealError, RingMismatchError
 from ringlab.ideals import (
     _jacobson_square,
@@ -258,6 +259,20 @@ def test_generators_of_a_mask_that_is_no_ideal(z12):
                  lambda: ideal_colon(I, bad)):
         with pytest.raises(ConstructionError, match=r"^5 is not the mask of an ideal of .*Z12"):
             call()
+
+
+@pytest.mark.parametrize("tier", ["catalog16", "catalog_enlarged"])
+def test_generator_walk_matches_the_mask_walk(request, tier):
+    """The walk of ``generator_list`` steps through joins; it returns
+    exactly the generators of the same walk with its sums formed as masks,
+    which the plus:(...) and quotient labels print, at every ideal of both
+    tiers. Some of them take the non-principal walk."""
+    walked = 0
+    for entry in request.getfixturevalue(tier):
+        R = entry.ring
+        assert walk_differences(R) == [], entry.provenance
+        walked += sum(not is_principal(I) for I in R.ideals())
+    assert walked
 
 
 def test_is_ideal_mask(z12):

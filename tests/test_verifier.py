@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 import threading
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from construction_oracle import assert_catalog
 from expansion_tables import all_expansion_tables, entry_expansions
 from test_ideals import closure_product
 import ringlab.catalog as catalog_module
+import ringlab.constructions as constructions
 import ringlab.ideals as ideals
 import ringlab.predicates as predicates
 import ringlab.verifier as verifier
@@ -149,7 +151,9 @@ def test_square_sweeps_make_no_products(catalog16, monkeypatch):
     """Warm sweeps that read M^2 or Jac^2 take its lattice position from the
     per-ring square, and T-SPEC tests delta(0) against (0 : M), so it forms
     no product cold or warm: none makes an ``ideal_product`` call. The cold
-    T-SPEC run sweeps a freshly built catalog, whose rings hold no table."""
+    T-SPEC run sweeps a freshly built catalog, whose rings hold no table.
+    A square built afresh joins scaling entries and forms no product
+    either, so the counter is checked on ``Ideal.__mul__``, which does."""
     fresh = build_catalog.__wrapped__(CatalogConfig())
     calls = []
     original = ideals.ideal_product
@@ -171,7 +175,48 @@ def test_square_sweeps_make_no_products(catalog16, monkeypatch):
     for entry in catalog16:
         entry.ring.cache.pop("jacobson_square", None)
     verify("T-M2", catalog16)
-    assert calls, "the counter sees the products a cold square makes"
+    assert calls == [], "T-M2, its squares cold"
+    unit = next(iter(catalog16)).ring.ideals()[-1]
+    assert (unit * unit).mask == unit.mask
+    assert calls, "the counter sees the product that Ideal.__mul__ makes"
+
+
+def test_cold_sweeps_form_no_product(monkeypatch):
+    """Once a ring's lattice exists, the catalog and the sweeps read every
+    sum, product, colon meet and scaled ideal they need off lattice
+    positions. Building the default catalog afresh and running all 26
+    statements on it cold make no ``ideal_product`` call, and call
+    ``_sum_masks`` only from ``_sum_closure``, which builds the lattices, and
+    from T-PROD-EX's caller rule, which spans (2) and adds it to radicals
+    with ``Ideal.__add__``."""
+    statement = [None]  # the statement being swept, None while building
+    products, sums = [], []
+    original_product, original_sum = ideals.ideal_product, ideals._sum_masks
+
+    def counting_product(I, J):
+        products.append(statement[0])
+        return original_product(I, J)
+
+    def counting_sum(R, m1, m2):
+        caller = sys._getframe(1).f_code.co_name
+        if caller != "_sum_closure":
+            sums.append((statement[0], caller))
+        return original_sum(R, m1, m2)
+
+    monkeypatch.setattr(ideals, "ideal_product", counting_product)
+    monkeypatch.setattr(predicates, "ideal_product", counting_product)
+    monkeypatch.setattr(ideals, "_sum_masks", counting_sum)
+    monkeypatch.setattr(constructions, "_sum_masks", counting_sum)
+    fresh = build_catalog.__wrapped__(CatalogConfig())
+    for tid in THEOREM_IDS:
+        statement[0] = tid
+        verify(tid, fresh)
+    assert products == []
+    assert set(sums) == {("T-PROD-EX", "span"), ("T-PROD-EX", "__add__")}
+    statement[0] = "Ideal.__mul__"
+    unit = next(iter(fresh)).ring.ideals()[-1]
+    assert (unit * unit).mask == unit.mask
+    assert products == ["Ideal.__mul__"], "the counter sees the product that Ideal.__mul__ makes"
 
 
 @pytest.mark.parametrize("tier, local", [("catalog16", 98), ("catalog_enlarged", 104)])
