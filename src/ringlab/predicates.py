@@ -481,22 +481,26 @@ def _verdicts(name: str, R: FiniteRing, delta: Optional[ExpansionFunction] = Non
 
     Kept in the verdicts of the expansion it is read at, delta or, for a
     delta-free check, id or rad, so a sweep combines ints instead of
-    calling the check per instance, and a hit is one dict lookup. A miss
-    builds the vectors of every check in ``_FUSED`` at once when the check
-    read is one of them, unless ``alone`` asks for its own only: a check at
-    one ideal and a search query read only the checks they name, and the
-    others' pass sets would cost them more than one pass saves. ``name`` is
-    a check or "idealwise".
+    calling the check per instance. A hit in delta's record is one dict
+    lookup, before ``_STOCK`` is read: records hold ``_PASS_SETS`` rows
+    only, and maximal only in id's, so a stock name is still read at id or
+    rad. A miss builds the vectors of every check in ``_FUSED`` at once when
+    the check read is one of them, unless ``alone`` asks for its own only:
+    a check at one ideal and a search query read only the checks they name,
+    and the others' pass sets would cost them more than one pass saves.
+    ``name`` is a check or "idealwise". The sweeps read it through the
+    seams that their tests patch: ``verifier._verdicts``, ``_one_abs`` and
+    ``_primary``.
     """
+    if delta is not None and (got := delta.verdicts.get(name)) is not None:
+        return got
     stock = _STOCK.get(name)
     if stock is not None:
         name, delta = stock[0], stock[1](R)
     store = delta.verdicts
-    got = store.get(name)
-    if got is None:
+    if name not in store:
         _fill(store, _FUSED if name in _FUSED and not alone else (name,), R, delta.table)
-        got = store[name]
-    return got
+    return store[name]
 
 
 def _fill(store: dict, names: tuple[str, ...], R: FiniteRing, table: tuple[int, ...]) -> None:

@@ -351,9 +351,9 @@ class FiniteRing:
 
 
 def _colon_rows(rows: Sequence[Sequence[int]], imask: int) -> tuple[int, ...]:
-    """For each multiplication row of some d, the mask of {x : d*x in imask},
-    one entry at a time: the path of ``ideals._principal_colons`` above
-    order 256, and the oracle of the colons read off its table."""
+    """For each multiplication or action row of some d, the mask of {x : d*x
+    in imask}: the path of ``ideals._principal_colons`` above order 256 and
+    of T-TRIV's (F : c), and the oracle of the colons read off the table."""
     return tuple(sum(1 << x for x, v in enumerate(row) if (imask >> v) & 1) for row in rows)
 
 

@@ -65,7 +65,7 @@ from .predicates import (
     is_delta_primary,
     one_absorbing_delta_primary_check,
 )
-from .rings import FiniteRing, _Record, make_zn
+from .rings import FiniteRing, _colon_rows, _Record, make_zn
 from .specparse import Query, parse_query
 
 FAILURE_CAP = 50
@@ -166,8 +166,12 @@ def _names(R: FiniteRing, idxs) -> tuple[str, ...]:
 
 
 # Sweeps count the verdict vectors of ``predicates._verdicts`` by popcount and
-# walk the set bits of ``hyp & ~concl`` in ascending order, so failures keep
-# their order. Only a failure calls its check, for the witness.
+# walk the set bits of a failure mask such as ``hyp & ~concl``, in ascending
+# order so that failures keep their order, and only when it is nonzero. On the
+# success path an expansion costs bit operations and table lookups: per-ring
+# masks (T-TRIV's pairs, T-COLON's reach rows) and value groups (T-INTER) stand
+# in for per-instance loops. Only a failure calls its check, for the witness.
+# Tests patch the reads at ``_verdicts``, ``_one_abs`` and ``_primary``.
 
 
 def _one_abs(d: ExpansionFunction) -> int:
@@ -223,10 +227,11 @@ def _t_chain(entry: CatalogEntry, part: _Part) -> None:
     for d in entry.expansions:
         hyp = prime | _primary(d)
         part.instances(len(proper), hyp.bit_count())
-        for p in _bits(hyp & ~_one_abs(d)):
-            _, wit = one_absorbing_delta_primary_check(proper[p], d)
-            source = "1abs-prime" if prime >> p & 1 else "delta-primary"
-            part.fail(proper[p], d.label, wit, f"{source} ideal lost the 1-absorbing form")
+        if fails := hyp & ~_one_abs(d):
+            for p in _bits(fails):
+                _, wit = one_absorbing_delta_primary_check(proper[p], d)
+                source = "1abs-prime" if prime >> p & 1 else "delta-primary"
+                part.fail(proper[p], d.label, wit, f"{source} ideal lost the 1-absorbing form")
 
 
 @_sweep("T-MONO")
@@ -275,8 +280,9 @@ def _t_2abs(entry: CatalogEntry, part: _Part) -> None:
     for d in entry.expansions:
         one_abs = _one_abs(d)
         part.instances(len(proper), one_abs.bit_count())
-        for p in _bits(one_abs & ~_verdicts("2abs-delta-primary", R, d)):
-            part.fail(proper[p], d.label, None, "not 2-absorbing delta-primary")
+        if fails := one_abs & ~_verdicts("2abs-delta-primary", R, d):
+            for p in _bits(fails):
+                part.fail(proper[p], d.label, None, "not 2-absorbing delta-primary")
 
 
 @_sweep("T-SEMI")
@@ -289,8 +295,9 @@ def _t_semi(entry: CatalogEntry, part: _Part) -> None:
         t = d.table
         hyp = sum(1 << p for p in _bits(_one_abs(d)) if rpos[t[p]] == t[p])
         part.instances(len(proper), hyp.bit_count())
-        for p in _bits(hyp & ~_verdicts("delta-semiprimary", R, d)):
-            part.fail(proper[p], d.label, None, "not delta-semiprimary")
+        if fails := hyp & ~_verdicts("delta-semiprimary", R, d):
+            for p in _bits(fails):
+                part.fail(proper[p], d.label, None, "not delta-semiprimary")
 
 
 @_sweep("T-LOCAL")
@@ -327,26 +334,37 @@ def _t_xm(entry: CatalogEntry, part: _Part) -> None:
                     part.fail(xM, d.label, (x,), "xM is delta-primary")
 
 
+def _colon_reach(R: FiniteRing) -> list[int]:
+    """For each proper I_p, the mask of the positions of (I_p : a) over the
+    nonunits a outside I_p: its principal colons less the unit class's."""
+    _, cls, table = _principal_colons(R)
+    unit = cls[R.one]
+    bit = [1 << k for k in range(len(table))] + [0]  # the unit ideal, (I_p : a) for a in I_p
+    return [sum(map(bit.__getitem__, set(row[:unit] + row[unit + 1 :]))) for row in table]
+
+
 @_sweep("T-COLON")
 def _t_colon(entry: CatalogEntry, part: _Part) -> None:
     """Colon by a nonunit outside a 1-absorbing delta-primary ideal is delta-primary.
 
-    (I_p : a) is entry table[p][cls[a]] of the principal colons, the unit
-    ideal exactly when a lies in I_p, so the colons of I_p reach the
-    entries of the nonunit classes less the unit ideal; |nonunits| - |I_p|
-    nonunits lie outside I_p. Only an ideal whose reach leaves the
-    delta-primary vector walks the nonunits, for the witnesses."""
+    (I_p : a) is entry table[p][cls[a]] of the principal colons, and the
+    |nonunits| - |I_p| nonunits outside I_p reach row p of ``_colon_reach``.
+    Only an ideal whose reach leaves the delta-primary vector walks the
+    nonunits, for the witnesses."""
     R = entry.ring
     nonunits = R.nonunit_list
     proper = R.proper_ideals()
     _, cls, table = _principal_colons(R)
-    unit = cls[R.one]
-    reach = [sum(1 << k for k in set(row[:unit] + row[unit + 1 :])) & ~(1 << len(proper))
-             for row in table]
+    reach = _colon_reach(R)
     counts = [len(nonunits) - I.num_elements for I in proper]
     for d in entry.expansions:
-        one_abs, primary = _one_abs(d), _primary(d)
-        part.instances(len(nonunits) * len(proper), sum(counts[p] for p in _bits(one_abs)))
+        one_abs, primary, hits, reached = _one_abs(d), _primary(d), 0, 0
+        for p in _bits(one_abs):
+            hits += counts[p]
+            reached |= reach[p]
+        part.instances(len(nonunits) * len(proper), hits)
+        if not reached & ~primary:
+            continue
         for p in _bits(one_abs):
             if reach[p] & ~primary:
                 I = proper[p]
@@ -364,8 +382,9 @@ def _t_m2(entry: CatalogEntry, part: _Part) -> None:
     for d in entry.expansions:
         one_abs = _one_abs(d)
         part.instances(len(proper), one_abs.bit_count())
-        for p in _bits(one_abs & ~(_verdicts("delta-semiprimary", R, d) | m2)):
-            part.fail(proper[p], d.label, None, "neither delta-semiprimary nor M^2 inside I")
+        if fails := one_abs & ~(_verdicts("delta-semiprimary", R, d) | m2):
+            for p in _bits(fails):
+                part.fail(proper[p], d.label, None, "neither delta-semiprimary nor M^2 inside I")
 
 
 # ----------------------------------------------------------------------
@@ -380,13 +399,10 @@ def _equiv_off(part: _Part, entry: CatalogEntry, m2: int, context: str) -> None:
     for d in entry.expansions:
         one_abs, primary = _one_abs(d), _primary(d)
         part.instances(len(proper), hyp.bit_count())
-        for p in _bits(hyp & (one_abs ^ primary)):
-            _fail_equiv(part, proper[p], d, one_abs >> p & 1, primary >> p & 1, context)
-
-
-def _fail_equiv(part: _Part, I: Ideal, d: ExpansionFunction, one_abs: int, primary: int,
-                context: str) -> None:
-    part.fail(I, d.label, None, f"{context}: 1abs={bool(one_abs)} delta-primary={bool(primary)}")
+        if fails := hyp & (one_abs ^ primary):
+            for p in _bits(fails):
+                a, b = bool(one_abs >> p & 1), bool(primary >> p & 1)
+                part.fail(proper[p], d.label, None, f"{context}: 1abs={a} delta-primary={b}")
 
 
 @_sweep("T-CHAINED")
@@ -428,7 +444,8 @@ def _t_pmax(entry: CatalogEntry, part: _Part) -> None:
             if a != alt >> p & 1:
                 part.fail(proper[p], d.label, None, f"1abs={bool(a)} primary-or-M^2={not a}")
             elif up[rpos[p]] >> d.table[p] & 1:  # sqrt(I) inside delta(I), and primary = not a
-                _fail_equiv(part, proper[p], d, a, not a, "sqrt(I) inside delta(I)")
+                detail = f"sqrt(I) inside delta(I): 1abs={bool(a)} delta-primary={not a}"
+                part.fail(proper[p], d.label, None, detail)
 
 
 # ----------------------------------------------------------------------
@@ -469,22 +486,29 @@ def _t_idem(entry: CatalogEntry, part: _Part) -> None:
 
 @_sweep("T-INTER")
 def _t_inter(entry: CatalogEntry, part: _Part) -> None:
-    """Intersections of 1abs ideals sharing their delta value stay 1abs."""
+    """Intersections of 1abs ideals sharing their delta value stay 1abs.
+
+    The pairs within each group of k 1abs positions that share a delta value,
+    k(k - 1)/2, hold the hypothesis; sorted, the failing ones keep (p, q) order."""
     R = entry.ring
-    proper = R.proper_ideals()
+    proper, meet = R.proper_ideals(), _meet_table(R)
     n = len(proper)
-    meet = _meet_table(R)
     for d in entry.expansions:
-        one_abs = _one_abs(d)
-        ones = list(_bits(one_abs)) if is_intersection_preserving(d) else []
-        hits = [(p, q) for i, p in enumerate(ones) for q in ones[i + 1 :]
-                if d.table[p] == d.table[q]]
-        part.instances(n * (n - 1) // 2, len(hits))
-        for p, q in hits:
+        one_abs, hits, failing = _one_abs(d), 0, []
+        if one_abs & (one_abs - 1) and is_intersection_preserving(d):  # two or more bits
+            groups: dict[int, list[int]] = {}
+            for p in _bits(one_abs):
+                groups.setdefault(d.table[p], []).append(p)
+            for g in groups.values():
+                if len(g) > 1:
+                    hits += len(g) * (len(g) - 1) // 2
+                    failing += [(p, q) for i, p in enumerate(g) for q in g[i + 1 :]
+                                if not one_abs >> meet[p][q] & 1]
+        part.instances(n * (n - 1) // 2, hits)
+        for p, q in sorted(failing):
             I, J = proper[p], proper[q]
-            if not one_abs >> meet[p][q] & 1:
-                K = ideal_intersection(I, J)
-                part.fail(K, d.label, None, f"intersection of {I.label} and {J.label}")
+            K = ideal_intersection(I, J)
+            part.fail(K, d.label, None, f"intersection of {I.label} and {J.label}")
 
 
 @_sweep("T-PRINC")
@@ -729,26 +753,38 @@ def _t_prod_ex(part: _Part) -> None:
             )
 
 
+def _triv_pairs(T: FiniteRing) -> list[tuple[int, int, bool]]:
+    """(p, q, whether (F : c) = F for every c outside I_p) per pair ideal
+    J_q = I_p x F of T with I_p proper, in ``pair_ideals`` order: I_p and the
+    c with (F : c) = F, one mask per F from ``_colon_rows``, cover the base."""
+    pairs, action = _correspondence(T)[2], T.construction.module.action
+    fixers = {F: sum(1 << c for c, m in enumerate(_colon_rows(action, F)) if m == F)
+              for F in {F for _, _, F in pairs}}
+    masks = [I.mask for I in T.construction.base.ideals()]  # the unit ideal's last
+    return [(p, q, masks[p] | fixers[F] == masks[-1]) for p, q, F in pairs if p < len(masks) - 1]
+
+
 @_sweep("T-TRIV")
 def _t_triv(entry: CatalogEntry, part: _Part) -> None:
-    """Trivial extension pair ideals transport the 1-absorbing form."""
+    """Trivial extension pair ideals transport the 1-absorbing form.
+
+    d's 1abs base positions, lifted to the pair positions above them, screen
+    for failures: only a nonzero screen walks the pairs, for the witnesses."""
     info = entry.ring.construction
     if not isinstance(info, TrivialExtensionOf):
         return
-    T = entry.ring
-    A, E = info.base, info.module
-    base = A.ideals()
-    pairs = [  # (p, q, whether (F : c) = F for every c outside I_p)
-        (p, q, all(E.module_colon(F, c) == F for c in range(A.order) if c not in base[p]))
-        for p, q, F in _correspondence(T)[2]
-        if base[p].is_proper
-    ]
-    pair_qs = sum(1 << q for _, q, _ in pairs)
-    fixed_qs = sum(1 << q for _, q, colon_fixed in pairs if colon_fixed)
+    T, A, pairs = entry.ring, info.base, _triv_pairs(entry.ring)
+    base, above = A.ideals(), [0] * len(A.ideals())  # per base position, its pair positions
+    for p, q, _ in pairs:
+        above[p] |= 1 << q
+    pair_qs, fixed_qs = sum(above), sum(1 << q for _, q, colon_fixed in pairs if colon_fixed)
     for d in part.sources.get(id(A), ()):
         dt = induced_trivial_extension(T, d)
         d_abs, dt_abs = _one_abs(d), _one_abs(dt)
         part.instances(len(pairs), (dt_abs & pair_qs | fixed_qs).bit_count())
+        lifted = sum(above[p] for p in _bits(d_abs))
+        if not (dt_abs & pair_qs & ~lifted or fixed_qs & (dt_abs ^ lifted)):
+            continue
         for p, q, colon_fixed in pairs:
             up, down = dt_abs >> q & 1, d_abs >> p & 1
             if up and not down:

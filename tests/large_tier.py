@@ -13,7 +13,9 @@ equal the sums of its principal ideals, each read straight from a row of
 its multiplication table (``product_lattices``). And on every ring of the
 tier, ``generator_list`` must return the generators of its greedy walk with
 the sums formed as masks, and each principal ideal's scaling row must hold
-the positions of ``scale`` (``lattice_oracle``): both read joins.
+the positions of ``scale`` (``lattice_oracle``): both read joins. On every
+trivial extension, T-TRIV's colon-fixed flag of each pair ideal must equal
+the colons formed one ``module_colon`` at a time (``colon_masks``).
 
 Run from the repository root; it writes nothing and exits 1 on a mismatch:
 
@@ -31,9 +33,9 @@ import time
 from pathlib import Path
 
 from construction_oracle import assert_catalog
-from lattice_oracle import scaling_differences, walk_differences
+from lattice_oracle import colon_fixed_differences, scaling_differences, walk_differences
 from ringlab.catalog import CatalogConfig, build_catalog
-from ringlab.constructions import ProductOf
+from ringlab.constructions import ProductOf, TrivialExtensionOf
 from ringlab.ideals import _principal_table, _sum_closure
 from ringlab.specparse import parse_ring
 from ringlab.verifier import verify_all
@@ -90,6 +92,17 @@ def lattice_reads(catalog) -> tuple[int, int]:
     return ideals, rows
 
 
+def colon_masks(catalog) -> tuple[int, int]:
+    """Check T-TRIV's colon-fixed flags on every trivial extension against
+    ``lattice_oracle``. Returns the numbers of extensions and of pairs over
+    proper ideals checked."""
+    rings = [e.ring for e in catalog if isinstance(e.ring.construction, TrivialExtensionOf)]
+    for T in rings:
+        if colon_fixed_differences(T):
+            raise AssertionError(f"the colon-fixed flags of {T.label} differ")
+    return len(rings), sum(I.is_proper for T in rings for I, _ in T.construction.pair_ideals())
+
+
 def main() -> int:
     start = time.perf_counter()
     catalog = build_catalog(CONFIG)
@@ -107,11 +120,15 @@ def main() -> int:
     products = product_lattices(catalog)
     closed = time.perf_counter()
     ideals, rows = lattice_reads(catalog)
+    read = time.perf_counter()
+    extensions, pairs = colon_masks(catalog)
     print(f"{len(catalog)} rings: built in {built - start:.2f} s, swept in {swept - built:.2f} s,"
           f" equal to the golden; oracle {dict(counts)} in {checked - swept:.2f} s;"
           f" {products} product lattices equal their principal closures in"
           f" {closed - checked:.2f} s; generator walks of {ideals} ideals and"
-          f" {rows} scaling rows equal lattice_oracle in {time.perf_counter() - closed:.2f} s")
+          f" {rows} scaling rows equal lattice_oracle in {read - closed:.2f} s;"
+          f" colon-fixed flags of {pairs} pairs in {extensions} trivial extensions equal"
+          f" the module colons in {time.perf_counter() - read:.2f} s")
     return 0
 
 

@@ -4,8 +4,10 @@ once a ring's lattice exists.
 ``ideals.generator_list`` walks its non-principal ideals through joins, and
 ``expansions._scaling_table`` forms its multi-generator entries as joins.
 Here the walk sums masks with ``ideals._sum_masks``, and each scaled ideal
-multiplies every member, so neither reads the join. Used by the Tier-1
-tests and by ``tests/large_tier.py``.
+multiplies every member, so neither reads the join. T-TRIV reads whether
+(F : c) = F for every c outside I off one colon-fixed mask per submodule F
+(``verifier._triv_pairs``); here each colon is formed by ``module_colon``.
+Used by the Tier-1 tests and by ``tests/large_tier.py``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from ringlab.expansions import _scaling_table
 from ringlab.ideals import (
     Ideal, _principal_masks, _principal_table, _sum_masks, generator_list, principal_generator, scale)
 from ringlab.rings import FiniteRing
+from ringlab.verifier import _triv_pairs
 
 
 def mask_walk(I: Ideal) -> tuple[int, ...]:
@@ -48,3 +51,21 @@ def scaling_differences(R: FiniteRing) -> list[tuple[int, int]]:
     table, pos = _scaling_table(R), R.lattice_position
     return [(x, p) for x in _principal_table(R).values() for p, I in enumerate(R.ideals())
             if table[x][p] != pos(scale(x, I).mask)]
+
+
+def colon_fixed(T: FiniteRing, I: Ideal, F: int) -> bool:
+    """Whether (F : c) = F for every c of the trivial extension T's base
+    outside I, one ``module_colon`` at a time."""
+    E = T.construction.module
+    return all(E.module_colon(F, c) == F for c in range(E.ring.order) if c not in I)
+
+
+def colon_fixed_differences(T: FiniteRing) -> list:
+    """The entries of ``_triv_pairs(T)`` that differ from (p, q, flag) built
+    here, per pair ideal I_p x F with I_p proper in ``pair_ideals`` order,
+    with the flag from ``colon_fixed``: empty when they agree."""
+    info = T.construction
+    want = [(info.base.lattice_position(I.mask), T.lattice_position(info.pair_mask(I.mask, F)),
+             colon_fixed(T, I, F)) for I, F in info.pair_ideals() if I.is_proper]
+    got = _triv_pairs(T)
+    return [g for g, w in zip(got, want) if g != w] + got[len(want):] + want[len(got):]

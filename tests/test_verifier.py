@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import random
 import re
@@ -13,9 +15,11 @@ import pytest
 
 from construction_oracle import assert_catalog
 from expansion_tables import all_expansion_tables, entry_expansions
+from lattice_oracle import colon_fixed, colon_fixed_differences
 from test_ideals import closure_product
 import ringlab.catalog as catalog_module
 import ringlab.constructions as constructions
+import ringlab.expansions as expansions
 import ringlab.ideals as ideals
 import ringlab.predicates as predicates
 import ringlab.verifier as verifier
@@ -27,6 +31,7 @@ from ringlab.expansions import (
     constant_ring,
     from_rule,
     identity_expansion,
+    induced_trivial_extension,
     is_intersection_preserving,
     localization_compatibility,
     preserves_jacobson,
@@ -219,6 +224,41 @@ def test_cold_sweeps_form_no_product(monkeypatch):
     assert products == ["Ideal.__mul__"], "the counter sees the product that Ideal.__mul__ makes"
 
 
+def test_cold_sweeps_form_no_module_colon(monkeypatch):
+    """On the success path the sweeps do bit operations and table lookups
+    per expansion. Building the default catalog afresh and running all 26
+    statements on it cold make no ``FiniteModule.module_colon`` call: T-TRIV
+    reads its colon-fixed pairs off one mask per submodule. T-INTER tests
+    ``is_intersection_preserving`` only for the 879 expansions with two or
+    more 1-absorbing positions, since no pair can hold its hypothesis
+    otherwise. The counter then sees a direct ``module_colon`` call."""
+    colons, preserving = [], []
+    module_colon, original = constructions.FiniteModule.module_colon, is_intersection_preserving
+
+    def counting_colon(E, fmask, c):
+        colons.append(E.spec_label)
+        return module_colon(E, fmask, c)
+
+    def counting_preserving(d):
+        preserving.append(d)
+        return original(d)
+
+    monkeypatch.setattr(constructions.FiniteModule, "module_colon", counting_colon)
+    monkeypatch.setattr(verifier, "is_intersection_preserving", counting_preserving)
+    fresh = build_catalog.__wrapped__(CatalogConfig())
+    for tid in THEOREM_IDS:
+        verify(tid, fresh)
+    assert colons == []
+    several = [d for e in sorted(fresh.entries, key=lambda e: e.provenance)
+               for d in e.expansions if verifier._one_abs(d).bit_count() >= 2]
+    assert len(preserving) == len(several) == 879
+    assert all(a is b for a, b in zip(preserving, several))
+    E = next(e.ring.construction.module for e in fresh
+             if isinstance(e.ring.construction, TrivialExtensionOf))
+    assert E.module_colon(1 << E.zero, E.ring.zero) == (1 << E.order) - 1
+    assert colons == [E.spec_label], "the counter sees a direct module_colon call"
+
+
 @pytest.mark.parametrize("tier, local", [("catalog16", 98), ("catalog_enlarged", 104)])
 def test_spec_reads_products_with_m_off_the_annihilator(request, tier, local):
     """T-SPEC reads delta(0)*M = 0 as delta(0) inside (0 : M). On every local
@@ -237,6 +277,25 @@ def test_spec_reads_products_with_m_off_the_annihilator(request, tier, local):
             assert bool(up >> ann & 1) == (closure_product(J, M) == 1 << R.zero), (
                 entry.provenance, J.label)
     assert rings == local
+
+
+@pytest.mark.parametrize("tier, counts", [("catalog16", (32, 188, 121)),
+                                          ("catalog_enlarged", (42, 260, 161))])
+def test_triv_colon_masks_match_the_module_colons(request, tier, counts):
+    """T-TRIV reads whether (F : c) = F for every c outside I_p off one mask
+    per submodule F, the c that fix F. On every trivial extension of both
+    tiers, each pair ideal's flag equals the colons formed one
+    ``module_colon`` at a time, and the pairs come in ``pair_ideals`` order.
+    Pinned: the extensions, their pairs over proper ideals, and the pairs
+    whose flag is set."""
+    extensions = pairs = fixed = 0
+    for entry in request.getfixturevalue(tier):
+        T = entry.ring
+        if isinstance(T.construction, TrivialExtensionOf):
+            assert colon_fixed_differences(T) == [], entry.provenance
+            flags = [colon_fixed for _, _, colon_fixed in verifier._triv_pairs(T)]
+            extensions, pairs, fixed = extensions + 1, pairs + len(flags), fixed + sum(flags)
+    assert (extensions, pairs, fixed) == counts
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -334,29 +393,16 @@ def test_colon_positions_match_colon_on_default_catalog():
     assert rows == 805
 
 
-def _colon_reference(catalog):
-    """T-COLON as a per-nonunit loop at every proper ideal, reading the
-    verifier's verdict vectors: its instance and hypothesis counts, and its
-    failures in report order."""
-    checked = hits = 0
-    failures = []
-    for entry in sorted(catalog.entries, key=lambda e: e.provenance):
+@pytest.mark.parametrize("tier", ["catalog16", "catalog_enlarged"])
+def test_colon_reach_holds_the_colons_by_nonunits_outside(request, tier):
+    """Row p of ``_colon_reach``, which T-COLON screens with, holds the
+    lattice positions of (I_p : a) for the nonunits a outside I_p, and no
+    other: not I_p = (I_p : 1) unless a nonunit reaches it."""
+    for entry in request.getfixturevalue(tier):
         R = entry.ring
-        for d in entry.expansions:
-            one_abs, primary = verifier._one_abs(d), verifier._primary(d)
-            for p, I in enumerate(R.proper_ideals()):
-                for a in R.nonunit_list:
-                    checked += 1
-                    if not one_abs >> p & 1 or a in I:
-                        continue
-                    hits += 1
-                    if not primary >> R.lattice_position(colon(I, a).mask) & 1:
-                        name = R.element_name(a)
-                        failures.append(Witness(
-                            entry.provenance, tuple(R.element_name(i) for i in I.members_sorted),
-                            d.label, (name,), f"(I:{name}) not delta-primary",
-                        ))
-    return checked, hits, failures
+        assert verifier._colon_reach(R) == [
+            sum({1 << R.lattice_position(colon(I, a).mask) for a in R.nonunit_list if a not in I})
+            for I in R.proper_ideals()], entry.provenance
 
 
 def test_colon_shortcut_reports_every_failure_of_the_loop(catalog16, monkeypatch):
@@ -377,18 +423,18 @@ def test_colon_shortcut_reports_every_failure_of_the_loop(catalog16, monkeypatch
     d0, k0 = max(reach, key=reach.get)
     assert verifier._primary(d0) >> k0 & 1
     before = verify("T-COLON", catalog16)
-    assert _colon_reference(catalog16) == (
+    assert _sweep_reference("T-COLON", catalog16) == (
         before.instances_checked, before.hypothesis_satisfied, []
     )
-    original = verifier._primary
+    verdicts = verifier._verdicts
 
-    def cleared(d):
-        got = original(d)
-        return got & ~(1 << k0) if d is d0 else got
+    def cleared(which, R, d=None):
+        got = verdicts(which, R, d)
+        return got & ~(1 << k0) if which == "delta-primary" and d is d0 else got
 
-    monkeypatch.setattr(verifier, "_primary", cleared)
+    monkeypatch.setattr(verifier, "_verdicts", cleared)
     report = verify("T-COLON", catalog16)
-    checked, hits, failures = _colon_reference(catalog16)
+    checked, hits, failures = _sweep_reference("T-COLON", catalog16)
     cap = verifier.FAILURE_CAP
     assert len(failures) == reach[d0, k0] > cap
     assert len({w.ideal for w in failures[:cap]}) > 1
@@ -460,32 +506,6 @@ def test_mono_counts_by_value_as_the_pair_loop_does(catalog16, monkeypatch):
     assert checked == 61380
 
 
-def _inter_reference(catalog):
-    """T-INTER as a loop over every pair of proper ideals, intersecting the
-    ideals themselves: its counts, and its failures in report order."""
-    checked = hits = 0
-    failures = []
-    for entry in sorted(catalog.entries, key=lambda e: e.provenance):
-        R = entry.ring
-        proper = R.proper_ideals()
-        for d in entry.expansions:
-            one_abs, preserving = verifier._one_abs(d), is_intersection_preserving(d)
-            for p, I in enumerate(proper):
-                for q in range(p + 1, len(proper)):
-                    checked += 1
-                    J = proper[q]
-                    if (preserving and one_abs >> p & 1 and one_abs >> q & 1
-                            and d(I).mask == d(J).mask):
-                        hits += 1
-                        K = ideal_intersection(I, J)
-                        if not one_abs >> R.lattice_position(K.mask) & 1:
-                            failures.append(Witness(
-                                entry.provenance, tuple(R.element_name(i) for i in K.members_sorted),
-                                d.label, None, f"intersection of {I.label} and {J.label}",
-                            ))
-    return checked, hits, failures
-
-
 def test_inter_reads_each_meet_off_the_meet_table(catalog16, monkeypatch):
     """With the 1-absorbing verdict cleared at the intersection of the most
     hypothesis pairs whose ideals are incomparable, T-INTER reports what the
@@ -505,16 +525,57 @@ def test_inter_reads_each_meet_off_the_meet_table(catalog16, monkeypatch):
                         k = entry.ring.lattice_position(K.mask)
                         meets[d, k] = meets.get((d, k), 0) + 1
     d0, k0 = max(meets, key=meets.get)
-    original = verifier._one_abs
+    verdicts = verifier._verdicts
 
-    def cleared(d):
-        got = original(d)
-        return got & ~(1 << k0) if d is d0 else got
+    def cleared(which, R, d=None):
+        got = verdicts(which, R, d)
+        return got & ~(1 << k0) if which == "1abs-delta-primary" and d is d0 else got
 
-    monkeypatch.setattr(verifier, "_one_abs", cleared)
+    monkeypatch.setattr(verifier, "_verdicts", cleared)
     report = verify("T-INTER", catalog16)
-    checked, hits, failures = _inter_reference(catalog16)
+    checked, hits, failures = _sweep_reference("T-INTER", catalog16)
     assert len(failures) == meets[d0, k0] > 0
+    assert (report.instances_checked, report.hypothesis_satisfied) == (checked, hits)
+    assert report.conclusion_failures == tuple(failures)
+
+
+def test_inter_reports_its_failing_pairs_in_pair_order(catalog16, monkeypatch):
+    """T-INTER collects its failing pairs one delta value at a time and
+    sorts them. One expansion's 1-absorbing vector is set to five positions
+    in two of its value groups, a1 < a2 < a3 and b1 < b2 with a1 < b1 < a2,
+    leaving out the meets of (a2, a3) and (b1, b2): both pairs fail, and
+    (b1, b2) is reported first, as the pair loop reports it."""
+
+    def interleaved():
+        for entry in sorted(catalog16.entries, key=lambda e: e.provenance):
+            meet, n = expansions._meet_table(entry.ring), len(entry.ring.proper_ideals())
+            for d in entry.expansions:
+                if not is_intersection_preserving(d):
+                    continue
+                groups = {}
+                for p in range(n):
+                    groups.setdefault(d.table[p], []).append(p)
+                for A, B in itertools.permutations(groups.values(), 2):
+                    for a1, a2, a3 in itertools.combinations(A, 3):
+                        for b1, b2 in itertools.combinations(B, 2):
+                            if a1 < b1 < a2 and {meet[a2][a3], meet[b1][b2]}.isdisjoint(
+                                    {a1, a2, a3, b1, b2}):
+                                return entry, d, (a1, a2, a3, b1, b2)
+
+    entry, d0, (a1, a2, a3, b1, b2) = interleaved()
+    verdicts, vector = verifier._verdicts, sum(1 << p for p in (a1, a2, a3, b1, b2))
+
+    def replaced(which, R, d=None):
+        return vector if which == "1abs-delta-primary" and d is d0 else verdicts(which, R, d)
+
+    monkeypatch.setattr(verifier, "_verdicts", replaced)
+    report = verify("T-INTER", catalog16)
+    checked, hits, failures = _sweep_reference("T-INTER", catalog16)
+    proper = entry.ring.proper_ideals()
+    details = [w.detail for w in report.conclusion_failures]
+    first, second = (f"intersection of {proper[p].label} and {proper[q].label}"
+                     for p, q in ((b1, b2), (a2, a3)))
+    assert details.index(first) < details.index(second)
     assert (report.instances_checked, report.hypothesis_satisfied) == (checked, hits)
     assert report.conclusion_failures == tuple(failures)
 
@@ -663,7 +724,7 @@ def test_indexed_sweeps_read_their_conclusion_vectors(catalog16, monkeypatch):
         for entry in catalog16:
             R = entry.ring
             for k, I in enumerate(R.proper_ideals()):
-                reach[R, k] = sum(1 for d in entry.expansions if fails(R, d, I))
+                reach[R, k] = sum(1 for d in entry.expansions if fails(catalog16, R, d, I))
         R0, k0 = max(reach, key=reach.get)
 
         def cleared(which, R, d=None, name=name, R0=R0, k0=k0):
@@ -677,6 +738,43 @@ def test_indexed_sweeps_read_their_conclusion_vectors(catalog16, monkeypatch):
         assert (report.instances_checked, report.hypothesis_satisfied) == (checked, hits), tid
         assert report.conclusion_failures == tuple(failures), tid
     monkeypatch.undo()
+
+
+def test_triv_fails_a_colon_fixed_pair_that_loses_the_form(catalog16, monkeypatch):
+    """The converse half of T-TRIV: with a trivial extension's 1-absorbing
+    verdict cleared at the colon-fixed pair ideal over a 1-absorbing base
+    ideal that the most base expansions reach, T-TRIV fails each of those
+    expansions there with the converse's detail alone, as its per-instance
+    loop does."""
+    entries = sorted(catalog16.entries, key=lambda e: e.provenance)
+    sources = {id(e.ring): e.expansions for e in entries}
+    reach = {}
+    for entry in entries:
+        T = entry.ring
+        if not isinstance(T.construction, TrivialExtensionOf):
+            continue
+        for d in sources.get(id(T.construction.base), ()):
+            dt = induced_trivial_extension(T, d)
+            for I, F in T.construction.pair_ideals():
+                J = Ideal(T, T.construction.pair_mask(I.mask, F))
+                if I.is_proper and colon_fixed(T, I, F) and _at("1abs-delta-primary", d, I) and _at(
+                        "1abs-delta-primary", dt, J):
+                    k = T.lattice_position(J.mask)
+                    reach[T, k] = reach.get((T, k), 0) + 1
+    T0, k0 = max(reach, key=reach.get)
+    verdicts = verifier._verdicts
+
+    def cleared(which, R, d=None):
+        got = verdicts(which, R, d)
+        return got & ~(1 << k0) if which == "1abs-delta-primary" and R is T0 else got
+
+    monkeypatch.setattr(verifier, "_verdicts", cleared)
+    report = verify("T-TRIV", catalog16)
+    checked, hits, failures = _sweep_reference("T-TRIV", catalog16)
+    assert len(failures) == reach[T0, k0] > 1
+    assert all(w.detail == "(F:c)=F but pair=False base=True" for w in failures)
+    assert (report.instances_checked, report.hypothesis_satisfied) == (checked, hits)
+    assert report.conclusion_failures == tuple(failures)
 
 
 def _at(name, d, I):
@@ -697,24 +795,74 @@ def _all_one_absorbing(d):
 
 
 # For each sweep rewritten over verdict vectors: the vector whose bit at I is
-# cleared, and when clearing it under d makes an instance fail.
+# cleared, and when clearing it under d makes an instance of the catalog fail.
 ONE_BIT_CLEARS = {
     "T-CHAIN": ("1abs-delta-primary",
-                lambda R, d, I: _at("1abs-prime", d, I) or _at("delta-primary", d, I)),
+                lambda cat, R, d, I: _at("1abs-prime", d, I) or _at("delta-primary", d, I)),
+    "T-SEMI": ("delta-semiprimary",
+               lambda cat, R, d, I: _at("1abs-delta-primary", d, I) and radical(d(I)) == d(I)),
     "T-LOCAL": ("delta-primary",
-                lambda R, d, I: not R.is_local() and _at("1abs-delta-primary", d, I)),
-    "T-M2": ("delta-semiprimary", lambda R, d, I: _at("1abs-delta-primary", d, I) and not (
+                lambda cat, R, d, I: not R.is_local() and _at("1abs-delta-primary", d, I)),
+    "T-COLON": ("delta-primary", lambda cat, R, d, K: any(
+        _at("1abs-delta-primary", d, I) for I in _colons_onto(R).get(K.mask, ()))),
+    "T-M2": ("delta-semiprimary", lambda cat, R, d, I: _at("1abs-delta-primary", d, I) and not (
         R.is_local() and _m2(R) <= I)),
-    "T-CHAINED": ("delta-primary", lambda R, d, I: R.is_chained() and _m2(R) != I
+    "T-CHAINED": ("delta-primary", lambda cat, R, d, I: R.is_chained() and _m2(R) != I
                   and _at("1abs-delta-primary", d, I)),
-    "T-PMAX": ("delta-primary", lambda R, d, I: R.is_local() and is_principal(R.maximal_ideals()[0])
+    "T-PMAX": ("delta-primary", lambda cat, R, d, I: R.is_local()
+               and is_principal(R.maximal_ideals()[0])
                and _at("delta-primary", d, I) and not _m2(R) <= I),
-    "T-SQRT": ("delta-primary", lambda R, d, K: any(
+    "T-SQRT": ("delta-primary", lambda cat, R, d, K: any(
         radical(I) == K and _sqrt_swaps(d, I) and _at("1abs-delta-primary", d, I)
         for I in R.proper_ideals())),
-    "T-IDEM": ("1abs-prime", lambda R, d, J: d(J) == J and _at("1abs-delta-primary", d, J)),
-    "T-PRINC": ("1abs-delta-primary", lambda R, d, I: not is_principal(I) and _all_one_absorbing(d)),
+    "T-IDEM": ("1abs-prime", lambda cat, R, d, J: d(J) == J and _at("1abs-delta-primary", d, J)),
+    "T-INTER": ("1abs-delta-primary", lambda cat, R, d, K: is_intersection_preserving(d) and any(
+        _at("1abs-delta-primary", d, I) and _at("1abs-delta-primary", d, J) and d(I) == d(J)
+        for I, J in _meets_onto(R).get(K.mask, ()))),
+    "T-PRINC": ("1abs-delta-primary",
+                lambda cat, R, d, I: not is_principal(I) and _all_one_absorbing(d)),
+    # the base's bit: a pair ideal I x F over it, 1-absorbing under d's induced expansion
+    "T-TRIV": ("1abs-delta-primary", lambda cat, R, d, I: _at("1abs-delta-primary", d, I) and any(
+        _at("1abs-delta-primary", induced_trivial_extension(T, d), J)
+        for T in _extensions(cat, R) for J in _pairs_over(T, I))),
 }
+
+
+@functools.cache
+def _colons_onto(R):
+    """For each colon (I : a) by a nonunit a outside a proper ideal I of R,
+    its mask, mapped to the list of those I."""
+    onto = {}
+    for I in R.proper_ideals():
+        for a in R.nonunit_list:
+            if a not in I:
+                onto.setdefault(colon(I, a).mask, []).append(I)
+    return onto
+
+
+@functools.cache
+def _meets_onto(R):
+    """For each intersection K of two incomparable proper ideals I and J of
+    R, its mask, mapped to the list of those pairs (I, J)."""
+    onto = {}
+    for i, I in enumerate(R.proper_ideals()):
+        for J in R.proper_ideals()[i + 1 :]:
+            K = ideal_intersection(I, J)
+            if K not in (I, J):
+                onto.setdefault(K.mask, []).append((I, J))
+    return onto
+
+
+def _extensions(catalog, A):
+    """The catalog's trivial extensions of A."""
+    return [e.ring for e in catalog if isinstance(e.ring.construction, TrivialExtensionOf)
+            and e.ring.construction.base is A]
+
+
+def _pairs_over(T, I):
+    """The pair ideals I x F of the trivial extension T, built from I's mask."""
+    info = T.construction
+    return [Ideal(T, info.pair_mask(I.mask, F)) for J, F in info.pair_ideals() if J == I]
 
 
 def _ideal_instance(tid, d, I):
@@ -726,6 +874,9 @@ def _ideal_instance(tid, d, I):
         prime = _at("1abs-prime", d, I)
         source = "1abs-prime" if prime else "delta-primary"
         return prime or b, None if a else (I, f"{source} ideal lost the 1-absorbing form")
+    if tid == "T-SEMI":
+        ok = _at("delta-semiprimary", d, I)
+        return a and radical(d(I)) == d(I), None if ok else (I, "not delta-semiprimary")
     if tid == "T-M2":
         ok = _at("delta-semiprimary", d, I) or R.is_local() and _m2(R) <= I
         return a, None if ok else (I, "neither delta-semiprimary nor M^2 inside I")
@@ -762,32 +913,77 @@ def _delta_instance(tid, d):
     return True, (bad, f"principal={principal_all} all={bad is None}")
 
 
+def _instances(tid, R, d):
+    """Each instance of ``tid`` under d on R, in the sweep's order, as (its
+    hypothesis, its failures), each failure (ideal, delta label, elements,
+    detail)."""
+    proper = R.proper_ideals()
+    if tid == "T-COLON":  # one instance per proper ideal and nonunit
+        for I in proper:
+            one_abs = _at("1abs-delta-primary", d, I)
+            for a in R.nonunit_list:
+                hyp = one_abs and a not in I
+                yield hyp, [] if not hyp or _at("delta-primary", d, colon(I, a)) else [
+                    (I, d.label, (R.element_name(a),), f"(I:{R.element_name(a)}) not delta-primary")]
+    elif tid == "T-INTER":  # one per pair of proper ideals
+        preserving = is_intersection_preserving(d)
+        for i, I in enumerate(proper):
+            for J in proper[i + 1 :]:
+                hyp = (preserving and _at("1abs-delta-primary", d, I)
+                       and _at("1abs-delta-primary", d, J) and d(I) == d(J))
+                K = ideal_intersection(I, J) if hyp else None
+                yield hyp, [] if not hyp or _at("1abs-delta-primary", d, K) else [
+                    (K, d.label, None, f"intersection of {I.label} and {J.label}")]
+    elif tid == "T-TRIV":  # one per pair ideal I x F with I proper; d is on the base
+        dt = induced_trivial_extension(R, d)
+        for I, F in R.construction.pair_ideals():
+            if I.is_proper:
+                J = Ideal(R, R.construction.pair_mask(I.mask, F))
+                up, down = _at("1abs-delta-primary", dt, J), _at("1abs-delta-primary", d, I)
+                fixed, failed = colon_fixed(R, I, F), []
+                if up and not down:
+                    failed.append((J, dt.label, None, f"pair ideal 1abs but {I.label} is not"))
+                if fixed and up != down:
+                    failed.append((J, dt.label, None, f"(F:c)=F but pair={up} base={down}"))
+                yield up or fixed, failed
+    else:
+        if tid in ("T-LOCAL", "T-PRINC"):
+            found = [_delta_instance(tid, d)]
+        else:
+            found = [_ideal_instance(tid, d, I) for I in proper]
+        for hyp, failed in found:
+            yield hyp, [] if failed is None else [(failed[0], d.label, None, failed[1])]
+
+
 def _sweep_reference(tid, catalog):
     """One of the sweeps of ``ONE_BIT_CLEARS`` as a loop over its instances,
     reading each verdict at an ideal built from the ring: its counts, and
-    its failures in report order."""
+    its failures in report order. T-TRIV reads its base's expansions."""
     checked = hits = 0
     failures = []
-    for entry in sorted(catalog.entries, key=lambda e: e.provenance):
+    entries = sorted(catalog.entries, key=lambda e: e.provenance)
+    sources = {id(e.ring): e.expansions for e in entries}
+    for entry in entries:
         R = entry.ring
         if tid == "T-CHAINED" and not R.is_chained():
             continue
         if tid == "T-PMAX" and not (R.is_local() and is_principal(R.maximal_ideals()[0])):
             continue
-        for d in entry.expansions:
-            if tid in ("T-LOCAL", "T-PRINC"):
-                instances = [_delta_instance(tid, d)]
-            else:
-                instances = [_ideal_instance(tid, d, I) for I in R.proper_ideals()]
-            for hyp, failed in instances:
+        if tid == "T-TRIV":
+            if not isinstance(R.construction, TrivialExtensionOf):
+                continue
+            exps = sources.get(id(R.construction.base), ())
+        else:
+            exps = entry.expansions
+        for d in exps:
+            for hyp, failed in _instances(tid, R, d):
                 checked += 1
                 if hyp:
                     hits += 1
-                    if failed is not None:
-                        J, detail = failed
-                        failures.append(Witness(
-                            entry.provenance, tuple(R.element_name(i) for i in J.members_sorted),
-                            d.label, None, detail))
+                    failures += [
+                        Witness(entry.provenance, tuple(map(R.element_name, J.members_sorted)),
+                                label, elements, detail)
+                        for J, label, elements, detail in failed]
     return checked, hits, failures
 
 
