@@ -524,7 +524,7 @@ def localize(R: FiniteRing, S: MultiplicativeSet) -> Localization:
 
 def _preimage_positions(f: RingHom) -> tuple[int, ...]:
     """For each codomain lattice position q, the domain position of f^-1(J_q)."""
-    pos = f.domain.lattice_position
+    pos = f.domain._lattice_positions().__getitem__
     return tuple(
         pos(sum(1 << a for a, v in enumerate(f.mapping) if (J.mask >> v) & 1))
         for J in f.codomain.ideals()
@@ -545,7 +545,7 @@ def _correspondence(R: FiniteRing) -> tuple:
       and pairs a (p, q, F) per pair ideal J_q = I_p x F, in ``pair_ideals``
       order.
     """
-    info, pos, lattice = R.construction, R.lattice_position, R.ideals()
+    info, pos, lattice = R.construction, R._lattice_positions().__getitem__, R.ideals()
     if isinstance(info, (QuotientOf, LocalizationOf)):
         f = info.projection.mapping
         # the image mask is the sum of the distinct bits f(a), a in I
@@ -557,10 +557,11 @@ def _correspondence(R: FiniteRing) -> tuple:
         return comp, dict(sorted(zip(comp, range(len(comp)))))  # inv, row-major
     if isinstance(info, TrivialExtensionOf):
         A, block = info.base, (1 << info.module.order) - 1
-        env = tuple(A.lattice_position(info._split(J.mask)[0]) for J in lattice)
+        apos = A._lattice_positions().__getitem__
+        env = tuple(apos(info._split(J.mask)[0]) for J in lattice)
         up = tuple(pos(info.pair_mask(I.mask, block)) for I in A.ideals())
         pairs = tuple(
-            (A.lattice_position(I.mask), pos(info.pair_mask(I.mask, F)), F)
+            (apos(I.mask), pos(info.pair_mask(I.mask, F)), F)
             for I, F in info.pair_ideals()
         )
         return env, up, pairs

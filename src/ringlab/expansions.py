@@ -251,7 +251,6 @@ def scaling_check(
     """
     R = delta.ring
     lattice = R.ideals()
-    zero = R.lattice_position(1 << R.zero)
     table = delta.table
     proper = range(len(lattice) - 1)
     rows = _scaling_table(R)
@@ -259,7 +258,7 @@ def scaling_check(
         row = rows[x]
         for p in proper:
             xp = row[p]
-            if xp != zero and table[xp] != row[table[p]]:
+            if xp and table[xp] != row[table[p]]:  # the zero ideal is at position 0
                 return False, (x, lattice[p])
     return True, None
 

@@ -241,7 +241,8 @@ def _principal_positions(R: FiniteRing) -> int:
     """The lattice positions of the proper principal ideals, as one int:
     every principal ideal's, less the unit ideal's."""
     top = len(R.proper_ideals())
-    return sum(1 << R.lattice_position(m) for m in _principal_table(R)) ^ 1 << top
+    pos = R._lattice_positions()
+    return sum(1 << pos[m] for m in _principal_table(R)) ^ 1 << top
 
 
 @_per_ring("principal_colons")
@@ -265,7 +266,7 @@ def _principal_colons(
     gens = tuple(pt.values())
     index = {m: j for j, m in enumerate(pt)}
     cls = tuple(index[m] for m in _principal_masks(R))
-    pos = R.lattice_position
+    pos = R._lattice_positions().__getitem__
     proper = R.proper_ideals()
     info = _factors(R)
     if info is not None:

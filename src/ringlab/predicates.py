@@ -37,9 +37,11 @@ delta = id or rad (prime is delta-primary at id, primary is it at rad).
 over the proper ideals, its verdict vector, kept in the table's record: the
 one way to evaluate a check over a ring. One kernel, ``_fill``, builds the
 vectors of the four checks read at delta(I) in one pass over a table's
-proper positions, on the first read of any of them, and every other check
-alone. The sweeps combine the vectors bitwise and count them by popcount,
-``classify`` reads each of the ten once per (ring, delta), and a
+proper positions, on the first read of any of them, from one word per
+position that packs their pass sets in lanes of stride n = |lattice|
+(``_packed_pass_sets``), and every other check alone, as one lane of its
+own pass sets. The sweeps combine the vectors bitwise and count them by
+popcount, ``classify`` reads each of the ten once per (ring, delta), and a
 ``search`` query is a bitwise formula over them;
 ``FiniteRing.maximal_ideals``, ``FiniteRing.spectrum`` and
 ``ideals.is_prime_element`` read them too. At one ideal, ``PREDICATES``
@@ -54,6 +56,7 @@ scans, ``ideals.colon``, ``ideals.ideal_colon`` and the definitional
 from __future__ import annotations
 
 from functools import partial, reduce
+from itertools import count
 from operator import and_
 from typing import Optional
 
@@ -240,8 +243,8 @@ def _semiprimary_pass_sets(R: FiniteRing) -> tuple[int, ...]:
     all of (I : a), must lie in J. (I : a) = (I : (a)), so one generator per
     principal ideal is enough: one row of ``_principal_colons``."""
     up = _up_sets(R)
-    pos = R.lattice_position
-    up_gens = [up[pos(m)] for m in _principal_table(R)]
+    pos = R._lattice_positions()
+    up_gens = [up[pos[m]] for m in _principal_table(R)]
     val = []
     for p, row in enumerate(_principal_colons(R)[2]):
         s = up[p]
@@ -484,10 +487,12 @@ def _verdicts(name: str, R: FiniteRing, delta: Optional[ExpansionFunction] = Non
     calling the check per instance. A hit in delta's record is one dict
     lookup, before ``_STOCK`` is read: records hold ``_PASS_SETS`` rows
     only, and maximal only in id's, so a stock name is still read at id or
-    rad. A miss builds the vectors of every check in ``_FUSED`` at once when
-    the check read is one of them, unless ``alone`` asks for its own only:
-    a check at one ideal and a search query read only the checks they name,
-    and the others' pass sets would cost them more than one pass saves.
+    rad. A miss fills the record that missed, and only it: with the vectors
+    of every check in ``_FUSED`` at once, out of the ring's packed words,
+    when the check read is one of them, unless ``alone`` asks for its own
+    only, one lane of its pass sets, which builds no packed words: a check
+    at one ideal and a search query read only the checks they name, and the
+    others' pass sets would cost them more than one pass saves.
     ``name`` is a check or "idealwise". The sweeps read it through the
     seams that their tests patch: ``verifier._verdicts``, ``_one_abs`` and
     ``_primary``.
@@ -503,21 +508,32 @@ def _verdicts(name: str, R: FiniteRing, delta: Optional[ExpansionFunction] = Non
     return store[name]
 
 
+@_per_ring("packed_pass")
+def _packed_pass_sets(R: FiniteRing) -> tuple[int, ...]:
+    """W[p] = sum of S_i[p] << i*n per proper position p, n = |lattice|, S_i
+    the pass sets of the i-th ``_FUSED`` check: each below 1 << n, so bit
+    i*n + q of W[p] is bit q of S_i[p], and the lanes do not overlap."""
+    n = len(R.ideals())
+    return tuple(sum(s << i * n for i, s in enumerate(sets))
+                 for sets in zip(*(_PASS_SETS[name][0](R) for name in _FUSED)))
+
+
 def _fill(store: dict, names: tuple[str, ...], R: FiniteRing, table: tuple[int, ...]) -> None:
     """The verdict vectors of the checks ``names`` at an expansion's
-    ``table``, in one pass over R's proper positions: bit p of each is bit
-    q of its pass set at p, where q = table[p] is the position of delta(I_p)."""
-    rows, vectors = [], []
-    for name in names:
-        rows.append((len(rows), _PASS_SETS[name][0](R)))
-        vectors.append(0)
-    for p, q in zip(range(len(rows[0][1])), table):
-        bit = 1 << p
-        for i, sets in rows:
-            if sets[p] >> q & 1:
-                vectors[i] |= bit
-    for name, vector in zip(names, vectors):
-        store[name] = vector
+    ``table``, in one pass over R's proper positions, one lane per check:
+    the words W are ``_packed_pass_sets`` for ``_FUSED``, or one check's
+    pass sets. At p, with q = table[p] the position of delta(I_p), bit i*n
+    of W[p] >> q is check i's verdict at I_p; LANES keeps those bits, and
+    shifted by p < n - 1 they stay in their lanes of n bits."""
+    n, k = len(table), len(names)  # a table has one entry per ideal
+    words = _packed_pass_sets(R) if k > 1 else _PASS_SETS[names[0]][0](R)
+    lanes = ((1 << k * n) - 1) // ((1 << n) - 1)  # LANES, the sum of 1 << i*n for i < k
+    v = 0
+    for p, w, q in zip(count(), words, table):
+        v |= (w >> q & lanes) << p
+    proper = (1 << n - 1) - 1
+    for i, name in enumerate(names):
+        store[name] = v >> i * n & proper
 
 
 def _position(I: Ideal, delta: Optional[ExpansionFunction], what: str) -> int:

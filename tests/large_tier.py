@@ -15,7 +15,11 @@ tier, ``generator_list`` must return the generators of its greedy walk with
 the sums formed as masks, and each principal ideal's scaling row must hold
 the positions of ``scale`` (``lattice_oracle``): both read joins. On every
 trivial extension, T-TRIV's colon-fixed flag of each pair ideal must equal
-the colons formed one ``module_colon`` at a time (``colon_masks``).
+the colons formed one ``module_colon`` at a time (``colon_masks``). And
+every verdict vector of every ring of the tier and of Z4^5, whose packed
+words hold four 243-bit lanes, under each of its expansions and the stock
+id and rad, must equal the sum of its pass sets' bits at the bounds
+(``lattice_oracle.verdict_definition``, ``kernel_vectors``).
 
 Run from the repository root; it writes nothing and exits 1 on a mismatch:
 
@@ -33,10 +37,13 @@ import time
 from pathlib import Path
 
 from construction_oracle import assert_catalog
-from lattice_oracle import colon_fixed_differences, scaling_differences, walk_differences
+from lattice_oracle import (
+    READ_AT, colon_fixed_differences, scaling_differences, verdict_definition, walk_differences)
 from ringlab.catalog import CatalogConfig, build_catalog
 from ringlab.constructions import ProductOf, TrivialExtensionOf
+from ringlab.expansions import standard_expansions
 from ringlab.ideals import _principal_table, _sum_closure
+from ringlab.predicates import _FUSED, _verdicts
 from ringlab.specparse import parse_ring
 from ringlab.verifier import verify_all
 
@@ -103,6 +110,26 @@ def colon_masks(catalog) -> tuple[int, int]:
     return len(rings), sum(I.is_proper for T in rings for I, _ in T.construction.pair_ideals())
 
 
+def kernel_vectors(catalog) -> int:
+    """Check every verdict vector of every ring of the tier, and of Z4^5,
+    against ``verdict_definition``: the four fused checks and maximal under
+    each of the ring's expansions, the delta-free checks at id and rad, and
+    the ideal-wise form up to order 12, as T-DEF-EQ reads it. Returns the
+    number of vectors checked."""
+    rings = [(e.ring, e.expansions) for e in catalog]
+    Z = parse_ring("Z4xZ4xZ4xZ4xZ4")
+    rings.append((Z, standard_expansions(Z)))
+    vectors = 0
+    for R, expansions in rings:
+        names = (*_FUSED, "maximal", "idealwise") if R.order <= 12 else (*_FUSED, "maximal")
+        reads = [(name, d) for d in expansions for name in names]
+        for name, d in [*reads, *((name, None) for name in READ_AT)]:
+            if _verdicts(name, R, d) != verdict_definition(name, R, d):
+                raise AssertionError(f"the {name} vector of {R.label} differs from its pass sets")
+            vectors += 1
+    return vectors
+
+
 def main() -> int:
     start = time.perf_counter()
     catalog = build_catalog(CONFIG)
@@ -122,13 +149,16 @@ def main() -> int:
     ideals, rows = lattice_reads(catalog)
     read = time.perf_counter()
     extensions, pairs = colon_masks(catalog)
+    masked = time.perf_counter()
+    vectors = kernel_vectors(catalog)
     print(f"{len(catalog)} rings: built in {built - start:.2f} s, swept in {swept - built:.2f} s,"
           f" equal to the golden; oracle {dict(counts)} in {checked - swept:.2f} s;"
           f" {products} product lattices equal their principal closures in"
           f" {closed - checked:.2f} s; generator walks of {ideals} ideals and"
           f" {rows} scaling rows equal lattice_oracle in {read - closed:.2f} s;"
           f" colon-fixed flags of {pairs} pairs in {extensions} trivial extensions equal"
-          f" the module colons in {time.perf_counter() - read:.2f} s")
+          f" the module colons in {masked - read:.2f} s; {vectors} verdict vectors equal their"
+          f" pass sets in {time.perf_counter() - masked:.2f} s")
     return 0
 
 

@@ -7,6 +7,8 @@ Here the walk sums masks with ``ideals._sum_masks``, and each scaled ideal
 multiplies every member, so neither reads the join. T-TRIV reads whether
 (F : c) = F for every c outside I off one colon-fixed mask per submodule F
 (``verifier._triv_pairs``); here each colon is formed by ``module_colon``.
+``predicates._fill`` reads every verdict vector out of lane-packed words;
+here each bit is read from its own pass set (``verdict_definition``).
 Used by the Tier-1 tests and by ``tests/large_tier.py``.
 """
 
@@ -14,7 +16,9 @@ from __future__ import annotations
 
 from ringlab.expansions import _scaling_table
 from ringlab.ideals import (
-    Ideal, _principal_masks, _principal_table, _sum_masks, generator_list, principal_generator, scale)
+    Ideal, _principal_masks, _principal_table, _radical_positions, _sum_masks, generator_list,
+    principal_generator, scale)
+from ringlab.predicates import _PASS_SETS
 from ringlab.rings import FiniteRing
 from ringlab.verifier import _triv_pairs
 
@@ -69,3 +73,29 @@ def colon_fixed_differences(T: FiniteRing) -> list:
              colon_fixed(T, I, F)) for I, F in info.pair_ideals() if I.is_proper]
     got = _triv_pairs(T)
     return [g for g, w in zip(got, want) if g != w] + got[len(want):] + want[len(got):]
+
+
+# Each delta-free check as the check read at delta(I) that it is, and the
+# stock expansion it is that at: delta(I) = I under id, rad(I) under rad.
+READ_AT = {
+    "prime": ("delta-primary", "id"),
+    "maximal": ("maximal", "id"),
+    "primary": ("delta-primary", "rad"),
+    "2abs": ("2abs-delta-primary", "id"),
+    "1abs-prime": ("1abs-delta-primary", "id"),
+    "1abs-primary": ("1abs-delta-primary", "rad"),
+}
+
+
+def verdict_definition(name, R, d) -> int:
+    """Check ``name``'s verdict vector read from the pass sets of the check
+    it is read as: bit p is bit b_p of the pass set s_p, where b_p is the
+    position of I_p's bound, delta(I_p), or I_p or rad(I_p) for a
+    delta-free check."""
+    row, at = READ_AT.get(name, (name, None))
+    if at is None:
+        bounds = d.table
+    else:
+        bounds = range(len(R.ideals())) if at == "id" else _radical_positions(R)
+    pass_sets = _PASS_SETS[row][0](R)
+    return sum((s >> b & 1) << p for p, (s, b) in enumerate(zip(pass_sets, bounds)))

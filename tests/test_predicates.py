@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 from itertools import permutations
 from types import SimpleNamespace
 
@@ -65,6 +66,8 @@ from ringlab.constructions import (
 )
 from ringlab.rings import FiniteRing, make_zn
 from ringlab.specparse import parse_query
+from ringlab.verifier import verify_all
+from lattice_oracle import READ_AT, verdict_definition
 from test_constructions import SMALL_BASES
 
 # Each check's public function, by name in column order, as a function of
@@ -80,18 +83,6 @@ CHECKS = {
     "delta-semiprimary": lambda I, d: delta_semiprimary_check(I, d),
     "1abs-delta-primary": lambda I, d: one_absorbing_delta_primary_check(I, d),
     "2abs-delta-primary": lambda I, d: two_absorbing_delta_primary_check(I, d),
-}
-
-
-# Each delta-free check as the check read at delta(I) that it is, and the
-# stock expansion it is that at: delta(I) = I under id, rad(I) under rad.
-READ_AT = {
-    "prime": ("delta-primary", "id"),
-    "maximal": ("maximal", "id"),
-    "primary": ("delta-primary", "rad"),
-    "2abs": ("2abs-delta-primary", "id"),
-    "1abs-prime": ("1abs-delta-primary", "id"),
-    "1abs-primary": ("1abs-delta-primary", "rad"),
 }
 
 
@@ -315,20 +306,6 @@ def test_verdict_vectors_have_no_bit_at_or_above_the_unit_ideal(request, tier):
     assert vectors > 0
 
 
-def _definition(name, R, d) -> int:
-    """Check ``name``'s verdict vector read from the pass sets of the check
-    it is read as: bit p is bit b_p of the pass set s_p, where b_p is the
-    position of I_p's bound, delta(I_p), or I_p or rad(I_p) for a
-    delta-free check."""
-    row, at = READ_AT.get(name, (name, None))
-    if at is None:
-        bounds = d.table
-    else:
-        bounds = range(len(R.ideals())) if at == "id" else ideals._radical_positions(R)
-    pass_sets = predicates._PASS_SETS[row][0](R)
-    return sum((s >> b & 1) << p for p, (s, b) in enumerate(zip(pass_sets, bounds)))
-
-
 @pytest.mark.parametrize("tier, tables", [
     ("catalog16", 995), ("catalog_enlarged", 1680), ("catalog_every_expansion", 172)])
 def test_the_verdict_kernel_builds_what_the_pass_sets_define(request, tier, tables):
@@ -348,7 +325,7 @@ def test_the_verdict_kernel_builds_what_the_pass_sets_define(request, tier, tabl
         if tier == "catalog_every_expansion":
             expansions = expansions[len(standard_expansions(R)):]
         for d in expansions:
-            want = {name: _definition(name, R, d) for name in names}
+            want = {name: verdict_definition(name, R, d) for name in names}
             for name in names:
                 assert _verdicts(name, R, d) == want[name], (entry.provenance, d.label, name)
             group = {name: want[name] for name in predicates._FUSED}
@@ -362,22 +339,52 @@ def test_the_verdict_kernel_builds_what_the_pass_sets_define(request, tier, tabl
     assert seen == tables
 
 
-def test_a_check_at_one_ideal_and_a_query_build_their_own_vectors_alone():
+def test_a_check_at_one_ideal_and_a_query_build_their_own_vectors_alone(monkeypatch):
     """On a new table a check at one ideal builds its own vector and pass
-    sets only, and a search query builds the vectors it names; the first
-    vector read of another delta-bounded check then builds all four, with
-    their pass sets."""
+    sets only, and a search query builds the vectors it names, neither of
+    them the packed words; the first vector read of another delta-bounded
+    check then builds all four, with their pass sets and packed words. A
+    cold sweep of a fresh default catalog builds the packed words once for
+    each ring that has a fused read, and ``_principal_colons`` looks no
+    position up through ``FiniteRing.lattice_position``."""
     R = make_zn(8)
     d, e = plus_fixed(R, span(R, [4])), plus_fixed(R, span(R, [2]))
     assert is_one_absorbing_delta_primary(span(R, [2]), d)
-    others = {"primary_pass", "semiprimary_pass", "two_absorbing_pass"}
+    others = {"primary_pass", "semiprimary_pass", "two_absorbing_pass", "packed_pass"}
     assert set(d.verdicts) == {"1abs-delta-primary"}
     assert "one_absorbing_pass" in R.cache and not others & set(R.cache)
     parse_query("1abs-delta-primary & !delta-primary").verdicts(R, e)
     assert set(e.verdicts) == {"1abs-delta-primary", "delta-primary"}
-    assert "semiprimary_pass" not in R.cache and "two_absorbing_pass" not in R.cache
-    assert _verdicts("delta-semiprimary", R, d) == _definition("delta-semiprimary", R, d)
+    assert not {"semiprimary_pass", "two_absorbing_pass", "packed_pass"} & set(R.cache)
+    assert _verdicts("delta-semiprimary", R, d) == verdict_definition("delta-semiprimary", R, d)
     assert set(d.verdicts) == set(predicates._FUSED) and others <= set(R.cache)
+
+    builds, fused = Counter(), set()
+    build, fill = predicates._packed_pass_sets.__wrapped__, predicates._fill
+
+    def counted_build(R):
+        builds[id(R)] += 1
+        return build(R)
+
+    def noted_fill(store, names, R, table):
+        if names == predicates._FUSED:
+            fused.add(id(R))
+        fill(store, names, R, table)
+
+    monkeypatch.setattr(predicates._packed_pass_sets, "__wrapped__", counted_build)
+    monkeypatch.setattr(predicates, "_fill", noted_fill)
+    catalog = build_catalog.__wrapped__(CatalogConfig())
+    verify_all(catalog)
+    assert {id(entry.ring) for entry in catalog} <= fused
+    assert builds == Counter(dict.fromkeys(fused, 1))
+
+    def forbidden(R, mask):
+        raise AssertionError("a lattice_position call")
+
+    monkeypatch.setattr(FiniteRing, "lattice_position", forbidden)
+    for entry in catalog:
+        built = entry.ring.cache.pop("principal_colons")
+        assert ideals._principal_colons(entry.ring) == built, entry.provenance
 
 
 def test_every_bound_above_i_matches_the_scans_on_default_catalog():

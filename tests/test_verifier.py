@@ -444,6 +444,33 @@ def test_colon_shortcut_reports_every_failure_of_the_loop(catalog16, monkeypatch
     assert (checked, hits) == (before.instances_checked, before.hypothesis_satisfied)
 
 
+def test_colon_never_reaches_the_zero_ideal(catalog16, catalog_enlarged, monkeypatch):
+    """T-COLON's screen ``reached & ~primary`` never sees the zero ideal's
+    bit: a nonunit a of a finite ring is a zero-divisor (x -> a*x is not
+    onto, so not one to one), so (I : a) holds (0 : a), which is not (0).
+    No colon by a nonunit outside I is (0) on either tier, no reach row
+    holds position 0, and clearing the delta-primary bit at (0) under every
+    expansion changes neither T-COLON's report nor its per-nonunit loop's."""
+    for entry in (*catalog16, *catalog_enlarged):
+        R = entry.ring
+        assert not any(colon(I, a).mask == 1 << R.zero for I in R.proper_ideals()
+                       for a in R.nonunit_list if a not in I), entry.provenance
+        assert not any(row & 1 for row in verifier._colon_reach(R)), entry.provenance
+    before = strip_elapsed(verify("T-COLON", catalog16))
+    reference = _sweep_reference("T-COLON", catalog16)
+    verdicts = verifier._verdicts
+
+    def cleared(which, R, d=None):
+        got = verdicts(which, R, d)
+        return got & ~1 if which == "delta-primary" and d is not None else got
+
+    monkeypatch.setattr(verifier, "_verdicts", cleared)
+    assert any(verifier._primary(d) != verdicts("delta-primary", e.ring, d)
+               for e in catalog16 for d in e.expansions)
+    assert strip_elapsed(verify("T-COLON", catalog16)) == before
+    assert _sweep_reference("T-COLON", catalog16) == reference
+
+
 def _mono_reference(catalog):
     """T-MONO as a loop over every ordered pair of distinct expansions and
     every proper ideal, comparing the ideals delta(I) and gamma(I)
